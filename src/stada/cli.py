@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -289,8 +290,35 @@ def _cmd_report(args) -> int:
     return EXIT_PASS if all_pass else EXIT_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end in exit code 2 with a one-line `error:` message."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a finite number above zero, got {text!r}")
+    return value
+
+
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stada",
         description="verification harness for the spacetime algebra and the "
                     "equivalent forms of the Dirac equation")
@@ -300,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", default="all", choices=suites.SUITE_NAMES)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--backend", default="exact", choices=("exact", "float"))
-    p_verify.add_argument("--iterations", type=int, default=None)
-    p_verify.add_argument("--tolerance", type=float, default=None)
+    p_verify.add_argument("--iterations", type=_count, default=None)
+    p_verify.add_argument("--tolerance", type=_tolerance, default=None)
     p_verify.add_argument("--report", default=None, metavar="PATH")
     p_verify.set_defaults(func=_cmd_verify)
 
@@ -325,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--reduce", default=None, choices=("t-HI", "t-H", "t-e5"),
                        help="check the idempotent reduction identity instead")
     p_res.add_argument("--seed", type=int, default=0)
-    p_res.add_argument("--tolerance", type=float, default=None)
+    p_res.add_argument("--tolerance", type=_tolerance, default=None)
     p_res.add_argument("--report", default=None, metavar="PATH")
     p_res.set_defaults(func=_cmd_residual)
 

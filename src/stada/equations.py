@@ -34,7 +34,7 @@ from .multivector import (
     l5,
     scalar_part_of_product,
 )
-from .scalars import EXACT, FLOAT, QQi
+from .scalars import EXACT, FLOAT, QQi, nan_max
 
 
 class EquationForm(Enum):
@@ -154,25 +154,24 @@ def _state_norm(state, h_mv: Multivector, points) -> float:
         worst = 0.0
         for x in points:
             vals = state.eval(x)
-            worst = max(worst, math.sqrt(sum(abs(v) ** 2 for v in vals)))
+            worst = nan_max(worst, math.sqrt(sum(abs(v) ** 2 for v in vals)))
         return worst
     if isinstance(state, AnalyticField):
         if state.is_zero():
             return 0.0
         worst = 0.0
         for x in points:
-            worst = max(worst, hermitian_norm(state.eval(x), h_mv))
+            worst = nan_max(worst, hermitian_norm(state.eval(x), h_mv))
         return worst
     if isinstance(state, GridField):
         ud = state.star_involution().mul_const(h_mv.to_float(), side="left")
         ud = ud.mul_const(h_mv.to_float(), side="right")
         # dagger = H u^star H; combine slotwise for the scalar part of u * dagger
-        from .multivector import CLIFFORD_TABLE
+        from .multivector import CLIFFORD
 
         acc = np.zeros(state.values.shape[1:], dtype=complex)
-        for m in range(16):
-            sign, _ = CLIFFORD_TABLE[m][m]
-            acc += sign * state.values[m] * ud.values[m]
+        for i, j, sign in CLIFFORD.scalar_terms:
+            acc += sign * state.values[i] * ud.values[j]
         norms = np.sqrt(np.maximum((4 * acc).real, 0.0))
         return float(norms.max()) if norms.size else 0.0
     raise DomainError(f"cannot measure a {type(state).__name__}")
@@ -604,7 +603,7 @@ class CurrentResult:
             if self.divergence.is_zero():
                 return 0.0
             pts = points if points is not None else sample_points(seed)
-            return max(abs(complex(self.divergence.eval(x).coeffs[0])) for x in pts)
+            return nan_max(*(abs(complex(self.divergence.eval(x).coeffs[0])) for x in pts))
         return float(np.abs(self.divergence).max())
 
 
@@ -623,7 +622,7 @@ def current(phi, h_mv: Multivector, *, seed: int = 0) -> CurrentResult:
     J = phi.clifford(phi_bar)
     leak = J - J.grade_part(1)
     points = sample_points(seed)
-    grade_leak = 0.0 if leak.is_zero() else max(leak.eval(x).max_abs() for x in points)
+    grade_leak = 0.0 if leak.is_zero() else nan_max(*(leak.eval(x).max_abs() for x in points))
     lowered = AnalyticField.zero(backend)
     metric = (1, -1, -1, -1)
     for mu in range(4):
@@ -631,7 +630,7 @@ def current(phi, h_mv: Multivector, *, seed: int = 0) -> CurrentResult:
         term = j_fields[mu].mul_const(basis_vector(mu, backend), side="right")
         lowered = lowered + (term if sgn > 0 else -term)
     match = J.grade_part(1) - lowered
-    match_error = 0.0 if match.is_zero() else max(match.eval(x).max_abs() for x in points)
+    match_error = 0.0 if match.is_zero() else nan_max(*(match.eval(x).max_abs() for x in points))
     div = AnalyticField.zero(backend)
     for mu in range(4):
         div = div + j_fields[mu].partial(mu)
@@ -714,8 +713,8 @@ def lagrangian(phi: AnalyticField, pot, m, h_mv: Multivector, i_mv: Multivector,
     half = Fraction(-1, 2) if backend == EXACT else -0.5
     alt = alt.scale(half)
     diff = field_part - alt
-    err = 0.0 if diff.is_zero() else max(
-        abs(complex(diff.eval(x).coeffs[0])) for x in sample_points(seed))
+    err = 0.0 if diff.is_zero() else nan_max(*(
+        abs(complex(diff.eval(x).coeffs[0])) for x in sample_points(seed)))
     return LagrangianResult(density=matter + field_part, matter_part=matter,
                             field_part=field_part, trace_identity_error=err)
 
@@ -740,9 +739,9 @@ def maxwell_residual(phi: AnalyticField, pot, h_mv: Multivector, *,
     J = current(phi, h_mv).J
     source = delta(F) - J
     points = sample_points(seed)
-    smax = 0.0 if strength_residual.is_zero() else max(
-        strength_residual.eval(x).max_abs() for x in points)
-    jmax = 0.0 if source.is_zero() else max(source.eval(x).max_abs() for x in points)
+    smax = 0.0 if strength_residual.is_zero() else nan_max(*(
+        strength_residual.eval(x).max_abs() for x in points))
+    jmax = 0.0 if source.is_zero() else nan_max(*(source.eval(x).max_abs() for x in points))
     return MaxwellResult(field_strength=F, strength_residual_max=smax,
                          source_residual=source, source_residual_max=jmax)
 

@@ -21,10 +21,11 @@ from typing import Iterable, Mapping
 from . import scalars
 from .errors import BackendMismatchError, DomainError
 from .exterior import STAR_TABLE
+from .kernel import BladeProduct
 from .multivector import (
-    CLIFFORD_TABLE,
+    CLIFFORD,
     GRADE,
-    WEDGE_TABLE,
+    WEDGE,
     Multivector,
     basis_vector,
 )
@@ -446,35 +447,20 @@ class AnalyticField:
 
     # ---- products ---------------------------------------------------------------
 
-    def _blade_mul(self, other: "AnalyticField", table) -> "AnalyticField":
+    def _blade_mul(self, other: "AnalyticField", kind: BladeProduct) -> "AnalyticField":
         self._check(other)
+        zero = Poly()
         out = []
         for pa, ca in self.terms.values():
             for pb, cb in other.terms.values():
-                phase = pa + pb
-                new = [Poly() for _ in range(16)]
-                for i in range(16):
-                    qa = ca[i]
-                    if not qa:
-                        continue
-                    row = table[i]
-                    for j in range(16):
-                        qb = cb[j]
-                        if not qb:
-                            continue
-                        sign, mask = row[j]
-                        if sign == 0:
-                            continue
-                        prod = qa * qb
-                        new[mask] = new[mask] + prod if sign > 0 else new[mask] - prod
-                out.append((phase, new))
+                out.append((pa + pb, kind.generic(ca, cb, zero)))
         return AnalyticField(self.backend, out)
 
     def clifford(self, other: "AnalyticField") -> "AnalyticField":
-        return self._blade_mul(other, CLIFFORD_TABLE)
+        return self._blade_mul(other, CLIFFORD)
 
     def wedge(self, other: "AnalyticField") -> "AnalyticField":
-        return self._blade_mul(other, WEDGE_TABLE)
+        return self._blade_mul(other, WEDGE)
 
     def mul_const(self, mv: Multivector, side: str = "right",
                   product: str = "clifford") -> "AnalyticField":
@@ -501,7 +487,7 @@ class AnalyticField:
         for _, coeffs in self.terms.values():
             for q in coeffs:
                 for c in q.terms.values():
-                    worst = max(worst, abs(complex(c)))
+                    worst = scalars.nan_max(worst, abs(complex(c)))
         return worst
 
     def to_float(self) -> "AnalyticField":

@@ -19,7 +19,8 @@ import numpy as np
 from .errors import DomainError
 from .exterior import STAR_TABLE
 from .fields import AnalyticField
-from .multivector import CLIFFORD_TABLE, WEDGE_TABLE, Multivector
+from .kernel import EVERY_BLADE, BladeProduct
+from .multivector import CLIFFORD, WEDGE, Multivector
 from .scalars import FLOAT
 
 Offset = tuple[int, int, int, int]
@@ -33,44 +34,32 @@ class AliasingWarning(UserWarning):
     """Sampling a field whose frequencies do not fit the periodic box."""
 
 
-def _blade_matrix(table, mv: Multivector) -> np.ndarray:
-    """16x16 matrix of left multiplication by mv under the given sign table."""
+def _blade_matrix(kind: BladeProduct, mv: Multivector) -> np.ndarray:
+    """16x16 matrix of left multiplication by mv under the given product."""
     out = np.zeros((16, 16), dtype=complex)
-    for i, c in enumerate(mv.coeffs):
-        if not c:
-            continue
-        v = complex(c)
-        for j in range(16):
-            sign, mask = table[i][j]
-            if sign:
-                out[mask, j] += sign * v
+    for i, j, sign, mask in kind.live_terms(mv.coeffs, EVERY_BLADE):
+        out[mask, j] += sign * complex(mv.coeffs[i])
     return out
 
 
-def _blade_matrix_right(table, mv: Multivector) -> np.ndarray:
+def _blade_matrix_right(kind: BladeProduct, mv: Multivector) -> np.ndarray:
     """Matrix of RIGHT multiplication by mv: input blade index j, factor on the right."""
     out = np.zeros((16, 16), dtype=complex)
-    for j2, c in enumerate(mv.coeffs):
-        if not c:
-            continue
-        v = complex(c)
-        for j in range(16):
-            sign, mask = table[j][j2]
-            if sign:
-                out[mask, j] += sign * v
+    for j, j2, sign, mask in kind.live_terms(EVERY_BLADE, mv.coeffs):
+        out[mask, j] += sign * complex(mv.coeffs[j2])
     return out
 
 
 def clifford_left_matrix(mv: Multivector) -> np.ndarray:
-    return _blade_matrix(CLIFFORD_TABLE, mv)
+    return _blade_matrix(CLIFFORD, mv)
 
 
 def clifford_right_matrix(mv: Multivector) -> np.ndarray:
-    return _blade_matrix_right(CLIFFORD_TABLE, mv)
+    return _blade_matrix_right(CLIFFORD, mv)
 
 
 def wedge_left_matrix(mv: Multivector) -> np.ndarray:
-    return _blade_matrix(WEDGE_TABLE, mv)
+    return _blade_matrix(WEDGE, mv)
 
 
 def star_matrix() -> np.ndarray:
@@ -123,28 +112,20 @@ class GridField:
 
     def mul_const(self, mv: Multivector, side: str = "right",
                   product: str = "clifford") -> "GridField":
-        table = CLIFFORD_TABLE if product == "clifford" else WEDGE_TABLE
-        mat = (_blade_matrix_right(table, mv.to_float()) if side == "right"
-               else _blade_matrix(table, mv.to_float()))
+        kind = CLIFFORD if product == "clifford" else WEDGE
+        mat = (_blade_matrix_right(kind, mv.to_float()) if side == "right"
+               else _blade_matrix(kind, mv.to_float()))
         return GridField(self.n, self.h, np.einsum("ij,j...->i...", mat, self.values))
 
     def pointwise_product(self, other: "GridField",
                           product: str = "clifford") -> "GridField":
         self._check(other)
-        table = CLIFFORD_TABLE if product == "clifford" else WEDGE_TABLE
+        kind = CLIFFORD if product == "clifford" else WEDGE
         out = np.zeros_like(self.values)
-        for i in range(16):
-            vi = self.values[i]
-            if not vi.any():
-                continue
-            for j in range(16):
-                vj = other.values[j]
-                if not vj.any():
-                    continue
-                sign, mask = table[i][j]
-                if sign == 0:
-                    continue
-                out[mask] += sign * (vi * vj)
+        live_a = [v.any() for v in self.values]
+        live_b = [v.any() for v in other.values]
+        for i, j, sign, mask in kind.live_terms(live_a, live_b):
+            out[mask] += sign * (self.values[i] * other.values[j])
         return GridField(self.n, self.h, out)
 
     def hodge_star(self) -> "GridField":

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import scalars
 from .errors import ConsistencyError, DomainError
 from .generators import SecondaryGenerators, canonical_generators
+from .kernel import ExactLinearMap
 from .multivector import (
     Multivector,
     hermitian_conjugate,
@@ -36,6 +38,10 @@ class IdealBasis:
 
     The dual basis elements t^k coincide with t_k; both index positions
     appear in the formulas, one storage backs them.
+
+    On the exact backend the matrix representation is linear in U, so the
+    images of the 16 basis blades are built once per basis, on the first
+    unverified `gamma_of`, and every later call combines them.
     """
 
     gens: SecondaryGenerators
@@ -61,6 +67,13 @@ class IdealBasis:
         if self.backend == EXACT:
             return diff.is_zero(0.0)
         return diff.max_abs() <= (tol if tol is not None else scalars.default_tolerance())
+
+    @cached_property
+    def blade_images(self) -> ExactLinearMap:
+        """U -> gamma(U) as a linear map, from the verified images of the blades."""
+        return ExactLinearMap([
+            [v for row in _gamma_matrix(Multivector.basis(mask, EXACT), self) for v in row]
+            for mask in range(16)])
 
 
 def idempotent_of(g: SecondaryGenerators, tol: float | None = None) -> IdealBasis:
@@ -123,7 +136,17 @@ def gamma_of(u: Multivector, basis: IdealBasis, verify: bool = True,
     [n][k] is (U t_k, t^n); the upper index enumerates rows.
 
     With `verify` the reconstruction U t_k = sum_n gamma[n][k] t_n is
-    checked before returning."""
+    checked before returning.  Without it, the exact backend combines the
+    blade images of `basis`, each of which passed that check once."""
+    if basis.backend == EXACT and u.backend == EXACT and not verify:
+        flat = basis.blade_images(u.coeffs)
+        return tuple(tuple(flat[4 * n:4 * n + 4]) for n in range(4))
+    return _gamma_matrix(u, basis, verify, tol)
+
+
+def _gamma_matrix(u: Multivector, basis: IdealBasis, verify: bool = True,
+                  tol: float | None = None) -> tuple:
+    """gamma_of from the products U t_k, optionally with the reconstruction check."""
     products = [u * tk for tk in basis.ts]
     mat = tuple(
         tuple(scalar_part_of_product(products[k], basis.ts_dagger[n]) * 4
@@ -257,10 +280,7 @@ def even_ideal_map_rank(basis: IdealBasis) -> int:
         image = Multivector.basis(mask, backend) * basis.t
         col = []
         for c in image.coeffs:
-            if backend == EXACT:
-                col.extend((c.real, c.imag))
-            else:
-                col.extend((c.real, c.imag))
+            col.extend((c.real, c.imag))
         cols.append(col)
     rows = [[cols[j][i] for j in range(8)] for i in range(32)]
     if backend == EXACT:

@@ -6,6 +6,15 @@ Generator squares follow the signature (+1, -1, -1, -1).  Products are
 driven by a 16x16 sign table built once from a transposition-counting
 rule; the table itself is cross-checked in the test suite against an
 independent adjacent-transposition oracle.
+
+The Clifford and exterior products, the scalar part of a product and the
+left-regular matrix all go through one `kernel.BladeProduct` per table.
+On the exact backend it puts each operand over a shared denominator,
+sums Gaussian-integer numerators per output blade, and normalises each
+output coefficient once, so the coefficients equal term-by-term `QQi`
+arithmetic exactly.  Float products add the terms in the table order.
+The oracles that check these products (`suites.oracle_blade_product`,
+`exterior.clifford_product_via_table`) stay independent of the kernel.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from typing import Iterable, Sequence
 
 from . import scalars
 from .errors import BackendMismatchError, InvalidGeneratorError, ParseError
+from .kernel import EVERY_BLADE, BladeProduct
 from .scalars import EXACT, FLOAT, QQi, Scalar
 
 ETA = (1, -1, -1, -1)
@@ -72,6 +82,10 @@ def blade_wedge(a: int, b: int) -> tuple[int, int]:
 
 CLIFFORD_TABLE = tuple(tuple(blade_clifford(a, b) for b in range(16)) for a in range(16))
 WEDGE_TABLE = tuple(tuple(blade_wedge(a, b) for b in range(16)) for a in range(16))
+
+# every product that walks a blade table goes through these two kernels
+CLIFFORD = BladeProduct(CLIFFORD_TABLE)
+WEDGE = BladeProduct(WEDGE_TABLE)
 
 
 class Multivector:
@@ -200,7 +214,7 @@ class Multivector:
         return all(scalars.close(x, y, tol) for x, y in zip(self.coeffs, other.coeffs))
 
     def max_abs(self) -> float:
-        return max(abs(scalars.to_complex(c)) for c in self.coeffs)
+        return scalars.nan_max(*(abs(scalars.to_complex(c)) for c in self.coeffs))
 
     # ---- involutions and traces ----------------------------------------
 
@@ -248,53 +262,18 @@ def l5(backend: str = EXACT) -> Multivector:
 
 def clifford_product(a: Multivector, b: Multivector) -> Multivector:
     a._check(b)
-    out = [scalars.zero(a.backend)] * 16
-    table = CLIFFORD_TABLE
-    for i, ci in enumerate(a.coeffs):
-        if not ci:
-            continue
-        row = table[i]
-        for j, cj in enumerate(b.coeffs):
-            if not cj:
-                continue
-            sign, mask = row[j]
-            p = ci * cj
-            out[mask] = out[mask] + p if sign > 0 else out[mask] - p
-    return Multivector(out, a.backend)
+    return Multivector(CLIFFORD.product(a.coeffs, b.coeffs, a.backend), a.backend)
 
 
 def exterior_product(a: Multivector, b: Multivector) -> Multivector:
     a._check(b)
-    out = [scalars.zero(a.backend)] * 16
-    table = WEDGE_TABLE
-    for i, ci in enumerate(a.coeffs):
-        if not ci:
-            continue
-        row = table[i]
-        for j, cj in enumerate(b.coeffs):
-            if not cj:
-                continue
-            sign, mask = row[j]
-            if sign == 0:
-                continue
-            p = ci * cj
-            out[mask] = out[mask] + p if sign > 0 else out[mask] - p
-    return Multivector(out, a.backend)
+    return Multivector(WEDGE.product(a.coeffs, b.coeffs, a.backend), a.backend)
 
 
 def scalar_part_of_product(a: Multivector, b: Multivector) -> Scalar:
     """Unit-blade coefficient of a*b without forming the full product."""
     a._check(b)
-    acc = scalars.zero(a.backend)
-    for m in range(16):
-        ci = a.coeffs[m]
-        cj = b.coeffs[m]
-        if not ci or not cj:
-            continue
-        sign, _ = CLIFFORD_TABLE[m][m]
-        p = ci * cj
-        acc = acc + p if sign > 0 else acc - p
-    return acc
+    return CLIFFORD.scalar_part(a.coeffs, b.coeffs, a.backend)
 
 
 def commutator(a: Multivector, b: Multivector) -> Multivector:
@@ -317,16 +296,12 @@ def hermitian_conjugate(u: Multivector, h: Multivector, tol: float | None = None
 
 def left_matrix(u: Multivector) -> list[list[Scalar]]:
     """16x16 matrix of left multiplication by u acting on coefficient vectors."""
-    cols = []
-    for j in range(16):
-        col = [scalars.zero(u.backend)] * 16
-        for i, ci in enumerate(u.coeffs):
-            if not ci:
-                continue
-            sign, mask = CLIFFORD_TABLE[i][j]
-            col[mask] = col[mask] + ci if sign > 0 else col[mask] - ci
-        cols.append(col)
-    return [[cols[j][i] for j in range(16)] for i in range(16)]
+    zero = scalars.zero(u.backend)
+    rows = [[zero] * 16 for _ in range(16)]
+    for i, j, sign, mask in CLIFFORD.live_terms(u.coeffs, EVERY_BLADE):
+        c = u.coeffs[i]
+        rows[mask][j] = zero + c if sign > 0 else zero - c
+    return rows
 
 
 def inverse(u: Multivector) -> Multivector:

@@ -33,6 +33,21 @@ def set_default_tolerance(tol: float) -> None:
 RealLike = Union[int, Fraction, float]
 
 
+def nan_max(*values):
+    """The largest of the values, or NaN if any of them is NaN.
+
+    The builtin max compares with `>`, which is false against NaN, so
+    max(0.0, nan) is 0.0 and a NaN measurement would read as no error at
+    all.  Apart from that, the result is the one max would give."""
+    worst = values[0]
+    for v in values:
+        if v != v:
+            return math.nan
+        if v > worst:
+            worst = v
+    return worst
+
+
 class QQi:
     """Gaussian rational (a + b*i)/d, normalized so gcd(a, b, d) == 1 and d > 0."""
 

@@ -183,7 +183,7 @@ class LorentzMatrix:
             for nu in range(4):
                 acc = sum(p[k][mu] * METRIC[k] * p[k][nu] for k in range(4))
                 target = METRIC[mu] if mu == nu else 0.0
-                worst = max(worst, abs(acc - target))
+                worst = scalars.nan_max(worst, abs(acc - target))
         return worst
 
     def validate(self, tol: float | None = None) -> None:
@@ -235,11 +235,7 @@ def _intertwine_rows(a: Multivector, b: Multivector) -> list[list]:
     for mask in EVEN_MASKS:
         e = Multivector.basis(mask, backend)
         image = a * e - e * b
-        if backend == EXACT:
-            col = [image.coeffs[m].real for m in range(16)]
-        else:
-            col = [image.coeffs[m].real for m in range(16)]
-        cols.append(col)
+        cols.append([image.coeffs[m].real for m in range(16)])
     return [[cols[j][i] for j in range(len(EVEN_MASKS))] for i in range(16)]
 
 

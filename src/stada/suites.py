@@ -48,7 +48,7 @@ from .multivector import (
     l5,
     parse_multivector,
 )
-from .scalars import EXACT, FLOAT, QQi
+from .scalars import EXACT, FLOAT, QQi, nan_max
 
 
 # ---- an independent product oracle ------------------------------------------
@@ -277,7 +277,7 @@ def _suite_algebra(seed: int, iterations: int | None, tolerance: float) -> list:
             EXACT)
         exact = (u * v).to_float()
         approx = u.to_float() * v.to_float()
-        worst = max(worst, (exact - approx).max_abs())
+        worst = nan_max(worst, (exact - approx).max_abs())
     _check(res, "algebra.float_agreement",
            "float products track exact products coefficientwise", worst, 1e-12)
 
@@ -383,8 +383,8 @@ def _suite_spin(seed: int, iterations: int | None, tolerance: float) -> list:
     for _ in range(n):
         s = spin.random_spin(rng)
         p = spin.lorentz_of(s)
-        worst_metric = max(worst_metric, p.metric_residual())
-        worst_det = max(worst_det, abs(float(p.det()) - 1.0))
+        worst_metric = nan_max(worst_metric, p.metric_residual())
+        worst_det = nan_max(worst_det, abs(float(p.det()) - 1.0))
         worst_time = min(worst_time, float(p.rows[0][0]))
         if spin.lorentz_of(-s).rows != p.rows:
             double_cover_bad += 1
@@ -413,8 +413,8 @@ def _suite_spin(seed: int, iterations: int | None, tolerance: float) -> list:
         s1, s2 = spin.random_spin(rng), spin.random_spin(rng)
         lhs = spin.lorentz_of(s1 * s2).as_floats()
         rhs = spin.lorentz_of(s1).matmul(spin.lorentz_of(s2)).as_floats()
-        worst = max(worst, max(abs(a - b) for ra, rb in zip(lhs, rhs)
-                               for a, b in zip(ra, rb)))
+        worst = nan_max(worst, *(abs(a - b) for ra, rb in zip(lhs, rhs)
+                                   for a, b in zip(ra, rb)))
     _check(res, "spin.homomorphism",
            "matrix of a product is the product of matrices, in the same order",
            worst, 1e-9)
@@ -424,8 +424,8 @@ def _suite_spin(seed: int, iterations: int | None, tolerance: float) -> list:
     for _ in range(min(n, 30)):
         s = spin.random_spin(rng)
         pq = spin.lorentz_of(s).matmul(spin.lorentz_of(s, inverse=True)).as_floats()
-        worst = max(worst, max(abs(pq[i][j] - (1.0 if i == j else 0.0))
-                               for i in range(4) for j in range(4)))
+        worst = nan_max(worst, *(abs(pq[i][j] - (1.0 if i == j else 0.0))
+                                   for i in range(4) for j in range(4)))
     _check(res, "spin.inverse_action", "forward and inverse actions invert each other",
            worst, 1e-9)
 
@@ -437,7 +437,7 @@ def _suite_spin(seed: int, iterations: int | None, tolerance: float) -> list:
             for m in MASKS_OF_GRADE[k]:
                 moved = spin.sandwich(s, Multivector.basis(m, FLOAT))
                 leak = moved - moved.grade_part(k)
-                worst = max(worst, leak.max_abs())
+                worst = nan_max(worst, leak.max_abs())
     _check(res, "spin.grade_preservation", "the sandwich action preserves every grade",
            worst, 1e-10)
 
@@ -450,11 +450,11 @@ def _suite_spin(seed: int, iterations: int | None, tolerance: float) -> list:
         for k in (1, 2, 3):
             for m in MASKS_OF_GRADE[k]:
                 moved = odd.star() * Multivector.basis(m, FLOAT) * odd
-                worst = max(worst, (moved - moved.grade_part(k)).max_abs())
+                worst = nan_max(worst, (moved - moved.grade_part(k)).max_abs())
         for m in (0, 0b1111):
             moved = odd.star() * Multivector.basis(m, FLOAT) * odd
             keep = moved.grade_part(0) + moved.grade_part(4)
-            worst = max(worst, (moved - keep).max_abs())
+            worst = nan_max(worst, (moved - keep).max_abs())
     _check(res, "spin.parity_action",
            "odd conjugation preserves middle grades and the scalar/pseudoscalar pair",
            worst, 1e-10)
@@ -467,13 +467,13 @@ def _suite_spin(seed: int, iterations: int | None, tolerance: float) -> list:
             Multivector.basis(0b0110, FLOAT).scale(complex(theta)))
         want = (Multivector.unit(FLOAT).scale(complex(math.cos(theta)))
                 + Multivector.basis(0b0110, FLOAT).scale(complex(math.sin(theta))))
-        worst = max(worst, (s_rot.element - want).max_abs())
+        worst = nan_max(worst, (s_rot.element - want).max_abs())
         alpha = rng.uniform(-1.5, 1.5)
         s_boost = spin.spin_from_bivector(
             Multivector.basis(0b0011, FLOAT).scale(complex(alpha)))
         want = (Multivector.unit(FLOAT).scale(complex(math.cosh(alpha)))
                 + Multivector.basis(0b0011, FLOAT).scale(complex(math.sinh(alpha))))
-        worst = max(worst, (s_boost.element - want).max_abs())
+        worst = nan_max(worst, (s_boost.element - want).max_abs())
     _check(res, "spin.exponential_closed_forms",
            "bivector exponentials match their rotation and boost closed forms",
            worst, 1e-12)
@@ -492,9 +492,9 @@ def _suite_spin(seed: int, iterations: int | None, tolerance: float) -> list:
         r = spin.recover_spin(gt.h, gt.i2, gt.k2)
         d1 = (r.element - s.reverse).max_abs()
         d2 = (r.element + s.reverse).max_abs()
-        worst = max(worst, min(d1, d2))
+        worst = nan_max(worst, min(d1, d2))
         back = spin.sandwich(r, gt.h) - basis_vector(0, FLOAT)
-        worst = max(worst, back.max_abs())
+        worst = nan_max(worst, back.max_abs())
     _check(res, "spin.recover_roundtrip",
            "transported generators recover the transporting element up to sign",
            worst, 1e-8)
@@ -505,9 +505,9 @@ def _suite_spin(seed: int, iterations: int | None, tolerance: float) -> list:
         s = spin.random_spin(rng, scale=0.8)
         gt = generators.transported_generators(s, generators.canonical_generators(FLOAT))
         r = spin.recover_spin_pair(gt.h, gt.i2)
-        worst = max(worst, (spin.sandwich(r, gt.h) - basis_vector(0, FLOAT)).max_abs())
-        worst = max(worst, (spin.sandwich(r, gt.i2)
-                            + Multivector.basis(0b0110, FLOAT)).max_abs())
+        worst = nan_max(worst, (spin.sandwich(r, gt.h) - basis_vector(0, FLOAT)).max_abs())
+        worst = nan_max(worst, (spin.sandwich(r, gt.i2)
+                                + Multivector.basis(0b0110, FLOAT)).max_abs())
     _check(res, "spin.recover_pair",
            "a two-condition recovery still satisfies both sandwich equations",
            worst, 1e-8)
@@ -841,11 +841,11 @@ def _field_gap(a, b, tolerance: float) -> float:
     if isinstance(diff, eq.BispinorField):
         if diff.is_zero():
             return 0.0
-        return max(math.sqrt(sum(abs(v) ** 2 for v in diff.eval(x)))
-                   for x in eq.sample_points(0))
+        return nan_max(*(math.sqrt(sum(abs(v) ** 2 for v in diff.eval(x)))
+                         for x in eq.sample_points(0)))
     if diff.is_zero():
         return 0.0
-    return max(diff.eval(x).max_abs() for x in eq.sample_points(0))
+    return nan_max(*(diff.eval(x).max_abs() for x in eq.sample_points(0)))
 
 
 def _suite_equations(seed: int, iterations: int | None, tolerance: float,
@@ -871,7 +871,7 @@ def _suite_equations(seed: int, iterations: int | None, tolerance: float,
         for form in eq.EquationForm:
             sol = eq.plane_wave(form, p, 1.0, basis=basis)
             rep = _residual_for(form, sol.state, None, 1.0, fbasis)
-            worst = max(worst, rep.max_norm)
+            worst = nan_max(worst, rep.max_norm)
     _check(res, "equations.plane_wave_residuals",
            "generated free solutions satisfy every equation form",
            worst, 1e-12, f"{len(momenta)} momenta x {len(list(eq.EquationForm))} forms")
@@ -886,10 +886,10 @@ def _suite_equations(seed: int, iterations: int | None, tolerance: float,
         theta = eq.translate(psi, eq.EquationForm.DIRAC_MATRIX, eq.EquationForm.IDEAL,
                              state_basis)
         r_ideal = eq.ideal_operator(theta, pot, m)
-        worst = max(worst, _field_gap(
+        worst = nan_max(worst, _field_gap(
             eq.translate(r_col, eq.EquationForm.DIRAC_MATRIX, eq.EquationForm.IDEAL,
                          state_basis), r_ideal, tolerance))
-        worst = max(worst, _field_gap(
+        worst = nan_max(worst, _field_gap(
             eq.translate(r_ideal, eq.EquationForm.IDEAL, eq.EquationForm.DIRAC_MATRIX,
                          state_basis), r_col, tolerance))
     _check(res, "equations.residual_map_matrix_ideal",
@@ -906,8 +906,8 @@ def _suite_equations(seed: int, iterations: int | None, tolerance: float,
                                   state_basis.gens.i2)
         theta = psi_even.mul_const(state_basis.t, side="right")
         r_ideal = eq.ideal_operator(theta, pot, m)
-        worst = max(worst, _field_gap(r_even.mul_const(state_basis.t, side="right"),
-                                      r_ideal, tolerance))
+        worst = nan_max(worst, _field_gap(r_even.mul_const(state_basis.t, side="right"),
+                                          r_ideal, tolerance))
     _check(res, "equations.residual_map_even_ideal",
            "even-form residuals multiply into ideal-form residuals",
            worst, map_bound)
@@ -922,7 +922,7 @@ def _suite_equations(seed: int, iterations: int | None, tolerance: float,
             lhs = eq.reduced_operator(kind, rho.mul_const(t_red, side="right"),
                                       pot, m, state_basis.gens)
             rhs = eq.ilk_operator(rho, pot, m).mul_const(t_red, side="right")
-            worst = max(worst, _field_gap(lhs, rhs, tolerance))
+            worst = nan_max(worst, _field_gap(lhs, rhs, tolerance))
     _check(res, "equations.ilk_reductions",
            "the three idempotents map general-form residuals onto the reduced equations",
            worst, map_bound)
@@ -941,13 +941,13 @@ def _suite_equations(seed: int, iterations: int | None, tolerance: float,
             before = eq.residual_tensor(state, None, mass, fbasis.gens.h, fbasis.gens.i2)
             st2, pot2 = eq.gauge_transform(state, None, lam, eq.EquationForm.TENSOR, fbasis)
             after = eq.residual_tensor(st2, pot2, mass, fbasis.gens.h, fbasis.gens.i2)
-            worst = max(worst, abs(after.max_norm - before.max_norm))
+            worst = nan_max(worst, abs(after.max_norm - before.max_norm))
         psi = eq.plane_wave(eq.EquationForm.DIRAC_MATRIX, (1.0, 0, 0, 0), 1.0, basis=basis)
         before = eq.residual_dirac(psi.state, None, 1.0, fbasis)
         st2, pot2 = eq.gauge_transform(psi.state, None, lam,
                                        eq.EquationForm.DIRAC_MATRIX, fbasis)
         after = eq.residual_dirac(st2, pot2, 1.0, fbasis)
-        worst = max(worst, abs(after.max_norm - before.max_norm))
+        worst = nan_max(worst, abs(after.max_norm - before.max_norm))
     _check(res, "equations.gauge_invariance",
            "gauge transport preserves residual size for solutions and non-solutions",
            worst, 1e-10)
@@ -960,7 +960,7 @@ def _suite_equations(seed: int, iterations: int | None, tolerance: float,
         h_s = spin.sandwich(s, fbasis.gens.h)
         i_s = spin.sandwich(s, fbasis.gens.i2)
         rep = eq.residual_tensor(phi_s, None, 1.0, h_s, i_s)
-        worst = max(worst, rep.max_norm)
+        worst = nan_max(worst, rep.max_norm)
     _check(res, "equations.global_spin_invariance",
            "transported solutions solve the transported equation",
            worst, 1e-10)
@@ -971,7 +971,7 @@ def _suite_equations(seed: int, iterations: int | None, tolerance: float,
            cur.divergence_max(), 1e-12)
     _check(res, "equations.current_grade",
            "the current 1-form stays in grade one and matches its components",
-           max(cur.grade_leak, cur.match_error), 1e-12)
+           nan_max(cur.grade_leak, cur.match_error), 1e-12)
 
     s1 = eq.plane_wave(eq.EquationForm.TENSOR, (2.0, 2.0, 0, 0), 0.0, basis=basis, which=0)
     s2 = eq.plane_wave(eq.EquationForm.TENSOR, (1.0, 0.0, 1.0, 0), 0.0, basis=basis, which=1)
@@ -993,7 +993,7 @@ def _suite_equations(seed: int, iterations: int | None, tolerance: float,
             s = spin.random_spin(rng, scale=0.4)
             rep = eq.covariance_check(
                 s, eq.FieldConfig(form, state, None, 1.0, fbasis))
-            worst = max(worst, rep.residual_after)
+            worst = nan_max(worst, rep.residual_after)
     _check(res, "equations.covariance",
            "coordinate changes carried by spin elements preserve solutions",
            worst, 1e-10)
@@ -1006,7 +1006,7 @@ def _suite_equations(seed: int, iterations: int | None, tolerance: float,
                     eq.EquationForm.TENSOR):
             moved = eq.translate(psi, eq.EquationForm.DIRAC_MATRIX, dst, state_basis)
             back = eq.translate(moved, dst, eq.EquationForm.DIRAC_MATRIX, state_basis)
-            worst = max(worst, _field_gap(back, psi, tolerance))
+            worst = nan_max(worst, _field_gap(back, psi, tolerance))
     _check(res, "equations.translate_roundtrips",
            "state translations invert across the form square", worst, map_bound)
     return res

@@ -197,3 +197,35 @@ def test_report_without_files_is_usage(capsys, monkeypatch):
     monkeypatch.delenv("STADA_REPORT_DIR", raising=False)
     code, _, err = run_cli(["report"], capsys)
     assert code == 2
+
+
+# ---- non-finite values and bad numbers ------------------------------------------
+
+
+@pytest.mark.parametrize("mass", ["nan", "inf"])
+def test_residual_non_finite_mass_never_passes(mass, capsys):
+    code, out, _ = run_cli(["residual", "--form", "ilk", "--state", "e0 exp(i[1,0,0,0])",
+                            "--mass", mass], capsys)
+    data = json.loads(out)
+    assert code == 1
+    assert data["verdict"] == "fail"
+    assert data["max_norm"] != 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "hodge", "--tolerance", "-1"],
+    ["verify", "--suite", "hodge", "--tolerance", "0"],
+    ["verify", "--suite", "hodge", "--tolerance", "nan"],
+    ["verify", "--suite", "hodge", "--tolerance", "inf"],
+    ["verify", "--suite", "hodge", "--iterations", "-5"],
+    ["verify", "--suite", "hodge", "--iterations", "0"],
+    ["residual", "--form", "tde", "--plane-wave", "m=1;p=1,0,0,0", "--tolerance", "-1"],
+    ["residual", "--form", "tde", "--plane-wave", "m=1;p=1,0,0,0", "--tolerance", "nan"],
+    ["residual", "--form", "tde", "--plane-wave", "m=1;p=1,0,0,0", "--tolerance", "inf"],
+])
+def test_bad_numbers_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err

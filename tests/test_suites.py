@@ -1,6 +1,7 @@
 """The verification batteries as a library API."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -50,3 +51,13 @@ def test_oracle_blade_product_basics():
     assert suites.oracle_blade_product(0b0001, 0b0010) == (1, 0b0011)
     assert suites.oracle_blade_product(0b0010, 0b0001) == (-1, 0b0011)
     assert suites.oracle_blade_product(0b1111, 0b1111) == (-1, 0)
+
+
+@pytest.mark.parametrize("name", ["algebra", "representation"])
+def test_seeded_report_matches_golden_file(name):
+    # recorded before the exact product kernel landed; these two suites hold
+    # exact counts and one IEEE +/* value, so the bytes do not depend on libm
+    golden = Path(__file__).parent / "data" / f"{name}_seed1.json"
+    report = suites.run_suite(name, seed=1)
+    blob = json.dumps(report.to_json_dict(with_environment=False), sort_keys=True, indent=1)
+    assert blob + "\n" == golden.read_text(encoding="utf-8")
