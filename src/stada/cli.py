@@ -129,7 +129,10 @@ def _residual_basis(choice: str):
 
         from . import generators, spin
 
-        seed = int(choice.split(":", 1)[1])
+        try:
+            seed = int(choice.split(":", 1)[1])
+        except ValueError:
+            raise DomainError(f"generator seed must be an integer, got {choice!r}") from None
         s = spin.random_rational_spin(_random.Random(seed), factors=2)
         gens = generators.transported_generators(s, generators.canonical_generators())
         return ideal.idempotent_of(gens)
@@ -138,8 +141,6 @@ def _residual_basis(choice: str):
 
 def _cmd_residual(args) -> int:
     from . import equations as eq
-    from . import ideal
-    from .grid import GridField
 
     if args.tolerance is not None:
         scalars.set_default_tolerance(args.tolerance)
@@ -152,17 +153,23 @@ def _cmd_residual(args) -> int:
             from .multivector import multivector_from_json
 
             with open(args.potential, encoding="utf-8") as fh:
-                pot = AnalyticField.constant(
-                    multivector_from_json(json.load(fh)).to_float())
+                try:
+                    data = json.load(fh)
+                except json.JSONDecodeError as exc:
+                    raise DomainError(f"{args.potential}: not JSON ({exc})") from None
+            pot_mv = multivector_from_json(data).to_float()
+            if not math.isfinite(pot_mv.max_abs()):
+                raise DomainError(f"{args.potential}: coefficients must be finite")
+            pot = AnalyticField.constant(pot_mv)
         else:
             pot = _parse_field_expr(args.potential, FLOAT)
 
     if args.reduce:
         report = _reduction_report(args, form, fbasis, pot)
     else:
-        state = _load_state(args, form, basis, fbasis)
-        report = _dispatch_residual(form, state, pot, args.mass, fbasis,
-                                    args.tolerance, args.seed)
+        state = _load_state(args, form, basis)
+        report = eq.FieldConfig(form, state, pot, args.mass, fbasis).residual(
+            tolerance=args.tolerance, seed=args.seed)
     payload = report.to_json_dict()
     text = json.dumps(payload, indent=2, sort_keys=True)
     path = _report_path(args.report, f"residual_{args.form}_seed{args.seed}.json")
@@ -174,16 +181,29 @@ def _cmd_residual(args) -> int:
     return EXIT_PASS if report.verdict == "pass" else EXIT_FAIL
 
 
-def _load_state(args, form: EquationForm, basis, fbasis):
+def _load_state(args, form: EquationForm, basis):
     from . import equations as eq
     from .grid import GridField
 
     if args.plane_wave:
-        params = dict(part.split("=", 1) for part in args.plane_wave.split(";"))
-        m = float(params.get("m", args.mass))
-        p = tuple(float(v) for v in params["p"].split(","))
-        sign = int(params.get("sign", 1))
-        which = int(params.get("which", 0))
+        params = {}
+        for part in args.plane_wave.split(";"):
+            key, _, value = part.partition("=")
+            if key not in ("m", "p", "sign", "which") or not value:
+                raise DomainError(f"plane-wave parts are m=, p=, sign= or which=; got {part!r}")
+            params[key] = value
+        if "p" not in params:
+            raise DomainError("the plane wave needs a momentum p=p0,p1,p2,p3")
+        try:
+            m = float(params.get("m", args.mass))
+            p = tuple(float(v) for v in params["p"].split(","))
+            sign = int(params.get("sign", 1))
+            which = int(params.get("which", 0))
+        except ValueError as exc:
+            raise DomainError(f"bad plane-wave value: {exc}") from None
+        if len(p) != 4 or not all(map(math.isfinite, p + (m,))) or which < 0:
+            raise DomainError("the plane wave needs four finite momenta, a finite mass "
+                              "and which >= 0")
         return eq.plane_wave(form, p, m, sign, basis=basis, which=which).state
     if args.state == "zero":
         if form == EquationForm.DIRAC_MATRIX:
@@ -197,28 +217,6 @@ def _load_state(args, form: EquationForm, basis, fbasis):
     if form == EquationForm.DIRAC_MATRIX:
         raise DomainError("the matrix form accepts --plane-wave or --state zero")
     return _parse_field_expr(args.state, FLOAT)
-
-
-def _dispatch_residual(form: EquationForm, state, pot, mass, fbasis,
-                       tolerance, seed):
-    from . import equations as eq
-
-    if form == EquationForm.DIRAC_MATRIX:
-        return eq.residual_dirac(state, pot, mass, fbasis, tolerance=tolerance, seed=seed)
-    if form == EquationForm.IDEAL:
-        return eq.residual_ideal(state, pot, mass, fbasis, tolerance=tolerance, seed=seed)
-    if form == EquationForm.HESTENES:
-        return eq.residual_hestenes(state, pot, mass, fbasis.gens.h, fbasis.gens.i2,
-                                    tolerance=tolerance, seed=seed)
-    if form == EquationForm.TENSOR:
-        return eq.residual_tensor(state, pot, mass, fbasis.gens.h, fbasis.gens.i2,
-                                  tolerance=tolerance, seed=seed)
-    if form == EquationForm.ILK:
-        return eq.residual_ilk(state, pot, mass, tolerance=tolerance, seed=seed)
-    if form == EquationForm.ILK_EVEN:
-        return eq.residual_ilk_even(state, pot, mass, fbasis.gens.h,
-                                    tolerance=tolerance, seed=seed)
-    return eq.residual_ilk_e5(state, pot, mass, tolerance=tolerance, seed=seed)
 
 
 def _reduction_report(args, form: EquationForm, fbasis, pot):
@@ -274,7 +272,9 @@ def _cmd_report(args) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"{path}: unreadable ({exc})", file=sys.stderr)
             return EXIT_USAGE
-        if "summary" in data:
+        if not isinstance(data, dict):
+            data = {}
+        if isinstance(data.get("summary"), dict):
             s = data["summary"]
             status = s.get("status", "?")
             print(f"{path}: suite {data.get('suite', '?')} {status} "
@@ -297,12 +297,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
-def _tolerance(text: str) -> float:
+def _finite(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not math.isfinite(value) or value <= 0:
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = _finite(text)
+    if value <= 0:
         raise argparse.ArgumentTypeError(f"must be a finite number above zero, got {text!r}")
     return value
 
@@ -347,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--plane-wave", default=None, metavar="SPEC",
                        help="generate a free solution, e.g. 'm=1;p=1,0,0,0;sign=1'")
     p_res.add_argument("--potential", "-A", default=None, metavar="EXPR_OR_PATH")
-    p_res.add_argument("--mass", "-m", type=float, default=1.0)
+    p_res.add_argument("--mass", "-m", type=_finite, default=1.0)
     p_res.add_argument("--generators", default="canonical",
                        help="'canonical' or 'random:<seed>'")
     p_res.add_argument("--reduce", default=None, choices=("t-HI", "t-H", "t-e5"),

@@ -157,8 +157,6 @@ def _state_norm(state, h_mv: Multivector, points) -> float:
             worst = nan_max(worst, math.sqrt(sum(abs(v) ** 2 for v in vals)))
         return worst
     if isinstance(state, AnalyticField):
-        if state.is_zero():
-            return 0.0
         worst = 0.0
         for x in points:
             worst = nan_max(worst, hermitian_norm(state.eval(x), h_mv))
@@ -216,14 +214,11 @@ def _make_report(form: EquationForm, state_kind: str, residual, h_mv, *,
     if isinstance(residual, GridField):
         backend = "grid"
         grid_info = {"n": residual.n, "h": residual.h}
-        points = None
+        max_norm = _state_norm(residual, h_mv, None)
     else:
         backend = residual.backend
-        points = sample_points(seed)
-    if isinstance(residual, (AnalyticField, BispinorField)) and residual.is_zero():
-        max_norm = 0.0
-    else:
-        max_norm = _state_norm(residual, h_mv, points)
+        max_norm = 0.0 if residual.is_zero() else _state_norm(
+            residual, h_mv, sample_points(seed))
     verdict = "pass" if max_norm <= tolerance else "fail"
     return ResidualReport(form=form.value, backend=backend, max_norm=max_norm,
                           tolerance=tolerance, verdict=verdict, seed=seed,
@@ -234,17 +229,9 @@ def _make_report(form: EquationForm, state_kind: str, residual, h_mv, *,
 
 
 def _mass_scalar(m, state):
-    if isinstance(state, GridField):
-        return complex(float(m))
     if state.backend == EXACT:
         return QQi.from_rational(Fraction(m))
     return complex(float(m))
-
-
-def _imag_unit(state):
-    if isinstance(state, GridField):
-        return 1j
-    return scalars.imaginary_unit(state.backend)
 
 
 def _upsilon(state):
@@ -256,7 +243,7 @@ def _upsilon(state):
 def _pot_times(pot, state):
     """Left Clifford multiplication of the state by the potential 1-form."""
     if pot is None:
-        return state.scale(0) if isinstance(state, GridField) else AnalyticField.zero(state.backend)
+        return state.scale(0)
     if isinstance(state, GridField):
         if isinstance(pot, AnalyticField):
             pot = sample(pot, state.n, state.h)
@@ -298,7 +285,7 @@ def dirac_operator(psi: BispinorField, pot: AnalyticField | None, m,
 
 def ilk_operator(state, pot, m):
     """Upsilon rho + i A rho + i m rho, on a general complex form field."""
-    i_unit = _imag_unit(state)
+    i_unit = scalars.imaginary_unit(state.backend)
     out = _upsilon(state)
     out = out + _pot_times(pot, state).scale(i_unit)
     return out + state.scale(_mass_scalar(m, state) * i_unit)
@@ -312,40 +299,28 @@ def ideal_operator(theta, pot, m):
 def even_operator(state, pot, m, h_mv: Multivector, i_mv: Multivector):
     """Upsilon Phi + A Phi I + m Phi H I; serves both the real-even and the
     exterior-calculus equation, which share storage."""
-    if isinstance(state, GridField):
-        h_use, i_use = h_mv.to_float(), i_mv.to_float()
-    else:
-        h_use, i_use = h_mv, i_mv
-    hi = h_use * i_use
     out = _upsilon(state)
-    out = out + _mul_right(_pot_times(pot, state), i_use)
-    return out + _mul_right(state, hi).scale(_mass_scalar(m, state))
+    out = out + _mul_right(_pot_times(pot, state), i_mv)
+    return out + _mul_right(state, h_mv * i_mv).scale(_mass_scalar(m, state))
 
 
 def ilk_even_operator(state, pot, m, h_mv: Multivector):
     """Upsilon eta + i A eta + i m eta H."""
-    h_use = h_mv.to_float() if isinstance(state, GridField) else h_mv
-    i_unit = _imag_unit(state)
+    i_unit = scalars.imaginary_unit(state.backend)
     out = _upsilon(state)
     out = out + _pot_times(pot, state).scale(i_unit)
-    return out + _mul_right(state, h_use).scale(_mass_scalar(m, state) * i_unit)
+    return out + _mul_right(state, h_mv).scale(_mass_scalar(m, state) * i_unit)
 
 
 def ilk_e5_operator(state, pot, m):
     """Upsilon omega + A omega e5 + m omega e5."""
-    ps = l5(FLOAT) if isinstance(state, GridField) else l5(state.backend)
+    ps = l5(state.backend)
     out = _upsilon(state)
     out = out + _mul_right(_pot_times(pot, state), ps)
     return out + _mul_right(state, ps).scale(_mass_scalar(m, state))
 
 
 # ---- validated residual reports ----------------------------------------------------
-
-
-def _structural_size(state) -> float:
-    if isinstance(state, GridField):
-        return state.max_abs()
-    return state.max_coeff_abs()
 
 
 def residual_dirac(psi: BispinorField, pot, m, basis: IdealBasis | None = None,
@@ -363,20 +338,14 @@ def residual_dirac(psi: BispinorField, pot, m, basis: IdealBasis | None = None,
 
 
 def _check_in_ideal(theta, basis: IdealBasis, tol: float | None) -> None:
-    t_mv = basis.t.to_float() if isinstance(theta, GridField) or theta.backend == FLOAT else basis.t
-    if isinstance(theta, GridField):
-        diff = theta.mul_const(t_mv, side="right") - theta
-        scalefree = max(theta.max_abs(), 1.0)
-        if diff.max_abs() > (tol or scalars.default_tolerance()) * scalefree * 10:
-            raise DomainError("state leaves the left ideal")
-        return
+    t_mv = basis.t if theta.backend == EXACT else basis.t.to_float()
     diff = theta.mul_const(t_mv, side="right") - theta
     if theta.backend == EXACT:
         if not diff.is_zero():
             raise DomainError("state leaves the left ideal")
     else:
-        scalefree = max(_structural_size(theta), 1.0)
-        if diff.max_coeff_abs() > (tol or scalars.default_tolerance()) * scalefree * 10:
+        scalefree = max(theta.max_abs(), 1.0)
+        if diff.max_abs() > (tol or scalars.default_tolerance()) * scalefree * 10:
             raise DomainError("state leaves the left ideal")
 
 
@@ -389,23 +358,15 @@ def residual_ideal(theta, pot, m, basis: IdealBasis, *,
 
 
 def _check_even_real(state, tol: float | None, require_real: bool) -> None:
-    if isinstance(state, GridField):
-        scalefree = max(state.max_abs(), 1.0)
-        bound = (tol or scalars.default_tolerance()) * scalefree * 10
-        if state.odd_part().max_abs() > bound:
-            raise DomainError("state must be even")
-        if require_real and float(np.abs(state.values.imag).max()) > bound:
-            raise DomainError("state must be real")
-        return
     if state.backend == EXACT:
-        if state.odd_part().terms:
+        if not state.odd_part().is_zero():
             raise DomainError("state must be even")
         if require_real and not state.is_real():
             raise DomainError("state must be real")
         return
-    scalefree = max(_structural_size(state), 1.0)
+    scalefree = max(state.max_abs(), 1.0)
     bound = (tol or scalars.default_tolerance()) * scalefree * 10
-    if state.odd_part().max_coeff_abs() > bound:
+    if state.odd_part().max_abs() > bound:
         raise DomainError("state must be even")
     if require_real and not state.is_real(bound):
         raise DomainError("state must be real")
@@ -455,6 +416,22 @@ def residual_ilk_e5(state, pot, m, *, tolerance: float | None = None,
     h_norm = basis_vector(0, FLOAT)
     return _make_report(EquationForm.ILK_E5, "form", res, h_norm,
                         tolerance=tolerance, seed=seed)
+
+
+# form -> residual of (state, potential, mass, basis).  Each entry names its
+# residual_* function at call time, so a rebinding of that module global
+# (as tracing does) is seen here too.
+_RESIDUALS = {
+    EquationForm.DIRAC_MATRIX: lambda s, a, m, b, **kw: residual_dirac(s, a, m, b, **kw),
+    EquationForm.IDEAL: lambda s, a, m, b, **kw: residual_ideal(s, a, m, b, **kw),
+    EquationForm.HESTENES:
+        lambda s, a, m, b, **kw: residual_hestenes(s, a, m, b.gens.h, b.gens.i2, **kw),
+    EquationForm.TENSOR:
+        lambda s, a, m, b, **kw: residual_tensor(s, a, m, b.gens.h, b.gens.i2, **kw),
+    EquationForm.ILK: lambda s, a, m, b, **kw: residual_ilk(s, a, m, **kw),
+    EquationForm.ILK_EVEN: lambda s, a, m, b, **kw: residual_ilk_even(s, a, m, b.gens.h, **kw),
+    EquationForm.ILK_E5: lambda s, a, m, b, **kw: residual_ilk_e5(s, a, m, **kw),
+}
 
 
 # ---- reduction idempotents ---------------------------------------------------------
@@ -561,9 +538,9 @@ def gauge_transform(state, pot, lam: Poly, form: EquationForm,
     A -> A - d(lam); the state picks up exp(i lam), exp(lam I), or
     exp(lam e5) according to the form.
     """
-    backend = state.backend if not isinstance(state, GridField) else FLOAT
     if isinstance(state, GridField):
         raise DomainError("gauge transformation runs on the analytic backend")
+    backend = state.backend
     lam_field = AnalyticField.scalar_poly(lam, backend)
     dlam = d(lam_field)
     new_pot = (pot - dlam) if pot is not None else -dlam
@@ -634,7 +611,7 @@ def current(phi, h_mv: Multivector, *, seed: int = 0) -> CurrentResult:
     div = AnalyticField.zero(backend)
     for mu in range(4):
         div = div + j_fields[mu].partial(mu)
-    if grade_leak > 1e-8 * max(_structural_size(J), 1.0):
+    if grade_leak > 1e-8 * max(J.max_abs(), 1.0):
         raise ConsistencyError("J = Phi H Phi^star has parts outside grade 1")
     return CurrentResult(j=tuple(j_fields), J=J, divergence=div,
                          grade_leak=grade_leak, match_error=match_error)
@@ -783,7 +760,7 @@ def plane_wave(form: EquationForm, p, m, sign: int = 1,
     metric = (1.0, -1.0, -1.0, -1.0)
     shell = sum(metric[mu] * p[mu] * p[mu] for mu in range(4))
     scale = max(1.0, sum(v * v for v in p))
-    if abs(shell - m * m) > 1e-10 * scale:
+    if not abs(shell - m * m) <= 1e-10 * scale:  # NaN from overflow is off shell too
         raise DomainError(f"momentum is off shell: p.p = {shell}, m^2 = {m * m}")
     basis = _float_basis(basis) if basis is not None else canonical_basis(FLOAT)
     gammas = [np.array([[complex(v) for v in row] for row in
@@ -890,30 +867,9 @@ class FieldConfig:
 
     def residual(self, *, tolerance: float | None = None,
                  seed: int = 0) -> ResidualReport:
-        needs_float = isinstance(self.state, GridField) or self.state.backend == FLOAT
-        b = _float_basis(self.basis) if needs_float else self.basis
-        if self.form == EquationForm.DIRAC_MATRIX:
-            return residual_dirac(self.state, self.potential, self.mass, b,
-                                  tolerance=tolerance, seed=seed)
-        if self.form == EquationForm.IDEAL:
-            return residual_ideal(self.state, self.potential, self.mass, b,
-                                  tolerance=tolerance, seed=seed)
-        if self.form == EquationForm.HESTENES:
-            return residual_hestenes(self.state, self.potential, self.mass,
-                                     b.gens.h, b.gens.i2,
+        b = self.basis if self.state.backend == EXACT else _float_basis(self.basis)
+        return _RESIDUALS[self.form](self.state, self.potential, self.mass, b,
                                      tolerance=tolerance, seed=seed)
-        if self.form == EquationForm.TENSOR:
-            return residual_tensor(self.state, self.potential, self.mass,
-                                   b.gens.h, b.gens.i2,
-                                   tolerance=tolerance, seed=seed)
-        if self.form == EquationForm.ILK:
-            return residual_ilk(self.state, self.potential, self.mass,
-                                tolerance=tolerance, seed=seed)
-        if self.form == EquationForm.ILK_EVEN:
-            return residual_ilk_even(self.state, self.potential, self.mass,
-                                     b.gens.h, tolerance=tolerance, seed=seed)
-        return residual_ilk_e5(self.state, self.potential, self.mass,
-                               tolerance=tolerance, seed=seed)
 
 
 @dataclass
@@ -941,7 +897,7 @@ def covariance_check(s, config: FieldConfig, *, tolerance: float | None = None,
     q = lorentz_of(s, inverse=True).rows
     if isinstance(state, GridField):
         raise DomainError("covariance checks run on the analytic backend")
-    backend = state.backend if not isinstance(state, BispinorField) else state.backend
+    backend = state.backend
     # potential: new components a~_lam = q^mu_lam a_mu composed with x = Q x~
     if pot is not None:
         pot_moved = pot.compose_linear(q)

@@ -405,7 +405,7 @@ class AnalyticField:
         diff = self - self.conjugate()
         if self.backend == EXACT:
             return diff.is_zero()
-        return diff.max_coeff_abs() <= (tol if tol is not None else scalars.default_tolerance())
+        return diff.max_abs() <= (tol if tol is not None else scalars.default_tolerance())
 
     # ---- calculus -------------------------------------------------------------
 
@@ -482,7 +482,7 @@ class AnalyticField:
                     coeffs[m] += factor * q.eval(x)
         return Multivector(coeffs, FLOAT)
 
-    def max_coeff_abs(self) -> float:
+    def max_abs(self) -> float:
         worst = 0.0
         for _, coeffs in self.terms.values():
             for q in coeffs:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import scalars
 from .errors import DomainError
 from .exterior import STAR_TABLE
 from .fields import AnalyticField
@@ -80,6 +81,8 @@ class GridField:
     values has shape (16, n, n, n, n): blade axis first, then the four
     coordinate axes in order.
     """
+
+    backend = FLOAT  # a class attribute, not a dataclass field
 
     n: int
     h: float
@@ -167,6 +170,14 @@ class GridField:
 
     def max_abs(self) -> float:
         return float(np.abs(self.values).max()) if self.values.size else 0.0
+
+    def is_zero(self) -> bool:
+        return not self.values.any()
+
+    def is_real(self, tol: float | None = None) -> bool:
+        """|Im| <= tol at every site and blade."""
+        bound = tol if tol is not None else scalars.default_tolerance()
+        return not self.values.size or float(np.abs(self.values.imag).max()) <= bound
 
     def eval(self, site: Offset) -> Multivector:
         i0, i1, i2, i3 = site

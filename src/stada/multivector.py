@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import scalars
-from .errors import BackendMismatchError, InvalidGeneratorError, ParseError
+from .errors import BackendMismatchError, DomainError, InvalidGeneratorError, ParseError
 from .kernel import EVERY_BLADE, BladeProduct
 from .scalars import EXACT, FLOAT, QQi, Scalar
 
@@ -486,12 +486,22 @@ def multivector_to_json(u: Multivector) -> dict:
 
 
 def multivector_from_json(data: dict) -> Multivector:
+    """Inverse of multivector_to_json: an object from blade keys ("" for the
+    scalar, else strictly increasing digits 0-3) to [re, im] pairs."""
+    if not isinstance(data, dict) or not all(
+            key in BLADE_KEYS and isinstance(v, list) and len(v) == 2
+            for key, v in data.items()):
+        raise DomainError('a multivector is an object from blade keys such as "013" '
+                          "to [re, im] pairs")
     backend = EXACT if any(isinstance(v[0], str) for v in data.values()) else FLOAT
     coeffs = [scalars.zero(backend)] * 16
     for key, (re_v, im_v) in data.items():
-        mask = mask_from_indices(int(ch) for ch in key)
-        if backend == EXACT:
-            coeffs[mask] = QQi.from_rational(Fraction(re_v), Fraction(im_v))
-        else:
-            coeffs[mask] = complex(float(re_v), float(im_v))
+        try:
+            if backend == EXACT:
+                c = QQi.from_rational(Fraction(re_v), Fraction(im_v))
+            else:
+                c = complex(float(re_v), float(im_v))
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise DomainError(f"bad coefficient for blade {key!r}: {exc}") from None
+        coeffs[BLADE_KEYS.index(key)] = c
     return Multivector(coeffs, backend)

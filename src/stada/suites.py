@@ -870,7 +870,8 @@ def _suite_equations(seed: int, iterations: int | None, tolerance: float,
     for p in momenta:
         for form in eq.EquationForm:
             sol = eq.plane_wave(form, p, 1.0, basis=basis)
-            rep = _residual_for(form, sol.state, None, 1.0, fbasis)
+            rep = eq.FieldConfig(form, sol.state, None, 1.0, fbasis).residual(
+                tolerance=tolerance)
             worst = nan_max(worst, rep.max_norm)
     _check(res, "equations.plane_wave_residuals",
            "generated free solutions satisfy every equation form",
@@ -938,15 +939,17 @@ def _suite_equations(seed: int, iterations: int | None, tolerance: float,
                            basis=basis).state
     for lam in lam_cases:
         for state, mass in ((sol.state, 1.0), (nonsol, 0.6)):
-            before = eq.residual_tensor(state, None, mass, fbasis.gens.h, fbasis.gens.i2)
+            before = eq.residual_tensor(state, None, mass, fbasis.gens.h, fbasis.gens.i2,
+                                        tolerance=tolerance)
             st2, pot2 = eq.gauge_transform(state, None, lam, eq.EquationForm.TENSOR, fbasis)
-            after = eq.residual_tensor(st2, pot2, mass, fbasis.gens.h, fbasis.gens.i2)
+            after = eq.residual_tensor(st2, pot2, mass, fbasis.gens.h, fbasis.gens.i2,
+                                       tolerance=tolerance)
             worst = nan_max(worst, abs(after.max_norm - before.max_norm))
         psi = eq.plane_wave(eq.EquationForm.DIRAC_MATRIX, (1.0, 0, 0, 0), 1.0, basis=basis)
-        before = eq.residual_dirac(psi.state, None, 1.0, fbasis)
+        before = eq.residual_dirac(psi.state, None, 1.0, fbasis, tolerance=tolerance)
         st2, pot2 = eq.gauge_transform(psi.state, None, lam,
                                        eq.EquationForm.DIRAC_MATRIX, fbasis)
-        after = eq.residual_dirac(st2, pot2, 1.0, fbasis)
+        after = eq.residual_dirac(st2, pot2, 1.0, fbasis, tolerance=tolerance)
         worst = nan_max(worst, abs(after.max_norm - before.max_norm))
     _check(res, "equations.gauge_invariance",
            "gauge transport preserves residual size for solutions and non-solutions",
@@ -959,7 +962,7 @@ def _suite_equations(seed: int, iterations: int | None, tolerance: float,
         phi_s = sol.state.mul_const(s.element, side="right")
         h_s = spin.sandwich(s, fbasis.gens.h)
         i_s = spin.sandwich(s, fbasis.gens.i2)
-        rep = eq.residual_tensor(phi_s, None, 1.0, h_s, i_s)
+        rep = eq.residual_tensor(phi_s, None, 1.0, h_s, i_s, tolerance=tolerance)
         worst = nan_max(worst, rep.max_norm)
     _check(res, "equations.global_spin_invariance",
            "transported solutions solve the transported equation",
@@ -1010,22 +1013,6 @@ def _suite_equations(seed: int, iterations: int | None, tolerance: float,
     _check(res, "equations.translate_roundtrips",
            "state translations invert across the form square", worst, map_bound)
     return res
-
-
-def _residual_for(form: eq.EquationForm, state, pot, m, fbasis) -> eq.ResidualReport:
-    if form == eq.EquationForm.DIRAC_MATRIX:
-        return eq.residual_dirac(state, pot, m, fbasis)
-    if form == eq.EquationForm.IDEAL:
-        return eq.residual_ideal(state, pot, m, fbasis)
-    if form == eq.EquationForm.HESTENES:
-        return eq.residual_hestenes(state, pot, m, fbasis.gens.h, fbasis.gens.i2)
-    if form == eq.EquationForm.TENSOR:
-        return eq.residual_tensor(state, pot, m, fbasis.gens.h, fbasis.gens.i2)
-    if form == eq.EquationForm.ILK:
-        return eq.residual_ilk(state, pot, m)
-    if form == eq.EquationForm.ILK_EVEN:
-        return eq.residual_ilk_even(state, pot, m, fbasis.gens.h)
-    return eq.residual_ilk_e5(state, pot, m)
 
 
 _SUITES = {

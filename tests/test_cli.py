@@ -1,8 +1,12 @@
 """Command-line harness: subcommands, exit codes, report files, determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stada.cli import main
 
@@ -204,12 +208,15 @@ def test_report_without_files_is_usage(capsys, monkeypatch):
 
 @pytest.mark.parametrize("mass", ["nan", "inf"])
 def test_residual_non_finite_mass_never_passes(mass, capsys):
-    code, out, _ = run_cli(["residual", "--form", "ilk", "--state", "e0 exp(i[1,0,0,0])",
-                            "--mass", mass], capsys)
-    data = json.loads(out)
-    assert code == 1
-    assert data["verdict"] == "fail"
-    assert data["max_norm"] != 0.0
+    # a non-finite mass is malformed input: the parser rejects it, so no
+    # report (with a NaN that JSON cannot carry) is ever printed
+    with pytest.raises(SystemExit) as exc:
+        main(["residual", "--form", "ilk", "--state", "e0 exp(i[1,0,0,0])",
+              "--mass", mass])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1, out.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -229,3 +236,86 @@ def test_bad_numbers_are_usage_errors(argv, capsys):
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# ---- malformed residual options and JSON inputs -----------------------------------
+
+
+PW = "m=1;p=1,0,0,0"
+
+
+@pytest.mark.parametrize("extra", [
+    ["--plane-wave", "m=1"],
+    ["--plane-wave", "garbage"],
+    ["--plane-wave", "p=1,0,0,0;sign=x"],
+    ["--plane-wave", "p=1,0,0"],
+    ["--plane-wave", "p=1,0,nan,0"],
+    ["--plane-wave", "p=1,0,0,0;which=-1"],
+    ["--plane-wave", "p=1e200,1e200,0,0;m=0"],
+    ["--plane-wave", PW, "--generators", "random:x"],
+])
+def test_malformed_residual_options_are_usage_errors(extra, capsys):
+    code, out, err = run_cli(["residual", "--form", "tde"] + extra, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("payload", [
+    [[1, 0]],
+    {"4": [1, 0]},
+    {"10": [1, 0]},
+    {"0": [1, 0, 0]},
+    {"0": 1},
+    {"0": ["x", "0"]},
+    {"0": [None, 0]},
+    {"0": [float("nan"), 0]},
+])
+def test_malformed_potential_file_is_usage_error(payload, tmp_path, capsys):
+    path = tmp_path / "pot.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(["residual", "--form", "tde", "--plane-wave", PW,
+                              "-A", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("payload", ['{"summary": 3}', '{"summary": [1]}', '"summary"'])
+def test_malformed_report_is_usage_error(payload, tmp_path, capsys):
+    path = tmp_path / "r.json"
+    path.write_text(payload)
+    code, out, err = run_cli(["report", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1, err
+
+
+_number = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-3, 3).map(str),
+    st.text(max_size=4))
+_plane_wave = st.one_of(
+    st.text(max_size=30),
+    st.lists(st.tuples(st.sampled_from(["m", "p", "sign", "which", "q", ""]),
+                       st.one_of(_number,
+                                 st.lists(_number, max_size=5).map(",".join)))
+             .map("=".join), max_size=5).map(";".join))
+_generators = st.one_of(
+    st.just("canonical"),
+    st.one_of(st.integers(-3, 12).map(str), st.text(max_size=4)).map("random:".__add__),
+    st.text(max_size=10))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["dirac", "ideal", "hde", "tde", "ilk", "ilk-even", "ilk-e5"]),
+       _plane_wave, _generators, _number)
+def test_residual_option_fuzz(form, plane_wave, generators, mass):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(["residual", f"--form={form}", f"--plane-wave={plane_wave}",
+                         f"--generators={generators}", f"--mass={mass}"])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()

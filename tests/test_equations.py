@@ -68,20 +68,21 @@ def random_full_state(rng):
 # ---- plane-wave solutions -----------------------------------------------------
 
 
-def residual_for(form, state, pot, m):
+def residual_for(form, state, pot, m, basis=FBASIS, **kw):
+    """Direct residual_* call per form: the reference for FieldConfig's table."""
     if form == EquationForm.DIRAC_MATRIX:
-        return eq.residual_dirac(state, pot, m, FBASIS)
+        return eq.residual_dirac(state, pot, m, basis, **kw)
     if form == EquationForm.IDEAL:
-        return eq.residual_ideal(state, pot, m, FBASIS)
+        return eq.residual_ideal(state, pot, m, basis, **kw)
     if form == EquationForm.HESTENES:
-        return eq.residual_hestenes(state, pot, m, FBASIS.gens.h, FBASIS.gens.i2)
+        return eq.residual_hestenes(state, pot, m, basis.gens.h, basis.gens.i2, **kw)
     if form == EquationForm.TENSOR:
-        return eq.residual_tensor(state, pot, m, FBASIS.gens.h, FBASIS.gens.i2)
+        return eq.residual_tensor(state, pot, m, basis.gens.h, basis.gens.i2, **kw)
     if form == EquationForm.ILK:
-        return eq.residual_ilk(state, pot, m)
+        return eq.residual_ilk(state, pot, m, **kw)
     if form == EquationForm.ILK_EVEN:
-        return eq.residual_ilk_even(state, pot, m, FBASIS.gens.h)
-    return eq.residual_ilk_e5(state, pot, m)
+        return eq.residual_ilk_even(state, pot, m, basis.gens.h, **kw)
+    return eq.residual_ilk_e5(state, pot, m, **kw)
 
 
 @pytest.mark.parametrize("form", list(EquationForm))
@@ -364,6 +365,70 @@ def test_field_config_dispatch():
                               sample(sol.state, 8, math.pi / 4), None, 1.0, BASIS)
     rep = grid_cfg.residual(tolerance=0.2)
     assert rep.backend == "grid" and rep.verdict == "pass"
+
+
+def _exact_state(form, rng):
+    if form == EquationForm.DIRAC_MATRIX:
+        return random_bispinor(rng)
+    if form == EquationForm.IDEAL:
+        return random_full_state(rng).mul_const(BASIS.t, side="right")
+    if form in (EquationForm.HESTENES, EquationForm.TENSOR):
+        return random_even_real(rng)
+    if form == EquationForm.ILK_EVEN:
+        return random_full_state(rng).even_part()
+    return random_full_state(rng)
+
+
+@pytest.mark.parametrize("form,kind", [
+    (form, kind) for kind in ("float", "exact", "grid") for form in EquationForm
+    if not (kind == "grid" and form == EquationForm.DIRAC_MATRIX)])
+def test_field_config_matches_direct_residual(form, kind):
+    from stada.grid import sample
+
+    rng = random.Random(f"{form.value}-{kind}")
+    pot, m, basis = None, 1.0, FBASIS
+    if kind == "exact":
+        state, pot, m, basis = _exact_state(form, rng), random_potential(rng), Fraction(3, 2), BASIS
+    elif kind == "float":
+        p = eq.boosted_momentum(1.0, rng.uniform(-1, 1), (1.0, -0.5, 2.0))
+        state = eq.plane_wave(form, p, 1.0, basis=BASIS).state
+    else:
+        state = sample(eq.plane_wave(form, (1.0, 0, 0, 0), 1.0, basis=BASIS).state,
+                       8, math.pi / 4)
+    got = eq.FieldConfig(form, state, pot, m, BASIS).residual(tolerance=0.2, seed=3)
+    want = residual_for(form, state, pot, m, basis, tolerance=0.2, seed=3)
+    assert got.to_json_dict() == want.to_json_dict()
+    assert got.backend == ("grid" if kind == "grid" else kind)
+
+
+def _grid(blades):
+    """A constant 4^4 grid field with the given {blade mask: value}."""
+    from stada.grid import GridField
+
+    g = GridField.zeros(4, 0.5)
+    for mask, value in blades.items():
+        g.values[mask] = value
+    return g
+
+
+def test_grid_domain_thresholds():
+    tol = 1e-3
+    bound = tol * 1.0 * 10  # scale-free size 1: the largest coefficient is 1
+    h, i2 = FBASIS.gens.h, FBASIS.gens.i2
+    # odd part (blade e0, mask 1) against |odd| <= bound; mask 3 is e01
+    eq.residual_tensor(_grid({0: 1.0, 1: 0.99 * bound}), None, 1.0, h, i2, tolerance=tol)
+    with pytest.raises(DomainError, match="state must be even"):
+        eq.residual_tensor(_grid({0: 1.0, 1: 1.01 * bound}), None, 1.0, h, i2, tolerance=tol)
+    # the grid reality rule is |Im| <= bound, half as strict as the analytic
+    # |rho - conj(rho)| <= bound
+    eq.residual_hestenes(_grid({0: 1.0, 3: 1j * bound}), None, 1.0, h, i2, tolerance=tol)
+    with pytest.raises(DomainError, match="state must be real"):
+        eq.residual_hestenes(_grid({0: 1.0, 3: 1.01j * bound}), None, 1.0, h, i2,
+                             tolerance=tol)
+    # the even-complex form takes the same even check and no reality check
+    eq.residual_ilk_even(_grid({0: 1.0, 3: 1j}), None, 1.0, h, tolerance=tol)
+    with pytest.raises(DomainError, match="state leaves the left ideal"):
+        eq.residual_ideal(_grid({0: 1.0}), None, 1.0, FBASIS, tolerance=tol)
 
 
 def test_boost_moves_momentum():
