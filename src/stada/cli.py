@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from . import scalars, suites
 from .equations import EquationForm
@@ -66,7 +65,10 @@ def _cmd_verify(args) -> int:
 def _cmd_eval(args) -> int:
     backend = EXACT if args.backend == "exact" else FLOAT
     value = eval_expr(args.expression, backend)
-    print(format_multivector(value, basis=args.basis))
+    try:
+        print(format_multivector(value, basis=args.basis))
+    except ValueError as exc:  # an exact coefficient beyond the int-to-str digit limit
+        raise DomainError(f"the value is too large to print: {exc}") from None
     return EXIT_PASS
 
 
@@ -106,8 +108,8 @@ def _parse_field_expr(text: str, backend: str) -> AnalyticField:
         mask = _blade_mask(m.group("blade"), pos) if m.group("blade") else 0
         mv = Multivector.basis(mask, backend).scale(coeff)
         if m.group("exp"):
-            wave = [Fraction(m.group(f"p{mu}")) if backend == EXACT
-                    else float(Fraction(m.group(f"p{mu}"))) for mu in range(4)]
+            wave = [_parse_coeff("number", m.group(f"p{mu}"), pos, backend).real
+                    for mu in range(4)]
             term = AnalyticField.plane_wave(mv, wave)
         else:
             term = AnalyticField.constant(mv)
@@ -171,7 +173,10 @@ def _cmd_residual(args) -> int:
         report = eq.FieldConfig(form, state, pot, args.mass, fbasis).residual(
             tolerance=args.tolerance, seed=args.seed)
     payload = report.to_json_dict()
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise DomainError(f"the residual norm is {report.max_norm}, not a finite number") from None
     path = _report_path(args.report, f"residual_{args.form}_seed{args.seed}.json")
     if path:
         _write_json(path, payload)

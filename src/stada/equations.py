@@ -28,6 +28,7 @@ from .generators import SecondaryGenerators, make_secondary
 from .grid import GridField, central_difference, grid_upsilon, sample
 from .ideal import IdealBasis, canonical_basis, gamma_of, idempotent_of
 from .multivector import (
+    CLIFFORD,
     Multivector,
     basis_vector,
     hermitian_conjugate,
@@ -140,13 +141,37 @@ def sample_points(seed: int = 0, count: int = 24, radius: float = 1.0) -> list:
     return [tuple(rng.uniform(-radius, radius) for _ in range(4)) for _ in range(count)]
 
 
+def _rescaled(norm, u) -> float:
+    """norm(u), or s * norm(u / s) with s = max |u| where a finite u overflows."""
+    value = norm(u)
+    if math.isfinite(value):
+        return value
+    s = u.max_abs()
+    return s * norm(u.scale(1.0 / s)) if math.isfinite(s) else value
+
+
 def hermitian_norm(u: Multivector, h: Multivector) -> float:
     """sqrt(4 Tr(U U^dagger)) with the conjugation adapted to H."""
-    uf = u.to_float()
     hf = h.to_float()
-    ud = hermitian_conjugate(uf, hf)
-    val = complex(scalar_part_of_product(uf, ud)) * 4
-    return math.sqrt(max(val.real, 0.0))
+
+    def direct(v: Multivector) -> float:
+        val = complex(scalar_part_of_product(v, hermitian_conjugate(v, hf))) * 4
+        return math.sqrt(max(val.real, 0.0))
+
+    return _rescaled(direct, u.to_float())
+
+
+def _grid_norm(state: GridField, h_mv: Multivector) -> float:
+    """The largest hermitian norm over the sites of a grid."""
+    ud = state.star_involution().mul_const(h_mv.to_float(), side="left")
+    ud = ud.mul_const(h_mv.to_float(), side="right")
+    # dagger = H u^star H; combine slotwise for the scalar part of u * dagger
+    acc = np.zeros(state.values.shape[1:], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, j, sign in CLIFFORD.scalar_terms:
+            acc += sign * state.values[i] * ud.values[j]
+        norms = np.sqrt(np.maximum((4 * acc).real, 0.0))
+    return float(norms.max()) if norms.size else 0.0
 
 
 def _state_norm(state, h_mv: Multivector, points) -> float:
@@ -154,7 +179,10 @@ def _state_norm(state, h_mv: Multivector, points) -> float:
         worst = 0.0
         for x in points:
             vals = state.eval(x)
-            worst = nan_max(worst, math.sqrt(sum(abs(v) ** 2 for v in vals)))
+            try:
+                worst = nan_max(worst, math.sqrt(sum(abs(v) ** 2 for v in vals)))
+            except OverflowError:  # a finite square beyond float range
+                worst = nan_max(worst, math.hypot(*map(abs, vals)))
         return worst
     if isinstance(state, AnalyticField):
         worst = 0.0
@@ -162,16 +190,7 @@ def _state_norm(state, h_mv: Multivector, points) -> float:
             worst = nan_max(worst, hermitian_norm(state.eval(x), h_mv))
         return worst
     if isinstance(state, GridField):
-        ud = state.star_involution().mul_const(h_mv.to_float(), side="left")
-        ud = ud.mul_const(h_mv.to_float(), side="right")
-        # dagger = H u^star H; combine slotwise for the scalar part of u * dagger
-        from .multivector import CLIFFORD
-
-        acc = np.zeros(state.values.shape[1:], dtype=complex)
-        for i, j, sign in CLIFFORD.scalar_terms:
-            acc += sign * state.values[i] * ud.values[j]
-        norms = np.sqrt(np.maximum((4 * acc).real, 0.0))
-        return float(norms.max()) if norms.size else 0.0
+        return _rescaled(lambda g: _grid_norm(g, h_mv), state)
     raise DomainError(f"cannot measure a {type(state).__name__}")
 
 

@@ -31,6 +31,9 @@ _EXPR_TOKEN = re.compile(
     r"|(?P<op>[-+*^()])"
     r")")
 
+# parentheses, star/rev calls and unary signs recurse; deeper input is rejected
+MAX_NESTING = 200
+
 
 def _scan(text: str):
     tokens = []
@@ -54,6 +57,7 @@ class _Parser:
         self.i = 0
         self.backend = backend
         self.length = length
+        self.depth = 0
 
     def _peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, self.length)
@@ -97,26 +101,32 @@ class _Parser:
             else:
                 return value
 
+    def _enter(self, pos: int) -> None:
+        if self.depth >= MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels", pos)
+        self.depth += 1
+
     def factor(self) -> Multivector:
-        kind, op, _ = self._peek()
-        if kind == "op" and op == "-":
+        kind, op, pos = self._peek()
+        if kind == "op" and op in "+-":
             self.i += 1
-            return -self.factor()
-        if kind == "op" and op == "+":
-            self.i += 1
-            return self.factor()
+            self._enter(pos)
+            value = self.factor()
+            self.depth -= 1
+            return -value if op == "-" else value
         return self.atom()
 
     def atom(self) -> Multivector:
         kind, value, pos = self._next()
-        if kind == "name":
-            self._expect_op("(")
+        if kind == "name" or (kind == "op" and value == "("):
+            if kind == "name":
+                self._expect_op("(")
+            self._enter(pos)
             inner = self.expr()
             self._expect_op(")")
-            return hodge_star(inner) if value == "star" else inner.star()
-        if kind == "op" and value == "(":
-            inner = self.expr()
-            self._expect_op(")")
+            self.depth -= 1
+            if kind == "name":
+                return hodge_star(inner) if value == "star" else inner.star()
             return inner
         if kind == "complex":
             coeff = _parse_coeff("complex", value, pos, self.backend)

@@ -24,7 +24,11 @@ from .exterior import STAR_TABLE
 from .kernel import BladeProduct
 from .multivector import (
     CLIFFORD,
+    EVEN_MAP,
     GRADE,
+    GRADE_MAPS,
+    ODD_MAP,
+    REVERSION_MAP,
     WEDGE,
     Multivector,
     basis_vector,
@@ -195,7 +199,8 @@ def _real_poly_as_coeff(p: Poly, backend: str, times_i: bool = False) -> Poly:
     return Poly({exps: _coeff_from_real(c, backend, times_i) for exps, c in p.terms.items()})
 
 
-_EMPTY_KEY: tuple = ()
+# per blade, the blade map that moves its coefficient onto the unit blade
+_COMPONENT_MAPS = tuple(tuple((int(m == mask), 0) for m in range(16)) for mask in range(16))
 
 
 class AnalyticField:
@@ -284,35 +289,33 @@ class AnalyticField:
             out.update(GRADE[m] for m in range(16) if coeffs[m])
         return out
 
+    def _map_blades(self, table, conjugate: bool = False) -> "AnalyticField":
+        """Apply a blade map to every term; with `conjugate`, also conjugate
+        the kept coefficients and negate the phases."""
+        out = []
+        for phase, coeffs in self.terms.values():
+            new = [Poly()] * 16
+            for q, (sign, target) in zip(coeffs, table):
+                if sign and q:
+                    q = q.conjugate() if conjugate else q
+                    new[target] = q if sign > 0 else -q
+            out.append((-phase if conjugate else phase, new))
+        return AnalyticField(self.backend, out)
+
     def component(self, mask: int) -> "AnalyticField":
         """The coefficient of one basis blade, as a scalar-valued field."""
-        picked = []
-        for phase, coeffs in self.terms.values():
-            if coeffs[mask]:
-                picked.append((phase, [coeffs[mask] if m == 0 else Poly() for m in range(16)]))
-        return AnalyticField(self.backend, picked)
+        return self._map_blades(_COMPONENT_MAPS[mask])
 
     def grade_part(self, k: int) -> "AnalyticField":
         if not 0 <= k <= 4:
             raise DomainError(f"grade {k} outside 0..4")
-        out = []
-        for phase, coeffs in self.terms.values():
-            out.append((phase, [coeffs[m] if GRADE[m] == k else Poly() for m in range(16)]))
-        return AnalyticField(self.backend, out)
+        return self._map_blades(GRADE_MAPS[k])
 
     def even_part(self) -> "AnalyticField":
-        out = []
-        for phase, coeffs in self.terms.values():
-            out.append((phase, [coeffs[m] if GRADE[m] % 2 == 0 else Poly()
-                                for m in range(16)]))
-        return AnalyticField(self.backend, out)
+        return self._map_blades(EVEN_MAP)
 
     def odd_part(self) -> "AnalyticField":
-        out = []
-        for phase, coeffs in self.terms.values():
-            out.append((phase, [coeffs[m] if GRADE[m] % 2 == 1 else Poly()
-                                for m in range(16)]))
-        return AnalyticField(self.backend, out)
+        return self._map_blades(ODD_MAP)
 
     def apply_slot_matrix(self, rows) -> "AnalyticField":
         """Apply a constant 16x16 scalar matrix to the blade axis."""
@@ -371,27 +374,10 @@ class AnalyticField:
 
     def star_involution(self) -> "AnalyticField":
         """Blade reversion sign with conjugation, applied pointwise."""
-        from .multivector import REVERSION_SIGN
-
-        out = []
-        for phase, coeffs in self.terms.values():
-            new = [q.conjugate() if REVERSION_SIGN[GRADE[m]] > 0 else -q.conjugate()
-                   for m, q in enumerate(coeffs)]
-            out.append((-phase, new))
-        return AnalyticField(self.backend, out)
+        return self._map_blades(REVERSION_MAP, conjugate=True)
 
     def hodge_star(self) -> "AnalyticField":
-        out = []
-        for phase, coeffs in self.terms.values():
-            new = [Poly()] * 16
-            new = list(new)
-            for m, q in enumerate(coeffs):
-                if not q:
-                    continue
-                sign, target = STAR_TABLE[m]
-                new[target] = new[target] + (q if sign > 0 else -q)
-            out.append((phase, new))
-        return AnalyticField(self.backend, out)
+        return self._map_blades(STAR_TABLE)
 
     def real_part(self) -> "AnalyticField":
         half = Fraction(1, 2) if self.backend == EXACT else 0.5

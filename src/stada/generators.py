@@ -41,12 +41,6 @@ class SecondaryGenerators:
         return l5(self.backend)
 
 
-def _is_zero(mv: Multivector, tol: float | None) -> bool:
-    if mv.backend == EXACT:
-        return mv.is_zero(0.0)
-    return mv.max_abs() <= (tol if tol is not None else scalars.default_tolerance())
-
-
 def secondary_violations(h: Multivector, i2: Multivector, k2: Multivector,
                          tol: float | None = None) -> list[str]:
     """All violated relations of the defining set, by name; empty when valid."""
@@ -56,25 +50,18 @@ def secondary_violations(h: Multivector, i2: Multivector, k2: Multivector,
     unit = Multivector.unit(h.backend)
     if not h.is_real(tol) or not i2.is_real(tol) or not k2.is_real(tol):
         problems.append("generators must be real")
-    if not _is_zero(h - h.grade_part(1), tol):
-        problems.append("H must be homogeneous grade 1")
-    if not _is_zero(i2 - i2.grade_part(2), tol):
-        problems.append("I must be homogeneous grade 2")
-    if not _is_zero(k2 - k2.grade_part(2), tol):
-        problems.append("K must be homogeneous grade 2")
-    if not _is_zero(clifford_product(h, h) - unit, tol):
-        problems.append("H*H != unit")
-    if not _is_zero(clifford_product(i2, i2) + unit, tol):
-        problems.append("I*I != -unit")
-    if not _is_zero(clifford_product(k2, k2) + unit, tol):
-        problems.append("K*K != -unit")
-    if not _is_zero(commutator(h, i2), tol):
-        problems.append("[H, I] != 0")
-    if not _is_zero(commutator(h, k2), tol):
-        problems.append("[H, K] != 0")
-    if not _is_zero(anticommutator(i2, k2), tol):
-        problems.append("{I, K} != 0")
-    return problems
+    residues = (
+        ("H must be homogeneous grade 1", h - h.grade_part(1)),
+        ("I must be homogeneous grade 2", i2 - i2.grade_part(2)),
+        ("K must be homogeneous grade 2", k2 - k2.grade_part(2)),
+        ("H*H != unit", clifford_product(h, h) - unit),
+        ("I*I != -unit", clifford_product(i2, i2) + unit),
+        ("K*K != -unit", clifford_product(k2, k2) + unit),
+        ("[H, I] != 0", commutator(h, i2)),
+        ("[H, K] != 0", commutator(h, k2)),
+        ("{I, K} != 0", anticommutator(i2, k2)),
+    )
+    return problems + [name for name, residue in residues if not residue.is_zero(tol)]
 
 
 def make_secondary(h: Multivector, i2: Multivector, k2: Multivector,
@@ -123,13 +110,8 @@ def basis16_of(g: SecondaryGenerators, tol: float | None = None) -> list[Multive
         raise InvalidGeneratorError(f"generator products span rank {rank}, not 16")
     for idx, u in enumerate(elements):
         tr = u.trace()
-        want_one = idx == 0
-        if g.backend == EXACT:
-            ok = (tr == scalars.one(EXACT)) if want_one else (not tr)
-        else:
-            target = 1.0 if want_one else 0.0
-            ok = abs(complex(tr) - target) <= (tol or scalars.default_tolerance())
-        if not ok:
+        want = scalars.one(g.backend) if idx == 0 else scalars.zero(g.backend)
+        if not scalars.close(tr, want, tol):
             raise InvalidGeneratorError(
                 f"trace of generator product #{idx} is {tr}, violating the trace law")
     return elements

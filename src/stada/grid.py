@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import warnings
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from .errors import DomainError
 from .exterior import STAR_TABLE
 from .fields import AnalyticField
 from .kernel import EVERY_BLADE, BladeProduct
-from .multivector import CLIFFORD, WEDGE, Multivector
+from .multivector import CLIFFORD, GRADE_MAPS, ODD_MAP, REVERSION_MAP, WEDGE, Multivector
 from .scalars import FLOAT
 
 Offset = tuple[int, int, int, int]
@@ -63,15 +64,9 @@ def wedge_left_matrix(mv: Multivector) -> np.ndarray:
     return _blade_matrix(WEDGE, mv)
 
 
-def star_matrix() -> np.ndarray:
-    out = np.zeros((16, 16))
-    for m in range(16):
-        sign, target = STAR_TABLE[m]
-        out[target, m] = sign
-    return out
-
-
-_STAR_M = star_matrix()
+# the Hodge star blade map as a matrix: column m holds its sign in row target
+_STAR_M = np.array([[sign * (target == i) for sign, target in STAR_TABLE] for i in range(16)],
+                   dtype=float)
 
 
 @dataclass
@@ -131,18 +126,20 @@ class GridField:
             out[mask] += sign * (self.values[i] * other.values[j])
         return GridField(self.n, self.h, out)
 
+    def _map_blades(self, table, conjugate: bool = False) -> "GridField":
+        """Apply a blade map site by site; with `conjugate`, conjugate the values."""
+        src = self.values.conj() if conjugate else self.values
+        out = np.zeros_like(self.values)
+        for m, (sign, target) in enumerate(table):
+            if sign:
+                out[target] = src[m] if sign > 0 else -src[m]
+        return GridField(self.n, self.h, out)
+
     def hodge_star(self) -> "GridField":
-        return GridField(self.n, self.h,
-                         np.einsum("ij,j...->i...", _STAR_M, self.values))
+        return self._map_blades(STAR_TABLE)
 
     def star_involution(self) -> "GridField":
-        from .multivector import GRADE, REVERSION_SIGN
-
-        out = self.values.conj().copy()
-        for m in range(16):
-            if REVERSION_SIGN[GRADE[m]] < 0:
-                out[m] = -out[m]
-        return GridField(self.n, self.h, out)
+        return self._map_blades(REVERSION_MAP, conjugate=True)
 
     def conjugate(self) -> "GridField":
         return GridField(self.n, self.h, self.values.conj())
@@ -151,22 +148,12 @@ class GridField:
         return self.values[mask]
 
     def grade_part(self, k: int) -> "GridField":
-        from .multivector import GRADE
-
-        out = np.zeros_like(self.values)
-        for m in range(16):
-            if GRADE[m] == k:
-                out[m] = self.values[m]
-        return GridField(self.n, self.h, out)
+        if not 0 <= k <= 4:
+            raise DomainError(f"grade {k} outside 0..4")
+        return self._map_blades(GRADE_MAPS[k])
 
     def odd_part(self) -> "GridField":
-        from .multivector import GRADE
-
-        out = np.zeros_like(self.values)
-        for m in range(16):
-            if GRADE[m] % 2 == 1:
-                out[m] = self.values[m]
-        return GridField(self.n, self.h, out)
+        return self._map_blades(ODD_MAP)
 
     def max_abs(self) -> float:
         return float(np.abs(self.values).max()) if self.values.size else 0.0
@@ -201,21 +188,53 @@ class GridField:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GridField":
-        n = int(data["n"])
-        h = float(data["h"])
-        flat = np.array([[complex(re, im) for re, im in row] for row in data["values"]])
+        n, h = _dump_geometry(data)
+        try:
+            flat = np.array([[complex(re, im) for re, im in row] for row in data["values"]])
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError("grid values are a list of sites, each 16 [re, im] pairs") from None
         if flat.shape != (n ** 4, 16):
             raise DomainError("grid dump has the wrong number of sites")
-        values = flat.reshape(n, n, n, n, 16).transpose(4, 0, 1, 2, 3)
-        return cls(n, h, values.astype(complex))
+        return cls(n, h, _dump_values(flat.T.reshape(16, n, n, n, n), n))
 
     @classmethod
     def load(cls, path: str) -> "GridField":
         if path.endswith(".npz"):
-            data = np.load(path)
-            return cls(int(data["n"]), float(data["h"]), data["values"].astype(complex))
+            try:
+                with np.load(path) as archive:
+                    data = dict(archive)
+            except (EOFError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+                raise DomainError(f"{path}: not an .npz archive ({exc})") from None
+            n, h = _dump_geometry(data)
+            return cls(n, h, _dump_values(data["values"], n))
         with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except ValueError as exc:
+                raise DomainError(f"{path}: not JSON ({exc})") from None
+        return cls.from_json_dict(data)
+
+
+def _dump_geometry(data) -> tuple[int, float]:
+    """The lattice size n >= 1 and the finite spacing h > 0 of a grid dump."""
+    if not isinstance(data, dict) or not {"n", "h", "values"} <= data.keys():
+        raise DomainError("a grid dump is an object with the keys n, h and values")
+    n, h = np.asarray(data["n"]), np.asarray(data["h"])
+    if n.shape or n.dtype.kind not in "iu" or n < 1:
+        raise DomainError(f"a grid dump needs an integer n >= 1, got {data['n']!r}")
+    if h.shape or h.dtype.kind not in "iuf" or not 0 < h < np.inf:
+        raise DomainError(f"a grid dump needs a finite spacing h > 0, got {data['h']!r}")
+    return int(n), float(h)
+
+
+def _dump_values(values: np.ndarray, n: int) -> np.ndarray:
+    """The blade-major values of a grid dump, checked for shape and finiteness."""
+    if values.shape != (16, n, n, n, n) or values.dtype.kind not in "iufc":
+        raise DomainError(f"grid values of shape {values.shape} do not fit n = {n}")
+    values = values.astype(complex)
+    if not np.isfinite(values).all():
+        raise DomainError("grid values must be finite")
+    return values
 
 
 class Stencil:

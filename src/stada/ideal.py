@@ -63,10 +63,7 @@ class IdealBasis:
 
     def contains(self, u: Multivector, tol: float | None = None) -> bool:
         """Membership test for the left ideal: u t == u."""
-        diff = u * self.t - u
-        if self.backend == EXACT:
-            return diff.is_zero(0.0)
-        return diff.max_abs() <= (tol if tol is not None else scalars.default_tolerance())
+        return (u * self.t - u).is_zero(tol)
 
     @cached_property
     def blade_images(self) -> ExactLinearMap:
@@ -95,30 +92,19 @@ def idempotent_of(g: SecondaryGenerators, tol: float | None = None) -> IdealBasi
     ts = tuple(f * t for f in fs)
     ts_dagger = tuple(hermitian_conjugate(tk, g.h) for tk in ts)
     basis = IdealBasis(gens=g, t=t, ts=ts, fs=fs, ts_dagger=ts_dagger)
-
-    def _iszero(mv: Multivector) -> bool:
-        if backend == EXACT:
-            return mv.is_zero(0.0)
-        return mv.max_abs() <= (tol if tol is not None else scalars.default_tolerance())
-
-    if not _iszero(t * t - t):
+    if not (t * t - t).is_zero(tol):
         raise ConsistencyError("idempotency t*t = t failed")
     for k, tk in enumerate(ts):
         for n, tn in enumerate(ts):
             target = tk if n == 0 else Multivector.zero(backend)
-            if not _iszero(tk * tn - target):
+            if not (tk * tn - target).is_zero(tol):
                 raise ConsistencyError(f"t_{k + 1} t_{n + 1} violates the ideal multiplication law")
     one = scalars.one(backend)
     zero = scalars.zero(backend)
     for k, tk in enumerate(ts):
         for n in range(4):
             val = basis.pairing(tk, ts[n])
-            want = one if k == n else zero
-            if backend == EXACT:
-                ok = val == want
-            else:
-                ok = abs(complex(val) - complex(want)) <= (tol or scalars.default_tolerance())
-            if not ok:
+            if not scalars.close(val, one if k == n else zero, tol):
                 raise ConsistencyError(f"orthonormality (t_{k + 1}, t^{n + 1}) failed: {val}")
     return basis
 
@@ -159,10 +145,7 @@ def _gamma_matrix(u: Multivector, basis: IdealBasis, verify: bool = True,
             recon = Multivector.zero(backend)
             for n in range(4):
                 recon = recon + basis.ts[n].scale(mat[n][k])
-            diff = recon - products[k]
-            ok = diff.is_zero(0.0) if backend == EXACT else (
-                diff.max_abs() <= (tol if tol is not None else scalars.default_tolerance()))
-            if not ok:
+            if not (recon - products[k]).is_zero(tol):
                 raise ConsistencyError("representation reconstruction failed")
     return mat
 
@@ -184,13 +167,8 @@ def representation_change(s, basis: IdealBasis, tol: float | None = None) -> Ide
 
     new_gens = transported_generators(s, basis.gens)
     new_basis = idempotent_of(new_gens, tol)
-    backend = basis.backend
     for tk, new_tk in zip(basis.ts, new_basis.ts):
-        moved = sandwich(s, tk)
-        diff = moved - new_tk
-        ok = diff.is_zero(0.0) if backend == EXACT else (
-            diff.max_abs() <= (tol if tol is not None else scalars.default_tolerance()))
-        if not ok:
+        if not (sandwich(s, tk) - new_tk).is_zero(tol):
             raise ConsistencyError("transported basis disagrees with rebuilt basis")
     return new_basis
 

@@ -33,12 +33,20 @@ ETA = (1, -1, -1, -1)
 GRADE = tuple(mask.bit_count() for mask in range(16))
 MASKS_OF_GRADE = tuple(tuple(m for m in range(16) if GRADE[m] == k) for k in range(5))
 EVEN_MASKS = tuple(m for m in range(16) if GRADE[m] % 2 == 0)
-ODD_MASKS = tuple(m for m in range(16) if GRADE[m] % 2 == 1)
 
 BLADE_KEYS = tuple("".join(str(mu) for mu in range(4) if mask >> mu & 1) for mask in range(16))
 
 # Reversion sign (-1)^(k(k-1)/2) per grade.
 REVERSION_SIGN = (1, 1, -1, -1, 1)
+
+# Blade maps in the (sign, target) format of `exterior.STAR_TABLE`: source
+# blade m goes to sign * blade target, and a sign of 0 drops it.  Grade
+# filters, parity filters, reversion and the Hodge star are each one map,
+# applied by the one `_map_blades` loop of each container.
+GRADE_MAPS = tuple(tuple((int(GRADE[m] == k), m) for m in range(16)) for k in range(5))
+EVEN_MAP = tuple((int(GRADE[m] % 2 == 0), m) for m in range(16))
+ODD_MAP = tuple((int(GRADE[m] % 2 == 1), m) for m in range(16))
+REVERSION_MAP = tuple((REVERSION_SIGN[GRADE[m]], m) for m in range(16))
 
 L5_MASK = 0b1111
 
@@ -138,22 +146,25 @@ class Multivector:
     def grades(self) -> set[int]:
         return {GRADE[m] for m, c in enumerate(self.coeffs) if c}
 
+    def _map_blades(self, table, conjugate: bool = False) -> "Multivector":
+        """Apply a blade map; with `conjugate`, conjugate the kept coefficients."""
+        coeffs = [scalars.zero(self.backend)] * 16
+        for c, (sign, target) in zip(self.coeffs, table):
+            if sign:
+                c = c.conjugate() if conjugate else c
+                coeffs[target] = c if sign > 0 else -c
+        return Multivector(coeffs, self.backend)
+
     def grade_part(self, k: int) -> "Multivector":
         if not 0 <= k <= 4:
             raise ValueError(f"grade {k} outside 0..4")
-        coeffs = [c if GRADE[m] == k else scalars.zero(self.backend)
-                  for m, c in enumerate(self.coeffs)]
-        return Multivector(coeffs, self.backend)
+        return self._map_blades(GRADE_MAPS[k])
 
     def even_part(self) -> "Multivector":
-        coeffs = [c if GRADE[m] % 2 == 0 else scalars.zero(self.backend)
-                  for m, c in enumerate(self.coeffs)]
-        return Multivector(coeffs, self.backend)
+        return self._map_blades(EVEN_MAP)
 
     def odd_part(self) -> "Multivector":
-        coeffs = [c if GRADE[m] % 2 == 1 else scalars.zero(self.backend)
-                  for m, c in enumerate(self.coeffs)]
-        return Multivector(coeffs, self.backend)
+        return self._map_blades(ODD_MAP)
 
     def is_zero(self, tol: float | None = None) -> bool:
         return all(scalars.is_zero(c, tol) for c in self.coeffs)
@@ -220,9 +231,7 @@ class Multivector:
 
     def star(self) -> "Multivector":
         """Reversion combined with complex conjugation of the coefficients."""
-        coeffs = [c.conjugate() if REVERSION_SIGN[GRADE[m]] > 0 else -c.conjugate()
-                  for m, c in enumerate(self.coeffs)]
-        return Multivector(coeffs, self.backend)
+        return self._map_blades(REVERSION_MAP, conjugate=True)
 
     def conjugate(self) -> "Multivector":
         return Multivector([c.conjugate() for c in self.coeffs], self.backend)
@@ -286,10 +295,7 @@ def anticommutator(a: Multivector, b: Multivector) -> Multivector:
 
 def hermitian_conjugate(u: Multivector, h: Multivector, tol: float | None = None) -> Multivector:
     """H * U^star * H for an element H with H*H equal to the unit."""
-    hh = clifford_product(h, h)
-    unit = Multivector.unit(h.backend)
-    ok = hh == unit if h.backend == EXACT else hh.isclose(unit, tol)
-    if not ok:
+    if not clifford_product(h, h).isclose(Multivector.unit(h.backend), tol):
         raise InvalidGeneratorError("hermitian conjugation needs H with H*H = unit")
     return clifford_product(clifford_product(h, u.star()), h)
 
@@ -345,7 +351,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# longer decimal exponents lie far outside float range and make exact numerals huge
+MAX_EXPONENT_DIGITS = 3
+
+
 def _parse_real(text: str, position: int) -> Fraction:
+    exponent = re.search(r"[eE][+-]?0*([0-9]*)", text)
+    if exponent and len(exponent[1]) > MAX_EXPONENT_DIGITS:
+        raise ParseError(f"exponent over {MAX_EXPONENT_DIGITS} digits in {text!r}", position)
     try:
         if "/" in text:
             num, den = text.split("/")
@@ -357,18 +370,18 @@ def _parse_real(text: str, position: int) -> Fraction:
 
 def _parse_coeff(kind: str, value: str, position: int, backend: str) -> Scalar:
     if kind == "number":
-        r = _parse_real(value, position)
-        return QQi.from_rational(r) if backend == EXACT else complex(float(r), 0.0)
-    m = _TOKEN_RE.match(value)
-    cre = m.group("cre") or "0"
-    cim = m.group("cim")
-    if cim in ("+", "-"):
-        cim += "1"
-    re_val = _parse_real(cre, position)
-    im_val = _parse_real(cim, position)
+        re_val, im_val = _parse_real(value, position), 0
+    else:
+        m = _TOKEN_RE.match(value)
+        cim = m.group("cim")
+        re_val = _parse_real(m.group("cre") or "0", position)
+        im_val = _parse_real(cim + "1" if cim in ("+", "-") else cim, position)
     if backend == EXACT:
         return QQi.from_rational(re_val, im_val)
-    return complex(float(re_val), float(im_val))
+    try:
+        return complex(float(re_val), float(im_val))
+    except OverflowError:
+        raise ParseError(f"number {value!r} is beyond float range", position) from None
 
 
 def _blade_mask(token: str, position: int) -> int:

@@ -21,7 +21,6 @@ from . import linalg, scalars
 from .errors import ConvergenceError, DomainError, InvalidSpinError
 from .multivector import (
     EVEN_MASKS,
-    GRADE,
     MASKS_OF_GRADE,
     Multivector,
     basis_vector,
@@ -46,15 +45,12 @@ class SpinElement:
 
     @classmethod
     def of(cls, mv: Multivector, tol: float | None = None) -> "SpinElement":
-        if not all(not c for m, c in enumerate(mv.coeffs) if GRADE[m] % 2):
+        if any(mv.odd_part().coeffs):
             raise InvalidSpinError("spin element must be even")
         if not mv.is_real(tol):
             raise InvalidSpinError("spin element must have real coefficients")
         rev = mv.star()
-        prod = clifford_product(rev, mv)
-        unit = Multivector.unit(mv.backend)
-        ok = prod == unit if mv.backend == EXACT else prod.isclose(unit, tol)
-        if not ok:
+        if not clifford_product(rev, mv).isclose(Multivector.unit(mv.backend), tol):
             raise InvalidSpinError("S^star S differs from the unit")
         return cls(mv, rev)
 
@@ -91,7 +87,7 @@ def sandwich_inverse(s: SpinElement, u: Multivector) -> Multivector:
 def spin_from_bivector(b: Multivector, series_cutoff: float = 1e-18,
                        max_terms: int = 256) -> SpinElement:
     """exp(b) for a real grade-2 element, by the power series on the algebra."""
-    if not b.is_homogeneous(2, 0.0 if b.backend == EXACT else None):
+    if not b.is_homogeneous(2):
         raise DomainError("exponential generator must be homogeneous grade 2")
     if not b.is_real():
         raise DomainError("exponential generator must be real")
@@ -204,24 +200,15 @@ def lorentz_of(s: SpinElement, inverse: bool = False,
     Row nu holds the grade-1 coefficients of S^star l^nu S (or of the
     inverse action S l^nu S^star when `inverse` is set).
     """
-    if tol is None:
-        tol = scalars.default_tolerance()
     act = sandwich_inverse if inverse else sandwich
     rows = []
     for nu in range(4):
         w = act(s, basis_vector(nu, s.backend))
-        residue = w - w.grade_part(1)
-        if s.backend == EXACT:
-            if not residue.is_zero(0.0):
-                raise InvalidSpinError("sandwich of a vector left the grade-1 space")
-            row = tuple(w.coeffs[1 << mu].real for mu in range(4))
-        else:
-            if residue.max_abs() > tol:
-                raise InvalidSpinError("sandwich of a vector left the grade-1 space")
-            if any(abs(w.coeffs[1 << mu].imag) > tol for mu in range(4)):
-                raise InvalidSpinError("sandwich produced non-real vector components")
-            row = tuple(w.coeffs[1 << mu].real for mu in range(4))
-        rows.append(row)
+        if not (w - w.grade_part(1)).is_zero(tol):
+            raise InvalidSpinError("sandwich of a vector left the grade-1 space")
+        if not w.is_real(tol):
+            raise InvalidSpinError("sandwich produced non-real vector components")
+        rows.append(tuple(w.coeffs[1 << mu].real for mu in range(4)))
     return LorentzMatrix(tuple(rows))
 
 

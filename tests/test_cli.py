@@ -319,3 +319,152 @@ def test_residual_option_fuzz(form, plane_wave, generators, mass):
     if code == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+
+
+# ---- malformed grid dumps, numerals, nesting and overflowing norms ----------------
+
+
+def _dump_json(payload):
+    return lambda path: path.write_text(json.dumps(payload))
+
+
+def _dump_npz(**arrays):
+    def write(path):
+        import numpy as np
+
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+    return write
+
+
+@pytest.mark.parametrize("name,write", [
+    ("state.json", _dump_json({"n": 2})),
+    ("state.json", _dump_json([1, 2])),
+    ("state.json", _dump_json({"n": 2, "h": 0.5, "values": [[1]]})),
+    ("state.json", lambda path: path.write_text(
+        '{"n": 1, "h": 0.5, "values": [[[1e400, 0]' + ", [0, 0]" * 15 + "]]}")),
+    ("state.json", _dump_json({"n": 0, "h": 0.5, "values": []})),
+    ("state.json", _dump_json({"n": 1, "h": -0.5, "values": [[[0, 0]] * 16]})),
+    ("state.npz", _dump_npz(n=2, h=0.5)),
+    ("state.npz", _dump_npz(n=2, h=0.5, values=[[0.0]])),
+], ids=["no-h", "list", "short-site", "overflow", "n-zero", "h-negative",
+        "npz-no-values", "npz-bad-shape"])
+def test_malformed_grid_dump_is_usage_error(name, write, tmp_path, capsys):
+    path = tmp_path / name
+    write(path)
+    code, out, err = run_cli(["residual", "--form", "tde", "--state", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "1e400", "--backend", "float"],
+    ["eval", "(1+1e400i) e1", "--backend", "float"],
+    ["eval", "1e99999999"],
+    ["eval", "1e900 * 1e900 * 1e900 * 1e900 * 1e900"],
+    ["eval", "(" * 201 + "1" + ")" * 201],
+    ["eval", "(" * 250 + "1" + ")" * 250],
+    ["eval", "--", "-" * 201 + "1"],
+    ["residual", "--form", "tde", "--state", "1e400 e1"],
+    ["residual", "--form", "tde", "--state", "e1 exp(i[1e400,0,0,0])"],
+    ["residual", "--form", "tde", "--state", "e1 exp(i[1/0,0,0,0])"],
+    ["residual", "--form", "tde", "--plane-wave", PW, "-A", "1e400 e1"],
+])
+def test_numeral_overflow_and_deep_nesting_are_usage_errors(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_nesting_up_to_the_cap_parses(capsys):
+    from stada.expr import MAX_NESTING
+
+    code, out, _ = run_cli(["eval", "(" * MAX_NESTING + "e1" + ")" * MAX_NESTING], capsys)
+    assert (code, out.strip()) == (0, "e1")
+    code, out, _ = run_cli(["eval", "--", "-" * MAX_NESTING + "e1"], capsys)
+    assert (code, out.strip()) == (0, "e1")
+
+
+@pytest.mark.parametrize("form", ["dirac", "tde"])
+def test_huge_residual_norm_is_finite(form, capsys):
+    # the residual is about (mass - 1) times a unit state, far beyond the
+    # square root of the largest float
+    code, out, _ = run_cli(["residual", "--form", form, "--plane-wave", PW,
+                            "--mass", "1e300"], capsys)
+    assert code == 1
+    norm = json.loads(out)["max_norm"]
+    assert 0.9e300 < norm < 2.1e300
+
+
+def test_huge_grid_residual_norm_is_finite(tmp_path, capsys):
+    import math
+
+    from stada import equations as eq
+    from stada import ideal
+    from stada.grid import sample
+
+    sol = eq.plane_wave(eq.EquationForm.TENSOR, (1.0, 0, 0, 0), 1.0,
+                        basis=ideal.canonical_basis())
+    grid = sample(sol.state, 4, math.pi / 2)
+    path = tmp_path / "state.npz"
+    grid.save(str(path))
+    _, out, _ = run_cli(["residual", "--form", "tde", "--state", str(path),
+                         "--mass", "3"], capsys)
+    small = json.loads(out)["max_norm"]
+    grid.scale(1e300).save(str(path))
+    code, out, err = run_cli(["residual", "--form", "tde", "--state", str(path),
+                              "--mass", "3"], capsys)
+    assert code == 1 and err == ""
+    assert json.loads(out)["max_norm"] == pytest.approx(1e300 * small, rel=1e-12)
+
+
+def test_norm_beyond_float_range_is_usage_error(capsys):
+    code, out, err = run_cli(["residual", "--form", "tde", "--plane-wave", PW,
+                              "--mass", "1e308"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+
+
+_numeral = st.one_of(
+    st.integers(-10 ** 30, 10 ** 30).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.builds("{}e{}".format, st.integers(0, 9), st.integers(-400, 400)),
+    st.builds("{}/{}".format, st.integers(0, 9), st.integers(0, 3)))
+_atom = st.one_of(
+    _numeral,
+    st.sampled_from(["e", "e0", "e13", "e0123", "l2", "e31", "e4", "(1+2i)", "(-i)"]),
+    st.builds("({}{}i)".format, _numeral, st.sampled_from(["+", "-"])))
+_expression = st.lists(
+    st.one_of(_atom, st.sampled_from(["+", "-", "*", "^", "(", ")", "star(", "rev(", " "]),
+              st.text(max_size=3)), max_size=12).map("".join)
+_field_expression = st.lists(
+    st.tuples(st.sampled_from(["", "+", "-"]), _atom,
+              st.one_of(st.just(""), st.lists(_numeral, min_size=4, max_size=4)
+                        .map(lambda p: f" exp(i[{','.join(p)}])"))).map("".join),
+    max_size=3).map(" ".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_expression, st.sampled_from(["exact", "float"]))
+def test_eval_fuzz(expression, backend):
+    _run_main(["eval", f"--backend={backend}", "--", expression])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["ideal", "hde", "tde", "ilk", "ilk-even", "ilk-e5"]),
+       st.one_of(_field_expression, st.text(max_size=20)))
+def test_residual_state_expression_fuzz(form, state):
+    _run_main(["residual", f"--form={form}", f"--state={state}"])

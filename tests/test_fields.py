@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from stada.errors import DomainError
+from stada.exterior import hodge_star
 from stada.fields import (
     AnalyticField,
     Poly,
@@ -217,12 +218,33 @@ def test_field_products_match_pointwise():
         assert (wedge - (f.eval(x) ^ g.eval(x))).max_abs() < 1e-12
 
 
-def test_star_involution_field():
+# each blade map of a field, with its reference on the field's value at a point
+BLADE_MAPS = {
+    **{f"grade{k}": (lambda f, k=k: f.grade_part(k), lambda u, k=k: u.grade_part(k))
+       for k in range(5)},
+    "even": (AnalyticField.even_part, Multivector.even_part),
+    "odd": (AnalyticField.odd_part, Multivector.odd_part),
+    "star_involution": (AnalyticField.star_involution, Multivector.star),
+    "hodge_star": (AnalyticField.hodge_star, hodge_star),
+    **{f"component{mask}": (lambda f, mask=mask: f.component(mask),
+                            lambda u, mask=mask: Multivector.scalar(u.coeffs[mask], FLOAT))
+       for mask in (0, 6, 13, 15)},
+}
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@pytest.mark.parametrize("op", list(BLADE_MAPS))
+def test_blade_maps_match_multivector(op, backend):
+    field_map, reference = BLADE_MAPS[op]
     rng = random.Random(9)
     for _ in range(10):
-        f = random_exact_field(rng).to_float()
+        dense = Multivector([QQi(rng.randint(1, 3), rng.randint(-2, 2)) for _ in range(16)],
+                            EXACT)
+        f = random_exact_field(rng) + AnalyticField.plane_wave(dense, (1, 0, -2, 1))
+        if backend == FLOAT:
+            f = f.to_float()
         x = tuple(rng.uniform(-1, 1) for _ in range(4))
-        assert (f.star_involution().eval(x) - f.eval(x).star()).max_abs() < 1e-12
+        assert (field_map(f).eval(x) - reference(f.eval(x))).max_abs() < 1e-12
 
 
 def test_phase_rotors():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from stada.errors import DomainError
+from stada.exterior import hodge_star
 from stada.fields import AnalyticField, upsilon_gradient
 from stada.grid import (
     AliasingWarning,
@@ -141,7 +142,7 @@ def test_pointwise_product_matches_multivector_product():
     assert (prod.eval(site) - f.eval(site) * g.eval(site)).max_abs() < 1e-12
 
 
-def test_const_mult_and_star():
+def test_const_mult():
     f = random_grid(4, 0.5, seed=3)
     c = Multivector.basis(0b0011, FLOAT).scale(0.5 + 0.25j)
     site = (0, 1, 2, 3)
@@ -149,9 +150,30 @@ def test_const_mult_and_star():
     right = f.mul_const(c, side="right")
     assert (left.eval(site) - c * f.eval(site)).max_abs() < 1e-12
     assert (right.eval(site) - f.eval(site) * c).max_abs() < 1e-12
-    from stada.exterior import hodge_star
 
-    assert (f.hodge_star().eval(site) - hodge_star(f.eval(site))).max_abs() < 1e-13
+
+# each blade map of a grid, with its reference on the multivector at a site
+BLADE_MAPS = {
+    **{f"grade{k}": (lambda f, k=k: f.grade_part(k), lambda u, k=k: u.grade_part(k))
+       for k in range(5)},
+    "odd": (GridField.odd_part, Multivector.odd_part),
+    "star_involution": (GridField.star_involution, Multivector.star),
+    "hodge_star": (GridField.hodge_star, hodge_star),
+}
+
+
+@pytest.mark.parametrize("op", list(BLADE_MAPS))
+def test_blade_maps_match_multivector(op):
+    grid_map, reference = BLADE_MAPS[op]
+    f = random_grid(4, 0.5, seed=3)
+    for site in [(0, 1, 2, 3), (3, 0, 0, 2), (2, 2, 1, 1)]:
+        assert (grid_map(f).eval(site) - reference(f.eval(site))).max_abs() < 1e-13
+
+
+@pytest.mark.parametrize("k", [5, -1])
+def test_grade_outside_range_rejected(k):
+    with pytest.raises(DomainError):
+        random_grid(4, 0.5).grade_part(k)
 
 
 def test_central_difference_plain_arrays():
