@@ -23,7 +23,7 @@ from .errors import (
     ParseError,
     StadaError,
 )
-from .scalars import EXACT, FLOAT, QQi, default_tolerance, set_default_tolerance
+from .scalars import DEFAULT_TOLERANCE, EXACT, FLOAT, QQi
 from .multivector import (
     Multivector,
     basis_vector,

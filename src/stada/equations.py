@@ -35,7 +35,7 @@ from .multivector import (
     l5,
     scalar_part_of_product,
 )
-from .scalars import EXACT, FLOAT, QQi, nan_max
+from .scalars import DEFAULT_TOLERANCE, EXACT, FLOAT, QQi, nan_max
 
 
 class EquationForm(Enum):
@@ -150,12 +150,13 @@ def _rescaled(norm, u) -> float:
     return s * norm(u.scale(1.0 / s)) if math.isfinite(s) else value
 
 
-def hermitian_norm(u: Multivector, h: Multivector) -> float:
-    """sqrt(4 Tr(U U^dagger)) with the conjugation adapted to H."""
+def hermitian_norm(u: Multivector, h: Multivector, tol: float = DEFAULT_TOLERANCE) -> float:
+    """sqrt(4 Tr(U U^dagger)) with the conjugation adapted to H, which must
+    square to the unit within `tol`."""
     hf = h.to_float()
 
     def direct(v: Multivector) -> float:
-        val = complex(scalar_part_of_product(v, hermitian_conjugate(v, hf))) * 4
+        val = complex(scalar_part_of_product(v, hermitian_conjugate(v, hf, tol))) * 4
         return math.sqrt(max(val.real, 0.0))
 
     return _rescaled(direct, u.to_float())
@@ -174,7 +175,7 @@ def _grid_norm(state: GridField, h_mv: Multivector) -> float:
     return float(norms.max()) if norms.size else 0.0
 
 
-def _state_norm(state, h_mv: Multivector, points) -> float:
+def _state_norm(state, h_mv: Multivector, points, tol: float) -> float:
     if isinstance(state, BispinorField):
         worst = 0.0
         for x in points:
@@ -187,7 +188,7 @@ def _state_norm(state, h_mv: Multivector, points) -> float:
     if isinstance(state, AnalyticField):
         worst = 0.0
         for x in points:
-            worst = nan_max(worst, hermitian_norm(state.eval(x), h_mv))
+            worst = nan_max(worst, hermitian_norm(state.eval(x), h_mv, tol))
         return worst
     if isinstance(state, GridField):
         return _rescaled(lambda g: _grid_norm(g, h_mv), state)
@@ -226,18 +227,18 @@ class ResidualReport:
 
 
 def _make_report(form: EquationForm, state_kind: str, residual, h_mv, *,
-                 tolerance: float | None, seed: int, notes: list | None = None) -> ResidualReport:
-    if tolerance is None:
-        tolerance = scalars.default_tolerance()
+                 tolerance: float, seed: int, notes: list | None = None) -> ResidualReport:
+    # rounding in the float checks behind the norm would fail them below the default
+    check_tol = max(tolerance, DEFAULT_TOLERANCE)
     grid_info = None
     if isinstance(residual, GridField):
         backend = "grid"
         grid_info = {"n": residual.n, "h": residual.h}
-        max_norm = _state_norm(residual, h_mv, None)
+        max_norm = _state_norm(residual, h_mv, None, check_tol)
     else:
         backend = residual.backend
         max_norm = 0.0 if residual.is_zero() else _state_norm(
-            residual, h_mv, sample_points(seed))
+            residual, h_mv, sample_points(seed), check_tol)
     verdict = "pass" if max_norm <= tolerance else "fail"
     return ResidualReport(form=form.value, backend=backend, max_norm=max_norm,
                           tolerance=tolerance, verdict=verdict, seed=seed,
@@ -343,12 +344,13 @@ def ilk_e5_operator(state, pot, m):
 
 
 def residual_dirac(psi: BispinorField, pot, m, basis: IdealBasis | None = None,
-                   *, tolerance: float | None = None, seed: int = 0) -> ResidualReport:
+                   *, tolerance: float = DEFAULT_TOLERANCE, seed: int = 0) -> ResidualReport:
     if not isinstance(psi, BispinorField):
         raise DomainError("the matrix form needs a bispinor state")
     if basis is None:
         basis = canonical_basis(psi.backend if psi.backend == EXACT else FLOAT)
-    gammas = tuple(gamma_of(basis_vector(mu, basis.backend), basis) for mu in range(4))
+    gammas = tuple(gamma_of(basis_vector(mu, basis.backend), basis,
+                            tol=max(tolerance, DEFAULT_TOLERANCE)) for mu in range(4))
     if psi.backend != basis.backend:
         gammas = tuple(tuple(tuple(complex(v) for v in row) for row in g) for g in gammas)
     res = dirac_operator(psi, pot, m, gammas)
@@ -356,7 +358,7 @@ def residual_dirac(psi: BispinorField, pot, m, basis: IdealBasis | None = None,
                         basis.gens.h, tolerance=tolerance, seed=seed)
 
 
-def _check_in_ideal(theta, basis: IdealBasis, tol: float | None) -> None:
+def _check_in_ideal(theta, basis: IdealBasis, tol: float) -> None:
     t_mv = basis.t if theta.backend == EXACT else basis.t.to_float()
     diff = theta.mul_const(t_mv, side="right") - theta
     if theta.backend == EXACT:
@@ -364,19 +366,19 @@ def _check_in_ideal(theta, basis: IdealBasis, tol: float | None) -> None:
             raise DomainError("state leaves the left ideal")
     else:
         scalefree = max(theta.max_abs(), 1.0)
-        if diff.max_abs() > (tol or scalars.default_tolerance()) * scalefree * 10:
+        if diff.max_abs() > tol * scalefree * 10:
             raise DomainError("state leaves the left ideal")
 
 
 def residual_ideal(theta, pot, m, basis: IdealBasis, *,
-                   tolerance: float | None = None, seed: int = 0) -> ResidualReport:
+                   tolerance: float = DEFAULT_TOLERANCE, seed: int = 0) -> ResidualReport:
     _check_in_ideal(theta, basis, tolerance)
     res = ideal_operator(theta, pot, m)
     return _make_report(EquationForm.IDEAL, "ideal", res, basis.gens.h,
                         tolerance=tolerance, seed=seed)
 
 
-def _check_even_real(state, tol: float | None, require_real: bool) -> None:
+def _check_even_real(state, tol: float, require_real: bool) -> None:
     if state.backend == EXACT:
         if not state.odd_part().is_zero():
             raise DomainError("state must be even")
@@ -384,7 +386,7 @@ def _check_even_real(state, tol: float | None, require_real: bool) -> None:
             raise DomainError("state must be real")
         return
     scalefree = max(state.max_abs(), 1.0)
-    bound = (tol or scalars.default_tolerance()) * scalefree * 10
+    bound = tol * scalefree * 10
     if state.odd_part().max_abs() > bound:
         raise DomainError("state must be even")
     if require_real and not state.is_real(bound):
@@ -392,7 +394,7 @@ def _check_even_real(state, tol: float | None, require_real: bool) -> None:
 
 
 def residual_hestenes(state, pot, m, h_mv: Multivector, i_mv: Multivector, *,
-                      tolerance: float | None = None, seed: int = 0) -> ResidualReport:
+                      tolerance: float = DEFAULT_TOLERANCE, seed: int = 0) -> ResidualReport:
     _check_even_real(state, tolerance, require_real=True)
     res = even_operator(state, pot, m, h_mv, i_mv)
     notes = []
@@ -405,7 +407,7 @@ def residual_hestenes(state, pot, m, h_mv: Multivector, i_mv: Multivector, *,
 
 
 def residual_tensor(state, pot, m, h_mv: Multivector, i_mv: Multivector, *,
-                    tolerance: float | None = None, seed: int = 0) -> ResidualReport:
+                    tolerance: float = DEFAULT_TOLERANCE, seed: int = 0) -> ResidualReport:
     _check_even_real(state, tolerance, require_real=True)
     res = even_operator(state, pot, m, h_mv, i_mv)
     report = _make_report(EquationForm.TENSOR, "even", res, h_mv,
@@ -413,7 +415,7 @@ def residual_tensor(state, pot, m, h_mv: Multivector, i_mv: Multivector, *,
     return report
 
 
-def residual_ilk(state, pot, m, *, tolerance: float | None = None,
+def residual_ilk(state, pot, m, *, tolerance: float = DEFAULT_TOLERANCE,
                  seed: int = 0) -> ResidualReport:
     res = ilk_operator(state, pot, m)
     h_norm = basis_vector(0, FLOAT)
@@ -422,14 +424,14 @@ def residual_ilk(state, pot, m, *, tolerance: float | None = None,
 
 
 def residual_ilk_even(state, pot, m, h_mv: Multivector, *,
-                      tolerance: float | None = None, seed: int = 0) -> ResidualReport:
+                      tolerance: float = DEFAULT_TOLERANCE, seed: int = 0) -> ResidualReport:
     _check_even_real(state, tolerance, require_real=False)
     res = ilk_even_operator(state, pot, m, h_mv)
     return _make_report(EquationForm.ILK_EVEN, "even-complex", res, h_mv,
                         tolerance=tolerance, seed=seed)
 
 
-def residual_ilk_e5(state, pot, m, *, tolerance: float | None = None,
+def residual_ilk_e5(state, pot, m, *, tolerance: float = DEFAULT_TOLERANCE,
                     seed: int = 0) -> ResidualReport:
     res = ilk_e5_operator(state, pot, m)
     h_norm = basis_vector(0, FLOAT)
@@ -755,20 +757,23 @@ class PlaneWaveSolution:
     state: object
 
 
-def _float_basis(basis: IdealBasis) -> IdealBasis:
+def _float_basis(basis: IdealBasis, tol: float = DEFAULT_TOLERANCE) -> IdealBasis:
+    """The float copy of a basis, rebuilt and checked within `tol`."""
     if basis.backend == FLOAT:
         return basis
     gens = make_secondary(basis.gens.h.to_float(), basis.gens.i2.to_float(),
-                          basis.gens.k2.to_float())
-    return idempotent_of(gens)
+                          basis.gens.k2.to_float(), tol)
+    return idempotent_of(gens, tol)
 
 
 def plane_wave(form: EquationForm, p, m, sign: int = 1,
-               basis: IdealBasis | None = None, which: int = 0) -> PlaneWaveSolution:
+               basis: IdealBasis | None = None, which: int = 0,
+               tol: float = DEFAULT_TOLERANCE) -> PlaneWaveSolution:
     """Exact free solution of the requested form with momentum covector p.
 
     The amplitude solves the 4x4 eigenproblem (p-slash - sign*m) u = 0; the
-    momentum must satisfy the mass-shell relation p.p = m^2.
+    momentum must satisfy the mass-shell relation p.p = m^2.  The float copy
+    of `basis` and its gamma matrices are checked within `tol`.
     """
     p = tuple(float(v) for v in p)
     m = float(m)
@@ -781,9 +786,9 @@ def plane_wave(form: EquationForm, p, m, sign: int = 1,
     scale = max(1.0, sum(v * v for v in p))
     if not abs(shell - m * m) <= 1e-10 * scale:  # NaN from overflow is off shell too
         raise DomainError(f"momentum is off shell: p.p = {shell}, m^2 = {m * m}")
-    basis = _float_basis(basis) if basis is not None else canonical_basis(FLOAT)
+    basis = _float_basis(basis, tol) if basis is not None else canonical_basis(FLOAT)
     gammas = [np.array([[complex(v) for v in row] for row in
-                        gamma_of(basis_vector(mu, FLOAT), basis)])
+                        gamma_of(basis_vector(mu, FLOAT), basis, tol=tol)])
               for mu in range(4)]
     pslash = sum(p[mu] * gammas[mu] for mu in range(4))
     target = pslash - sign * m * np.eye(4)
@@ -884,9 +889,10 @@ class FieldConfig:
     mass: object
     basis: IdealBasis
 
-    def residual(self, *, tolerance: float | None = None,
+    def residual(self, *, tolerance: float = DEFAULT_TOLERANCE,
                  seed: int = 0) -> ResidualReport:
-        b = self.basis if self.state.backend == EXACT else _float_basis(self.basis)
+        b = (self.basis if self.state.backend == EXACT
+             else _float_basis(self.basis, max(tolerance, DEFAULT_TOLERANCE)))
         return _RESIDUALS[self.form](self.state, self.potential, self.mass, b,
                                      tolerance=tolerance, seed=seed)
 
@@ -900,7 +906,7 @@ class CovarianceReport:
     verdict: str
 
 
-def covariance_check(s, config: FieldConfig, *, tolerance: float | None = None,
+def covariance_check(s, config: FieldConfig, *, tolerance: float = 1e-10,
                      seed: int = 0) -> CovarianceReport:
     """Transform a configuration by the Lorentz change of coordinates carried
     by a spin element and check the transformed residual."""
@@ -911,8 +917,6 @@ def covariance_check(s, config: FieldConfig, *, tolerance: float | None = None,
     pot = config.potential
     m = config.mass
     basis = config.basis
-    if tolerance is None:
-        tolerance = 1e-10
     q = lorentz_of(s, inverse=True).rows
     if isinstance(state, GridField):
         raise DomainError("covariance checks run on the analytic backend")

@@ -33,7 +33,7 @@ from .multivector import (
     Multivector,
     basis_vector,
 )
-from .scalars import EXACT, FLOAT, QQi, Scalar
+from .scalars import DEFAULT_TOLERANCE, EXACT, FLOAT, QQi, Scalar
 
 Exps = tuple[int, int, int, int]
 
@@ -387,11 +387,11 @@ class AnalyticField:
         s = QQi(0, -1, 2) if self.backend == EXACT else complex(0, -0.5)
         return (self - self.conjugate()).scale(s)
 
-    def is_real(self, tol: float | None = None) -> bool:
+    def is_real(self, tol: float = DEFAULT_TOLERANCE) -> bool:
         diff = self - self.conjugate()
         if self.backend == EXACT:
             return diff.is_zero()
-        return diff.max_abs() <= (tol if tol is not None else scalars.default_tolerance())
+        return diff.max_abs() <= tol
 
     # ---- calculus -------------------------------------------------------------
 

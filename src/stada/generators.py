@@ -22,7 +22,7 @@ from .multivector import (
     commutator,
     l5,
 )
-from .scalars import EXACT
+from .scalars import DEFAULT_TOLERANCE, EXACT
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class SecondaryGenerators:
 
 
 def secondary_violations(h: Multivector, i2: Multivector, k2: Multivector,
-                         tol: float | None = None) -> list[str]:
+                         tol: float = DEFAULT_TOLERANCE) -> list[str]:
     """All violated relations of the defining set, by name; empty when valid."""
     problems = []
     if not (h.backend == i2.backend == k2.backend):
@@ -65,7 +65,7 @@ def secondary_violations(h: Multivector, i2: Multivector, k2: Multivector,
 
 
 def make_secondary(h: Multivector, i2: Multivector, k2: Multivector,
-                   tol: float | None = None) -> SecondaryGenerators:
+                   tol: float = DEFAULT_TOLERANCE) -> SecondaryGenerators:
     problems = secondary_violations(h, i2, k2, tol)
     if problems:
         raise InvalidGeneratorError("; ".join(problems))
@@ -81,7 +81,7 @@ def canonical_generators(backend: str = EXACT) -> SecondaryGenerators:
     )
 
 
-def basis16_of(g: SecondaryGenerators, tol: float | None = None) -> list[Multivector]:
+def basis16_of(g: SecondaryGenerators, tol: float = DEFAULT_TOLERANCE) -> list[Multivector]:
     """The sixteen generator products that span the algebra, in the fixed order
     unit, H, I, K, HI, HK, IK, HIK, then the same eight multiplied by the
     pseudoscalar.  Verifies linear independence and the zero-trace property

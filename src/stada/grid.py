@@ -17,13 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import scalars
 from .errors import DomainError
 from .exterior import STAR_TABLE
 from .fields import AnalyticField
 from .kernel import EVERY_BLADE, BladeProduct
 from .multivector import CLIFFORD, GRADE_MAPS, ODD_MAP, REVERSION_MAP, WEDGE, Multivector
-from .scalars import FLOAT
+from .scalars import DEFAULT_TOLERANCE, FLOAT
 
 Offset = tuple[int, int, int, int]
 
@@ -161,10 +160,9 @@ class GridField:
     def is_zero(self) -> bool:
         return not self.values.any()
 
-    def is_real(self, tol: float | None = None) -> bool:
+    def is_real(self, tol: float = DEFAULT_TOLERANCE) -> bool:
         """|Im| <= tol at every site and blade."""
-        bound = tol if tol is not None else scalars.default_tolerance()
-        return not self.values.size or float(np.abs(self.values.imag).max()) <= bound
+        return not self.values.size or float(np.abs(self.values.imag).max()) <= tol
 
     def eval(self, site: Offset) -> Multivector:
         i0, i1, i2, i3 = site

@@ -23,12 +23,13 @@ from .multivector import (
     hermitian_conjugate,
     scalar_part_of_product,
 )
-from .scalars import EXACT, QQi, Scalar
+from .scalars import DEFAULT_TOLERANCE, EXACT, QQi, Scalar
 
 
-def scalar_product(u: Multivector, v: Multivector, h: Multivector) -> Scalar:
+def scalar_product(u: Multivector, v: Multivector, h: Multivector,
+                   tol: float = DEFAULT_TOLERANCE) -> Scalar:
     """Sesquilinear pairing 4 Tr(U V^dagger) with V^dagger = H V^star H."""
-    vd = hermitian_conjugate(v, h)
+    vd = hermitian_conjugate(v, h, tol)
     return scalar_part_of_product(u, vd) * 4
 
 
@@ -61,7 +62,7 @@ class IdealBasis:
         """Components (u, t^k) against the dual basis, k = 1..4."""
         return tuple(scalar_part_of_product(u, td) * 4 for td in self.ts_dagger)
 
-    def contains(self, u: Multivector, tol: float | None = None) -> bool:
+    def contains(self, u: Multivector, tol: float = DEFAULT_TOLERANCE) -> bool:
         """Membership test for the left ideal: u t == u."""
         return (u * self.t - u).is_zero(tol)
 
@@ -73,7 +74,7 @@ class IdealBasis:
             for mask in range(16)])
 
 
-def idempotent_of(g: SecondaryGenerators, tol: float | None = None) -> IdealBasis:
+def idempotent_of(g: SecondaryGenerators, tol: float = DEFAULT_TOLERANCE) -> IdealBasis:
     """Build t = (unit+H)(unit-iI)/4 and its ideal basis, verifying every
     construction invariant (idempotency, the multiplication law among the
     t_k, and orthonormality under the scalar product)."""
@@ -90,7 +91,7 @@ def idempotent_of(g: SecondaryGenerators, tol: float | None = None) -> IdealBasi
         -(g.k2 * g.i2 * ps),
     )
     ts = tuple(f * t for f in fs)
-    ts_dagger = tuple(hermitian_conjugate(tk, g.h) for tk in ts)
+    ts_dagger = tuple(hermitian_conjugate(tk, g.h, tol) for tk in ts)
     basis = IdealBasis(gens=g, t=t, ts=ts, fs=fs, ts_dagger=ts_dagger)
     if not (t * t - t).is_zero(tol):
         raise ConsistencyError("idempotency t*t = t failed")
@@ -103,7 +104,7 @@ def idempotent_of(g: SecondaryGenerators, tol: float | None = None) -> IdealBasi
     zero = scalars.zero(backend)
     for k, tk in enumerate(ts):
         for n in range(4):
-            val = basis.pairing(tk, ts[n])
+            val = scalar_product(tk, ts[n], g.h, tol)
             if not scalars.close(val, one if k == n else zero, tol):
                 raise ConsistencyError(f"orthonormality (t_{k + 1}, t^{n + 1}) failed: {val}")
     return basis
@@ -117,7 +118,7 @@ def canonical_basis(backend: str = EXACT) -> IdealBasis:
 
 
 def gamma_of(u: Multivector, basis: IdealBasis, verify: bool = True,
-             tol: float | None = None) -> tuple:
+             tol: float = DEFAULT_TOLERANCE) -> tuple:
     """The 4x4 matrix of left multiplication on the ideal basis: entry
     [n][k] is (U t_k, t^n); the upper index enumerates rows.
 
@@ -131,7 +132,7 @@ def gamma_of(u: Multivector, basis: IdealBasis, verify: bool = True,
 
 
 def _gamma_matrix(u: Multivector, basis: IdealBasis, verify: bool = True,
-                  tol: float | None = None) -> tuple:
+                  tol: float = DEFAULT_TOLERANCE) -> tuple:
     """gamma_of from the products U t_k, optionally with the reconstruction check."""
     products = [u * tk for tk in basis.ts]
     mat = tuple(
@@ -158,7 +159,7 @@ def dirac_gamma_matrices(backend: str = EXACT) -> tuple:
     return tuple(gamma_of(basis_vector(mu, backend), basis) for mu in range(4))
 
 
-def representation_change(s, basis: IdealBasis, tol: float | None = None) -> IdealBasis:
+def representation_change(s, basis: IdealBasis, tol: float = DEFAULT_TOLERANCE) -> IdealBasis:
     """Transport the ideal basis along a spin element: each t_k moves by the
     sandwich action, which is realized by rebuilding the construction from
     the transported generators and checking the two routes agree."""
@@ -190,7 +191,7 @@ class Bispinor:
             raise ValueError("a bispinor needs exactly 4 components")
         return cls(comps, backend)
 
-    def isclose(self, other: "Bispinor", tol: float | None = None) -> bool:
+    def isclose(self, other: "Bispinor", tol: float = DEFAULT_TOLERANCE) -> bool:
         return all(scalars.close(a, b, tol)
                    for a, b in zip(self.components, other.components))
 
@@ -204,7 +205,7 @@ def ideal_from_bispinor(psi: Bispinor, basis: IdealBasis) -> Multivector:
 
 
 def bispinor_from_ideal(theta: Multivector, basis: IdealBasis,
-                        tol: float | None = None) -> Bispinor:
+                        tol: float = DEFAULT_TOLERANCE) -> Bispinor:
     """Components (theta, t^k) of an ideal element."""
     if not basis.contains(theta, tol):
         raise DomainError("element does not lie in the left ideal")
@@ -212,7 +213,7 @@ def bispinor_from_ideal(theta: Multivector, basis: IdealBasis,
 
 
 def even_from_ideal(phi: Multivector, basis: IdealBasis,
-                    tol: float | None = None) -> Multivector:
+                    tol: float = DEFAULT_TOLERANCE) -> Multivector:
     """The unique real even solution of Omega t = phi: with phi components
     alpha^k + i beta^k, Omega = F_k (alpha^k unit + beta^k I)."""
     if not basis.contains(phi, tol):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import scalars
-from .scalars import QQi
+from .scalars import DEFAULT_TOLERANCE, QQi
 
 
 def _is_exact(x) -> bool:
@@ -153,7 +153,7 @@ def mat_transpose(a: Sequence[Sequence]) -> tuple:
     return tuple(tuple(a[i][j] for i in range(len(a))) for j in range(len(a[0])))
 
 
-def mat_close(a, b, tol: float | None = None) -> bool:
+def mat_close(a, b, tol: float = DEFAULT_TOLERANCE) -> bool:
     return all(scalars.close(x, y, tol) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 from . import scalars
 from .errors import BackendMismatchError, DomainError, InvalidGeneratorError, ParseError
 from .kernel import EVERY_BLADE, BladeProduct
-from .scalars import EXACT, FLOAT, QQi, Scalar
+from .scalars import DEFAULT_TOLERANCE, EXACT, FLOAT, QQi, Scalar
 
 ETA = (1, -1, -1, -1)
 
@@ -166,17 +166,15 @@ class Multivector:
     def odd_part(self) -> "Multivector":
         return self._map_blades(ODD_MAP)
 
-    def is_zero(self, tol: float | None = None) -> bool:
+    def is_zero(self, tol: float = DEFAULT_TOLERANCE) -> bool:
         return all(scalars.is_zero(c, tol) for c in self.coeffs)
 
-    def is_real(self, tol: float | None = None) -> bool:
+    def is_real(self, tol: float = DEFAULT_TOLERANCE) -> bool:
         if self.backend == EXACT:
             return all(c.is_real() for c in self.coeffs)
-        if tol is None:
-            tol = scalars.default_tolerance()
         return all(abs(c.imag) <= tol for c in self.coeffs)
 
-    def is_homogeneous(self, k: int, tol: float | None = None) -> bool:
+    def is_homogeneous(self, k: int, tol: float = DEFAULT_TOLERANCE) -> bool:
         return all(scalars.is_zero(c, tol) for m, c in enumerate(self.coeffs) if GRADE[m] != k)
 
     # ---- arithmetic ---------------------------------------------------
@@ -221,7 +219,7 @@ class Multivector:
     def __hash__(self):
         return hash((self.backend, self.coeffs))
 
-    def isclose(self, other: "Multivector", tol: float | None = None) -> bool:
+    def isclose(self, other: "Multivector", tol: float = DEFAULT_TOLERANCE) -> bool:
         return all(scalars.close(x, y, tol) for x, y in zip(self.coeffs, other.coeffs))
 
     def max_abs(self) -> float:
@@ -293,7 +291,8 @@ def anticommutator(a: Multivector, b: Multivector) -> Multivector:
     return clifford_product(a, b) + clifford_product(b, a)
 
 
-def hermitian_conjugate(u: Multivector, h: Multivector, tol: float | None = None) -> Multivector:
+def hermitian_conjugate(u: Multivector, h: Multivector,
+                        tol: float = DEFAULT_TOLERANCE) -> Multivector:
     """H * U^star * H for an element H with H*H equal to the unit."""
     if not clifford_product(h, h).isclose(Multivector.unit(h.backend), tol):
         raise InvalidGeneratorError("hermitian conjugation needs H with H*H = unit")

@@ -2,8 +2,9 @@
 
 The exact backend stores (a + b*i)/d with integers a, b and a positive
 integer d, so every algebraic identity can be asserted as equality.
-The float backend is a plain Python complex and carries a module-wide
-comparison tolerance used by all approximate checks.
+The float backend is a plain Python complex, compared within a tolerance
+that every approximate check receives as an argument; `DEFAULT_TOLERANCE`
+is the value a check uses when its caller passes none.
 """
 
 from __future__ import annotations
@@ -15,19 +16,7 @@ from typing import Union
 EXACT = "exact"
 FLOAT = "float"
 
-_DEFAULT_TOLERANCE = 1e-12
-
-
-def default_tolerance() -> float:
-    return _DEFAULT_TOLERANCE
-
-
-def set_default_tolerance(tol: float) -> None:
-    """Set the comparison tolerance used when none is passed explicitly."""
-    global _DEFAULT_TOLERANCE
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    _DEFAULT_TOLERANCE = tol
+DEFAULT_TOLERANCE = 1e-12
 
 
 RealLike = Union[int, Fraction, float]
@@ -226,19 +215,15 @@ def conj(value: Scalar) -> Scalar:
     return value.conjugate()
 
 
-def is_zero(value: Scalar, tol: float | None = None) -> bool:
+def is_zero(value: Scalar, tol: float = DEFAULT_TOLERANCE) -> bool:
     if isinstance(value, QQi):
         return not value
-    if tol is None:
-        tol = _DEFAULT_TOLERANCE
     return abs(value) <= tol
 
 
-def close(x: Scalar, y: Scalar, tol: float | None = None) -> bool:
+def close(x: Scalar, y: Scalar, tol: float = DEFAULT_TOLERANCE) -> bool:
     if isinstance(x, QQi) and isinstance(y, QQi):
         return x == y
-    if tol is None:
-        tol = _DEFAULT_TOLERANCE
     return abs(to_complex(x) - to_complex(y)) <= tol
 
 

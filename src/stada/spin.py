@@ -26,7 +26,7 @@ from .multivector import (
     basis_vector,
     clifford_product,
 )
-from .scalars import EXACT, FLOAT, QQi
+from .scalars import DEFAULT_TOLERANCE, EXACT, FLOAT, QQi
 
 _BIVECTOR_MASKS = MASKS_OF_GRADE[2]
 # Bivector planes that square to +unit (boosts) contain the time axis.
@@ -44,7 +44,7 @@ class SpinElement:
     reverse: Multivector
 
     @classmethod
-    def of(cls, mv: Multivector, tol: float | None = None) -> "SpinElement":
+    def of(cls, mv: Multivector, tol: float = DEFAULT_TOLERANCE) -> "SpinElement":
         if any(mv.odd_part().coeffs):
             raise InvalidSpinError("spin element must be even")
         if not mv.is_real(tol):
@@ -165,9 +165,7 @@ class LorentzMatrix:
     def to_json(self) -> list:
         return [float(v) for row in self.rows for v in row]
 
-    def isclose(self, other: "LorentzMatrix", tol: float | None = None) -> bool:
-        if tol is None:
-            tol = scalars.default_tolerance()
+    def isclose(self, other: "LorentzMatrix", tol: float = DEFAULT_TOLERANCE) -> bool:
         a, b = self.as_floats(), other.as_floats()
         return all(abs(x - y) <= tol for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
@@ -182,9 +180,7 @@ class LorentzMatrix:
                 worst = scalars.nan_max(worst, abs(acc - target))
         return worst
 
-    def validate(self, tol: float | None = None) -> None:
-        if tol is None:
-            tol = scalars.default_tolerance()
+    def validate(self, tol: float = DEFAULT_TOLERANCE) -> None:
         if self.metric_residual() > tol:
             raise InvalidSpinError("matrix does not preserve the metric")
         if abs(float(self.det()) - 1.0) > tol:
@@ -194,7 +190,7 @@ class LorentzMatrix:
 
 
 def lorentz_of(s: SpinElement, inverse: bool = False,
-               tol: float | None = None) -> LorentzMatrix:
+               tol: float = DEFAULT_TOLERANCE) -> LorentzMatrix:
     """Extract the 4x4 matrix acting on coordinates from the sandwich action.
 
     Row nu holds the grade-1 coefficients of S^star l^nu S (or of the
@@ -265,7 +261,7 @@ def _rational_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
-def _normalize_to_spin(x: Multivector, tol: float | None = None) -> SpinElement:
+def _normalize_to_spin(x: Multivector, tol: float = DEFAULT_TOLERANCE) -> SpinElement:
     """Scale an even real X with X^star X in the positive scalar ray to Spin."""
     prod = x.star() * x
     if x.backend == EXACT:
@@ -280,8 +276,6 @@ def _normalize_to_spin(x: Multivector, tol: float | None = None) -> SpinElement:
             return SpinElement.of(x.scale(QQi.from_rational(1 / root)))
         xf = x.to_float()
         return SpinElement.of(xf.scale(1.0 / math.sqrt(float(c))), )
-    if tol is None:
-        tol = scalars.default_tolerance()
     rest = prod - prod.grade_part(0)
     scalefree = max(prod.max_abs(), 1e-300)
     if rest.max_abs() > 1e-9 * scalefree:

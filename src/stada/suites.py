@@ -48,7 +48,7 @@ from .multivector import (
     l5,
     parse_multivector,
 )
-from .scalars import EXACT, FLOAT, QQi, nan_max
+from .scalars import DEFAULT_TOLERANCE, EXACT, FLOAT, QQi, nan_max
 
 
 # ---- an independent product oracle ------------------------------------------
@@ -1029,20 +1029,20 @@ SUITE_NAMES = tuple(_SUITES) + ("all",)
 
 def run_suite(name: str, seed: int = 0, backend: str = EXACT,
               iterations: int | None = None,
-              tolerance: float | None = None) -> RunReport:
-    """Run one named battery (or all of them) deterministically under a seed."""
-    from . import scalars
+              tolerance: float = DEFAULT_TOLERANCE) -> RunReport:
+    """Run one named battery (or all of them) deterministically under a seed.
 
+    Only the equations suite reads `backend`; the report records it for
+    every suite."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    tol = tolerance if tolerance is not None else scalars.default_tolerance()
     report = RunReport(suite=name, seed=seed, backend=backend,
-                       iterations=iterations, tolerance=tol)
+                       iterations=iterations, tolerance=tolerance)
     names = list(_SUITES) if name == "all" else [name]
     for suite_name in names:
         runner = _SUITES[suite_name]
         if suite_name == "equations":
-            report.checks.extend(runner(seed, iterations, tol, backend))
+            report.checks.extend(runner(seed, iterations, tolerance, backend))
         else:
-            report.checks.extend(runner(seed, iterations, tol))
+            report.checks.extend(runner(seed, iterations, tolerance))
     return report

@@ -3,12 +3,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stada import suites
 from stada.cli import main
+from stada.equations import EquationForm
 
 
 def run_cli(argv, capsys):
@@ -90,6 +95,36 @@ def test_verify_env_report_dir(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(["verify", "--suite", "hodge"], capsys)
     assert code == 0
     assert (tmp_path / "verify_hodge_seed0.json").exists()
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("suite", ["spin", "equations"])
+def test_verify_below_the_default_gives_a_full_report(suite, backend, tmp_path, capsys):
+    # float constructions checked at a tolerance below their rounding used to abort the suite
+    path = tmp_path / "r.json"
+    code, _, err = run_cli(["verify", "--suite", suite, "--seed", "1", "--backend", backend,
+                            "--tolerance", "1e-16", "--report", str(path)], capsys)
+    assert (code, err) == (0, "")
+    data = json.loads(path.read_text())
+    assert data["tolerance"] == 1e-16
+    want = suites.run_suite(suite, seed=1, backend=backend).checks
+    assert [c["id"] for c in data["checks"]] == [c.id for c in want]
+    assert data["summary"]["passed"] == data["summary"]["total"] == len(want)
+
+
+def test_verify_tolerance_does_not_outlive_the_run(tmp_path, capsys):
+    assert main(["verify", "--suite", "hodge", "--seed", "1", "--tolerance", "1e-3"]) == 0
+    capsys.readouterr()
+    after = suites.run_suite("hodge", seed=1).to_json_dict(with_environment=False)
+    assert after["tolerance"] == 1e-12
+    path = tmp_path / "fresh.json"
+    subprocess.run([sys.executable, "-m", "stada", "verify", "--suite", "hodge", "--seed", "1",
+                    "--report", str(path)], check=True, capture_output=True,
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    fresh = json.loads(path.read_text())
+    fresh.pop("environment")
+    assert json.dumps(after, indent=2, sort_keys=True) == json.dumps(fresh, indent=2,
+                                                                     sort_keys=True)
 
 
 # ---- residual --------------------------------------------------------------
@@ -180,6 +215,18 @@ def test_residual_random_generators(capsys):
                             "--generators", "random:5"], capsys)
     assert code == 0
     assert json.loads(out)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_residual_loose_tolerance_reaches_the_float_basis(seed, capsys):
+    # these float copies of transported bases fail their checks at 1e-12
+    for form in EquationForm:
+        code, out, err = run_cli(["residual", "--form", form.value,
+                                  "--plane-wave", "m=1;p=1,0,0,0",
+                                  "--generators", f"random:{seed}",
+                                  "--tolerance", "1e-6"], capsys)
+        assert (code, err) == (0, ""), form
+        assert json.loads(out)["verdict"] == "pass"
 
 
 # ---- report -----------------------------------------------------------------

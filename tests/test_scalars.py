@@ -1,10 +1,13 @@
 """Exact Gaussian-rational scalar arithmetic."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stada
 from stada.scalars import EXACT, FLOAT, QQi, coerce, from_real, is_zero, magnitude_key
 
 ints = st.integers(min_value=-30, max_value=30)
@@ -79,3 +82,15 @@ def test_coercion_and_tolerance():
 def test_magnitude_key_exact():
     assert magnitude_key(QQi(3, 4, 5)) == Fraction(1)
     assert magnitude_key(QQi(0)) == 0
+
+
+def test_no_module_state_holds_a_tolerance():
+    # a tolerance is an argument; module state would carry it from one run to the next
+    package = Path(stada.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not any(isinstance(node, ast.Global) for node in ast.walk(tree)), path.name
+    for module in (stada, stada.scalars):  # no setter or getter beside the constant
+        assert [name for name in dir(module) if "tolerance" in name.lower()] == [
+            "DEFAULT_TOLERANCE"]
+    assert stada.DEFAULT_TOLERANCE == 1e-12
