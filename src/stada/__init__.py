@@ -35,7 +35,6 @@ from .multivector import (
     l5,
     multivector_from_json,
     multivector_to_json,
-    parse_multivector,
 )
 from .exterior import (
     ExteriorForm,
@@ -72,7 +71,6 @@ from .ideal import (
     bispinor_from_ideal,
     bispinor_to_json,
     canonical_basis,
-    dirac_gamma_matrices,
     even_from_ideal,
     gamma_of,
     ideal_from_bispinor,

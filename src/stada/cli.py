@@ -17,9 +17,9 @@ import sys
 from . import scalars, suites
 from .equations import EquationForm
 from .errors import DomainError, ParseError, StadaError
-from .expr import eval_expr
+from .expr import eval_expr, parse_field
 from .fields import AnalyticField, Poly
-from .multivector import Multivector, format_multivector
+from .multivector import format_multivector
 from .scalars import EXACT, FLOAT
 
 EXIT_PASS = 0
@@ -70,55 +70,6 @@ def _cmd_eval(args) -> int:
     return EXIT_PASS
 
 
-def _parse_field_expr(text: str, backend: str) -> AnalyticField:
-    """Sum of `coeff blade exp(i[p0,p1,p2,p3])` terms; exp factor optional."""
-    import re
-
-    from .multivector import _NUM, _blade_mask, _parse_coeff
-
-    token = re.compile(
-        r"\s*(?P<sign>[+-])?\s*"
-        rf"(?:(?P<complex>\((?:[+-]?{_NUM})?(?:[+-](?:{_NUM})?)i\))|(?P<number>{_NUM}))?\s*"
-        r"(?P<blade>[el][0-9]*)?\s*"
-        rf"(?P<exp>exp\(\s*i\s*\[\s*(?P<p0>[+-]?{_NUM})\s*,\s*(?P<p1>[+-]?{_NUM})\s*,"
-        rf"\s*(?P<p2>[+-]?{_NUM})\s*,\s*(?P<p3>[+-]?{_NUM})\s*\]\s*\))?")
-    out = AnalyticField.zero(backend)
-    pos = 0
-    any_term = False
-    while pos < len(text):
-        m = token.match(text, pos)
-        if m is None or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError("unrecognized field term", pos)
-        if not (m.group("complex") or m.group("number") or m.group("blade") or m.group("exp")):
-            if text[m.end():].strip() == "":
-                break
-            raise ParseError("unrecognized field term", pos)
-        if m.group("complex"):
-            coeff = _parse_coeff("complex", m.group("complex"), pos, backend)
-        elif m.group("number"):
-            coeff = _parse_coeff("number", m.group("number"), pos, backend)
-        else:
-            coeff = scalars.one(backend)
-        if m.group("sign") == "-":
-            coeff = -coeff
-        mask = _blade_mask(m.group("blade"), pos) if m.group("blade") else 0
-        mv = Multivector.basis(mask, backend).scale(coeff)
-        if m.group("exp"):
-            wave = [_parse_coeff("number", m.group(f"p{mu}"), pos, backend).real
-                    for mu in range(4)]
-            term = AnalyticField.plane_wave(mv, wave)
-        else:
-            term = AnalyticField.constant(mv)
-        out = out + term
-        any_term = True
-        pos = m.end()
-    if not any_term:
-        raise ParseError("empty field expression", 0)
-    return out
-
-
 def _residual_basis(choice: str):
     from . import ideal
 
@@ -161,7 +112,7 @@ def _cmd_residual(args) -> int:
                 raise DomainError(f"{args.potential}: coefficients must be finite")
             pot = AnalyticField.constant(pot_mv)
         else:
-            pot = _parse_field_expr(args.potential, FLOAT)
+            pot = parse_field(args.potential, FLOAT)
 
     if args.reduce:
         report = _reduction_report(args, form, fbasis, pot)
@@ -219,7 +170,7 @@ def _load_state(args, form: EquationForm, fbasis):
         return GridField.load(args.state)
     if form == EquationForm.DIRAC_MATRIX:
         raise DomainError("the matrix form accepts --plane-wave or --state zero")
-    return _parse_field_expr(args.state, FLOAT)
+    return parse_field(args.state, FLOAT)
 
 
 def _reduction_report(args, form: EquationForm, fbasis, pot):

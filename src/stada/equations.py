@@ -29,6 +29,7 @@ from .grid import GridField, central_difference, grid_upsilon, sample
 from .ideal import IdealBasis, canonical_basis, gamma_of, idempotent_of
 from .multivector import (
     CLIFFORD,
+    ETA,
     Multivector,
     basis_vector,
     hermitian_conjugate,
@@ -622,9 +623,8 @@ def current(phi, h_mv: Multivector, *, seed: int = 0) -> CurrentResult:
     points = sample_points(seed)
     grade_leak = 0.0 if leak.is_zero() else nan_max(*(leak.eval(x).max_abs() for x in points))
     lowered = AnalyticField.zero(backend)
-    metric = (1, -1, -1, -1)
     for mu in range(4):
-        sgn = metric[mu]
+        sgn = ETA[mu]
         term = j_fields[mu].mul_const(basis_vector(mu, backend), side="right")
         lowered = lowered + (term if sgn > 0 else -term)
     match = J.grade_part(1) - lowered
@@ -652,10 +652,9 @@ def _current_grid(phi: GridField, h_mv: Multivector) -> CurrentResult:
     div = np.zeros_like(j_arrays[0], dtype=complex)
     for mu in range(4):
         div = div + central_difference(j_arrays[mu], mu, phi.h)
-    metric = (1, -1, -1, -1)
     lowered = np.zeros_like(J.values)
     for mu in range(4):
-        lowered[1 << mu] = metric[mu] * j_arrays[mu]
+        lowered[1 << mu] = ETA[mu] * j_arrays[mu]
     match_error = float(np.abs(J.grade_part(1).values - lowered).max())
     return CurrentResult(j=tuple(j_arrays), J=J, divergence=div,
                          grade_leak=grade_leak, match_error=match_error)
@@ -699,14 +698,13 @@ def lagrangian(phi: AnalyticField, pot, m, h_mv: Multivector, i_mv: Multivector,
     field_part = F.clifford(F).component(0)
     # cross-check Tr(F^2) against -1/2 f^{mu nu} f_{mu nu}
     a_fields = _pot_components(pot)
-    metric = (1, -1, -1, -1)
     alt = AnalyticField.zero(backend)
     for mu in range(4):
         for nu in range(4):
             if a_fields[mu] is None or a_fields[nu] is None:
                 continue
             f_mn = a_fields[nu].partial(mu) - a_fields[mu].partial(nu)
-            term = f_mn.clifford(f_mn).scale(metric[mu] * metric[nu])
+            term = f_mn.clifford(f_mn).scale(ETA[mu] * ETA[nu])
             alt = alt + term
     half = Fraction(-1, 2) if backend == EXACT else -0.5
     alt = alt.scale(half)
@@ -781,8 +779,7 @@ def plane_wave(form: EquationForm, p, m, sign: int = 1,
         raise DomainError("mass must be nonnegative")
     if sign not in (1, -1):
         raise DomainError("energy sign must be +1 or -1")
-    metric = (1.0, -1.0, -1.0, -1.0)
-    shell = sum(metric[mu] * p[mu] * p[mu] for mu in range(4))
+    shell = sum(ETA[mu] * p[mu] * p[mu] for mu in range(4))
     scale = max(1.0, sum(v * v for v in p))
     if not abs(shell - m * m) <= 1e-10 * scale:  # NaN from overflow is off shell too
         raise DomainError(f"momentum is off shell: p.p = {shell}, m^2 = {m * m}")

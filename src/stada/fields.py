@@ -24,6 +24,7 @@ from .exterior import STAR_TABLE
 from .kernel import BladeProduct
 from .multivector import (
     CLIFFORD,
+    ETA,
     EVEN_MAP,
     GRADE,
     GRADE_MAPS,
@@ -332,10 +333,6 @@ class AnalyticField:
             out.append((phase, new))
         return AnalyticField(self.backend, out)
 
-    def max_degree(self) -> int:
-        return max((p.degree() for _, coeffs in self.terms.values() for p in coeffs if p),
-                   default=0)
-
     def phase_polys(self) -> list[Poly]:
         return [phase for phase, _ in self.terms.values()]
 
@@ -448,11 +445,10 @@ class AnalyticField:
     def wedge(self, other: "AnalyticField") -> "AnalyticField":
         return self._blade_mul(other, WEDGE)
 
-    def mul_const(self, mv: Multivector, side: str = "right",
-                  product: str = "clifford") -> "AnalyticField":
+    def mul_const(self, mv: Multivector, side: str = "right") -> "AnalyticField":
         const = AnalyticField.constant(mv)
         a, b = (self, const) if side == "right" else (const, self)
-        return a.clifford(b) if product == "clifford" else a.wedge(b)
+        return a.clifford(b)
 
     # ---- evaluation ----------------------------------------------------------------
 
@@ -522,16 +518,13 @@ def upsilon_gradient(field: AnalyticField) -> AnalyticField:
     return out
 
 
-_METRIC = (1, -1, -1, -1)
-
-
 def laplace(field: AnalyticField, route: str = "direct") -> AnalyticField:
     """Second-order operator; `route` picks one of the four equivalent forms."""
     if route == "direct":
         out = AnalyticField.zero(field.backend)
         for mu in range(4):
             second = field.partial(mu).partial(mu)
-            out = out + (second if _METRIC[mu] > 0 else -second)
+            out = out + (second if ETA[mu] > 0 else -second)
         return out
     if route == "upsilon":
         return upsilon_gradient(upsilon_gradient(field))

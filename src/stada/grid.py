@@ -21,14 +21,12 @@ from .errors import DomainError
 from .exterior import STAR_TABLE
 from .fields import AnalyticField
 from .kernel import EVERY_BLADE, BladeProduct
-from .multivector import CLIFFORD, GRADE_MAPS, ODD_MAP, REVERSION_MAP, WEDGE, Multivector
+from .multivector import CLIFFORD, ETA, GRADE_MAPS, ODD_MAP, REVERSION_MAP, WEDGE, Multivector
 from .scalars import DEFAULT_TOLERANCE, FLOAT
 
 Offset = tuple[int, int, int, int]
 
 _ZERO_OFFSET: Offset = (0, 0, 0, 0)
-
-_METRIC = (1.0, -1.0, -1.0, -1.0)
 
 
 class AliasingWarning(UserWarning):
@@ -53,10 +51,6 @@ def _blade_matrix_right(kind: BladeProduct, mv: Multivector) -> np.ndarray:
 
 def clifford_left_matrix(mv: Multivector) -> np.ndarray:
     return _blade_matrix(CLIFFORD, mv)
-
-
-def clifford_right_matrix(mv: Multivector) -> np.ndarray:
-    return _blade_matrix_right(CLIFFORD, mv)
 
 
 def wedge_left_matrix(mv: Multivector) -> np.ndarray:
@@ -107,21 +101,17 @@ class GridField:
     def scale(self, value) -> "GridField":
         return GridField(self.n, self.h, self.values * complex(value))
 
-    def mul_const(self, mv: Multivector, side: str = "right",
-                  product: str = "clifford") -> "GridField":
-        kind = CLIFFORD if product == "clifford" else WEDGE
-        mat = (_blade_matrix_right(kind, mv.to_float()) if side == "right"
-               else _blade_matrix(kind, mv.to_float()))
+    def mul_const(self, mv: Multivector, side: str = "right") -> "GridField":
+        mat = (_blade_matrix_right(CLIFFORD, mv.to_float()) if side == "right"
+               else _blade_matrix(CLIFFORD, mv.to_float()))
         return GridField(self.n, self.h, np.einsum("ij,j...->i...", mat, self.values))
 
-    def pointwise_product(self, other: "GridField",
-                          product: str = "clifford") -> "GridField":
+    def pointwise_product(self, other: "GridField") -> "GridField":
         self._check(other)
-        kind = CLIFFORD if product == "clifford" else WEDGE
         out = np.zeros_like(self.values)
         live_a = [v.any() for v in self.values]
         live_b = [v.any() for v in other.values]
-        for i, j, sign, mask in kind.live_terms(live_a, live_b):
+        for i, j, sign, mask in CLIFFORD.live_terms(live_a, live_b):
             out[mask] += sign * (self.values[i] * other.values[j])
         return GridField(self.n, self.h, out)
 
@@ -362,7 +352,7 @@ def laplace_stencil(h: float, route: str = "direct") -> Stencil:
         out = Stencil()
         for mu in range(4):
             dmu = derivative_stencil(mu, h)
-            out = out + dmu.compose(dmu).scale(_METRIC[mu])
+            out = out + dmu.compose(dmu).scale(ETA[mu])
         return out
     if route == "upsilon":
         u = upsilon_gradient_stencil(h)
@@ -383,10 +373,6 @@ def grid_derivative(field: GridField, mu: int) -> GridField:
 
 def grid_d(field: GridField) -> GridField:
     return d_stencil(field.h).apply(field)
-
-
-def grid_delta(field: GridField) -> GridField:
-    return delta_stencil(field.h).apply(field)
 
 
 def grid_upsilon(field: GridField) -> GridField:

@@ -23,7 +23,7 @@ from .multivector import (
     hermitian_conjugate,
     scalar_part_of_product,
 )
-from .scalars import DEFAULT_TOLERANCE, EXACT, QQi, Scalar
+from .scalars import DEFAULT_TOLERANCE, EXACT, Scalar
 
 
 def scalar_product(u: Multivector, v: Multivector, h: Multivector,
@@ -149,14 +149,6 @@ def _gamma_matrix(u: Multivector, basis: IdealBasis, verify: bool = True,
             if not (recon - products[k]).is_zero(tol):
                 raise ConsistencyError("representation reconstruction failed")
     return mat
-
-
-def dirac_gamma_matrices(backend: str = EXACT) -> tuple:
-    """The four generator images under the canonical representation."""
-    from .multivector import basis_vector
-
-    basis = canonical_basis(backend)
-    return tuple(gamma_of(basis_vector(mu, backend), basis) for mu in range(4))
 
 
 def representation_change(s, basis: IdealBasis, tol: float = DEFAULT_TOLERANCE) -> IdealBasis:

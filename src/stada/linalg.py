@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import scalars
-from .scalars import DEFAULT_TOLERANCE, QQi
+from .scalars import QQi
 
 
 def _is_exact(x) -> bool:
@@ -133,16 +133,6 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
     return tuple(out)
 
 
-def mat_vec(a: Sequence[Sequence], v: Sequence) -> tuple:
-    out = []
-    for row in a:
-        acc = row[0] * v[0]
-        for t in range(1, len(v)):
-            acc = acc + row[t] * v[t]
-        out.append(acc)
-    return tuple(out)
-
-
 def mat_identity(n: int, like) -> tuple:
     one = _one_like(like)
     zero = like - like
@@ -151,10 +141,6 @@ def mat_identity(n: int, like) -> tuple:
 
 def mat_transpose(a: Sequence[Sequence]) -> tuple:
     return tuple(tuple(a[i][j] for i in range(len(a))) for j in range(len(a[0])))
-
-
-def mat_close(a, b, tol: float = DEFAULT_TOLERANCE) -> bool:
-    return all(scalars.close(x, y, tol) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def mat_eq(a, b) -> bool:

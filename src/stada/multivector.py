@@ -2,7 +2,9 @@
 
 Basis blades are indexed by 4-bit masks: bit mu set means the grade-1
 generator along axis mu is a factor, factors ordered by ascending index.
-Generator squares follow the signature (+1, -1, -1, -1).  Products are
+Generator squares follow the signature `ETA` = (+1, -1, -1, -1), the
+metric every production module reads (`exterior.METRIC_G` is the
+oracle's own copy).  Products are
 driven by a 16x16 sign table built once from a transposition-counting
 rule; the table itself is cross-checked in the test suite against an
 independent adjacent-transposition oracle.
@@ -15,16 +17,19 @@ output coefficient once, so the coefficients equal term-by-term `QQi`
 arithmetic exactly.  Float products add the terms in the table order.
 The oracles that check these products (`suites.oracle_blade_product`,
 `exterior.clifford_product_via_table`) stay independent of the kernel.
+
+Text goes one way here: `format_multivector` writes a multivector, and
+`multivector_to_json` / `multivector_from_json` give its JSON form.
+Reading text is the job of `stada.expr`, the one parser.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import scalars
-from .errors import BackendMismatchError, DomainError, InvalidGeneratorError, ParseError
+from .errors import BackendMismatchError, DomainError, InvalidGeneratorError
 from .kernel import EVERY_BLADE, BladeProduct
 from .scalars import DEFAULT_TOLERANCE, EXACT, FLOAT, QQi, Scalar
 
@@ -322,123 +327,6 @@ def inverse(u: Multivector) -> Multivector:
 
 
 # ---- text and JSON representations --------------------------------------
-
-_NUM = r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?(?:/[0-9]+)?"
-_TOKEN_RE = re.compile(
-    r"(?:"
-    rf"(?P<complex>\((?P<cre>[+-]?{_NUM})?(?P<cim>[+-](?:{_NUM})?)i\))"
-    rf"|(?P<number>{_NUM})"
-    r"|(?P<blade>[el][0-9]*)"
-    r"|(?P<sign>[+-])"
-    r")")
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unrecognized input {text[pos:pos + 8]!r}", pos)
-        kind = next(name for name in ("complex", "number", "blade", "sign") if m.group(name))
-        tokens.append((kind, m.group(0), pos))
-        pos = m.end()
-    return tokens
-
-
-# longer decimal exponents lie far outside float range and make exact numerals huge
-MAX_EXPONENT_DIGITS = 3
-
-
-def _parse_real(text: str, position: int) -> Fraction:
-    exponent = re.search(r"[eE][+-]?0*([0-9]*)", text)
-    if exponent and len(exponent[1]) > MAX_EXPONENT_DIGITS:
-        raise ParseError(f"exponent over {MAX_EXPONENT_DIGITS} digits in {text!r}", position)
-    try:
-        if "/" in text:
-            num, den = text.split("/")
-            return Fraction(num) / Fraction(den)
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad number {text!r}: {exc}", position) from None
-
-
-def _parse_coeff(kind: str, value: str, position: int, backend: str) -> Scalar:
-    if kind == "number":
-        re_val, im_val = _parse_real(value, position), 0
-    else:
-        m = _TOKEN_RE.match(value)
-        cim = m.group("cim")
-        re_val = _parse_real(m.group("cre") or "0", position)
-        im_val = _parse_real(cim + "1" if cim in ("+", "-") else cim, position)
-    if backend == EXACT:
-        return QQi.from_rational(re_val, im_val)
-    try:
-        return complex(float(re_val), float(im_val))
-    except OverflowError:
-        raise ParseError(f"number {value!r} is beyond float range", position) from None
-
-
-def _blade_mask(token: str, position: int) -> int:
-    mask = 0
-    last = -1
-    for ch in token[1:]:
-        mu = ord(ch) - ord("0")
-        if mu > 3 or mu <= last:
-            raise ParseError(f"blade {token!r} must use strictly ascending digits 0-3", position)
-        mask |= 1 << mu
-        last = mu
-    return mask
-
-
-def parse_multivector(text: str, backend: str = EXACT) -> Multivector:
-    """Parse the additive literal grammar: sign-separated `coeff? blade?` terms.
-
-    Products are not literals: two blades in one term are rejected.
-    """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty multivector literal", 0)
-    coeffs = [scalars.zero(backend)] * 16
-    i = 0
-    first = True
-    while i < len(tokens):
-        sign = 1
-        kind, value, pos = tokens[i]
-        if kind == "sign":
-            sign = -1 if value == "-" else 1
-            i += 1
-            if i >= len(tokens):
-                raise ParseError("dangling sign", pos)
-            kind, value, pos = tokens[i]
-        elif not first:
-            raise ParseError("missing '+' or '-' between terms", pos)
-        coeff = None
-        mask = None
-        if kind in ("number", "complex"):
-            coeff = _parse_coeff(kind, value, pos, backend)
-            i += 1
-            if i < len(tokens) and tokens[i][0] == "blade":
-                mask = _blade_mask(tokens[i][1], tokens[i][2])
-                i += 1
-        elif kind == "blade":
-            coeff = scalars.one(backend)
-            mask = _blade_mask(value, pos)
-            i += 1
-        else:
-            raise ParseError("expected a coefficient or blade", pos)
-        if i < len(tokens) and tokens[i][0] == "blade":
-            raise ParseError("blade after blade: products are not literals", tokens[i][2])
-        if mask is None:
-            mask = 0
-        term = -coeff if sign < 0 else coeff
-        coeffs[mask] = coeffs[mask] + term
-        first = False
-    return Multivector(coeffs, backend)
 
 
 def _format_real(value) -> str:

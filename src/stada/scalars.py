@@ -232,7 +232,3 @@ def magnitude_key(value: Scalar):
     if isinstance(value, QQi):
         return Fraction(value.a * value.a + value.b * value.b, value.d * value.d)
     return abs(value) ** 2
-
-
-def backend_of(value: Scalar) -> str:
-    return EXACT if isinstance(value, QQi) else FLOAT

@@ -19,7 +19,9 @@ import numpy as np
 
 from . import linalg, scalars
 from .errors import ConvergenceError, DomainError, InvalidSpinError
+from .generators import make_secondary
 from .multivector import (
+    ETA,
     EVEN_MASKS,
     MASKS_OF_GRADE,
     Multivector,
@@ -31,9 +33,6 @@ from .scalars import DEFAULT_TOLERANCE, EXACT, FLOAT, QQi
 _BIVECTOR_MASKS = MASKS_OF_GRADE[2]
 # Bivector planes that square to +unit (boosts) contain the time axis.
 _BOOST_MASKS = tuple(m for m in _BIVECTOR_MASKS if m & 1)
-_ROTATION_MASKS = tuple(m for m in _BIVECTOR_MASKS if not m & 1)
-
-METRIC = (1, -1, -1, -1)
 
 
 @dataclass(frozen=True)
@@ -175,18 +174,10 @@ class LorentzMatrix:
         worst = 0.0
         for mu in range(4):
             for nu in range(4):
-                acc = sum(p[k][mu] * METRIC[k] * p[k][nu] for k in range(4))
-                target = METRIC[mu] if mu == nu else 0.0
+                acc = sum(p[k][mu] * ETA[k] * p[k][nu] for k in range(4))
+                target = ETA[mu] if mu == nu else 0.0
                 worst = scalars.nan_max(worst, abs(acc - target))
         return worst
-
-    def validate(self, tol: float = DEFAULT_TOLERANCE) -> None:
-        if self.metric_residual() > tol:
-            raise InvalidSpinError("matrix does not preserve the metric")
-        if abs(float(self.det()) - 1.0) > tol:
-            raise InvalidSpinError("matrix determinant differs from 1")
-        if float(self.rows[0][0]) <= 0:
-            raise InvalidSpinError("matrix reverses time orientation")
 
 
 def lorentz_of(s: SpinElement, inverse: bool = False,
@@ -292,12 +283,6 @@ def _canonical_sign(s: SpinElement) -> SpinElement:
     return -s if coeffs[lead] < 0 else s
 
 
-def _check_secondary(h: Multivector, i2: Multivector, k2: Multivector) -> None:
-    from .generators import make_secondary
-
-    make_secondary(h, i2, k2)
-
-
 def recover_spin_candidates(h: Multivector, i2: Multivector, k2: Multivector,
                             rank_tol: float = 1e-9) -> tuple[SpinElement, SpinElement]:
     """Both spin elements (differing by global sign) that carry the generators
@@ -308,7 +293,7 @@ def recover_spin_candidates(h: Multivector, i2: Multivector, k2: Multivector,
     one-dimensional, and both signs of the normalized solution satisfy all
     three equations.
     """
-    _check_secondary(h, i2, k2)
+    make_secondary(h, i2, k2)
     backend = h.backend
     targets = [
         (h, basis_vector(0, backend)),

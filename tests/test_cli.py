@@ -285,6 +285,49 @@ def test_bad_numbers_are_usage_errors(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+# ---- field expressions: one grammar, one parser ---------------------------------
+
+
+@pytest.mark.parametrize("state", ["2 3", "e0 e1", "e0 -"])
+def test_juxtaposed_terms_and_dangling_signs_are_usage_errors(state, capsys):
+    code, out, err = run_cli(["residual", "--form", "ilk", "--state", state], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("bare,bladed", [
+    ("2 exp(i[1,0,0,0])", "2 e exp(i[1,0,0,0])"),
+    ("(1+2i) exp(i[1,0,0,0])", "(1+2i) e exp(i[1,0,0,0])"),
+    ("exp(i[-1,0,0,0])", "e exp(i[-1,0,0,0])"),
+])
+def test_blade_less_wave_is_the_scalar_blade_wave(bare, bladed, capsys):
+    runs = [run_cli(["residual", "--form", "ilk", "--state", s], capsys)
+            for s in (bare, bladed)]
+    assert runs[0] == runs[1] and runs[0][0] in (0, 1)
+
+    from stada.expr import parse_field
+
+    assert parse_field(bare, "float").terms == parse_field(bladed, "float").terms
+    assert parse_field(bare, "exact") == parse_field(bladed, "exact")
+
+
+def test_only_the_expression_module_imports_re():
+    # one scanner reads every text; a second one would start with `import re`
+    import ast
+    from pathlib import Path
+
+    import stada
+
+    importers = []
+    for path in sorted(Path(stada.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "re" in names:
+                importers.append(path.name)
+    assert importers == ["expr.py"]
+
+
 # ---- malformed residual options and JSON inputs -----------------------------------
 
 
