@@ -81,7 +81,7 @@ from .ideal import (
     scalar_product,
 )
 from .fields import AnalyticField, Poly, d, delta, laplace, real_polynomial, upsilon, upsilon_gradient
-from .grid import AliasingWarning, GridField, Stencil, grid_derivative, sample
+from .grid import AliasingWarning, GridField, Stencil, sample
 from .equations import (
     BispinorField,
     CovarianceReport,

@@ -198,8 +198,8 @@ def _reduction_report(args, form: EquationForm, fbasis, pot):
                               pot, args.mass, fbasis.gens)
     rhs = eq.ilk_operator(rho, pot, args.mass).mul_const(t_red, side="right")
     diff = lhs - rhs
-    gap = 0.0 if diff.is_zero() else max(
-        diff.eval(x).max_abs() for x in eq.sample_points(args.seed))
+    gap = 0.0 if diff.is_zero() else scalars.nan_max(
+        *(diff.eval(x).max_abs() for x in eq.sample_points(args.seed)))
     report = eq.ResidualReport(
         form=form.value, backend="float", max_norm=gap, tolerance=args.tolerance,
         verdict="pass" if gap <= args.tolerance else "fail", seed=args.seed,

@@ -25,7 +25,7 @@ from . import scalars
 from .errors import ConsistencyError, DomainError
 from .fields import AnalyticField, Poly, d, phase_cos, phase_sin, upsilon_gradient
 from .generators import SecondaryGenerators, make_secondary
-from .grid import GridField, central_difference, grid_upsilon, sample
+from .grid import GridField, Stencil, central_difference, sample
 from .ideal import IdealBasis, canonical_basis, gamma_of, idempotent_of
 from .multivector import (
     CLIFFORD,
@@ -137,9 +137,10 @@ class BispinorField:
 # ---- norms and sample points -------------------------------------------------
 
 
-def sample_points(seed: int = 0, count: int = 24, radius: float = 1.0) -> list:
+def sample_points(seed: int = 0) -> list:
+    """24 seeded points of the box [-1, 1]^4."""
     rng = random.Random(seed)
-    return [tuple(rng.uniform(-radius, radius) for _ in range(4)) for _ in range(count)]
+    return [tuple(rng.uniform(-1.0, 1.0) for _ in range(4)) for _ in range(24)]
 
 
 def _rescaled(norm, u) -> float:
@@ -227,7 +228,7 @@ class ResidualReport:
         }
 
 
-def _make_report(form: EquationForm, state_kind: str, residual, h_mv, *,
+def _make_report(form: EquationForm, residual, h_mv, *,
                  tolerance: float, seed: int, notes: list | None = None) -> ResidualReport:
     # rounding in the float checks behind the norm would fail them below the default
     check_tol = max(tolerance, DEFAULT_TOLERANCE)
@@ -257,7 +258,7 @@ def _mass_scalar(m, state):
 
 def _upsilon(state):
     if isinstance(state, GridField):
-        return grid_upsilon(state)
+        return upsilon_gradient(Stencil.identity(state.h)).apply(state)
     return upsilon_gradient(state)
 
 
@@ -355,8 +356,8 @@ def residual_dirac(psi: BispinorField, pot, m, basis: IdealBasis | None = None,
     if psi.backend != basis.backend:
         gammas = tuple(tuple(tuple(complex(v) for v in row) for row in g) for g in gammas)
     res = dirac_operator(psi, pot, m, gammas)
-    return _make_report(EquationForm.DIRAC_MATRIX, "bispinor", res,
-                        basis.gens.h, tolerance=tolerance, seed=seed)
+    return _make_report(EquationForm.DIRAC_MATRIX, res, basis.gens.h,
+                        tolerance=tolerance, seed=seed)
 
 
 def _check_in_ideal(theta, basis: IdealBasis, tol: float) -> None:
@@ -375,7 +376,7 @@ def residual_ideal(theta, pot, m, basis: IdealBasis, *,
                    tolerance: float = DEFAULT_TOLERANCE, seed: int = 0) -> ResidualReport:
     _check_in_ideal(theta, basis, tolerance)
     res = ideal_operator(theta, pot, m)
-    return _make_report(EquationForm.IDEAL, "ideal", res, basis.gens.h,
+    return _make_report(EquationForm.IDEAL, res, basis.gens.h,
                         tolerance=tolerance, seed=seed)
 
 
@@ -402,7 +403,7 @@ def residual_hestenes(state, pot, m, h_mv: Multivector, i_mv: Multivector, *,
     if isinstance(res, AnalyticField):
         # the grade content of the residual is recorded, not asserted
         notes.append(f"residual grades: {sorted(res.grades())}")
-    report = _make_report(EquationForm.HESTENES, "even", res, h_mv,
+    report = _make_report(EquationForm.HESTENES, res, h_mv,
                           tolerance=tolerance, seed=seed, notes=notes)
     return report
 
@@ -411,7 +412,7 @@ def residual_tensor(state, pot, m, h_mv: Multivector, i_mv: Multivector, *,
                     tolerance: float = DEFAULT_TOLERANCE, seed: int = 0) -> ResidualReport:
     _check_even_real(state, tolerance, require_real=True)
     res = even_operator(state, pot, m, h_mv, i_mv)
-    report = _make_report(EquationForm.TENSOR, "even", res, h_mv,
+    report = _make_report(EquationForm.TENSOR, res, h_mv,
                           tolerance=tolerance, seed=seed)
     return report
 
@@ -420,7 +421,7 @@ def residual_ilk(state, pot, m, *, tolerance: float = DEFAULT_TOLERANCE,
                  seed: int = 0) -> ResidualReport:
     res = ilk_operator(state, pot, m)
     h_norm = basis_vector(0, FLOAT)
-    return _make_report(EquationForm.ILK, "form", res, h_norm,
+    return _make_report(EquationForm.ILK, res, h_norm,
                         tolerance=tolerance, seed=seed)
 
 
@@ -428,7 +429,7 @@ def residual_ilk_even(state, pot, m, h_mv: Multivector, *,
                       tolerance: float = DEFAULT_TOLERANCE, seed: int = 0) -> ResidualReport:
     _check_even_real(state, tolerance, require_real=False)
     res = ilk_even_operator(state, pot, m, h_mv)
-    return _make_report(EquationForm.ILK_EVEN, "even-complex", res, h_mv,
+    return _make_report(EquationForm.ILK_EVEN, res, h_mv,
                         tolerance=tolerance, seed=seed)
 
 
@@ -436,7 +437,7 @@ def residual_ilk_e5(state, pot, m, *, tolerance: float = DEFAULT_TOLERANCE,
                     seed: int = 0) -> ResidualReport:
     res = ilk_e5_operator(state, pot, m)
     h_norm = basis_vector(0, FLOAT)
-    return _make_report(EquationForm.ILK_E5, "form", res, h_norm,
+    return _make_report(EquationForm.ILK_E5, res, h_norm,
                         tolerance=tolerance, seed=seed)
 
 
@@ -465,19 +466,13 @@ def reduction_idempotent(kind: str, gens: SecondaryGenerators) -> Multivector:
     one, 't-e5' the pseudoscalar one."""
     backend = gens.backend
     unit = Multivector.unit(backend)
-    half = Fraction(1, 2)
+    i_unit = scalars.imaginary_unit(backend)
     if kind == "t-HI":
-        i_unit = scalars.imaginary_unit(backend)
-        quarter = Fraction(1, 4)
-        return ((unit + gens.h) * (unit - gens.i2.scale(i_unit))).scale(
-            scalars.coerce(quarter, backend) if backend == EXACT else 0.25)
+        return ((unit + gens.h) * (unit - gens.i2.scale(i_unit))).scale(Fraction(1, 4))
     if kind == "t-H":
-        return (unit + gens.h).scale(
-            scalars.coerce(half, backend) if backend == EXACT else 0.5)
+        return (unit + gens.h).scale(Fraction(1, 2))
     if kind == "t-e5":
-        i_unit = scalars.imaginary_unit(backend)
-        return (unit - l5(backend).scale(i_unit)).scale(
-            scalars.coerce(half, backend) if backend == EXACT else 0.5)
+        return (unit - l5(backend).scale(i_unit)).scale(Fraction(1, 2))
     raise DomainError(f"unknown reduction idempotent {kind!r}")
 
 
@@ -706,8 +701,7 @@ def lagrangian(phi: AnalyticField, pot, m, h_mv: Multivector, i_mv: Multivector,
             f_mn = a_fields[nu].partial(mu) - a_fields[mu].partial(nu)
             term = f_mn.clifford(f_mn).scale(ETA[mu] * ETA[nu])
             alt = alt + term
-    half = Fraction(-1, 2) if backend == EXACT else -0.5
-    alt = alt.scale(half)
+    alt = alt.scale(Fraction(-1, 2))
     diff = field_part - alt
     err = 0.0 if diff.is_zero() else nan_max(*(
         abs(complex(diff.eval(x).coeffs[0])) for x in sample_points(seed)))

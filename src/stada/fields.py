@@ -15,6 +15,8 @@ as structural equalities; evaluation at a point always produces floats.
 
 from __future__ import annotations
 
+import functools
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -200,6 +202,10 @@ def _real_poly_as_coeff(p: Poly, backend: str, times_i: bool = False) -> Poly:
     return Poly({exps: _coeff_from_real(c, backend, times_i) for exps, c in p.terms.items()})
 
 
+# 1/2 and -i/2, built once: the float backend converts them without building a QQi
+_HALF = QQi(1, 0, 2)
+_MINUS_HALF_I = QQi(0, -1, 2)
+
 # per blade, the blade map that moves its coefficient onto the unit blade
 _COMPONENT_MAPS = tuple(tuple((int(m == mask), 0) for m in range(16)) for mask in range(16))
 
@@ -377,12 +383,10 @@ class AnalyticField:
         return self._map_blades(STAR_TABLE)
 
     def real_part(self) -> "AnalyticField":
-        half = Fraction(1, 2) if self.backend == EXACT else 0.5
-        return (self + self.conjugate()).scale(half)
+        return (self + self.conjugate()).scale(Fraction(1, 2))
 
     def imag_part(self) -> "AnalyticField":
-        s = QQi(0, -1, 2) if self.backend == EXACT else complex(0, -0.5)
-        return (self - self.conjugate()).scale(s)
+        return (self - self.conjugate()).scale(_MINUS_HALF_I)
 
     def is_real(self, tol: float = DEFAULT_TOLERANCE) -> bool:
         diff = self - self.conjugate()
@@ -445,10 +449,12 @@ class AnalyticField:
     def wedge(self, other: "AnalyticField") -> "AnalyticField":
         return self._blade_mul(other, WEDGE)
 
-    def mul_const(self, mv: Multivector, side: str = "right") -> "AnalyticField":
+    def mul_const(self, mv: Multivector, side: str = "right",
+                  product: BladeProduct = CLIFFORD) -> "AnalyticField":
+        """Multiply by the constant mv, on the given side, under the given product."""
         const = AnalyticField.constant(mv)
         a, b = (self, const) if side == "right" else (const, self)
-        return a.clifford(b)
+        return a._blade_mul(b, product)
 
     # ---- evaluation ----------------------------------------------------------------
 
@@ -488,44 +494,50 @@ class AnalyticField:
 
 
 # ---- the differential operators ---------------------------------------------
+#
+# Each formula uses only calls that an AnalyticField and a grid.Stencil both
+# answer: partial, mul_const, hodge_star, +, -, negation and scale.  On a
+# field they differentiate; on Stencil.identity(h) they build the lattice
+# operator of spacing h.
 
 
-def d(field: AnalyticField) -> AnalyticField:
+def _sum(terms):
+    """The sum of a non-empty list of fields or stencils, left to right."""
+    return functools.reduce(operator.add, terms)
+
+
+def _gradient(field, product: BladeProduct):
+    """sum_mu e^mu (product) partial_mu field."""
+    return _sum([field.partial(mu).mul_const(basis_vector(mu, field.backend), side="left",
+                                             product=product)
+                 for mu in range(4)])
+
+
+def d(field):
     """Exterior derivative: wedge each basis covector onto the matching partial."""
-    out = AnalyticField.zero(field.backend)
-    for mu in range(4):
-        e_mu = AnalyticField.constant(basis_vector(mu, field.backend))
-        out = out + e_mu.wedge(field.partial(mu))
-    return out
+    return _gradient(field, WEDGE)
 
 
-def delta(field: AnalyticField) -> AnalyticField:
+def delta(field):
     """Codifferential, the star-conjugated derivative."""
     return d(field.hodge_star()).hodge_star()
 
 
-def upsilon(field: AnalyticField) -> AnalyticField:
+def upsilon(field):
     """The first-order operator d - delta."""
     return d(field) - delta(field)
 
 
-def upsilon_gradient(field: AnalyticField) -> AnalyticField:
+def upsilon_gradient(field):
     """The same operator computed as the Clifford action of the gradient."""
-    out = AnalyticField.zero(field.backend)
-    for mu in range(4):
-        e_mu = AnalyticField.constant(basis_vector(mu, field.backend))
-        out = out + e_mu.clifford(field.partial(mu))
-    return out
+    return _gradient(field, CLIFFORD)
 
 
-def laplace(field: AnalyticField, route: str = "direct") -> AnalyticField:
+def laplace(field, route: str = "direct"):
     """Second-order operator; `route` picks one of the four equivalent forms."""
     if route == "direct":
-        out = AnalyticField.zero(field.backend)
-        for mu in range(4):
-            second = field.partial(mu).partial(mu)
-            out = out + (second if ETA[mu] > 0 else -second)
-        return out
+        seconds = [field.partial(mu).partial(mu) for mu in range(4)]
+        return _sum([s if ETA[mu] > 0 else -s for mu, s in enumerate(seconds)])
     if route == "upsilon":
         return upsilon_gradient(upsilon_gradient(field))
     if route == "d_minus_delta":
@@ -537,7 +549,7 @@ def laplace(field: AnalyticField, route: str = "direct") -> AnalyticField:
 
 def phase_cos(lam: Poly, backend: str) -> AnalyticField:
     """cos(lam) as a scalar field, via the two conjugate phase terms."""
-    half = QQi(1, 0, 2) if backend == EXACT else complex(0.5)
+    half = scalars.coerce(_HALF, backend)
     pos = [Poly.constant(half) if m == 0 else Poly() for m in range(16)]
     neg = [Poly.constant(half) if m == 0 else Poly() for m in range(16)]
     return AnalyticField(backend, [(lam, pos), (-lam, neg)])
@@ -545,7 +557,7 @@ def phase_cos(lam: Poly, backend: str) -> AnalyticField:
 
 def phase_sin(lam: Poly, backend: str) -> AnalyticField:
     """sin(lam) as a scalar field."""
-    lo = QQi(0, -1, 2) if backend == EXACT else complex(0, -0.5)
+    lo = scalars.coerce(_MINUS_HALF_I, backend)
     hi = -lo
     pos = [Poly.constant(lo) if m == 0 else Poly() for m in range(16)]
     neg = [Poly.constant(hi) if m == 0 else Poly() for m in range(16)]

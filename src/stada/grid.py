@@ -1,11 +1,14 @@
-"""Periodic lattice backend for form fields and central-difference operators.
+"""Periodic lattice backend: grid fields, sampling, grid I/O and stencils.
 
 Grid operators are stencils: maps from lattice offsets to 16x16 blade
-matrices.  Composing stencils multiplies matrices and adds offsets, so
-algebraic cancellations (for instance the antisymmetry that kills the
-composed exterior derivative) happen symbolically, before any data is
-touched: the composed operator is the empty stencil and applying it
-returns exact zeros, not rounding dust.
+matrices, built for one lattice spacing.  A stencil answers the calls the
+operator formulas of `stada.fields` make on a field, so those formulas
+applied to `Stencil.identity(h)` build the lattice operators.  Composing
+stencils multiplies matrices and adds offsets, so algebraic cancellations
+(for instance the antisymmetry that kills the composed exterior
+derivative) happen symbolically, before any data is touched: the composed
+operator is the empty stencil and applying it returns exact zeros, not
+rounding dust.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ import numpy as np
 
 from .errors import DomainError
 from .exterior import STAR_TABLE
-from .fields import AnalyticField
+from .fields import AnalyticField, d, laplace
 from .kernel import EVERY_BLADE, BladeProduct
-from .multivector import CLIFFORD, ETA, GRADE_MAPS, ODD_MAP, REVERSION_MAP, WEDGE, Multivector
+from .multivector import CLIFFORD, GRADE_MAPS, ODD_MAP, REVERSION_MAP, Multivector
 from .scalars import DEFAULT_TOLERANCE, FLOAT
 
 Offset = tuple[int, int, int, int]
@@ -33,33 +36,22 @@ class AliasingWarning(UserWarning):
     """Sampling a field whose frequencies do not fit the periodic box."""
 
 
-def _blade_matrix(kind: BladeProduct, mv: Multivector) -> np.ndarray:
-    """16x16 matrix of left multiplication by mv under the given product."""
+def _blade_matrix(kind: BladeProduct, mv: Multivector, side: str) -> np.ndarray:
+    """16x16 matrix of multiplication by mv under the given product, with mv
+    on the given side: column j is the image of blade j."""
     out = np.zeros((16, 16), dtype=complex)
-    for i, j, sign, mask in kind.live_terms(mv.coeffs, EVERY_BLADE):
-        out[mask, j] += sign * complex(mv.coeffs[i])
+    if side == "left":
+        for i, j, sign, mask in kind.live_terms(mv.coeffs, EVERY_BLADE):
+            out[mask, j] += sign * complex(mv.coeffs[i])
+    else:
+        for j, j2, sign, mask in kind.live_terms(EVERY_BLADE, mv.coeffs):
+            out[mask, j] += sign * complex(mv.coeffs[j2])
     return out
-
-
-def _blade_matrix_right(kind: BladeProduct, mv: Multivector) -> np.ndarray:
-    """Matrix of RIGHT multiplication by mv: input blade index j, factor on the right."""
-    out = np.zeros((16, 16), dtype=complex)
-    for j, j2, sign, mask in kind.live_terms(EVERY_BLADE, mv.coeffs):
-        out[mask, j] += sign * complex(mv.coeffs[j2])
-    return out
-
-
-def clifford_left_matrix(mv: Multivector) -> np.ndarray:
-    return _blade_matrix(CLIFFORD, mv)
-
-
-def wedge_left_matrix(mv: Multivector) -> np.ndarray:
-    return _blade_matrix(WEDGE, mv)
 
 
 # the Hodge star blade map as a matrix: column m holds its sign in row target
 _STAR_M = np.array([[sign * (target == i) for sign, target in STAR_TABLE] for i in range(16)],
-                   dtype=float)
+                   dtype=complex)
 
 
 @dataclass
@@ -102,8 +94,7 @@ class GridField:
         return GridField(self.n, self.h, self.values * complex(value))
 
     def mul_const(self, mv: Multivector, side: str = "right") -> "GridField":
-        mat = (_blade_matrix_right(CLIFFORD, mv.to_float()) if side == "right"
-               else _blade_matrix(CLIFFORD, mv.to_float()))
+        mat = _blade_matrix(CLIFFORD, mv.to_float(), side)
         return GridField(self.n, self.h, np.einsum("ij,j...->i...", mat, self.values))
 
     def pointwise_product(self, other: "GridField") -> "GridField":
@@ -226,34 +217,39 @@ def _dump_values(values: np.ndarray, n: int) -> np.ndarray:
 
 
 class Stencil:
-    """Linear lattice operator: finite map offset -> 16x16 matrix."""
+    """Linear operator on the lattice of spacing h: finite map offset -> 16x16 matrix.
 
-    __slots__ = ("entries",)
+    It answers the field calls of the operator formulas -- `partial`,
+    `mul_const`, `hodge_star`, sums, negation and `scale` -- by composing
+    on the left.  Stencils of different spacings do not combine, and a
+    stencil applies only to grids of its own spacing.
+    """
 
-    def __init__(self, entries: dict[Offset, np.ndarray] | None = None):
-        clean = {}
-        if entries:
-            for off, mat in entries.items():
-                if mat.any():
-                    clean[off] = mat
-        self.entries = clean
+    __slots__ = ("h", "entries")
+
+    backend = FLOAT  # the operator formulas build their basis vectors on it
+
+    def __init__(self, h: float, entries: dict[Offset, np.ndarray] | None = None):
+        self.h = h
+        self.entries = {off: mat for off, mat in (entries or {}).items() if mat.any()}
 
     @classmethod
-    def identity(cls) -> "Stencil":
-        return cls({_ZERO_OFFSET: np.eye(16, dtype=complex)})
+    def identity(cls, h: float) -> "Stencil":
+        return cls(h, {_ZERO_OFFSET: np.eye(16, dtype=complex)})
 
-    @classmethod
-    def constant(cls, mat: np.ndarray) -> "Stencil":
-        return cls({_ZERO_OFFSET: mat.astype(complex)})
+    def _check(self, other: "Stencil") -> None:
+        if self.h != other.h:
+            raise DomainError(f"stencil spacings differ: {self.h} vs {other.h}")
 
     def __add__(self, other: "Stencil") -> "Stencil":
+        self._check(other)
         out = {off: mat.copy() for off, mat in self.entries.items()}
         for off, mat in other.entries.items():
             if off in out:
                 out[off] = out[off] + mat
             else:
                 out[off] = mat.copy()
-        return Stencil(out)
+        return Stencil(self.h, out)
 
     def __sub__(self, other: "Stencil") -> "Stencil":
         return self + other.scale(-1.0)
@@ -262,10 +258,11 @@ class Stencil:
         return self.scale(-1.0)
 
     def scale(self, value) -> "Stencil":
-        return Stencil({off: mat * value for off, mat in self.entries.items()})
+        return Stencil(self.h, {off: mat * value for off, mat in self.entries.items()})
 
     def compose(self, other: "Stencil") -> "Stencil":
         """self after other."""
+        self._check(other)
         out: dict[Offset, np.ndarray] = {}
         for o1, m1 in self.entries.items():
             for o2, m2 in other.entries.items():
@@ -275,7 +272,26 @@ class Stencil:
                     out[off] = out[off] + prod
                 else:
                     out[off] = prod
-        return Stencil(out)
+        return Stencil(self.h, out)
+
+    def _left(self, mat: np.ndarray) -> "Stencil":
+        """The constant blade matrix `mat` after self."""
+        return Stencil(self.h, {off: mat @ m for off, m in self.entries.items()})
+
+    def partial(self, mu: int) -> "Stencil":
+        """The second-order central difference along axis mu, after self."""
+        c = 1.0 / (2.0 * self.h)
+        eye = np.eye(16, dtype=complex)
+        step = tuple(int(i == mu) for i in range(4))
+        back = tuple(-k for k in step)
+        return Stencil(self.h, {step: eye * c, back: eye * (-c)}).compose(self)
+
+    def mul_const(self, mv: Multivector, side: str = "right",
+                  product: BladeProduct = CLIFFORD) -> "Stencil":
+        return self._left(_blade_matrix(product, mv.to_float(), side))
+
+    def hodge_star(self) -> "Stencil":
+        return self._left(_STAR_M)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -283,12 +299,13 @@ class Stencil:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Stencil):
             return NotImplemented
-        if set(self.entries) != set(other.entries):
+        if self.h != other.h or set(self.entries) != set(other.entries):
             return False
         return all(np.array_equal(self.entries[o], other.entries[o])
                    for o in self.entries)
 
     def isclose(self, other: "Stencil", tol: float = 1e-10) -> bool:
+        self._check(other)
         scale = max([np.abs(m).max() for m in self.entries.values()], default=1.0)
         for off in set(self.entries) | set(other.entries):
             a = self.entries.get(off)
@@ -302,6 +319,9 @@ class Stencil:
         return True
 
     def apply(self, field: GridField) -> GridField:
+        if field.h != self.h:
+            raise DomainError(f"a stencil of spacing {self.h} cannot act on a grid "
+                              f"of spacing {field.h}")
         out = np.zeros_like(field.values)
         for off, mat in self.entries.items():
             shifted = field.values
@@ -313,74 +333,14 @@ class Stencil:
         return GridField(field.n, field.h, out)
 
 
-def derivative_stencil(mu: int, h: float) -> Stencil:
-    """Second-order central difference along one axis."""
-    c = 1.0 / (2.0 * h)
-    plus = tuple(1 if i == mu else 0 for i in range(4))
-    minus = tuple(-1 if i == mu else 0 for i in range(4))
-    eye = np.eye(16, dtype=complex)
-    return Stencil({plus: eye * c, minus: eye * (-c)})
-
-
 def d_stencil(h: float) -> Stencil:
-    out = Stencil()
-    for mu in range(4):
-        wedge = wedge_left_matrix(Multivector.basis(1 << mu, FLOAT))
-        out = out + Stencil.constant(wedge).compose(derivative_stencil(mu, h))
-    return out
-
-
-def delta_stencil(h: float) -> Stencil:
-    star = Stencil.constant(_STAR_M.astype(complex))
-    return star.compose(d_stencil(h)).compose(star)
-
-
-def upsilon_stencil(h: float) -> Stencil:
-    return d_stencil(h) - delta_stencil(h)
-
-
-def upsilon_gradient_stencil(h: float) -> Stencil:
-    out = Stencil()
-    for mu in range(4):
-        cl = clifford_left_matrix(Multivector.basis(1 << mu, FLOAT))
-        out = out + Stencil.constant(cl).compose(derivative_stencil(mu, h))
-    return out
+    """The lattice exterior derivative of spacing h."""
+    return d(Stencil.identity(h))
 
 
 def laplace_stencil(h: float, route: str = "direct") -> Stencil:
-    if route == "direct":
-        out = Stencil()
-        for mu in range(4):
-            dmu = derivative_stencil(mu, h)
-            out = out + dmu.compose(dmu).scale(ETA[mu])
-        return out
-    if route == "upsilon":
-        u = upsilon_gradient_stencil(h)
-        return u.compose(u)
-    if route == "d_minus_delta":
-        u = upsilon_stencil(h)
-        return u.compose(u)
-    if route == "de_rham":
-        ds = d_stencil(h)
-        dl = delta_stencil(h)
-        return -(ds.compose(dl) + dl.compose(ds))
-    raise DomainError(f"unknown laplace route {route!r}")
-
-
-def grid_derivative(field: GridField, mu: int) -> GridField:
-    return derivative_stencil(mu, field.h).apply(field)
-
-
-def grid_d(field: GridField) -> GridField:
-    return d_stencil(field.h).apply(field)
-
-
-def grid_upsilon(field: GridField) -> GridField:
-    return upsilon_gradient_stencil(field.h).apply(field)
-
-
-def grid_laplace(field: GridField, route: str = "direct") -> GridField:
-    return laplace_stencil(field.h, route).apply(field)
+    """The lattice second-order operator of spacing h, by the named route."""
+    return laplace(Stencil.identity(h), route)
 
 
 def central_difference(arr: np.ndarray, mu: int, h: float) -> np.ndarray:

@@ -42,7 +42,7 @@ class IdealBasis:
 
     On the exact backend the matrix representation is linear in U, so the
     images of the 16 basis blades are built once per basis, on the first
-    unverified `gamma_of`, and every later call combines them.
+    `gamma_of`, and every later call combines them.
     """
 
     gens: SecondaryGenerators
@@ -81,8 +81,7 @@ def idempotent_of(g: SecondaryGenerators, tol: float = DEFAULT_TOLERANCE) -> Ide
     backend = g.backend
     unit = Multivector.unit(backend)
     i_unit = scalars.imaginary_unit(backend)
-    quarter = scalars.coerce(Fraction(1, 4), backend) if backend == EXACT else 0.25
-    t = ((unit + g.h) * (unit - g.i2.scale(i_unit))).scale(quarter)
+    t = ((unit + g.h) * (unit - g.i2.scale(i_unit))).scale(Fraction(1, 4))
     ps = g.pseudoscalar()
     fs = (
         unit,
@@ -117,37 +116,36 @@ def canonical_basis(backend: str = EXACT) -> IdealBasis:
 # ---- the matrix representation -------------------------------------------
 
 
-def gamma_of(u: Multivector, basis: IdealBasis, verify: bool = True,
-             tol: float = DEFAULT_TOLERANCE) -> tuple:
+def gamma_of(u: Multivector, basis: IdealBasis, tol: float = DEFAULT_TOLERANCE) -> tuple:
     """The 4x4 matrix of left multiplication on the ideal basis: entry
     [n][k] is (U t_k, t^n); the upper index enumerates rows.
 
-    With `verify` the reconstruction U t_k = sum_n gamma[n][k] t_n is
-    checked before returning.  Without it, the exact backend combines the
-    blade images of `basis`, each of which passed that check once."""
-    if basis.backend == EXACT and u.backend == EXACT and not verify:
+    The reconstruction U t_k = sum_n gamma[n][k] t_n holds for every
+    returned matrix.  On the exact backend it is checked once per basis
+    blade, when the blade images of `basis` are built, and exact linearity
+    carries it to every U; on the float backend each call forms the
+    products and checks it."""
+    if basis.backend == EXACT and u.backend == EXACT:
         flat = basis.blade_images(u.coeffs)
         return tuple(tuple(flat[4 * n:4 * n + 4]) for n in range(4))
-    return _gamma_matrix(u, basis, verify, tol)
+    return _gamma_matrix(u, basis, tol)
 
 
-def _gamma_matrix(u: Multivector, basis: IdealBasis, verify: bool = True,
+def _gamma_matrix(u: Multivector, basis: IdealBasis,
                   tol: float = DEFAULT_TOLERANCE) -> tuple:
-    """gamma_of from the products U t_k, optionally with the reconstruction check."""
+    """gamma_of from the products U t_k, with the reconstruction check."""
     products = [u * tk for tk in basis.ts]
     mat = tuple(
         tuple(scalar_part_of_product(products[k], basis.ts_dagger[n]) * 4
               for k in range(4))
         for n in range(4)
     )
-    if verify:
-        backend = basis.backend
-        for k in range(4):
-            recon = Multivector.zero(backend)
-            for n in range(4):
-                recon = recon + basis.ts[n].scale(mat[n][k])
-            if not (recon - products[k]).is_zero(tol):
-                raise ConsistencyError("representation reconstruction failed")
+    for k in range(4):
+        recon = Multivector.zero(basis.backend)
+        for n in range(4):
+            recon = recon + basis.ts[n].scale(mat[n][k])
+        if not (recon - products[k]).is_zero(tol):
+            raise ConsistencyError("representation reconstruction failed")
     return mat
 
 
@@ -215,12 +213,8 @@ def even_from_ideal(phi: Multivector, basis: IdealBasis,
     unit = Multivector.unit(backend)
     out = Multivector.zero(backend)
     for c, f in zip(comps, basis.fs):
-        if backend == EXACT:
-            alpha = scalars.QQi.from_rational(c.real)
-            beta = scalars.QQi.from_rational(c.imag)
-        else:
-            alpha = complex(c.real, 0.0)
-            beta = complex(c.imag, 0.0)
+        alpha = scalars.from_real(c.real, backend)
+        beta = scalars.from_real(c.imag, backend)
         out = out + f * (unit.scale(alpha) + basis.gens.i2.scale(beta))
     return out
 

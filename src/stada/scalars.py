@@ -196,8 +196,6 @@ def coerce(value, backend: str) -> Scalar:
         if isinstance(value, (int, Fraction)):
             return QQi.from_rational(value)
         raise TypeError(f"cannot coerce {type(value).__name__} into an exact scalar")
-    if isinstance(value, QQi):
-        return complex(value)
     return complex(value)
 
 

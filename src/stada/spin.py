@@ -34,6 +34,12 @@ _BIVECTOR_MASKS = MASKS_OF_GRADE[2]
 # Bivector planes that square to +unit (boosts) contain the time axis.
 _BOOST_MASKS = tuple(m for m in _BIVECTOR_MASKS if m & 1)
 
+# the exponential series stops at the first term below the cutoff
+_SERIES_CUTOFF = 1e-18
+_SERIES_TERMS = 256
+# relative singular-value cutoff of the float intertwiner kernel
+_RANK_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SpinElement:
@@ -83,8 +89,7 @@ def sandwich_inverse(s: SpinElement, u: Multivector) -> Multivector:
     return s.element * u * s.reverse
 
 
-def spin_from_bivector(b: Multivector, series_cutoff: float = 1e-18,
-                       max_terms: int = 256) -> SpinElement:
+def spin_from_bivector(b: Multivector) -> SpinElement:
     """exp(b) for a real grade-2 element, by the power series on the algebra."""
     if not b.is_homogeneous(2):
         raise DomainError("exponential generator must be homogeneous grade 2")
@@ -93,15 +98,15 @@ def spin_from_bivector(b: Multivector, series_cutoff: float = 1e-18,
     b = b.to_float()
     total = Multivector.unit(FLOAT)
     term = Multivector.unit(FLOAT)
-    for n in range(1, max_terms + 1):
+    for n in range(1, _SERIES_TERMS + 1):
         term = (term * b).scale(1.0 / n)
         total = total + term
         size = term.max_abs()
-        if size < series_cutoff:
+        if size < _SERIES_CUTOFF:
             return SpinElement.of(total)
         if size > 1e150:
             raise ConvergenceError("exponential series grew without bound")
-    raise ConvergenceError(f"exponential series did not settle in {max_terms} terms")
+    raise ConvergenceError(f"exponential series did not settle in {_SERIES_TERMS} terms")
 
 
 def random_spin(rng: random.Random, scale: float = 1.0) -> SpinElement:
@@ -213,12 +218,11 @@ def _intertwine_rows(a: Multivector, b: Multivector) -> list[list]:
     return [[cols[j][i] for j in range(len(EVEN_MASKS))] for i in range(16)]
 
 
-def intertwiner_basis(pairs: list[tuple[Multivector, Multivector]],
-                      rank_tol: float = 1e-9) -> list[Multivector]:
+def intertwiner_basis(pairs: list[tuple[Multivector, Multivector]]) -> list[Multivector]:
     """Basis of even solutions X of the system a_i X = X b_i.
 
     Exact inputs give an exact kernel; float inputs use an SVD with the
-    relative singular-value cutoff `rank_tol`.
+    relative singular-value cutoff `_RANK_TOL`.
     """
     backend = pairs[0][0].backend
     stacked = []
@@ -233,7 +237,7 @@ def intertwiner_basis(pairs: list[tuple[Multivector, Multivector]],
         return out
     mat = np.array([[float(v) for v in row] for row in stacked])
     _, sing, vh = np.linalg.svd(mat)
-    cutoff = rank_tol * (sing[0] if len(sing) else 1.0)
+    cutoff = _RANK_TOL * (sing[0] if len(sing) else 1.0)
     kernel_rows = [vh[i] for i in range(len(vh)) if i >= len(sing) or sing[i] <= cutoff]
     out = []
     for vec in kernel_rows:
@@ -283,8 +287,8 @@ def _canonical_sign(s: SpinElement) -> SpinElement:
     return -s if coeffs[lead] < 0 else s
 
 
-def recover_spin_candidates(h: Multivector, i2: Multivector, k2: Multivector,
-                            rank_tol: float = 1e-9) -> tuple[SpinElement, SpinElement]:
+def recover_spin_candidates(h: Multivector, i2: Multivector,
+                            k2: Multivector) -> tuple[SpinElement, SpinElement]:
     """Both spin elements (differing by global sign) that carry the generators
     (h, i2, k2) onto the canonical ones.
 
@@ -300,7 +304,7 @@ def recover_spin_candidates(h: Multivector, i2: Multivector, k2: Multivector,
         (i2, -Multivector.basis(0b0110, backend)),
         (k2, -Multivector.basis(0b1010, backend)),
     ]
-    kernel = intertwiner_basis(targets, rank_tol)
+    kernel = intertwiner_basis(targets)
     if len(kernel) != 1:
         raise InvalidSpinError(
             f"expected a one-dimensional solution space, found {len(kernel)}")
@@ -308,15 +312,13 @@ def recover_spin_candidates(h: Multivector, i2: Multivector, k2: Multivector,
     return s, -s
 
 
-def recover_spin(h: Multivector, i2: Multivector, k2: Multivector,
-                 rank_tol: float = 1e-9) -> SpinElement:
+def recover_spin(h: Multivector, i2: Multivector, k2: Multivector) -> SpinElement:
     """The canonical-sign spin element mapping (h, i2, k2) to the standard
     generator triple; its negative satisfies the same equations."""
-    return recover_spin_candidates(h, i2, k2, rank_tol)[0]
+    return recover_spin_candidates(h, i2, k2)[0]
 
 
-def recover_spin_pair(h: Multivector, i2: Multivector,
-                      rank_tol: float = 1e-9) -> SpinElement:
+def recover_spin_pair(h: Multivector, i2: Multivector) -> SpinElement:
     """Some spin element mapping a grade-1/grade-2 pair (h, i2) onto the
     canonical pair; with only two conditions the solution is not unique."""
     backend = h.backend
@@ -324,7 +326,7 @@ def recover_spin_pair(h: Multivector, i2: Multivector,
         (h, basis_vector(0, backend)),
         (i2, -Multivector.basis(0b0110, backend)),
     ]
-    kernel = intertwiner_basis(targets, rank_tol)
+    kernel = intertwiner_basis(targets)
     if not kernel:
         raise InvalidSpinError("the intertwining system has no even solutions")
     for x in kernel:
@@ -335,14 +337,13 @@ def recover_spin_pair(h: Multivector, i2: Multivector,
     raise InvalidSpinError("no kernel element normalizes to a spin element")
 
 
-def recover_even_intertwiner(pairs: list[tuple[Multivector, Multivector]],
-                             rank_tol: float = 1e-9) -> Multivector:
+def recover_even_intertwiner(pairs: list[tuple[Multivector, Multivector]]) -> Multivector:
     """Some invertible even X with a_i X = X b_i for every pair; used for
     instance checks of conjugation statements that do not need Spin
     normalization."""
     from .multivector import inverse
 
-    kernel = intertwiner_basis(pairs, rank_tol)
+    kernel = intertwiner_basis(pairs)
     rng = random.Random(7)
     candidates = list(kernel)
     for _ in range(8):

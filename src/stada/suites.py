@@ -23,16 +23,7 @@ from . import exterior, generators, ideal, linalg, spin
 from .errors import InvalidGeneratorError
 from .expr import eval_expr
 from .fields import AnalyticField, Poly, d, delta, laplace, real_polynomial, upsilon, upsilon_gradient
-from .grid import (
-    GridField,
-    d_stencil,
-    delta_stencil,
-    grid_upsilon,
-    laplace_stencil,
-    sample,
-    upsilon_gradient_stencil,
-    upsilon_stencil,
-)
+from .grid import GridField, Stencil, sample
 from .multivector import (
     ETA,
     EVEN_MASKS,
@@ -604,9 +595,9 @@ def _suite_representation(seed: int, iterations: int | None, tolerance: float) -
     for _ in range(n_hom):
         u = _random_mv(rng, span=1)
         v = _random_mv(rng, span=1)
-        gu = ideal.gamma_of(u, basis, verify=False)
-        gv = ideal.gamma_of(v, basis, verify=False)
-        guv = ideal.gamma_of(u * v, basis, verify=False)
+        gu = ideal.gamma_of(u, basis)
+        gv = ideal.gamma_of(v, basis)
+        guv = ideal.gamma_of(u * v, basis)
         if not linalg.mat_eq(guv, linalg.mat_mul(gu, gv)):
             bad += 1
     _check(res, "representation.gamma_homomorphism",
@@ -618,16 +609,16 @@ def _suite_representation(seed: int, iterations: int | None, tolerance: float) -
     for _ in range(8):
         s = spin.random_rational_spin(rng, factors=2)
         new_basis = ideal.representation_change(s, basis)
-        gs = ideal.gamma_of(s.element, basis, verify=False)
-        gs_rev = ideal.gamma_of(s.reverse, basis, verify=False)
+        gs = ideal.gamma_of(s.element, basis)
+        gs_rev = ideal.gamma_of(s.reverse, basis)
         for _ in range(4):
             u = _random_mv(rng, span=1)
-            lhs = ideal.gamma_of(u, new_basis, verify=False)
-            rhs = linalg.mat_mul(linalg.mat_mul(gs, ideal.gamma_of(u, basis, verify=False)),
+            lhs = ideal.gamma_of(u, new_basis)
+            rhs = linalg.mat_mul(linalg.mat_mul(gs, ideal.gamma_of(u, basis)),
                                  gs_rev)
             if not linalg.mat_eq(lhs, rhs):
                 bad += 1
-        if not linalg.mat_eq(ideal.gamma_of(s.element, new_basis, verify=False), gs):
+        if not linalg.mat_eq(ideal.gamma_of(s.element, new_basis), gs):
             bad += 1
     _check(res, "representation.change_of_basis",
            "transported bases conjugate the representation by the element's matrix",
@@ -683,7 +674,7 @@ def _suite_representation(seed: int, iterations: int | None, tolerance: float) -
         comps = basis.project_components(psi * basis.t)
         new_basis = ideal.representation_change(s, basis)
         psi2 = psi * s.element
-        gs = ideal.gamma_of(s.element, basis, verify=False)
+        gs = ideal.gamma_of(s.element, basis)
         comps2 = [sum((gs[k][l] * comps[l] for l in range(4)), QQi(0)) for k in range(4)]
         lhs = psi2 * new_basis.t
         rhs = Multivector.zero(EXACT)
@@ -772,27 +763,26 @@ def _suite_fields(seed: int, iterations: int | None, tolerance: float) -> list:
 
     leftovers = 0
     h = math.pi / 4
-    if not d_stencil(h).compose(d_stencil(h)).is_zero():
+    lattice = Stencil.identity(h)
+    dd = d(lattice).compose(d(lattice))
+    if not dd.is_zero():
         leftovers += 1
-    if not delta_stencil(h).compose(delta_stencil(h)).is_zero():
+    if not delta(lattice).compose(delta(lattice)).is_zero():
         leftovers += 1
-    if upsilon_stencil(h) != upsilon_gradient_stencil(h):
+    if upsilon(lattice) != upsilon_gradient(lattice):
         leftovers += 1
     nprng = _np_rng(seed, "fields.grid_identities")
     data = GridField(6, h, nprng.normal(size=(16, 6, 6, 6, 6))
                      + 1j * nprng.normal(size=(16, 6, 6, 6, 6)))
-    applied = d_stencil(h).compose(d_stencil(h)).apply(data)
-    if applied.max_abs() != 0.0:
+    if dd.apply(data).max_abs() != 0.0:
         leftovers += 1
     _check(res, "fields.grid_identities",
            "composed lattice operators cancel symbolically and give exact zeros",
            leftovers, 0)
 
-    close = laplace_stencil(h, "direct").isclose(laplace_stencil(h, "upsilon"), 1e-12)
-    close = close and laplace_stencil(h, "direct").isclose(
-        laplace_stencil(h, "d_minus_delta"), 1e-12)
-    close = close and laplace_stencil(h, "direct").isclose(
-        laplace_stencil(h, "de_rham"), 1e-12)
+    direct = laplace(lattice, "direct")
+    close = all(direct.isclose(laplace(lattice, route), 1e-12)
+                for route in ("upsilon", "d_minus_delta", "de_rham"))
     _check(res, "fields.grid_laplace_routes",
            "lattice second-order routes agree to rounding", 0 if close else 1, 0)
 
@@ -804,7 +794,7 @@ def _suite_fields(seed: int, iterations: int | None, tolerance: float) -> list:
     for hh in (h1, h1 / 2):
         gf = sample(wave, n_grid, hh)
         ga = sample(ana, n_grid, hh)
-        err.append((grid_upsilon(gf) - ga).max_abs())
+        err.append((upsilon_gradient(Stencil.identity(hh)).apply(gf) - ga).max_abs())
     ratio = err[0] / err[1]
     _check(res, "fields.grid_convergence",
            "halving the spacing divides the first-order error by about four",

@@ -176,6 +176,21 @@ def test_residual_reduction(capsys):
         assert any(kind in note for note in data["notes"])
 
 
+@pytest.mark.parametrize("kind", ["t-HI", "t-H", "t-e5"])
+def test_residual_reduction_keeps_a_late_nan(kind, capsys, monkeypatch):
+    # a NaN after a finite sample point must reach the gap, not be dropped by its
+    # max; at m = 0.3 the two sides differ by rounding, so the gap is sampled
+    from stada import equations as eq
+
+    nan = float("nan")
+    monkeypatch.setattr(eq, "sample_points",
+                        lambda seed=0: [(0.1, 0.2, 0.3, 0.4), (nan, nan, nan, nan)])
+    code, _, err = run_cli(["residual", "--form", "ilk", "--reduce", kind, "-m", "0.3"],
+                           capsys)
+    assert code == 2
+    assert "not a finite number" in err
+
+
 def test_residual_grid_state(tmp_path, capsys):
     import math
 

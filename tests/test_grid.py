@@ -6,25 +6,20 @@ import warnings
 import numpy as np
 import pytest
 
+from stada import grid
 from stada.errors import DomainError
-from stada.exterior import hodge_star
-from stada.fields import AnalyticField, upsilon_gradient
+from stada.exterior import _wedge_sequence, hodge_star
+from stada.fields import AnalyticField, d, delta, laplace, upsilon, upsilon_gradient
 from stada.grid import (
     AliasingWarning,
     GridField,
+    Stencil,
     central_difference,
     d_stencil,
-    delta_stencil,
-    grid_d,
-    grid_derivative,
-    grid_laplace,
-    grid_upsilon,
     laplace_stencil,
     sample,
-    upsilon_gradient_stencil,
-    upsilon_stencil,
 )
-from stada.multivector import Multivector, basis_vector
+from stada.multivector import Multivector, basis_vector, blade_indices
 from stada.scalars import FLOAT
 
 
@@ -35,36 +30,92 @@ def random_grid(n=6, h=0.5, seed=0):
 
 
 def test_stencil_nilpotency_is_symbolic():
-    h = 0.37
-    assert d_stencil(h).compose(d_stencil(h)).is_zero()
-    assert delta_stencil(h).compose(delta_stencil(h)).is_zero()
+    lattice = Stencil.identity(0.37)
+    assert d(lattice).compose(d(lattice)).is_zero()
+    assert delta(lattice).compose(delta(lattice)).is_zero()
+    # the formula applied twice cancels as well
+    assert d(d(lattice)).is_zero()
+    assert delta(delta(lattice)).is_zero()
 
 
 def test_composed_nilpotent_stencil_gives_exact_zero():
     f = random_grid()
-    dd = d_stencil(f.h).compose(d_stencil(f.h))
+    lattice = Stencil.identity(f.h)
+    dd = d(lattice).compose(d(lattice))
     assert dd.apply(f).max_abs() == 0.0
-    deldel = delta_stencil(f.h).compose(delta_stencil(f.h))
+    deldel = delta(lattice).compose(delta(lattice))
     assert deldel.apply(f).max_abs() == 0.0
 
 
 def test_upsilon_stencils_identical():
-    h = 0.25
-    assert upsilon_stencil(h) == upsilon_gradient_stencil(h)
+    lattice = Stencil.identity(0.25)
+    assert upsilon(lattice) == upsilon_gradient(lattice)
 
 
 def test_laplace_stencils_close():
-    h = 0.25
-    base = laplace_stencil(h, "direct")
+    lattice = Stencil.identity(0.25)
+    base = laplace(lattice, "direct")
     for route in ("upsilon", "d_minus_delta", "de_rham"):
-        assert base.isclose(laplace_stencil(h, route), 1e-12)
+        assert base.isclose(laplace(lattice, route), 1e-12)
 
 
 def test_derivative_of_constant_grid():
     f = GridField(4, 0.5, np.ones((16, 4, 4, 4, 4), dtype=complex))
+    lattice = Stencil.identity(f.h)
     for mu in range(4):
-        assert grid_derivative(f, mu).max_abs() == 0.0
-    assert grid_d(f).max_abs() == 0.0
+        assert lattice.partial(mu).apply(f).max_abs() == 0.0
+    assert d(lattice).apply(f).max_abs() == 0.0
+
+
+def _wedge_matrix(mu: int) -> np.ndarray:
+    """Left wedge by e_mu from the permutation-sign rule: column j is e_mu ^ e_j."""
+    out = np.zeros((16, 16), dtype=complex)
+    for j in range(16):
+        if not j >> mu & 1:
+            sign, target = _wedge_sequence((mu,) + tuple(blade_indices(j)))
+            out[target, j] = sign
+    return out
+
+
+@pytest.mark.parametrize("h", [0.37, math.pi / 4])
+def test_d_stencil_is_the_central_difference_of_the_wedge(h):
+    entries = d_stencil(h).entries
+    assert len(entries) == 8
+    for mu in range(4):
+        step = tuple(int(i == mu) for i in range(4))
+        back = tuple(-k for k in step)
+        assert np.array_equal(entries[step], _wedge_matrix(mu) / (2 * h))
+        assert np.array_equal(entries[back], -_wedge_matrix(mu) / (2 * h))
+
+
+def test_stencils_of_other_spacings_do_not_mix():
+    f = random_grid(4, 0.5)
+    with pytest.raises(DomainError):
+        d_stencil(0.25).apply(f)
+    with pytest.raises(DomainError):
+        d_stencil(0.25) + d_stencil(0.5)
+    with pytest.raises(DomainError):
+        d_stencil(0.25).compose(d_stencil(0.5))
+    with pytest.raises(DomainError):
+        laplace_stencil(0.25).isclose(laplace_stencil(0.5))
+    assert d_stencil(0.5).apply(f).max_abs() > 0
+
+
+def test_grid_module_holds_no_operator_formula():
+    # the formulas live in stada.fields; grid naming WEDGE or ETA would be a second copy
+    import ast
+    from pathlib import Path
+
+    tree = ast.parse(Path(grid.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert not {"WEDGE", "ETA"} & names
 
 
 def test_sampling_matches_pointwise_eval():
@@ -109,7 +160,7 @@ def test_grid_upsilon_converges_at_second_order():
     for h in (h1, h1 / 2):
         gf = sample(wave, n, h)
         ga = sample(ana, n, h)
-        errs.append((grid_upsilon(gf) - ga).max_abs())
+        errs.append((upsilon_gradient(Stencil.identity(h)).apply(gf) - ga).max_abs())
     ratio = errs[0] / errs[1]
     assert 3.2 <= ratio <= 4.8
 
@@ -118,7 +169,7 @@ def test_grid_laplace_matches_analytic_within_truncation():
     n, h = 16, math.pi / 4
     wave = AnalyticField.plane_wave(Multivector.unit(FLOAT), (1.0, 0.0, 0.0, 0.0))
     gf = sample(wave, n, h)
-    got = grid_laplace(gf)
+    got = laplace(Stencil.identity(h)).apply(gf)
     want = sample(AnalyticField.plane_wave(
         Multivector.unit(FLOAT).scale(-1.0), (1.0, 0.0, 0.0, 0.0)), n, h)
     rel = (got - want).max_abs()
@@ -130,7 +181,7 @@ def test_grid_laplace_matches_analytic_within_truncation():
     gf2 = sample(wave, n, h / 2)
     want2 = sample(AnalyticField.plane_wave(
         Multivector.unit(FLOAT).scale(-1.0), (1.0, 0.0, 0.0, 0.0)), n, h / 2)
-    rel2 = (grid_laplace(gf2) - want2).max_abs()
+    rel2 = (laplace(Stencil.identity(h / 2)).apply(gf2) - want2).max_abs()
     assert 3.2 <= rel / rel2 <= 4.8
 
 

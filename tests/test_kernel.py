@@ -90,8 +90,8 @@ def test_cached_gamma_matches_product_route():
         elements = [Multivector.basis(m) for m in range(16)]
         elements += [_random_exact_mv(rng) for _ in range(10)]
         for u in elements:
-            cached = ideal.gamma_of(u, basis, verify=False)
-            checked = ideal.gamma_of(u, basis, verify=True)
+            cached = ideal.gamma_of(u, basis)
+            checked = ideal._gamma_matrix(u, basis)
             assert cached == checked
             assert all(type(v) is QQi for row in cached for v in row)
         assert "blade_images" in vars(basis)
@@ -100,18 +100,18 @@ def test_cached_gamma_matches_product_route():
 def test_basis_construction_builds_no_image_cache():
     basis = ideal.canonical_basis()
     assert "blade_images" not in vars(basis)
-    ideal.gamma_of(Multivector.basis(1), basis)
-    assert "blade_images" not in vars(basis)
     new_basis = ideal.representation_change(spin.random_rational_spin(random.Random(2)), basis)
+    assert "blade_images" not in vars(basis)
     assert "blade_images" not in vars(new_basis)
-    ideal.gamma_of(Multivector.basis(1), basis, verify=False)
+    # the first exact gamma_of builds the images of its own basis only
+    ideal.gamma_of(Multivector.basis(1), basis)
     assert "blade_images" in vars(basis)
     assert "blade_images" not in vars(new_basis)
 
 
 def test_float_gamma_builds_no_image_cache():
     basis = ideal.canonical_basis(FLOAT)
-    ideal.gamma_of(Multivector.basis(1, FLOAT), basis, verify=False)
+    ideal.gamma_of(Multivector.basis(1, FLOAT), basis)
     assert "blade_images" not in vars(basis)
 
 
