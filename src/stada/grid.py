@@ -53,6 +53,57 @@ def _blade_matrix(kind: BladeProduct, mv: Multivector, side: str) -> np.ndarray:
 _STAR_M = np.array([[sign * (target == i) for sign, target in STAR_TABLE] for i in range(16)],
                    dtype=complex)
 
+_BLADES = np.arange(16)
+
+
+def _xor_diagonals(mat: np.ndarray) -> dict[int, np.ndarray]:
+    """The live xor diagonals of a 16x16 blade matrix: {s: c} with
+    c[i] = mat[i, i ^ s] and c.any(), so that mat = sum over s of diag(c) X_s,
+    where X_s reads blade i ^ s into blade i.  Multiplying by one blade is one
+    diagonal: blade j goes to +-(j ^ k)."""
+    diagonals = {}
+    for s in range(16):
+        c = mat[_BLADES, _BLADES ^ s]
+        if c.any():
+            diagonals[s] = c
+    return diagonals
+
+
+def _times(c: complex, row: np.ndarray) -> np.ndarray:
+    """c * row with each real product rounded before the sum, as einsum and
+    scalar complex arithmetic round it.  numpy's vector complex multiply may
+    fuse a product into the sum; that changes the last bit only when both
+    parts of c are nonzero, so only then are the parts applied one by one."""
+    if c.real and c.imag:
+        return c.real * row + c.imag * (1j * row)
+    return c * row
+
+
+def _apply_blades(mat: np.ndarray, values: np.ndarray, out: np.ndarray,
+                  shift: Offset = _ZERO_OFFSET) -> None:
+    """out[i] += sum_j mat[i, j] values[j], with values read at site + shift.
+
+    One blade row at a time, over the live xor diagonals of mat only: a
+    one-blade multiplication or a difference entry costs one row product per
+    blade, a dense matrix at most sixteen, and the only temporaries are
+    single rows.  Zeros inside a live diagonal are multiplied, not skipped,
+    so 0 * inf still gives NaN.  Each row sums its terms from the lowest
+    source blade up and is added to out once, so finite results equal
+    einsum's bit for bit.
+    """
+    # a zero matrix still multiplies its main diagonal, so a non-finite site
+    # is not dropped from mul_const by zero
+    diagonals = _xor_diagonals(mat) or {0: mat.diagonal()}
+    axes = tuple(axis for axis in range(4) if shift[axis])
+    # reading f(site + k e_axis) means rolling data backwards
+    back = tuple(-shift[axis] for axis in axes)
+    for i in range(16):
+        (j, c), *rest = sorted((i ^ s, diag[i]) for s, diag in diagonals.items())
+        acc = _times(c, values[j])
+        for j, c in rest:
+            acc += _times(c, values[j])
+        out[i] += np.roll(acc, back, axes) if axes else acc
+
 
 @dataclass
 class GridField:
@@ -94,8 +145,9 @@ class GridField:
         return GridField(self.n, self.h, self.values * complex(value))
 
     def mul_const(self, mv: Multivector, side: str = "right") -> "GridField":
-        mat = _blade_matrix(CLIFFORD, mv.to_float(), side)
-        return GridField(self.n, self.h, np.einsum("ij,j...->i...", mat, self.values))
+        out = np.zeros_like(self.values)
+        _apply_blades(_blade_matrix(CLIFFORD, mv.to_float(), side), self.values, out)
+        return GridField(self.n, self.h, out)
 
     def pointwise_product(self, other: "GridField") -> "GridField":
         self._check(other)
@@ -319,17 +371,16 @@ class Stencil:
         return True
 
     def apply(self, field: GridField) -> GridField:
+        """The stencil applied to a grid of its spacing: for each offset, its
+        matrix acts on the blade axis of the field read at site + offset,
+        through the blade kernel `_apply_blades` (one blade row at a time,
+        over the live xor diagonals of the matrix)."""
         if field.h != self.h:
             raise DomainError(f"a stencil of spacing {self.h} cannot act on a grid "
                               f"of spacing {field.h}")
         out = np.zeros_like(field.values)
         for off, mat in self.entries.items():
-            shifted = field.values
-            for axis, k in enumerate(off):
-                if k:
-                    # reading f(site + k e_axis) means rolling data backwards
-                    shifted = np.roll(shifted, -k, axis=1 + axis)
-            out += np.einsum("ij,j...->i...", mat, shifted)
+            _apply_blades(mat, field.values, out, off)
         return GridField(field.n, field.h, out)
 
 

@@ -5,9 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stada import grid
-from stada.errors import DomainError
+from stada.equations import residual_ilk, residual_tensor
+from stada.errors import DomainError, StadaError
 from stada.exterior import _wedge_sequence, hodge_star
 from stada.fields import AnalyticField, d, delta, laplace, upsilon, upsilon_gradient
 from stada.grid import (
@@ -19,6 +22,7 @@ from stada.grid import (
     laplace_stencil,
     sample,
 )
+from stada.ideal import canonical_basis
 from stada.multivector import Multivector, basis_vector, blade_indices
 from stada.scalars import FLOAT
 
@@ -116,6 +120,147 @@ def test_grid_module_holds_no_operator_formula():
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     assert not {"WEDGE", "ETA"} & names
+
+
+def test_no_einsum_in_the_package():
+    # the blade kernel replaced einsum at both grid sites; keep the slow path out
+    import ast
+    from pathlib import Path
+
+    for path in Path(grid.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else None)
+            assert name != "einsum", f"{path.name}:{node.lineno} uses einsum"
+
+
+# ---- the blade kernel against a dense reference ------------------------------------
+
+_EPS = np.finfo(float).eps
+_ROWS = np.arange(16)
+
+
+def _reference_apply(entries, values):
+    """The dense route: shift the whole field, then contract the blade axis."""
+    out = np.zeros_like(values)
+    for off, mat in entries.items():
+        shifted = values
+        for axis, k in enumerate(off):
+            if k:
+                shifted = np.roll(shifted, -k, axis=1 + axis)
+        out += np.einsum("ij,j...->i...", mat, shifted)
+    return out
+
+
+def _coefficients(rng, size):
+    """Complex numbers that are zero, real, imaginary or both, mixed at random."""
+    kind = rng.integers(0, 4, size=size)
+    re, im = rng.normal(size=size), rng.normal(size=size)
+    return np.select([kind == 0, kind == 1, kind == 2], [0j, re + 0j, 1j * im], re + 1j * im)
+
+
+def _blade_matrix_of(kind, rng):
+    """A random 16x16 blade matrix: one xor diagonal, at most one nonzero per row, or dense."""
+    mat = np.zeros((16, 16), dtype=complex)
+    if kind == "xor":
+        mat[_ROWS, _ROWS ^ int(rng.integers(16))] = _coefficients(rng, 16)
+    elif kind == "monomial":
+        mat[_ROWS, rng.integers(0, 16, size=16)] = _coefficients(rng, 16)
+    else:
+        mat[:] = _coefficients(rng, (16, 16))
+    return mat
+
+
+def _assert_matches(got, want, dense, scale):
+    if dense:
+        assert np.abs(got - want).max() <= 16 * _EPS * scale
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+_offsets = st.tuples(*[st.integers(-2, 2)] * 4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["xor", "monomial", "dense"]), _offsets, st.integers(0, 2 ** 32 - 1))
+@example("xor", (0, 0, 0, 0), 1)
+@example("monomial", (1, -2, 0, 2), 2)
+@example("dense", (-1, 0, 2, 1), 3)
+def test_stencil_apply_matches_dense_reference(kind, off, seed):
+    rng = np.random.default_rng(seed)
+    mat = _blade_matrix_of(kind, rng)
+    f = random_grid(4, 0.5, seed=seed)
+    got = Stencil(0.5, {off: mat}).apply(f).values
+    want = _reference_apply({off: mat}, f.values)
+    _assert_matches(got, want, kind == "dense", np.abs(mat).max() * np.abs(f.values).max())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["xor", "monomial", "dense"]), st.integers(0, 2 ** 32 - 1))
+def test_xor_diagonals_rebuild_the_matrix(kind, seed):
+    mat = _blade_matrix_of(kind, np.random.default_rng(seed))
+    diagonals = grid._xor_diagonals(mat)
+    rebuilt = np.zeros_like(mat)
+    for s, c in diagonals.items():
+        assert c.any()
+        rebuilt[_ROWS, _ROWS ^ s] = c
+    assert rebuilt.tobytes() == mat.tobytes()
+    if kind == "xor":
+        assert len(diagonals) <= 1
+
+
+def _product_matrix(mv, side):
+    """Column j holds the coefficients of mv e_j (left) or e_j mv (right)."""
+    cols = [(mv * Multivector.basis(j, FLOAT)) if side == "left"
+            else (Multivector.basis(j, FLOAT) * mv) for j in range(16)]
+    return np.array([[complex(c) for c in col.coeffs] for col in cols]).T
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 16), st.sampled_from(["left", "right"]), st.integers(0, 2 ** 32 - 1))
+def test_mul_const_matches_dense_reference(blades, side, seed):
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros(16, dtype=complex)
+    live = rng.choice(16, size=blades, replace=False)
+    coeffs[live] = _coefficients(rng, blades)
+    if not coeffs.any():
+        coeffs[live[0]] = 1.5 - 0.25j
+    mv = Multivector(list(coeffs), FLOAT)
+    f = random_grid(4, 0.5, seed=seed)
+    mat = _product_matrix(mv, side)
+    got = f.mul_const(mv, side).values
+    want = _reference_apply({(0, 0, 0, 0): mat}, f.values)
+    _assert_matches(got, want, blades > 1, np.abs(mat).max() * np.abs(f.values).max())
+
+
+_BAD_SITE = (1, 2, 3, 0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("blade", range(16))
+def test_non_finite_site_never_vanishes(blade, bad):
+    # zeros inside a live diagonal are multiplied, so 0 * inf spreads as NaN
+    h = 0.5
+    f = GridField.zeros(4, h)
+    f.values[(blade,) + _BAD_SITE] = bad
+    lattice = Stencil.identity(h)
+    basis = canonical_basis(FLOAT)
+    outputs = [d_stencil(h).apply(f), delta(lattice).apply(f),
+               upsilon_gradient(lattice).apply(f), laplace_stencil(h, "direct").apply(f)]
+    outputs += [f.mul_const(mv, side)
+                for mv in (basis.t, basis_vector(0, FLOAT), Multivector.zero(FLOAT))
+                for side in ("left", "right")]
+    for out in outputs:
+        assert not np.isfinite(out.values).all()
+    residuals = [lambda: residual_ilk(f, None, 1.0),
+                 lambda: residual_tensor(f, None, 1.0, basis.gens.h, basis.gens.i2)]
+    for residual in residuals:
+        try:
+            assert residual().verdict != "pass"
+        except StadaError:
+            pass  # refusing the state is not a pass either
 
 
 def test_sampling_matches_pointwise_eval():
