@@ -19,7 +19,7 @@ from .equations import EquationForm
 from .errors import DomainError, ParseError, StadaError
 from .expr import eval_expr, parse_field
 from .fields import AnalyticField, Poly
-from .multivector import format_multivector
+from .multivector import Multivector, format_multivector
 from .scalars import EXACT, FLOAT
 
 EXIT_PASS = 0
@@ -198,8 +198,7 @@ def _reduction_report(args, form: EquationForm, fbasis, pot):
                               pot, args.mass, fbasis.gens)
     rhs = eq.ilk_operator(rho, pot, args.mass).mul_const(t_red, side="right")
     diff = lhs - rhs
-    gap = 0.0 if diff.is_zero() else scalars.nan_max(
-        *(diff.eval(x).max_abs() for x in eq.sample_points(args.seed)))
+    gap = eq.sampled_max(diff, Multivector.max_abs, args.seed)
     report = eq.ResidualReport(
         form=form.value, backend="float", max_norm=gap, tolerance=args.tolerance,
         verdict="pass" if gap <= args.tolerance else "fail", seed=args.seed,
@@ -291,7 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="scalar backend of the equations suite; the other "
                                "suites ignore it")
     p_verify.add_argument("--iterations", type=_count, default=None)
-    p_verify.add_argument("--tolerance", type=_tolerance, default=scalars.DEFAULT_TOLERANCE)
+    p_verify.add_argument("--tolerance", type=_tolerance, default=scalars.DEFAULT_TOLERANCE,
+                          help="tolerance of the equations suite; the other suites "
+                               "ignore it")
     p_verify.add_argument("--report", default=None, metavar="PATH")
     p_verify.set_defaults(func=_cmd_verify)
 

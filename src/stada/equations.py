@@ -130,9 +130,6 @@ class BispinorField:
     def eval(self, x) -> tuple:
         return tuple(complex(a.eval(x).coeffs[0]) for a in self.components)
 
-    def to_float(self) -> "BispinorField":
-        return BispinorField(tuple(a.to_float() for a in self.components))
-
 
 # ---- norms and sample points -------------------------------------------------
 
@@ -177,23 +174,29 @@ def _grid_norm(state: GridField, h_mv: Multivector) -> float:
     return float(norms.max()) if norms.size else 0.0
 
 
-def _state_norm(state, h_mv: Multivector, points, tol: float) -> float:
-    if isinstance(state, BispinorField):
-        worst = 0.0
-        for x in points:
-            vals = state.eval(x)
-            try:
-                worst = nan_max(worst, math.sqrt(sum(abs(v) ** 2 for v in vals)))
-            except OverflowError:  # a finite square beyond float range
-                worst = nan_max(worst, math.hypot(*map(abs, vals)))
-        return worst
-    if isinstance(state, AnalyticField):
-        worst = 0.0
-        for x in points:
-            worst = nan_max(worst, hermitian_norm(state.eval(x), h_mv, tol))
-        return worst
+def sampled_max(field, size, seed: int = 0) -> float:
+    """The largest size(field.eval(x)) over the seeded sample points; 0.0 for a
+    structurally zero field, NaN if any point measures NaN."""
+    if field.is_zero():
+        return 0.0
+    return nan_max(*(size(field.eval(x)) for x in sample_points(seed)))
+
+
+def _column_norm(vals) -> float:
+    """sqrt(sum |v|^2) of a bispinor column, by hypot where a square overflows."""
+    try:
+        return math.sqrt(sum(abs(v) ** 2 for v in vals))
+    except OverflowError:  # a finite square beyond float range
+        return math.hypot(*map(abs, vals))
+
+
+def _state_norm(state, h_mv: Multivector, seed: int, tol: float) -> float:
     if isinstance(state, GridField):
         return _rescaled(lambda g: _grid_norm(g, h_mv), state)
+    if isinstance(state, BispinorField):
+        return sampled_max(state, _column_norm, seed)
+    if isinstance(state, AnalyticField):
+        return sampled_max(state, lambda v: hermitian_norm(v, h_mv, tol), seed)
     raise DomainError(f"cannot measure a {type(state).__name__}")
 
 
@@ -236,11 +239,9 @@ def _make_report(form: EquationForm, residual, h_mv, *,
     if isinstance(residual, GridField):
         backend = "grid"
         grid_info = {"n": residual.n, "h": residual.h}
-        max_norm = _state_norm(residual, h_mv, None, check_tol)
     else:
         backend = residual.backend
-        max_norm = 0.0 if residual.is_zero() else _state_norm(
-            residual, h_mv, sample_points(seed), check_tol)
+    max_norm = _state_norm(residual, h_mv, seed, check_tol)
     verdict = "pass" if max_norm <= tolerance else "fail"
     return ResidualReport(form=form.value, backend=backend, max_norm=max_norm,
                           tolerance=tolerance, verdict=verdict, seed=seed,
@@ -587,25 +588,21 @@ def gauge_transform(state, pot, lam: Poly, form: EquationForm,
 @dataclass
 class CurrentResult:
     j: tuple
-    J: object
-    divergence: object
+    J: AnalyticField
+    divergence: AnalyticField
     grade_leak: float
     match_error: float
 
-    def divergence_max(self, points=None, seed: int = 0) -> float:
-        if isinstance(self.divergence, AnalyticField):
-            if self.divergence.is_zero():
-                return 0.0
-            pts = points if points is not None else sample_points(seed)
-            return nan_max(*(abs(complex(self.divergence.eval(x).coeffs[0])) for x in pts))
-        return float(np.abs(self.divergence).max())
+    def divergence_max(self, seed: int = 0) -> float:
+        return sampled_max(self.divergence, Multivector.max_abs, seed)
 
 
 def current(phi, h_mv: Multivector, *, seed: int = 0) -> CurrentResult:
     """Current components Tr(Phi-bar e^mu Phi) with Phi-bar = H Phi^star, the
     1-form J = Phi H Phi^star, and the divergence d_mu j^mu."""
     if isinstance(phi, GridField):
-        return _current_grid(phi, h_mv)
+        raise DomainError("the current runs on the analytic backend; "
+                          "current_grid_divergence samples it on a grid")
     backend = phi.backend
     phi_bar = phi.star_involution().mul_const(h_mv, side="left")
     j_fields = []
@@ -615,43 +612,20 @@ def current(phi, h_mv: Multivector, *, seed: int = 0) -> CurrentResult:
         j_fields.append(jmu)
     J = phi.clifford(phi_bar)
     leak = J - J.grade_part(1)
-    points = sample_points(seed)
-    grade_leak = 0.0 if leak.is_zero() else nan_max(*(leak.eval(x).max_abs() for x in points))
+    grade_leak = sampled_max(leak, Multivector.max_abs, seed)
     lowered = AnalyticField.zero(backend)
     for mu in range(4):
         sgn = ETA[mu]
         term = j_fields[mu].mul_const(basis_vector(mu, backend), side="right")
         lowered = lowered + (term if sgn > 0 else -term)
     match = J.grade_part(1) - lowered
-    match_error = 0.0 if match.is_zero() else nan_max(*(match.eval(x).max_abs() for x in points))
+    match_error = sampled_max(match, Multivector.max_abs, seed)
     div = AnalyticField.zero(backend)
     for mu in range(4):
         div = div + j_fields[mu].partial(mu)
     if grade_leak > 1e-8 * max(J.max_abs(), 1.0):
         raise ConsistencyError("J = Phi H Phi^star has parts outside grade 1")
     return CurrentResult(j=tuple(j_fields), J=J, divergence=div,
-                         grade_leak=grade_leak, match_error=match_error)
-
-
-def _current_grid(phi: GridField, h_mv: Multivector) -> CurrentResult:
-    hf = h_mv.to_float()
-    phi_bar = phi.star_involution().mul_const(hf, side="left")
-    j_arrays = []
-    for mu in range(4):
-        e_mu = basis_vector(mu, FLOAT)
-        prod = phi_bar.pointwise_product(phi.mul_const(e_mu, side="left"))
-        j_arrays.append(prod.component(0))
-    J = phi.pointwise_product(phi_bar)
-    leak = J - J.grade_part(1)
-    grade_leak = leak.max_abs()
-    div = np.zeros_like(j_arrays[0], dtype=complex)
-    for mu in range(4):
-        div = div + central_difference(j_arrays[mu], mu, phi.h)
-    lowered = np.zeros_like(J.values)
-    for mu in range(4):
-        lowered[1 << mu] = ETA[mu] * j_arrays[mu]
-    match_error = float(np.abs(J.grade_part(1).values - lowered).max())
-    return CurrentResult(j=tuple(j_arrays), J=J, divergence=div,
                          grade_leak=grade_leak, match_error=match_error)
 
 
@@ -703,8 +677,7 @@ def lagrangian(phi: AnalyticField, pot, m, h_mv: Multivector, i_mv: Multivector,
             alt = alt + term
     alt = alt.scale(Fraction(-1, 2))
     diff = field_part - alt
-    err = 0.0 if diff.is_zero() else nan_max(*(
-        abs(complex(diff.eval(x).coeffs[0])) for x in sample_points(seed)))
+    err = sampled_max(diff, Multivector.max_abs, seed)
     return LagrangianResult(density=matter + field_part, matter_part=matter,
                             field_part=field_part, trace_identity_error=err)
 
@@ -728,10 +701,8 @@ def maxwell_residual(phi: AnalyticField, pot, h_mv: Multivector, *,
     strength_residual = (d(pot) - F) if pot is not None else AnalyticField.zero(backend)
     J = current(phi, h_mv).J
     source = delta(F) - J
-    points = sample_points(seed)
-    smax = 0.0 if strength_residual.is_zero() else nan_max(*(
-        strength_residual.eval(x).max_abs() for x in points))
-    jmax = 0.0 if source.is_zero() else nan_max(*(source.eval(x).max_abs() for x in points))
+    smax = sampled_max(strength_residual, Multivector.max_abs, seed)
+    jmax = sampled_max(source, Multivector.max_abs, seed)
     return MaxwellResult(field_strength=F, strength_residual_max=smax,
                          source_residual=source, source_residual_max=jmax)
 

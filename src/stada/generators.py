@@ -97,15 +97,7 @@ def basis16_of(g: SecondaryGenerators, tol: float = DEFAULT_TOLERANCE) -> list[M
     hik = hi * k2
     first = [unit, h, i2, k2, hi, hk, ik, hik]
     elements = first + [ps * u for u in first]
-    matrix = [[c for c in u.coeffs] for u in elements]
-    if g.backend == EXACT:
-        rank = linalg.rank(matrix)
-    else:
-        import numpy as np
-
-        rank = int(np.linalg.matrix_rank(
-            np.array([[complex(c) for c in row] for row in matrix]),
-            tol=1e-9))
+    rank = linalg.rank([u.coeffs for u in elements])
     if rank != 16:
         raise InvalidGeneratorError(f"generator products span rank {rank}, not 16")
     for idx, u in enumerate(elements):

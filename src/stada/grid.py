@@ -123,9 +123,6 @@ class GridField:
     def zeros(cls, n: int, h: float) -> "GridField":
         return cls(n, h, np.zeros((16, n, n, n, n), dtype=complex))
 
-    def copy(self) -> "GridField":
-        return GridField(self.n, self.h, self.values.copy())
-
     def _check(self, other: "GridField") -> None:
         if self.n != other.n or self.h != other.h:
             raise DomainError("grid shapes or spacings differ")
@@ -172,9 +169,6 @@ class GridField:
 
     def star_involution(self) -> "GridField":
         return self._map_blades(REVERSION_MAP, conjugate=True)
-
-    def conjugate(self) -> "GridField":
-        return GridField(self.n, self.h, self.values.conj())
 
     def component(self, mask: int) -> np.ndarray:
         return self.values[mask]

@@ -247,9 +247,4 @@ def even_ideal_map_rank(basis: IdealBasis) -> int:
         for c in image.coeffs:
             col.extend((c.real, c.imag))
         cols.append(col)
-    rows = [[cols[j][i] for j in range(8)] for i in range(32)]
-    if backend == EXACT:
-        return linalg.rank(rows)
-    import numpy as np
-
-    return int(np.linalg.matrix_rank(np.array(rows), tol=1e-9))
+    return linalg.rank([[cols[j][i] for j in range(8)] for i in range(32)])

@@ -2,9 +2,9 @@
 
 Everything here is Gaussian elimination with magnitude pivoting on
 matrices no larger than 48x16, generic over exact Gaussian rationals,
-Fractions, and Python complex.  Exact scalars give exact ranks, solves,
-inverses, and null spaces; float callers that need rank-revealing
-robustness (SVD) go through numpy instead.
+Fractions, and Python complex.  Exact scalars give exact ranks, solves
+and null spaces; the rank of a float matrix is the rank-revealing SVD
+count of numpy instead.
 """
 
 from __future__ import annotations
@@ -12,29 +12,31 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from . import scalars
 from .scalars import QQi
+
+# absolute singular-value cutoff of the float rank
+_FLOAT_RANK_TOL = 1e-9
 
 
 def _is_exact(x) -> bool:
     return isinstance(x, (QQi, Fraction, int))
 
 
-def _nonzero(x, tol: float) -> bool:
+def _nonzero(x) -> bool:
+    """An exact nonzero, or a float with abs(x) > 0, which refuses NaN."""
     if _is_exact(x):
         return bool(x)
-    return abs(x) > tol
+    return abs(x) > 0
 
 
 def _magnitude(x):
-    if isinstance(x, QQi):
-        return scalars.magnitude_key(x)
-    if isinstance(x, (Fraction, int)):
-        return abs(x)
-    return abs(x)
+    return scalars.magnitude_key(x) if isinstance(x, QQi) else abs(x)
 
 
-def _forward_eliminate(rows: list[list], tol: float) -> list[int]:
+def _forward_eliminate(rows: list[list]) -> list[int]:
     """In-place row echelon reduction; returns the pivot column list."""
     n_rows = len(rows)
     n_cols = len(rows[0]) if rows else 0
@@ -42,13 +44,13 @@ def _forward_eliminate(rows: list[list], tol: float) -> list[int]:
     r = 0
     for c in range(n_cols):
         pivot = max(range(r, n_rows), key=lambda i: _magnitude(rows[i][c]), default=None)
-        if pivot is None or not _nonzero(rows[pivot][c], tol):
+        if pivot is None or not _nonzero(rows[pivot][c]):
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = rows[r][c]
         rows[r] = [v / inv for v in rows[r]]
         for i in range(n_rows):
-            if i != r and _nonzero(rows[i][c], 0.0 if _is_exact(rows[i][c]) else tol):
+            if i != r and _nonzero(rows[i][c]):
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
@@ -58,34 +60,25 @@ def _forward_eliminate(rows: list[list], tol: float) -> list[int]:
     return pivots
 
 
-def rank(matrix: Sequence[Sequence], tol: float = 0.0) -> int:
+def rank(matrix: Sequence[Sequence]) -> int:
+    """Exact rank by elimination when every entry is exact; otherwise the
+    number of singular values above an absolute 1e-9."""
     rows = [list(row) for row in matrix]
     if not rows:
         return 0
-    return len(_forward_eliminate(rows, tol))
+    if not all(_is_exact(v) for row in rows for v in row):
+        return int(np.linalg.matrix_rank(np.array(rows), tol=_FLOAT_RANK_TOL))
+    return len(_forward_eliminate(rows))
 
 
-def solve(matrix: Sequence[Sequence], rhs: Sequence, tol: float = 0.0):
+def solve(matrix: Sequence[Sequence], rhs: Sequence):
     """Solve A x = b; returns None when A is singular."""
     n = len(matrix)
     rows = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    pivots = _forward_eliminate(rows, tol)
+    pivots = _forward_eliminate(rows)
     if pivots != list(range(n)):
         return None
     return [rows[i][n] for i in range(n)]
-
-
-def inverse(matrix: Sequence[Sequence], tol: float = 0.0):
-    """Inverse of a square matrix; returns None when singular."""
-    n = len(matrix)
-    zero = matrix[0][0] - matrix[0][0]
-    one = _one_like(matrix[0][0])
-    rows = [list(row) + [one if i == j else zero for j in range(n)]
-            for i, row in enumerate(matrix)]
-    pivots = _forward_eliminate(rows, tol)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in rows]
 
 
 def _one_like(x):
@@ -98,13 +91,13 @@ def _one_like(x):
     return 1.0 + 0.0j if isinstance(x, complex) else 1.0
 
 
-def null_space(matrix: Sequence[Sequence], tol: float = 0.0) -> list[list]:
+def null_space(matrix: Sequence[Sequence]) -> list[list]:
     """Basis of the kernel of A (list of coordinate vectors)."""
     if not matrix:
         return []
     n_cols = len(matrix[0])
     rows = [list(row) for row in matrix]
-    pivots = _forward_eliminate(rows, tol)
+    pivots = _forward_eliminate(rows)
     free_cols = [c for c in range(n_cols) if c not in pivots]
     basis = []
     zero = matrix[0][0] - matrix[0][0]
@@ -137,10 +130,6 @@ def mat_identity(n: int, like) -> tuple:
     one = _one_like(like)
     zero = like - like
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-
-def mat_transpose(a: Sequence[Sequence]) -> tuple:
-    return tuple(tuple(a[i][j] for i in range(len(a))) for j in range(len(a[0])))
 
 
 def mat_eq(a, b) -> bool:

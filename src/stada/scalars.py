@@ -209,10 +209,6 @@ def to_complex(value: Scalar) -> complex:
     return complex(value)
 
 
-def conj(value: Scalar) -> Scalar:
-    return value.conjugate()
-
-
 def is_zero(value: Scalar, tol: float = DEFAULT_TOLERANCE) -> bool:
     if isinstance(value, QQi):
         return not value

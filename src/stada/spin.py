@@ -75,9 +75,6 @@ class SpinElement:
     def __neg__(self) -> "SpinElement":
         return SpinElement(-self.element, -self.reverse)
 
-    def to_float(self) -> "SpinElement":
-        return SpinElement(self.element.to_float(), self.reverse.to_float())
-
 
 def sandwich(s: SpinElement, u: Multivector) -> Multivector:
     """The action S^star U S."""
@@ -151,14 +148,8 @@ class LorentzMatrix:
 
     rows: tuple
 
-    def __getitem__(self, nu: int):
-        return self.rows[nu]
-
     def matmul(self, other: "LorentzMatrix") -> "LorentzMatrix":
         return LorentzMatrix(linalg.mat_mul(self.rows, other.rows))
-
-    def transpose(self) -> "LorentzMatrix":
-        return LorentzMatrix(linalg.mat_transpose(self.rows))
 
     def det(self):
         return linalg.det(self.rows)
@@ -168,10 +159,6 @@ class LorentzMatrix:
 
     def to_json(self) -> list:
         return [float(v) for row in self.rows for v in row]
-
-    def isclose(self, other: "LorentzMatrix", tol: float = DEFAULT_TOLERANCE) -> bool:
-        a, b = self.as_floats(), other.as_floats()
-        return all(abs(x - y) <= tol for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
     def metric_residual(self) -> float:
         """max |P^T g P - g| over entries."""

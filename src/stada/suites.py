@@ -166,7 +166,7 @@ def _random_real_mv(rng: random.Random, masks=range(16), span: int = 3) -> Multi
 # ---- suite: algebra --------------------------------------------------------------
 
 
-def _suite_algebra(seed: int, iterations: int | None, tolerance: float) -> list:
+def _suite_algebra(seed: int, iterations: int | None) -> list:
     res: list[CheckResult] = []
     n_assoc = iterations or 1000
 
@@ -300,7 +300,7 @@ def _suite_algebra(seed: int, iterations: int | None, tolerance: float) -> list:
 # ---- suite: hodge ------------------------------------------------------------------
 
 
-def _suite_hodge(seed: int, iterations: int | None, tolerance: float) -> list:
+def _suite_hodge(seed: int, iterations: int | None) -> list:
     res: list[CheckResult] = []
 
     bad = 0
@@ -361,7 +361,7 @@ def _suite_hodge(seed: int, iterations: int | None, tolerance: float) -> list:
 # ---- suite: spin ----------------------------------------------------------------------
 
 
-def _suite_spin(seed: int, iterations: int | None, tolerance: float) -> list:
+def _suite_spin(seed: int, iterations: int | None) -> list:
     res: list[CheckResult] = []
     n = iterations or 100
 
@@ -520,7 +520,7 @@ def _random_generators(rng: random.Random) -> generators.SecondaryGenerators:
     return generators.transported_generators(s, generators.canonical_generators())
 
 
-def _suite_representation(seed: int, iterations: int | None, tolerance: float) -> list:
+def _suite_representation(seed: int, iterations: int | None) -> list:
     res: list[CheckResult] = []
 
     try:
@@ -711,7 +711,7 @@ def _random_exact_field(rng: random.Random, nterms: int = 2, grades=None,
     return AnalyticField(backend, entries)
 
 
-def _suite_fields(seed: int, iterations: int | None, tolerance: float) -> list:
+def _suite_fields(seed: int, iterations: int | None) -> list:
     res: list[CheckResult] = []
     n = iterations or 100
 
@@ -821,20 +821,14 @@ def _random_bispinor_field(rng: random.Random, backend: str = EXACT) -> eq.Bispi
     return eq.BispinorField(tuple(comps))
 
 
-def _field_gap(a, b, tolerance: float) -> float:
+def _field_gap(a, b) -> float:
     """Deviation between two analytic fields: zero for structural equality,
     otherwise the worst pointwise gap."""
     if a == b:
         return 0.0
     diff = a - b
-    if isinstance(diff, eq.BispinorField):
-        if diff.is_zero():
-            return 0.0
-        return nan_max(*(math.sqrt(sum(abs(v) ** 2 for v in diff.eval(x)))
-                         for x in eq.sample_points(0)))
-    if diff.is_zero():
-        return 0.0
-    return nan_max(*(diff.eval(x).max_abs() for x in eq.sample_points(0)))
+    size = eq._column_norm if isinstance(diff, eq.BispinorField) else Multivector.max_abs
+    return eq.sampled_max(diff, size)
 
 
 def _suite_equations(seed: int, iterations: int | None, tolerance: float,
@@ -878,10 +872,10 @@ def _suite_equations(seed: int, iterations: int | None, tolerance: float,
         r_ideal = eq.ideal_operator(theta, pot, m)
         worst = nan_max(worst, _field_gap(
             eq.translate(r_col, eq.EquationForm.DIRAC_MATRIX, eq.EquationForm.IDEAL,
-                         state_basis), r_ideal, tolerance))
+                         state_basis), r_ideal))
         worst = nan_max(worst, _field_gap(
             eq.translate(r_ideal, eq.EquationForm.IDEAL, eq.EquationForm.DIRAC_MATRIX,
-                         state_basis), r_col, tolerance))
+                         state_basis), r_col))
     _check(res, "equations.residual_map_matrix_ideal",
            "matrix-form residuals map onto ideal-form residuals, both ways",
            worst, map_bound, f"{n} random states")
@@ -897,7 +891,7 @@ def _suite_equations(seed: int, iterations: int | None, tolerance: float,
         theta = psi_even.mul_const(state_basis.t, side="right")
         r_ideal = eq.ideal_operator(theta, pot, m)
         worst = nan_max(worst, _field_gap(r_even.mul_const(state_basis.t, side="right"),
-                                          r_ideal, tolerance))
+                                          r_ideal))
     _check(res, "equations.residual_map_even_ideal",
            "even-form residuals multiply into ideal-form residuals",
            worst, map_bound)
@@ -912,7 +906,7 @@ def _suite_equations(seed: int, iterations: int | None, tolerance: float,
             lhs = eq.reduced_operator(kind, rho.mul_const(t_red, side="right"),
                                       pot, m, state_basis.gens)
             rhs = eq.ilk_operator(rho, pot, m).mul_const(t_red, side="right")
-            worst = nan_max(worst, _field_gap(lhs, rhs, tolerance))
+            worst = nan_max(worst, _field_gap(lhs, rhs))
     _check(res, "equations.ilk_reductions",
            "the three idempotents map general-form residuals onto the reduced equations",
            worst, map_bound)
@@ -998,7 +992,7 @@ def _suite_equations(seed: int, iterations: int | None, tolerance: float,
                     eq.EquationForm.TENSOR):
             moved = eq.translate(psi, eq.EquationForm.DIRAC_MATRIX, dst, state_basis)
             back = eq.translate(moved, dst, eq.EquationForm.DIRAC_MATRIX, state_basis)
-            worst = nan_max(worst, _field_gap(back, psi, tolerance))
+            worst = nan_max(worst, _field_gap(back, psi))
     _check(res, "equations.translate_roundtrips",
            "state translations invert across the form square", worst, map_bound)
     return res
@@ -1021,8 +1015,8 @@ def run_suite(name: str, seed: int = 0, backend: str = EXACT,
               tolerance: float = DEFAULT_TOLERANCE) -> RunReport:
     """Run one named battery (or all of them) deterministically under a seed.
 
-    Only the equations suite reads `backend`; the report records it for
-    every suite."""
+    Only the equations suite reads `backend` and `tolerance`; the report
+    records both for every suite."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     report = RunReport(suite=name, seed=seed, backend=backend,
@@ -1033,5 +1027,5 @@ def run_suite(name: str, seed: int = 0, backend: str = EXACT,
         if suite_name == "equations":
             report.checks.extend(runner(seed, iterations, tolerance, backend))
         else:
-            report.checks.extend(runner(seed, iterations, tolerance))
+            report.checks.extend(runner(seed, iterations))
     return report

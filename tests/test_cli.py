@@ -365,6 +365,23 @@ def test_malformed_residual_options_are_usage_errors(extra, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--form", "dirac", "--state", "GRID"],
+    ["--form", "dirac", "--state", "e0"],
+    ["--form", "tde", "--reduce", "t-H"],
+], ids=["dirac-grid", "dirac-expression", "reduce-tde"])
+def test_states_and_reductions_outside_the_form_are_usage_errors(argv, tmp_path, capsys):
+    # the matrix form takes no grid or expression state; --reduce only the general form
+    from stada.grid import GridField
+
+    path = tmp_path / "state.json"
+    GridField.zeros(2, 0.5).save(str(path))
+    argv = [str(path) if a == "GRID" else a for a in argv]
+    code, out, err = run_cli(["residual"] + argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("payload", [
     [[1, 0]],
     {"4": [1, 0]},

@@ -329,6 +329,22 @@ def test_covariance_preserves_solutions(form):
         assert rep.verdict == "pass"
 
 
+@pytest.mark.parametrize("form", [EquationForm.DIRAC_MATRIX, EquationForm.HESTENES,
+                                  EquationForm.TENSOR])
+def test_covariance_carries_the_potential(form):
+    # a linear lambda gauges a solution into one with the constant potential
+    # -d(lambda); dropping the potential leaves a residual above 0.3
+    state = eq.plane_wave(form, (1.0, 0, 0, 0), 1.0, basis=BASIS).state
+    lam = real_polynomial({(1, 0, 0, 0): 0.2, (0, 1, 0, 0): -0.3}, FLOAT)
+    state, pot = eq.gauge_transform(state, None, lam, form, FBASIS)
+    rng = random.Random(7)
+    for _ in range(3):
+        s = spin.random_spin(rng, scale=0.4)
+        rep = eq.covariance_check(s, eq.FieldConfig(form, state, pot, 1.0, FBASIS))
+        assert rep.residual_after <= 1e-10
+        assert rep.verdict == "pass"
+
+
 def test_covariance_identity_is_noop():
     state = eq.plane_wave(EquationForm.DIRAC_MATRIX, (1.0, 0, 0, 0), 1.0,
                           basis=BASIS).state
@@ -458,6 +474,14 @@ def test_current_zero_state():
     assert cur.divergence_max() == 0.0
 
 
+def test_current_of_a_grid_names_the_grid_route():
+    from stada.grid import sample
+
+    sol = eq.plane_wave(EquationForm.TENSOR, (1.0, 0, 0, 0), 1.0, basis=BASIS)
+    with pytest.raises(DomainError, match="current_grid_divergence"):
+        eq.current(sample(sol.state, 4, math.pi / 2), FBASIS.gens.h)
+
+
 def test_current_conservation_and_grade():
     sol = eq.plane_wave(EquationForm.TENSOR, (1.0, 0, 0, 0), 1.0, basis=BASIS)
     cur = eq.current(sol.state, FBASIS.gens.h)
@@ -561,3 +585,52 @@ def test_grid_state_residual():
     assert rep.grid == {"n": 8, "h": math.pi / 4}
     # discretization error is the only residual and is second-order small
     assert 0.0 < rep.max_norm < 0.2
+
+
+def test_grid_state_with_an_analytic_potential():
+    # the potential is sampled onto the grid and multiplies the state site by site
+    from stada.expr import parse_field
+    from stada.grid import sample
+
+    n, h = 8, math.pi / 4
+    sol = eq.plane_wave(EquationForm.ILK, (1.0, 0, 0, 0), 1.0, basis=BASIS)
+    pot = parse_field("0.2 e0 + 0.1 e1 exp(i[1,0,0,0])", FLOAT)
+    grid_state = sample(sol.state, n, h)
+    with_pot = eq.residual_ilk(grid_state, pot, 1.0, tolerance=0.5)
+    without = eq.residual_ilk(grid_state, None, 1.0, tolerance=0.5)
+    want = sample(pot.clifford(sol.state).scale(1j), n, h)
+    gap = (with_pot.residual - without.residual - want).max_abs()
+    assert gap <= 1e-14
+
+
+def test_grid_potential_on_an_analytic_state_is_refused():
+    from stada.grid import sample
+
+    sol = eq.plane_wave(EquationForm.ILK, (1.0, 0, 0, 0), 1.0, basis=BASIS)
+    grid_pot = sample(AnalyticField.constant(basis_vector(1, FLOAT)), 4, math.pi / 2)
+    with pytest.raises(DomainError, match="grid potential"):
+        eq.residual_ilk(sol.state, grid_pot, 1.0)
+
+
+def test_only_sampled_max_calls_sample_points():
+    # one function holds the sampled-maximum rule: the zero shortcut, the
+    # NaN-safe maximum and the seeded points
+    import ast
+    from pathlib import Path
+
+    callers = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.split('.')[0]}.{node.name}"
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name == "sample_points":
+                callers.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(Path(eq.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert callers == ["equations.sampled_max"]

@@ -1,5 +1,6 @@
 """Idempotent, ideal basis, scalar product, the 4x4 representation, and the
-even-subalgebra bijection; everything on the exact backend."""
+even-subalgebra bijection; everything on the exact backend apart from the
+float rank checks."""
 
 import random
 
@@ -13,7 +14,7 @@ from stada.multivector import (
     basis_vector,
     hermitian_conjugate,
 )
-from stada.scalars import EXACT, QQi
+from stada.scalars import EXACT, FLOAT, QQi
 
 
 def random_generator_set(rng):
@@ -202,6 +203,25 @@ def test_theorem3_rank_eight():
     for g in sets:
         basis = ideal.idempotent_of(g)
         assert ideal.even_ideal_map_rank(basis) == 8
+
+
+# ---- float ranks: the SVD count of linalg.rank ----------------------------------
+
+
+def test_float_canonical_generators_span_rank_sixteen():
+    elements = generators.basis16_of(generators.canonical_generators(FLOAT))
+    assert linalg.rank([u.coeffs for u in elements]) == 16
+
+
+def test_float_canonical_basis_maps_the_even_subspace_with_rank_eight():
+    assert ideal.even_ideal_map_rank(ideal.canonical_basis(FLOAT)) == 8
+
+
+def test_rank_deficient_float_set_is_rejected():
+    # K = I repeats the same products, so they span less than the algebra
+    g = generators.canonical_generators(FLOAT)
+    with pytest.raises(InvalidGeneratorError, match="span rank"):
+        generators.basis16_of(generators.SecondaryGenerators(g.h, g.i2, g.i2))
 
 
 def test_even_ideal_roundtrip():
