@@ -479,6 +479,16 @@ def test_malformed_grid_dump_is_usage_error(name, write, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("option", ["--state", "-A"])
+def test_unreadable_path_is_usage_error(option, tmp_path, capsys):
+    argv = ["residual", "--form", "tde", option, str(tmp_path)]
+    if option == "-A":
+        argv += ["--plane-wave", PW]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "1e400", "--backend", "float"],
     ["eval", "(1+1e400i) e1", "--backend", "float"],
