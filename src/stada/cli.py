@@ -78,15 +78,13 @@ def _residual_basis(choice: str):
     if choice.startswith("random:"):
         import random as _random
 
-        from . import generators, spin
+        from .generators import random_generators
 
         try:
             seed = int(choice.split(":", 1)[1])
         except ValueError:
             raise DomainError(f"generator seed must be an integer, got {choice!r}") from None
-        s = spin.random_rational_spin(_random.Random(seed), factors=2)
-        gens = generators.transported_generators(s, generators.canonical_generators())
-        return ideal.idempotent_of(gens)
+        return ideal.idempotent_of(random_generators(_random.Random(seed)))
     raise DomainError(f"unknown generator choice {choice!r}")
 
 
@@ -194,9 +192,7 @@ def _reduction_report(args, form: EquationForm, fbasis, pot):
         entries.append((phase, coeffs))
     rho = AnalyticField(FLOAT, entries)
     t_red = eq.reduction_idempotent(args.reduce, fbasis.gens)
-    lhs = eq.reduced_operator(args.reduce, rho.mul_const(t_red, side="right"),
-                              pot, args.mass, fbasis.gens)
-    rhs = eq.ilk_operator(rho, pot, args.mass).mul_const(t_red, side="right")
+    lhs, rhs = eq.reduction_sides(args.reduce, t_red, rho, pot, args.mass, fbasis.gens)
     diff = lhs - rhs
     gap = eq.sampled_max(diff, Multivector.max_abs, args.seed)
     report = eq.ResidualReport(

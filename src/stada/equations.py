@@ -3,12 +3,13 @@ forms: the matrix Dirac equation, its algebraic-ideal form, the real even
 (Hestenes) form, the exterior-calculus tensor form, and the general
 nonhomogeneous-form equation with its idempotent reductions.
 
-Every form has a raw `*_operator` that applies the defining formula to
-whatever state it is given (the reduction identities need that), and a
-`residual_*` wrapper that validates the state against the form's domain,
-evaluates the operator, and packages a report.  Pointwise residual size
-is measured with the generator-adapted hermitian norm, which the gauge
-rotations of every form preserve exactly.
+Every form is one row of a table: the right factors J and M of its
+equation  Upsilon psi + (A psi) J + m psi M = 0, its domain check and the
+element its norm uses.  `form_operator` applies the row's formula to
+whatever state it is given (the reduction identities need that), and each
+`residual_*` validates the state, evaluates the operator, and packages a
+report.  Pointwise residual size is measured with the generator-adapted
+hermitian norm, which the gauge rotations of every form preserve exactly.
 """
 
 from __future__ import annotations
@@ -231,23 +232,6 @@ class ResidualReport:
         }
 
 
-def _make_report(form: EquationForm, residual, h_mv, *,
-                 tolerance: float, seed: int, notes: list | None = None) -> ResidualReport:
-    # rounding in the float checks behind the norm would fail them below the default
-    check_tol = max(tolerance, DEFAULT_TOLERANCE)
-    grid_info = None
-    if isinstance(residual, GridField):
-        backend = "grid"
-        grid_info = {"n": residual.n, "h": residual.h}
-    else:
-        backend = residual.backend
-    max_norm = _state_norm(residual, h_mv, seed, check_tol)
-    verdict = "pass" if max_norm <= tolerance else "fail"
-    return ResidualReport(form=form.value, backend=backend, max_norm=max_norm,
-                          tolerance=tolerance, verdict=verdict, seed=seed,
-                          grid=grid_info, notes=notes or [], residual=residual)
-
-
 # ---- generic state helpers ------------------------------------------------------
 
 
@@ -276,10 +260,6 @@ def _pot_times(pot, state):
     return pot.clifford(state)
 
 
-def _mul_right(state, mv: Multivector):
-    return state.mul_const(mv, side="right")
-
-
 def _pot_components(pot) -> list:
     """Scalar fields a_mu from a grade-1 potential."""
     if pot is None:
@@ -287,7 +267,86 @@ def _pot_components(pot) -> list:
     return [pot.component(1 << mu) for mu in range(4)]
 
 
-# ---- the raw operators -----------------------------------------------------------
+# ---- the form table --------------------------------------------------------------
+
+
+def _check_bispinor(state, basis, tol: float) -> None:
+    if not isinstance(state, BispinorField):
+        raise DomainError("the matrix form needs a bispinor state")
+
+
+def _check_in_ideal(theta, basis: IdealBasis, tol: float) -> None:
+    t_mv = basis.t if theta.backend == EXACT else basis.t.to_float()
+    diff = theta.mul_const(t_mv, side="right") - theta
+    if theta.backend == EXACT:
+        if not diff.is_zero():
+            raise DomainError("state leaves the left ideal")
+    else:
+        scalefree = max(theta.max_abs(), 1.0)
+        if diff.max_abs() > tol * scalefree * 10:
+            raise DomainError("state leaves the left ideal")
+
+
+def _check_even_real(state, basis, tol: float, require_real: bool = True) -> None:
+    if state.backend == EXACT:
+        if not state.odd_part().is_zero():
+            raise DomainError("state must be even")
+        if require_real and not state.is_real():
+            raise DomainError("state must be real")
+        return
+    # the bound follows the rounding of the state; a loose verdict does not widen it
+    bound = min(tol, DEFAULT_TOLERANCE) * max(state.max_abs(), 1.0) * 10
+    if state.odd_part().max_abs() > bound:
+        raise DomainError("state must be even")
+    if require_real and not state.is_real(bound):
+        raise DomainError("state must be real")
+
+
+@dataclass(frozen=True)
+class _Row:
+    """One form of  Upsilon psi + (A psi) J + m psi M = 0: the gauge generator
+    J and the mass factor M act on the right, each a product of the named
+    "i" (a scalar), "H", "I" and "e5"; the gauge map is psi -> psi exp(lam J).
+    `domain(state, basis, tol)` refuses a state outside the form; the norm
+    takes the column norm, H or e0."""
+
+    gauge: tuple
+    mass: tuple
+    domain: object
+    norm: str
+
+
+_FORMS = {
+    EquationForm.DIRAC_MATRIX: _Row(("i",), ("i",), _check_bispinor, "column"),
+    EquationForm.IDEAL: _Row(("i",), ("i",), _check_in_ideal, "H"),
+    EquationForm.ILK: _Row(("i",), ("i",), None, "e0"),
+    EquationForm.HESTENES: _Row(("I",), ("H", "I"), _check_even_real, "H"),
+    EquationForm.TENSOR: _Row(("I",), ("H", "I"), _check_even_real, "H"),
+    EquationForm.ILK_EVEN:
+        _Row(("i",), ("i", "H"), lambda s, b, tol: _check_even_real(s, b, tol, False), "H"),
+    EquationForm.ILK_E5: _Row(("e5",), ("e5",), None, "e0"),
+}
+
+
+def _times_right(value, names, h, i2, scalar=None):
+    """value times the named right factor, then times scalar (times i where
+    the factor names it); an absent multivector or scalar is skipped."""
+    mv = None
+    for name in names:
+        if name != "i":
+            g = l5(value.backend) if name == "e5" else {"H": h, "I": i2}[name]
+            if g is None:
+                raise DomainError(f"the right factor {name} needs generator data")
+            mv = g if mv is None else mv * g
+    if mv is not None:
+        value = value.mul_const(mv, side="right")
+    if "i" in names:
+        i_unit = scalars.imaginary_unit(value.backend)
+        scalar = i_unit if scalar is None else scalar * i_unit
+    return value if scalar is None else value.scale(scalar)
+
+
+# ---- the operators ---------------------------------------------------------------
 
 
 def dirac_operator(psi: BispinorField, pot: AnalyticField | None, m,
@@ -306,155 +365,107 @@ def dirac_operator(psi: BispinorField, pot: AnalyticField | None, m,
     return acc + psi.scale(m_s * i_unit)
 
 
-def ilk_operator(state, pot, m):
-    """Upsilon rho + i A rho + i m rho, on a general complex form field."""
-    i_unit = scalars.imaginary_unit(state.backend)
-    out = _upsilon(state)
-    out = out + _pot_times(pot, state).scale(i_unit)
-    return out + state.scale(_mass_scalar(m, state) * i_unit)
-
-
-def ideal_operator(theta, pot, m):
-    """Identical formula to the general-form operator, on ideal-valued states."""
-    return ilk_operator(theta, pot, m)
-
-
-def even_operator(state, pot, m, h_mv: Multivector, i_mv: Multivector):
-    """Upsilon Phi + A Phi I + m Phi H I; serves both the real-even and the
-    exterior-calculus equation, which share storage."""
-    out = _upsilon(state)
-    out = out + _mul_right(_pot_times(pot, state), i_mv)
-    return out + _mul_right(state, h_mv * i_mv).scale(_mass_scalar(m, state))
-
-
-def ilk_even_operator(state, pot, m, h_mv: Multivector):
-    """Upsilon eta + i A eta + i m eta H."""
-    i_unit = scalars.imaginary_unit(state.backend)
-    out = _upsilon(state)
-    out = out + _pot_times(pot, state).scale(i_unit)
-    return out + _mul_right(state, h_mv).scale(_mass_scalar(m, state) * i_unit)
-
-
-def ilk_e5_operator(state, pot, m):
-    """Upsilon omega + A omega e5 + m omega e5."""
-    ps = l5(state.backend)
-    out = _upsilon(state)
-    out = out + _mul_right(_pot_times(pot, state), ps)
-    return out + _mul_right(state, ps).scale(_mass_scalar(m, state))
+def form_operator(form: EquationForm, state, pot, m, h: Multivector | None = None,
+                  i2: Multivector | None = None):
+    """Upsilon psi + (A psi) J + m psi M with the right factors of the form's
+    row, applied to whatever state it is given (the reduction identities
+    need that).  H and I are needed where J or M names them."""
+    if form == EquationForm.DIRAC_MATRIX:
+        raise DomainError("the matrix form takes the gamma-matrix operator")
+    row = _FORMS[form]
+    out = _upsilon(state) + _times_right(_pot_times(pot, state), row.gauge, h, i2)
+    return out + _times_right(state, row.mass, h, i2, _mass_scalar(m, state))
 
 
 # ---- validated residual reports ----------------------------------------------------
 
 
+def _gammas(backend: str, basis: IdealBasis | None, tol: float) -> tuple:
+    if basis is None:
+        basis = canonical_basis(backend if backend == EXACT else FLOAT)
+    gammas = tuple(gamma_of(basis_vector(mu, basis.backend), basis,
+                            tol=max(tol, DEFAULT_TOLERANCE)) for mu in range(4))
+    if backend != basis.backend:
+        gammas = tuple(tuple(tuple(complex(v) for v in row) for row in g) for g in gammas)
+    return gammas
+
+
+def _residual(form: EquationForm, state, pot, m, h=None, i2=None, basis=None, *,
+              tolerance: float, seed: int) -> ResidualReport:
+    """Check the state against the form's domain, apply the form's operator,
+    and report the worst size of the result under the form's norm element."""
+    row = _FORMS[form]
+    if row.domain is not None:
+        row.domain(state, basis, tolerance)
+    if form == EquationForm.DIRAC_MATRIX:  # the independent gamma-matrix route
+        res = dirac_operator(state, pot, m, _gammas(state.backend, basis, tolerance))
+    else:
+        res = form_operator(form, state, pot, m, h, i2)
+    notes = []
+    if form == EquationForm.HESTENES and isinstance(res, AnalyticField):
+        # the grade content of the residual is recorded, not asserted
+        notes.append(f"residual grades: {sorted(res.grades())}")
+    norm_h = basis_vector(0, FLOAT) if row.norm == "e0" else h
+    # rounding in the float checks behind the norm would fail them below the default
+    max_norm = _state_norm(res, norm_h, seed, max(tolerance, DEFAULT_TOLERANCE))
+    grid = {"n": res.n, "h": res.h} if isinstance(res, GridField) else None
+    return ResidualReport(form=form.value, backend="grid" if grid else res.backend,
+                          max_norm=max_norm, tolerance=tolerance,
+                          verdict="pass" if max_norm <= tolerance else "fail", seed=seed,
+                          grid=grid, notes=notes, residual=res)
+
+
 def residual_dirac(psi: BispinorField, pot, m, basis: IdealBasis | None = None,
                    *, tolerance: float = DEFAULT_TOLERANCE, seed: int = 0) -> ResidualReport:
-    if not isinstance(psi, BispinorField):
-        raise DomainError("the matrix form needs a bispinor state")
-    if basis is None:
-        basis = canonical_basis(psi.backend if psi.backend == EXACT else FLOAT)
-    gammas = tuple(gamma_of(basis_vector(mu, basis.backend), basis,
-                            tol=max(tolerance, DEFAULT_TOLERANCE)) for mu in range(4))
-    if psi.backend != basis.backend:
-        gammas = tuple(tuple(tuple(complex(v) for v in row) for row in g) for g in gammas)
-    res = dirac_operator(psi, pot, m, gammas)
-    return _make_report(EquationForm.DIRAC_MATRIX, res, basis.gens.h,
-                        tolerance=tolerance, seed=seed)
-
-
-def _check_in_ideal(theta, basis: IdealBasis, tol: float) -> None:
-    t_mv = basis.t if theta.backend == EXACT else basis.t.to_float()
-    diff = theta.mul_const(t_mv, side="right") - theta
-    if theta.backend == EXACT:
-        if not diff.is_zero():
-            raise DomainError("state leaves the left ideal")
-    else:
-        scalefree = max(theta.max_abs(), 1.0)
-        if diff.max_abs() > tol * scalefree * 10:
-            raise DomainError("state leaves the left ideal")
+    return _residual(EquationForm.DIRAC_MATRIX, psi, pot, m, basis=basis,
+                     tolerance=tolerance, seed=seed)
 
 
 def residual_ideal(theta, pot, m, basis: IdealBasis, *,
                    tolerance: float = DEFAULT_TOLERANCE, seed: int = 0) -> ResidualReport:
-    _check_in_ideal(theta, basis, tolerance)
-    res = ideal_operator(theta, pot, m)
-    return _make_report(EquationForm.IDEAL, res, basis.gens.h,
-                        tolerance=tolerance, seed=seed)
-
-
-def _check_even_real(state, tol: float, require_real: bool) -> None:
-    if state.backend == EXACT:
-        if not state.odd_part().is_zero():
-            raise DomainError("state must be even")
-        if require_real and not state.is_real():
-            raise DomainError("state must be real")
-        return
-    scalefree = max(state.max_abs(), 1.0)
-    bound = tol * scalefree * 10
-    if state.odd_part().max_abs() > bound:
-        raise DomainError("state must be even")
-    if require_real and not state.is_real(bound):
-        raise DomainError("state must be real")
+    return _residual(EquationForm.IDEAL, theta, pot, m, basis.gens.h, basis=basis,
+                     tolerance=tolerance, seed=seed)
 
 
 def residual_hestenes(state, pot, m, h_mv: Multivector, i_mv: Multivector, *,
                       tolerance: float = DEFAULT_TOLERANCE, seed: int = 0) -> ResidualReport:
-    _check_even_real(state, tolerance, require_real=True)
-    res = even_operator(state, pot, m, h_mv, i_mv)
-    notes = []
-    if isinstance(res, AnalyticField):
-        # the grade content of the residual is recorded, not asserted
-        notes.append(f"residual grades: {sorted(res.grades())}")
-    report = _make_report(EquationForm.HESTENES, res, h_mv,
-                          tolerance=tolerance, seed=seed, notes=notes)
-    return report
+    return _residual(EquationForm.HESTENES, state, pot, m, h_mv, i_mv,
+                     tolerance=tolerance, seed=seed)
 
 
 def residual_tensor(state, pot, m, h_mv: Multivector, i_mv: Multivector, *,
                     tolerance: float = DEFAULT_TOLERANCE, seed: int = 0) -> ResidualReport:
-    _check_even_real(state, tolerance, require_real=True)
-    res = even_operator(state, pot, m, h_mv, i_mv)
-    report = _make_report(EquationForm.TENSOR, res, h_mv,
-                          tolerance=tolerance, seed=seed)
-    return report
+    return _residual(EquationForm.TENSOR, state, pot, m, h_mv, i_mv,
+                     tolerance=tolerance, seed=seed)
 
 
 def residual_ilk(state, pot, m, *, tolerance: float = DEFAULT_TOLERANCE,
                  seed: int = 0) -> ResidualReport:
-    res = ilk_operator(state, pot, m)
-    h_norm = basis_vector(0, FLOAT)
-    return _make_report(EquationForm.ILK, res, h_norm,
-                        tolerance=tolerance, seed=seed)
+    return _residual(EquationForm.ILK, state, pot, m, tolerance=tolerance, seed=seed)
 
 
 def residual_ilk_even(state, pot, m, h_mv: Multivector, *,
                       tolerance: float = DEFAULT_TOLERANCE, seed: int = 0) -> ResidualReport:
-    _check_even_real(state, tolerance, require_real=False)
-    res = ilk_even_operator(state, pot, m, h_mv)
-    return _make_report(EquationForm.ILK_EVEN, res, h_mv,
-                        tolerance=tolerance, seed=seed)
+    return _residual(EquationForm.ILK_EVEN, state, pot, m, h_mv,
+                     tolerance=tolerance, seed=seed)
 
 
 def residual_ilk_e5(state, pot, m, *, tolerance: float = DEFAULT_TOLERANCE,
                     seed: int = 0) -> ResidualReport:
-    res = ilk_e5_operator(state, pot, m)
-    h_norm = basis_vector(0, FLOAT)
-    return _make_report(EquationForm.ILK_E5, res, h_norm,
-                        tolerance=tolerance, seed=seed)
+    return _residual(EquationForm.ILK_E5, state, pot, m, tolerance=tolerance, seed=seed)
 
 
-# form -> residual of (state, potential, mass, basis).  Each entry names its
-# residual_* function at call time, so a rebinding of that module global
+# form -> residual of (state, potential, mass, basis, H, I).  Each entry names
+# its residual_* function at call time, so a rebinding of that module global
 # (as tracing does) is seen here too.
 _RESIDUALS = {
-    EquationForm.DIRAC_MATRIX: lambda s, a, m, b, **kw: residual_dirac(s, a, m, b, **kw),
-    EquationForm.IDEAL: lambda s, a, m, b, **kw: residual_ideal(s, a, m, b, **kw),
-    EquationForm.HESTENES:
-        lambda s, a, m, b, **kw: residual_hestenes(s, a, m, b.gens.h, b.gens.i2, **kw),
-    EquationForm.TENSOR:
-        lambda s, a, m, b, **kw: residual_tensor(s, a, m, b.gens.h, b.gens.i2, **kw),
-    EquationForm.ILK: lambda s, a, m, b, **kw: residual_ilk(s, a, m, **kw),
-    EquationForm.ILK_EVEN: lambda s, a, m, b, **kw: residual_ilk_even(s, a, m, b.gens.h, **kw),
-    EquationForm.ILK_E5: lambda s, a, m, b, **kw: residual_ilk_e5(s, a, m, **kw),
+    EquationForm.DIRAC_MATRIX: lambda s, a, m, b, h, i, **kw: residual_dirac(s, a, m, b, **kw),
+    EquationForm.IDEAL: lambda s, a, m, b, h, i, **kw: residual_ideal(s, a, m, b, **kw),
+    EquationForm.HESTENES: lambda s, a, m, b, h, i, **kw: residual_hestenes(s, a, m, h, i, **kw),
+    EquationForm.TENSOR: lambda s, a, m, b, h, i, **kw: residual_tensor(s, a, m, h, i, **kw),
+    EquationForm.ILK: lambda s, a, m, b, h, i, **kw: residual_ilk(s, a, m, **kw),
+    EquationForm.ILK_EVEN: lambda s, a, m, b, h, i, **kw: residual_ilk_even(s, a, m, h, **kw),
+    EquationForm.ILK_E5: lambda s, a, m, b, h, i, **kw: residual_ilk_e5(s, a, m, **kw),
 }
 
 
@@ -477,15 +488,26 @@ def reduction_idempotent(kind: str, gens: SecondaryGenerators) -> Multivector:
     raise DomainError(f"unknown reduction idempotent {kind!r}")
 
 
+# reduction idempotent -> the form of the equation it reduces to
+_REDUCED_FORMS = {"t-HI": EquationForm.TENSOR, "t-H": EquationForm.ILK_EVEN,
+                  "t-e5": EquationForm.ILK_E5}
+
+
 def reduced_operator(kind: str, state, pot, m, gens: SecondaryGenerators):
     """The operator of the equation that the named idempotent reduces to."""
-    if kind == "t-HI":
-        return even_operator(state, pot, m, gens.h, gens.i2)
-    if kind == "t-H":
-        return ilk_even_operator(state, pot, m, gens.h)
-    if kind == "t-e5":
-        return ilk_e5_operator(state, pot, m)
-    raise DomainError(f"unknown reduction idempotent {kind!r}")
+    if kind not in _REDUCED_FORMS:
+        raise DomainError(f"unknown reduction idempotent {kind!r}")
+    return form_operator(_REDUCED_FORMS[kind], state, pot, m, gens.h, gens.i2)
+
+
+def reduction_sides(kind: str, t_red: Multivector, rho, pot, m,
+                    gens: SecondaryGenerators) -> tuple:
+    """Both sides of the reduction identity for t_red = reduction_idempotent(kind,
+    gens): the reduced operator on rho t_red, and the general-form operator on
+    rho times t_red."""
+    lhs = reduced_operator(kind, rho.mul_const(t_red, side="right"), pot, m, gens)
+    rhs = form_operator(EquationForm.ILK, rho, pot, m).mul_const(t_red, side="right")
+    return lhs, rhs
 
 
 # ---- translations --------------------------------------------------------------------
@@ -509,15 +531,12 @@ def translate(state, src: EquationForm, dst: EquationForm, basis: IdealBasis):
     """
     if src == dst:
         return state
-    if src == EquationForm.HESTENES and dst == EquationForm.TENSOR:
-        return state
-    if src == EquationForm.TENSOR and dst == EquationForm.HESTENES:
+    if {src, dst} == {EquationForm.HESTENES, EquationForm.TENSOR}:
         return state
     if isinstance(state, GridField):
         raise DomainError("only the shared-storage pair translates on grids")
     if src == EquationForm.DIRAC_MATRIX:
-        if not isinstance(state, BispinorField):
-            raise DomainError("the matrix form needs a bispinor state")
+        _check_bispinor(state, basis, DEFAULT_TOLERANCE)
         theta = AnalyticField.zero(state.backend)
         for comp, tk in zip(state.components, basis.ts):
             theta = theta + comp.mul_const(tk, side="right")
@@ -550,11 +569,12 @@ def translate(state, src: EquationForm, dst: EquationForm, basis: IdealBasis):
 
 def gauge_transform(state, pot, lam: Poly, form: EquationForm,
                     basis: IdealBasis | None = None):
-    """Apply the U(1) gauge map of the given form with gauge function lam.
+    """Apply the U(1) gauge map psi -> psi exp(lam J) of the given form, with J
+    the gauge generator of its row, and gauge function lam.
 
     Returns the pair (state', potential').  The potential always moves by
-    A -> A - d(lam); the state picks up exp(i lam), exp(lam I), or
-    exp(lam e5) according to the form.
+    A -> A - d(lam).  For J = i the phase stays structural; otherwise the
+    rotor is cos(lam) + sin(lam) J.
     """
     if isinstance(state, GridField):
         raise DomainError("gauge transformation runs on the analytic backend")
@@ -562,23 +582,12 @@ def gauge_transform(state, pot, lam: Poly, form: EquationForm,
     lam_field = AnalyticField.scalar_poly(lam, backend)
     dlam = d(lam_field)
     new_pot = (pot - dlam) if pot is not None else -dlam
-    if form in (EquationForm.DIRAC_MATRIX, EquationForm.IDEAL, EquationForm.ILK,
-                EquationForm.ILK_EVEN):
-        new_state = state.multiply_phase(lam)
-    elif form in (EquationForm.HESTENES, EquationForm.TENSOR):
-        if basis is None:
-            raise DomainError("the even forms need generator data for the gauge rotor")
-        i_mv = basis.gens.i2
-        cosf = phase_cos(lam, backend)
-        sinf = phase_sin(lam, backend)
-        new_state = state.clifford(cosf) + state.mul_const(i_mv, side="right").clifford(sinf)
-    elif form == EquationForm.ILK_E5:
-        ps = l5(backend)
-        cosf = phase_cos(lam, backend)
-        sinf = phase_sin(lam, backend)
-        new_state = state.clifford(cosf) + state.mul_const(ps, side="right").clifford(sinf)
-    else:
-        raise DomainError(f"unknown equation form {form}")
+    jay = _FORMS[form].gauge
+    if jay == ("i",):
+        return state.multiply_phase(lam), new_pot
+    h, i2 = (basis.gens.h, basis.gens.i2) if basis is not None else (None, None)
+    turned = _times_right(state, jay, h, i2)
+    new_state = state.clifford(phase_cos(lam, backend)) + turned.clifford(phase_sin(lam, backend))
     return new_state, new_pot
 
 
@@ -657,7 +666,7 @@ def lagrangian(phi: AnalyticField, pot, m, h_mv: Multivector, i_mv: Multivector,
     """Density Tr(H C I) + Tr(F^2) with C the operator residual paired with
     Phi^star and F the field strength of the potential."""
     backend = phi.backend
-    op = even_operator(phi, pot, m, h_mv, i_mv)
+    op = form_operator(EquationForm.TENSOR, phi, pot, m, h_mv, i_mv)
     C = phi.star_involution().clifford(op)
     matter = C.mul_const(h_mv, side="left").mul_const(i_mv, side="right").component(0)
     if pot is None:
@@ -773,24 +782,16 @@ def plane_wave(form: EquationForm, p, m, sign: int = 1,
         AnalyticField.scalar_poly(Poly.constant(complex(u[k])), FLOAT).multiply_phase(phase)
         for k in range(4))
     psi = BispinorField(comps)
-    if form == EquationForm.DIRAC_MATRIX:
-        state = psi
-    elif form in (EquationForm.IDEAL, EquationForm.HESTENES, EquationForm.TENSOR):
-        state = translate(psi, EquationForm.DIRAC_MATRIX, form, basis)
-    elif form == EquationForm.ILK:
-        # ideal-valued solutions satisfy the general-form equation as they stand
-        state = translate(psi, EquationForm.DIRAC_MATRIX, EquationForm.IDEAL, basis)
-    elif form == EquationForm.ILK_EVEN:
-        # Psi * (unit - iI)/2 is even complex and absorbs I into i, H into itself
-        even = translate(psi, EquationForm.DIRAC_MATRIX, EquationForm.HESTENES, basis)
+    # ideal states solve ilk as they stand; the Hestenes state times (unit - iI)/2
+    # is even complex and solves ilk-even; the ideal state times t-e5 solves ilk-e5
+    via = {EquationForm.ILK: EquationForm.IDEAL, EquationForm.ILK_EVEN: EquationForm.HESTENES,
+           EquationForm.ILK_E5: EquationForm.IDEAL}.get(form, form)
+    state = translate(psi, EquationForm.DIRAC_MATRIX, via, basis)
+    if form == EquationForm.ILK_EVEN:
         unit = Multivector.unit(FLOAT)
-        proj = (unit - basis.gens.i2.scale(1j)).scale(0.5)
-        state = even.mul_const(proj, side="right")
+        state = state.mul_const((unit - basis.gens.i2.scale(1j)).scale(0.5), side="right")
     elif form == EquationForm.ILK_E5:
-        theta = translate(psi, EquationForm.DIRAC_MATRIX, EquationForm.IDEAL, basis)
-        state = theta.mul_const(reduction_idempotent("t-e5", basis.gens), side="right")
-    else:
-        raise DomainError(f"unknown equation form {form}")
+        state = state.mul_const(reduction_idempotent("t-e5", basis.gens), side="right")
     return PlaneWaveSolution(form=form, momentum=p, mass=m, energy_sign=sign,
                              amplitude=tuple(complex(v) for v in u), state=state)
 
@@ -855,8 +856,8 @@ class FieldConfig:
                  seed: int = 0) -> ResidualReport:
         b = (self.basis if self.state.backend == EXACT
              else _float_basis(self.basis, max(tolerance, DEFAULT_TOLERANCE)))
-        return _RESIDUALS[self.form](self.state, self.potential, self.mass, b,
-                                     tolerance=tolerance, seed=seed)
+        return _RESIDUALS[self.form](self.state, self.potential, self.mass, b, b.gens.h,
+                                     b.gens.i2, tolerance=tolerance, seed=seed)
 
 
 @dataclass
@@ -882,40 +883,27 @@ def covariance_check(s, config: FieldConfig, *, tolerance: float = 1e-10,
     q = lorentz_of(s, inverse=True).rows
     if isinstance(state, GridField):
         raise DomainError("covariance checks run on the analytic backend")
-    backend = state.backend
     # potential: new components a~_lam = q^mu_lam a_mu composed with x = Q x~
     if pot is not None:
         pot_moved = pot.compose_linear(q)
         new_pot = pot_moved.apply_slot_matrix(_push_matrix(q, pot.backend))
     else:
         new_pot = None
+    h, i2 = new_h, new_i = basis.gens.h, basis.gens.i2
     if form == EquationForm.DIRAC_MATRIX:
-        gamma_s = gamma_of(s.element, basis)
-        new_state = state.compose_linear(q).apply_matrix(gamma_s)
-        before = residual_dirac(state, pot, m, basis, tolerance=tolerance, seed=seed)
-        after = residual_dirac(new_state, new_pot, m, basis, tolerance=tolerance, seed=seed)
+        new_state = state.compose_linear(q).apply_matrix(gamma_of(s.element, basis))
     elif form in (EquationForm.IDEAL, EquationForm.HESTENES):
         new_state = AnalyticField.constant(s.element).clifford(state.compose_linear(q))
-        if form == EquationForm.IDEAL:
-            before = residual_ideal(state, pot, m, basis, tolerance=tolerance, seed=seed)
-            after = residual_ideal(new_state, new_pot, m, basis, tolerance=tolerance, seed=seed)
-        else:
-            h_mv, i_mv = basis.gens.h, basis.gens.i2
-            before = residual_hestenes(state, pot, m, h_mv, i_mv,
-                                       tolerance=tolerance, seed=seed)
-            after = residual_hestenes(new_state, new_pot, m, h_mv, i_mv,
-                                      tolerance=tolerance, seed=seed)
     elif form == EquationForm.TENSOR:
-        push = _push_matrix(q, backend)
+        # the exterior form pushes the state's covectors, and H and I with them
+        push = _push_matrix(q, state.backend)
         new_state = state.compose_linear(q).apply_slot_matrix(push)
-        new_h = push_covectors(basis.gens.h, q)
-        new_i = push_covectors(basis.gens.i2, q)
-        before = residual_tensor(state, pot, m, basis.gens.h, basis.gens.i2,
-                                 tolerance=tolerance, seed=seed)
-        after = residual_tensor(new_state, new_pot, m, new_h, new_i,
-                                tolerance=tolerance, seed=seed)
+        new_h, new_i = push_covectors(h, q), push_covectors(i2, q)
     else:
         raise DomainError(f"covariance check not defined for form {form.value}")
+    before = _RESIDUALS[form](state, pot, m, basis, h, i2, tolerance=tolerance, seed=seed)
+    after = _RESIDUALS[form](new_state, new_pot, m, basis, new_h, new_i,
+                             tolerance=tolerance, seed=seed)
     verdict = "pass" if (after.max_norm <= max(tolerance, 10 * before.max_norm + tolerance)) else "fail"
     return CovarianceReport(form=form.value, residual_before=before.max_norm,
                             residual_after=after.max_norm, tolerance=tolerance,

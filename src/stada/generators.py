@@ -114,3 +114,12 @@ def transported_generators(s, g: SecondaryGenerators) -> SecondaryGenerators:
     from .spin import sandwich
 
     return make_secondary(sandwich(s, g.h), sandwich(s, g.i2), sandwich(s, g.k2))
+
+
+def random_generators(rng) -> SecondaryGenerators:
+    """The canonical triple carried along a seeded random two-factor rational
+    spin element: the `random:N` bases of the CLI and the suites."""
+    from .spin import random_rational_spin
+
+    return transported_generators(random_rational_spin(rng, factors=2),
+                                  canonical_generators())

@@ -515,11 +515,6 @@ _GAMMA_EXPECTED = (
 )
 
 
-def _random_generators(rng: random.Random) -> generators.SecondaryGenerators:
-    s = spin.random_rational_spin(rng, factors=2)
-    return generators.transported_generators(s, generators.canonical_generators())
-
-
 def _suite_representation(seed: int, iterations: int | None) -> list:
     res: list[CheckResult] = []
 
@@ -544,7 +539,7 @@ def _suite_representation(seed: int, iterations: int | None) -> list:
     rng = _rng(seed, "representation.basis16")
     bad = 0
     for _ in range(10):
-        g = _random_generators(rng)
+        g = generators.random_generators(rng)
         try:
             generators.basis16_of(g)
         except InvalidGeneratorError:
@@ -556,7 +551,7 @@ def _suite_representation(seed: int, iterations: int | None) -> list:
     rng = _rng(seed, "representation.idempotent")
     bad = 0
     for _ in range(10):
-        g = _random_generators(rng)
+        g = generators.random_generators(rng)
         try:
             ideal.idempotent_of(g)
         except Exception:
@@ -568,7 +563,7 @@ def _suite_representation(seed: int, iterations: int | None) -> list:
     rng = _rng(seed, "representation.absorption")
     bad = 0
     for _ in range(10):
-        g = _random_generators(rng)
+        g = generators.random_generators(rng)
         basis = ideal.idempotent_of(g)
         if g.h * basis.t != basis.t or g.i2 * basis.t != basis.t.scale(QQi(0, 1)):
             bad += 1
@@ -628,7 +623,7 @@ def _suite_representation(seed: int, iterations: int | None) -> list:
     bad = 0
     n_sets = 20
     for _ in range(n_sets):
-        g = _random_generators(rng)
+        g = generators.random_generators(rng)
         b = ideal.idempotent_of(g)
         if ideal.even_ideal_map_rank(b) != 8:
             bad += 1
@@ -639,7 +634,7 @@ def _suite_representation(seed: int, iterations: int | None) -> list:
     rng = _rng(seed, "representation.roundtrip")
     bad = 0
     for _ in range(iterations or 50):
-        g = _random_generators(rng)
+        g = generators.random_generators(rng)
         b = ideal.idempotent_of(g)
         psi = _random_real_mv(rng, masks=EVEN_MASKS, span=3)
         recovered = ideal.even_from_ideal(ideal.ideal_from_even(psi, b), b)
@@ -869,7 +864,7 @@ def _suite_equations(seed: int, iterations: int | None, tolerance: float,
         r_col = eq.dirac_operator(psi, pot, m, gammas)
         theta = eq.translate(psi, eq.EquationForm.DIRAC_MATRIX, eq.EquationForm.IDEAL,
                              state_basis)
-        r_ideal = eq.ideal_operator(theta, pot, m)
+        r_ideal = eq.form_operator(eq.EquationForm.IDEAL, theta, pot, m)
         worst = nan_max(worst, _field_gap(
             eq.translate(r_col, eq.EquationForm.DIRAC_MATRIX, eq.EquationForm.IDEAL,
                          state_basis), r_ideal))
@@ -886,10 +881,10 @@ def _suite_equations(seed: int, iterations: int | None, tolerance: float,
         psi_even = _random_exact_field(rng, grades={0, 2, 4},
                                        backend=backend).even_part().real_part()
         pot = _random_potential(rng, backend)
-        r_even = eq.even_operator(psi_even, pot, m, state_basis.gens.h,
-                                  state_basis.gens.i2)
+        r_even = eq.form_operator(eq.EquationForm.HESTENES, psi_even, pot, m,
+                                  state_basis.gens.h, state_basis.gens.i2)
         theta = psi_even.mul_const(state_basis.t, side="right")
-        r_ideal = eq.ideal_operator(theta, pot, m)
+        r_ideal = eq.form_operator(eq.EquationForm.IDEAL, theta, pot, m)
         worst = nan_max(worst, _field_gap(r_even.mul_const(state_basis.t, side="right"),
                                           r_ideal))
     _check(res, "equations.residual_map_even_ideal",
@@ -903,10 +898,8 @@ def _suite_equations(seed: int, iterations: int | None, tolerance: float,
         for _ in range(n // 3 + 1):
             rho = _random_exact_field(rng, nterms=2, backend=backend)
             pot = _random_potential(rng, backend)
-            lhs = eq.reduced_operator(kind, rho.mul_const(t_red, side="right"),
-                                      pot, m, state_basis.gens)
-            rhs = eq.ilk_operator(rho, pot, m).mul_const(t_red, side="right")
-            worst = nan_max(worst, _field_gap(lhs, rhs))
+            worst = nan_max(worst, _field_gap(
+                *eq.reduction_sides(kind, t_red, rho, pot, m, state_basis.gens)))
     _check(res, "equations.ilk_reductions",
            "the three idempotents map general-form residuals onto the reduced equations",
            worst, map_bound)

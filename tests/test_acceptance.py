@@ -168,7 +168,7 @@ def test_criterion_06_four_form_equivalence():
         pot = _random_potential(rng)
         r_col = eq.dirac_operator(psi, pot, m, gammas)
         theta = eq.translate(psi, EquationForm.DIRAC_MATRIX, EquationForm.IDEAL, BASIS)
-        r_ideal = eq.ideal_operator(theta, pot, m)
+        r_ideal = eq.form_operator(EquationForm.IDEAL, theta, pot, m)
         if eq.translate(r_col, EquationForm.DIRAC_MATRIX, EquationForm.IDEAL,
                         BASIS) != r_ideal:
             map_bad += 1
@@ -177,12 +177,14 @@ def test_criterion_06_four_form_equivalence():
             map_bad += 1
         psi_even = eq.translate(psi, EquationForm.DIRAC_MATRIX,
                                 EquationForm.HESTENES, BASIS)
-        r_even = eq.even_operator(psi_even, pot, m, BASIS.gens.h, BASIS.gens.i2)
+        r_even = eq.form_operator(EquationForm.HESTENES, psi_even, pot, m,
+                                  BASIS.gens.h, BASIS.gens.i2)
         if r_even.mul_const(BASIS.t, side="right") != r_ideal:
             map_bad += 1
         # the exterior-calculus form shares storage with the real even form
         phi = eq.translate(psi, EquationForm.DIRAC_MATRIX, EquationForm.TENSOR, BASIS)
-        r_tensor = eq.even_operator(phi, pot, m, BASIS.gens.h, BASIS.gens.i2)
+        r_tensor = eq.form_operator(EquationForm.TENSOR, phi, pot, m,
+                                    BASIS.gens.h, BASIS.gens.i2)
         if r_tensor != r_even:
             map_bad += 1
     rng_p = random.Random(61)
@@ -228,7 +230,8 @@ def test_criterion_07_ilk_reductions():
             pot = _random_potential(rng)
             lhs = eq.reduced_operator(kind, rho.mul_const(t_red, side="right"),
                                       pot, m, BASIS.gens)
-            rhs = eq.ilk_operator(rho, pot, m).mul_const(t_red, side="right")
+            rhs = eq.form_operator(EquationForm.ILK, rho, pot, m).mul_const(
+                t_red, side="right")
             if lhs != rhs:
                 bad += 1
     _announce(7, bad == 0,

@@ -211,6 +211,28 @@ def test_residual_grid_state(tmp_path, capsys):
     assert data["grid"] == {"n": 8, "h": math.pi / 4}
 
 
+@pytest.mark.parametrize("dump,message", [("ideal", "state must be even"),
+                                           ("ilk-even", "state must be real")])
+def test_loose_tolerance_keeps_the_even_real_domain(dump, message, tmp_path, capsys):
+    # a grid residual needs a loose verdict tolerance; the domain check of the
+    # exterior form must not loosen with it (these passed with max_norm 0.10
+    # and 0.14 when the bound followed the verdict tolerance)
+    import math
+
+    from stada import equations as eq
+    from stada import ideal
+    from stada.grid import sample
+
+    sol = eq.plane_wave(EquationForm.from_name(dump), (1.0, 0, 0, 0), 1.0,
+                        basis=ideal.canonical_basis())
+    path = tmp_path / "state.json"
+    sample(sol.state, 8, math.pi / 4).save(str(path))
+    code, out, err = run_cli(["residual", "--form", "tde", "--state", str(path),
+                              "--tolerance", "0.2"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_residual_offshell_is_usage(capsys):
     code, _, err = run_cli(["residual", "--form", "tde",
                             "--plane-wave", "m=1;p=2,0,0,0"], capsys)

@@ -8,10 +8,10 @@ from fractions import Fraction
 import pytest
 
 from stada import equations as eq
-from stada import ideal, spin
+from stada import generators, ideal, spin
 from stada.equations import BispinorField, EquationForm
 from stada.errors import DomainError
-from stada.fields import AnalyticField, Poly, real_polynomial
+from stada.fields import AnalyticField, Poly, real_polynomial, upsilon_gradient
 from stada.multivector import EVEN_MASKS, Multivector, basis_vector
 from stada.scalars import EXACT, FLOAT, QQi
 
@@ -147,7 +147,7 @@ def test_matrix_ideal_residual_mapping_exact():
         pot = random_potential(rng)
         r_col = eq.dirac_operator(psi, pot, m, GAMMAS)
         theta = eq.translate(psi, EquationForm.DIRAC_MATRIX, EquationForm.IDEAL, BASIS)
-        r_ideal = eq.ideal_operator(theta, pot, m)
+        r_ideal = eq.form_operator(EquationForm.IDEAL, theta, pot, m)
         assert eq.translate(r_col, EquationForm.DIRAC_MATRIX,
                             EquationForm.IDEAL, BASIS) == r_ideal
         assert eq.translate(r_ideal, EquationForm.IDEAL,
@@ -160,8 +160,10 @@ def test_even_ideal_residual_mapping_exact():
     for _ in range(25):
         psi = random_even_real(rng)
         pot = random_potential(rng)
-        r_even = eq.even_operator(psi, pot, m, BASIS.gens.h, BASIS.gens.i2)
-        r_ideal = eq.ideal_operator(psi.mul_const(BASIS.t, side="right"), pot, m)
+        r_even = eq.form_operator(EquationForm.HESTENES, psi, pot, m,
+                                  BASIS.gens.h, BASIS.gens.i2)
+        r_ideal = eq.form_operator(EquationForm.IDEAL, psi.mul_const(BASIS.t, side="right"),
+                                   pot, m)
         assert r_even.mul_const(BASIS.t, side="right") == r_ideal
 
 
@@ -170,8 +172,10 @@ def test_hestenes_tensor_share_residuals():
     for _ in range(10):
         psi = random_even_real(rng)
         pot = random_potential(rng)
-        a = eq.even_operator(psi, pot, Fraction(1), BASIS.gens.h, BASIS.gens.i2)
-        b = eq.even_operator(psi, pot, Fraction(1), BASIS.gens.h, BASIS.gens.i2)
+        a = eq.form_operator(EquationForm.HESTENES, psi, pot, Fraction(1),
+                             BASIS.gens.h, BASIS.gens.i2)
+        b = eq.form_operator(EquationForm.TENSOR, psi, pot, Fraction(1),
+                             BASIS.gens.h, BASIS.gens.i2)
         assert a == b  # same storage, same formula; the forms differ in rendering only
 
 
@@ -183,9 +187,7 @@ def test_ilk_reductions_exact():
         for _ in range(17):
             rho = random_full_state(rng)
             pot = random_potential(rng)
-            lhs = eq.reduced_operator(kind, rho.mul_const(t_red, side="right"),
-                                      pot, m, BASIS.gens)
-            rhs = eq.ilk_operator(rho, pot, m).mul_const(t_red, side="right")
+            lhs, rhs = eq.reduction_sides(kind, t_red, rho, pot, m, BASIS.gens)
             assert lhs == rhs
 
 
@@ -309,7 +311,7 @@ def test_even_invertible_transport():
         moved = sol.state.mul_const(t_mv, side="right")
         h_t = t_inv * FBASIS.gens.h * t_mv
         i_t = t_inv * FBASIS.gens.i2 * t_mv
-        res = eq.even_operator(moved, None, 1.0, h_t, i_t)
+        res = eq.form_operator(EquationForm.TENSOR, moved, None, 1.0, h_t, i_t)
         worst = max(res.eval(x).max_abs() for x in eq.sample_points(0))
         assert worst <= 1e-10
 
@@ -428,13 +430,19 @@ def _grid(blades):
 
 
 def test_grid_domain_thresholds():
+    # the even and real bounds follow the rounding of the state, 10 * 1e-12 at
+    # size 1, and a loose verdict tolerance does not widen them
     tol = 1e-3
-    bound = tol * 1.0 * 10  # scale-free size 1: the largest coefficient is 1
+    bound = 1e-12 * 1.0 * 10  # scale-free size 1: the largest coefficient is 1
     h, i2 = FBASIS.gens.h, FBASIS.gens.i2
     # odd part (blade e0, mask 1) against |odd| <= bound; mask 3 is e01
     eq.residual_tensor(_grid({0: 1.0, 1: 0.99 * bound}), None, 1.0, h, i2, tolerance=tol)
     with pytest.raises(DomainError, match="state must be even"):
         eq.residual_tensor(_grid({0: 1.0, 1: 1.01 * bound}), None, 1.0, h, i2, tolerance=tol)
+    # a verdict tolerance below the default tightens the bound with it
+    with pytest.raises(DomainError, match="state must be even"):
+        eq.residual_tensor(_grid({0: 1.0, 1: 0.99 * bound}), None, 1.0, h, i2,
+                           tolerance=1e-13)
     # the grid reality rule is |Im| <= bound, half as strict as the analytic
     # |rho - conj(rho)| <= bound
     eq.residual_hestenes(_grid({0: 1.0, 3: 1j * bound}), None, 1.0, h, i2, tolerance=tol)
@@ -443,6 +451,8 @@ def test_grid_domain_thresholds():
                              tolerance=tol)
     # the even-complex form takes the same even check and no reality check
     eq.residual_ilk_even(_grid({0: 1.0, 3: 1j}), None, 1.0, h, tolerance=tol)
+    with pytest.raises(DomainError, match="state must be even"):
+        eq.residual_ilk_even(_grid({0: 1.0, 1: 1.01 * bound}), None, 1.0, h, tolerance=tol)
     with pytest.raises(DomainError, match="state leaves the left ideal"):
         eq.residual_ideal(_grid({0: 1.0}), None, 1.0, FBASIS, tolerance=tol)
 
@@ -634,3 +644,114 @@ def test_only_sampled_max_calls_sample_points():
     for path in sorted(Path(eq.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert callers == ["equations.sampled_max"]
+
+
+# ---- the form table ---------------------------------------------------------------------
+
+
+RANDOM_BASIS = ideal.idempotent_of(generators.random_generators(random.Random(4)))
+NON_MATRIX = [f for f in EquationForm if f != EquationForm.DIRAC_MATRIX]
+
+
+def _in_domain(form, rng, basis):
+    """A random exact state of the form's domain, in general not a solution."""
+    if form == EquationForm.IDEAL:
+        return random_full_state(rng).mul_const(basis.t, side="right")
+    if form in (EquationForm.HESTENES, EquationForm.TENSOR):
+        return random_even_real(rng)
+    if form == EquationForm.ILK_EVEN:
+        return random_full_state(rng).even_part()
+    return random_full_state(rng)
+
+
+def _paper_formula(form, psi, pot, m, h, i2):
+    """The form's equation written out: Upsilon psi + (A psi) J + m psi M."""
+    i = QQi(0, 1)
+    a_psi = pot.clifford(psi)
+    if form in (EquationForm.IDEAL, EquationForm.ILK):  # J = i, M = i
+        return upsilon_gradient(psi) + a_psi.scale(i) + psi.scale(m * i)
+    if form in (EquationForm.HESTENES, EquationForm.TENSOR):  # J = I, M = HI
+        return (upsilon_gradient(psi) + a_psi.mul_const(i2, side="right")
+                + psi.mul_const(h * i2, side="right").scale(m))
+    if form == EquationForm.ILK_EVEN:  # J = i, M = iH
+        return (upsilon_gradient(psi) + a_psi.scale(i)
+                + psi.mul_const(h, side="right").scale(m * i))
+    e5 = Multivector.basis(0b1111)  # J = M = e5
+    return (upsilon_gradient(psi) + a_psi.mul_const(e5, side="right")
+            + psi.mul_const(e5, side="right").scale(m))
+
+
+@pytest.mark.parametrize("form", NON_MATRIX)
+@pytest.mark.parametrize("basis", [BASIS, RANDOM_BASIS], ids=["canonical", "random4"])
+def test_form_operator_is_the_paper_formula(form, basis):
+    rng = random.Random(f"formula-{form.value}")
+    m = Fraction(3, 2)
+    h, i2 = basis.gens.h, basis.gens.i2
+    for _ in range(3):
+        psi, pot = _in_domain(form, rng, basis), random_potential(rng)
+        assert eq.form_operator(form, psi, pot, m, h, i2) == \
+            _paper_formula(form, psi, pot, m, h, i2)
+
+
+@pytest.mark.parametrize("form", NON_MATRIX)
+@pytest.mark.parametrize("basis", [BASIS, RANDOM_BASIS], ids=["canonical", "random4"])
+def test_gauge_covariance_is_exact(form, basis):
+    # psi -> psi exp(lam J), A -> A - d(lam) carries the operator along:
+    # D'(psi') = D(psi) exp(lam J), exactly, for non-solutions too
+    rng = random.Random(f"gauge-{form.value}")
+    lam = real_polynomial({(1, 0, 0, 0): Fraction(1, 3), (0, 1, 1, 0): Fraction(-2, 5)},
+                          EXACT)
+    m = Fraction(3, 2)
+    h, i2 = basis.gens.h, basis.gens.i2
+    for _ in range(3):
+        psi, pot = _in_domain(form, rng, basis), random_potential(rng)
+        moved, moved_pot = eq.gauge_transform(psi, pot, lam, form, basis)
+        lhs = eq.form_operator(form, moved, moved_pot, m, h, i2)
+        rhs, _ = eq.gauge_transform(eq.form_operator(form, psi, pot, m, h, i2), None,
+                                    lam, form, basis)
+        assert not lhs.is_zero()
+        assert (lhs - rhs).is_zero()
+
+
+def test_the_form_table_is_the_one_dispatch():
+    # only form_operator applies Upsilon, and neither the gauge map nor the
+    # reductions branch on a form: both read the row
+    import ast
+    from pathlib import Path
+
+    tree = ast.parse(Path(eq.__file__).read_text(encoding="utf-8"))
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    upsilon_callers = sorted(
+        name for name, fn in funcs.items() for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_upsilon")
+    assert upsilon_callers == ["form_operator"]
+    for name in ("gauge_transform", "reduced_operator"):
+        compared = [ast.unparse(node) for node in ast.walk(funcs[name])
+                    if isinstance(node, ast.Compare)
+                    and any(isinstance(op, ast.Attribute)
+                            and getattr(op.value, "id", None) == "EquationForm"
+                            for op in [node.left, *node.comparators])]
+        assert compared == [], name
+    for gone in ("ilk_operator", "ideal_operator", "even_operator", "ilk_even_operator",
+                 "ilk_e5_operator"):
+        assert not hasattr(eq, gone)
+
+
+def test_form_operator_refuses_what_its_row_cannot_build():
+    rng = random.Random(0)
+    with pytest.raises(DomainError, match="gamma-matrix"):
+        eq.form_operator(EquationForm.DIRAC_MATRIX, random_bispinor(rng), None, 1)
+    # M = HI needs both generators; without H it must not quietly become I
+    with pytest.raises(DomainError, match="right factor H needs generator data"):
+        eq.form_operator(EquationForm.TENSOR, random_even_real(rng), None, 1,
+                         i2=BASIS.gens.i2)
+
+
+def test_gauge_rotor_needs_generators_only_where_j_names_one():
+    sol = eq.plane_wave(EquationForm.ILK_E5, (1.0, 0, 0, 0), 1.0, basis=BASIS)
+    lam = real_polynomial({(0, 1, 0, 0): 0.3}, FLOAT)
+    st, pot = eq.gauge_transform(sol.state, None, lam, EquationForm.ILK_E5)
+    assert eq.residual_ilk_e5(st, pot, 1.0).max_norm <= 1e-12
+    for form in (EquationForm.HESTENES, EquationForm.TENSOR):
+        with pytest.raises(DomainError, match="right factor I needs generator data"):
+            eq.gauge_transform(sol.state, None, lam, form)
