@@ -33,8 +33,9 @@ from .multivector import (
     ETA,
     Multivector,
     basis_vector,
-    hermitian_conjugate,
+    clifford_product,
     l5,
+    require_unit_square,
     scalar_part_of_product,
 )
 from .scalars import DEFAULT_TOLERANCE, EXACT, FLOAT, QQi, nan_max
@@ -150,16 +151,24 @@ def _rescaled(norm, u) -> float:
     return s * norm(u.scale(1.0 / s)) if math.isfinite(s) else value
 
 
+def _hermitian_size(h: Multivector, tol: float):
+    """u -> sqrt(4 Tr(U U^dagger)) with U^dagger = H U^star H; H*H = unit is
+    checked here, once, within `tol`."""
+    hf = h.to_float()
+    require_unit_square(hf, tol)
+
+    def direct(v: Multivector) -> float:
+        dagger = clifford_product(clifford_product(hf, v.star()), hf)
+        val = complex(scalar_part_of_product(v, dagger)) * 4
+        return math.sqrt(max(val.real, 0.0))
+
+    return lambda u: _rescaled(direct, u.to_float())
+
+
 def hermitian_norm(u: Multivector, h: Multivector, tol: float = DEFAULT_TOLERANCE) -> float:
     """sqrt(4 Tr(U U^dagger)) with the conjugation adapted to H, which must
     square to the unit within `tol`."""
-    hf = h.to_float()
-
-    def direct(v: Multivector) -> float:
-        val = complex(scalar_part_of_product(v, hermitian_conjugate(v, hf, tol))) * 4
-        return math.sqrt(max(val.real, 0.0))
-
-    return _rescaled(direct, u.to_float())
+    return _hermitian_size(h, tol)(u)
 
 
 def _grid_norm(state: GridField, h_mv: Multivector) -> float:
@@ -197,7 +206,8 @@ def _state_norm(state, h_mv: Multivector, seed: int, tol: float) -> float:
     if isinstance(state, BispinorField):
         return sampled_max(state, _column_norm, seed)
     if isinstance(state, AnalyticField):
-        return sampled_max(state, lambda v: hermitian_norm(v, h_mv, tol), seed)
+        # H*H = unit is checked once per measured field, not at every point
+        return 0.0 if state.is_zero() else sampled_max(state, _hermitian_size(h_mv, tol), seed)
     raise DomainError(f"cannot measure a {type(state).__name__}")
 
 
@@ -383,8 +393,10 @@ def form_operator(form: EquationForm, state, pot, m, h: Multivector | None = Non
 def _gammas(backend: str, basis: IdealBasis | None, tol: float) -> tuple:
     if basis is None:
         basis = canonical_basis(backend if backend == EXACT else FLOAT)
-    gammas = tuple(gamma_of(basis_vector(mu, basis.backend), basis,
-                            tol=max(tol, DEFAULT_TOLERANCE)) for mu in range(4))
+    if basis.backend == EXACT:
+        gammas = tuple(gamma_of(basis_vector(mu, EXACT), basis) for mu in range(4))
+    else:
+        gammas = basis.vector_gammas(max(tol, DEFAULT_TOLERANCE))
     if backend != basis.backend:
         gammas = tuple(tuple(tuple(complex(v) for v in row) for row in g) for g in gammas)
     return gammas
@@ -514,12 +526,9 @@ def reduction_sides(kind: str, t_red: Multivector, rho, pot, m,
 
 
 def _component_fields(state, basis: IdealBasis) -> list:
-    """Scalar fields (state, t^k) for an ideal-valued analytic state."""
-    out = []
-    for td in basis.ts_dagger:
-        proj = state.mul_const(td, side="right").component(0).scale(4)
-        out.append(proj)
-    return out
+    """Scalar fields (state, t^k) = 4 <state t^k dagger>_0 for an
+    ideal-valued analytic state."""
+    return [state.scalar_part_of_mul(td).scale(4) for td in basis.ts_dagger]
 
 
 def translate(state, src: EquationForm, dst: EquationForm, basis: IdealBasis):
@@ -758,9 +767,8 @@ def plane_wave(form: EquationForm, p, m, sign: int = 1,
     if not abs(shell - m * m) <= 1e-10 * scale:  # NaN from overflow is off shell too
         raise DomainError(f"momentum is off shell: p.p = {shell}, m^2 = {m * m}")
     basis = _float_basis(basis, tol) if basis is not None else canonical_basis(FLOAT)
-    gammas = [np.array([[complex(v) for v in row] for row in
-                        gamma_of(basis_vector(mu, FLOAT), basis, tol=tol)])
-              for mu in range(4)]
+    gammas = [np.array([[complex(v) for v in row] for row in g])
+              for g in basis.vector_gammas(tol)]
     pslash = sum(p[mu] * gammas[mu] for mu in range(4))
     target = pslash - sign * m * np.eye(4)
     _, svals, vh = np.linalg.svd(target)

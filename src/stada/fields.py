@@ -15,6 +15,7 @@ as structural equalities; evaluation at a point always produces floats.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import operator
 from fractions import Fraction
@@ -400,15 +401,17 @@ class AnalyticField:
         """d/dx^mu, including the phase chain rule."""
         out = []
         for phase, coeffs in self.terms.values():
-            dphase = phase.diff(mu)
-            chain = None
-            if dphase:
-                chain = _real_poly_as_coeff(dphase, self.backend, times_i=True)
+            chain = _real_poly_as_coeff(phase.diff(mu), self.backend, times_i=True)
+            # a constant phase derivative, as for a plane wave, acts as a scale
+            const = chain.terms.get(_ZERO_EXPS) if len(chain.terms) == 1 else None
             new = []
             for q in coeffs:
+                if not q:
+                    new.append(q)
+                    continue
                 dq = q.diff(mu)
-                if chain is not None and q:
-                    dq = dq + chain * q
+                if chain:
+                    dq = dq + (q.scale(const) if const is not None else chain * q)
                 new.append(dq)
             out.append((phase, new))
         return AnalyticField(self.backend, out)
@@ -420,13 +423,11 @@ class AnalyticField:
 
     def compose_linear(self, matrix) -> "AnalyticField":
         """Substitute x = matrix . y in every polynomial and phase."""
+        conv = Fraction if self.backend == EXACT else float
+        rmat = [[conv(v) for v in row] for row in matrix]
+        cmat = [[scalars.coerce(v, self.backend) for v in row] for row in rmat]
         out = []
         for phase, coeffs in self.terms.values():
-            if self.backend == EXACT:
-                rmat = [[Fraction(v) for v in row] for row in matrix]
-            else:
-                rmat = [[float(v) for v in row] for row in matrix]
-            cmat = [[scalars.coerce(v, self.backend) for v in row] for row in rmat]
             new_phase = phase.compose_linear(rmat)
             new_coeffs = [q.compose_linear(cmat) if q else Poly() for q in coeffs]
             out.append((new_phase, new_coeffs))
@@ -451,17 +452,42 @@ class AnalyticField:
 
     def mul_const(self, mv: Multivector, side: str = "right",
                   product: BladeProduct = CLIFFORD) -> "AnalyticField":
-        """Multiply by the constant mv, on the given side, under the given product."""
-        const = AnalyticField.constant(mv)
-        a, b = (self, const) if side == "right" else (const, self)
-        return a._blade_mul(b, product)
+        """Multiply by the constant mv, on the given side, under the given product.
+
+        The constant acts as a slot map: each live term (i, j, sign, mask)
+        scales one coefficient polynomial by one coefficient of mv into slot
+        mask, summed in the ascending (i, j) order of the field-by-field
+        product, whose coefficients it equals bit for bit."""
+        self._check(mv)
+        right = side == "right"
+        out = []
+        for phase, coeffs in self.terms.values():
+            a, b = (coeffs, mv.coeffs) if right else (mv.coeffs, coeffs)
+            new = [Poly()] * 16
+            for i, j, sign, mask in product.live_terms(a, b):
+                p = a[i].scale(b[j]) if right else b[j].scale(a[i])
+                new[mask] = new[mask] + p if sign > 0 else new[mask] - p
+            out.append((phase, new))
+        return AnalyticField(self.backend, out)
+
+    def scalar_part_of_mul(self, mv: Multivector) -> "AnalyticField":
+        """The unit-blade part of the Clifford product self * mv, forming only
+        the terms that land on the unit blade, in the order of mul_const."""
+        self._check(mv)
+        out = []
+        for phase, coeffs in self.terms.values():
+            acc = Poly()
+            for i, j, sign in CLIFFORD.scalar_terms:
+                if coeffs[i] and mv.coeffs[j]:
+                    p = coeffs[i].scale(mv.coeffs[j])
+                    acc = acc + p if sign > 0 else acc - p
+            out.append((phase, [acc] + [Poly()] * 15))
+        return AnalyticField(self.backend, out)
 
     # ---- evaluation ----------------------------------------------------------------
 
     def eval(self, x) -> Multivector:
         """Value at a point, always on the float backend."""
-        import cmath
-
         coeffs = [0j] * 16
         for phase, polys in self.terms.values():
             factor = cmath.exp(1j * phase.eval_real(x))

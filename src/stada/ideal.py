@@ -20,10 +20,11 @@ from .generators import SecondaryGenerators, canonical_generators
 from .kernel import ExactLinearMap
 from .multivector import (
     Multivector,
+    basis_vector,
     hermitian_conjugate,
     scalar_part_of_product,
 )
-from .scalars import DEFAULT_TOLERANCE, EXACT, Scalar
+from .scalars import DEFAULT_TOLERANCE, EXACT, Scalar, nan_max
 
 
 def scalar_product(u: Multivector, v: Multivector, h: Multivector,
@@ -42,7 +43,10 @@ class IdealBasis:
 
     On the exact backend the matrix representation is linear in U, so the
     images of the 16 basis blades are built once per basis, on the first
-    `gamma_of`, and every later call combines them.
+    `gamma_of`, and every later call combines them.  On the float backend
+    the four gamma^mu are built once per basis, on the first
+    `vector_gammas`, and every call checks their stored reconstruction
+    deviation against its own tolerance.
     """
 
     gens: SecondaryGenerators
@@ -72,6 +76,25 @@ class IdealBasis:
         return ExactLinearMap([
             [v for row in _gamma_matrix(Multivector.basis(mask, EXACT), self) for v in row]
             for mask in range(16)])
+
+    @cached_property
+    def float_gammas(self) -> tuple:
+        """(gammas, deviation): gamma_of(e_mu) for mu = 0..3 on a float basis,
+        and the largest coefficient of U t_k - sum_n gamma[n][k] t_n over
+        all four, NaN if any is NaN."""
+        if self.backend == EXACT:
+            raise DomainError("float gammas need a float basis")
+        built = [_gamma_misfits(basis_vector(mu, self.backend), self) for mu in range(4)]
+        deviation = nan_max(*(r.max_abs() for _, misfits in built for r in misfits))
+        return tuple(mat for mat, _ in built), deviation
+
+    def vector_gammas(self, tol: float = DEFAULT_TOLERANCE) -> tuple:
+        """The four float gamma^mu, built once per basis; every call checks
+        their reconstruction within `tol`, and a NaN deviation fails."""
+        gammas, deviation = self.float_gammas
+        if not deviation <= tol:
+            raise ConsistencyError("representation reconstruction failed")
+        return gammas
 
 
 def idempotent_of(g: SecondaryGenerators, tol: float = DEFAULT_TOLERANCE) -> IdealBasis:
@@ -131,21 +154,30 @@ def gamma_of(u: Multivector, basis: IdealBasis, tol: float = DEFAULT_TOLERANCE) 
     return _gamma_matrix(u, basis, tol)
 
 
-def _gamma_matrix(u: Multivector, basis: IdealBasis,
-                  tol: float = DEFAULT_TOLERANCE) -> tuple:
-    """gamma_of from the products U t_k, with the reconstruction check."""
+def _gamma_misfits(u: Multivector, basis: IdealBasis) -> tuple:
+    """(gamma, misfits): gamma_of from the products U t_k, and for each k the
+    difference sum_n gamma[n][k] t_n - U t_k of its reconstruction."""
     products = [u * tk for tk in basis.ts]
     mat = tuple(
         tuple(scalar_part_of_product(products[k], basis.ts_dagger[n]) * 4
               for k in range(4))
         for n in range(4)
     )
+    misfits = []
     for k in range(4):
         recon = Multivector.zero(basis.backend)
         for n in range(4):
             recon = recon + basis.ts[n].scale(mat[n][k])
-        if not (recon - products[k]).is_zero(tol):
-            raise ConsistencyError("representation reconstruction failed")
+        misfits.append(recon - products[k])
+    return mat, misfits
+
+
+def _gamma_matrix(u: Multivector, basis: IdealBasis,
+                  tol: float = DEFAULT_TOLERANCE) -> tuple:
+    """gamma_of from the products U t_k, with the reconstruction check."""
+    mat, misfits = _gamma_misfits(u, basis)
+    if not all(r.is_zero(tol) for r in misfits):
+        raise ConsistencyError("representation reconstruction failed")
     return mat
 
 

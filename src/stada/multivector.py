@@ -296,11 +296,16 @@ def anticommutator(a: Multivector, b: Multivector) -> Multivector:
     return clifford_product(a, b) + clifford_product(b, a)
 
 
+def require_unit_square(h: Multivector, tol: float = DEFAULT_TOLERANCE) -> None:
+    """Refuse an H whose square differs from the unit by more than `tol`."""
+    if not clifford_product(h, h).isclose(Multivector.unit(h.backend), tol):
+        raise InvalidGeneratorError("hermitian conjugation needs H with H*H = unit")
+
+
 def hermitian_conjugate(u: Multivector, h: Multivector,
                         tol: float = DEFAULT_TOLERANCE) -> Multivector:
     """H * U^star * H for an element H with H*H equal to the unit."""
-    if not clifford_product(h, h).isclose(Multivector.unit(h.backend), tol):
-        raise InvalidGeneratorError("hermitian conjugation needs H with H*H = unit")
+    require_unit_square(h, tol)
     return clifford_product(clifford_product(h, u.star()), h)
 
 

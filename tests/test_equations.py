@@ -10,7 +10,7 @@ import pytest
 from stada import equations as eq
 from stada import generators, ideal, spin
 from stada.equations import BispinorField, EquationForm
-from stada.errors import DomainError
+from stada.errors import ConsistencyError, DomainError, InvalidGeneratorError
 from stada.fields import AnalyticField, Poly, real_polynomial, upsilon_gradient
 from stada.multivector import EVEN_MASKS, Multivector, basis_vector
 from stada.scalars import EXACT, FLOAT, QQi
@@ -755,3 +755,77 @@ def test_gauge_rotor_needs_generators_only_where_j_names_one():
     for form in (EquationForm.HESTENES, EquationForm.TENSOR):
         with pytest.raises(DomainError, match="right factor I needs generator data"):
             eq.gauge_transform(sol.state, None, lam, form)
+
+
+# ---- work done once per basis and once per norm ---------------------------------------
+
+
+def _float_random_1():
+    # max|H| is 184.5, so the float copy only holds at a loose tolerance
+    return eq._float_basis(ideal.idempotent_of(generators.random_generators(random.Random(1))),
+                           1e-6)
+
+
+@pytest.mark.parametrize("order", [("plane_wave", "dirac"), ("dirac", "plane_wave")])
+def test_cached_gammas_cannot_hide_a_failure(order):
+    deviation = _float_random_1().float_gammas[1]
+    assert 1e-12 < deviation < 1e-6
+    calls = {
+        "plane_wave": lambda b, tol: eq.plane_wave(EquationForm.DIRAC_MATRIX, (1.0, 0, 0, 0),
+                                                   1.0, basis=b, tol=tol),
+        "dirac": lambda b, tol: eq.residual_dirac(
+            BispinorField.constant((1, 0, 0, 0), FLOAT), None, 1.0, b, tolerance=tol),
+    }
+    basis = _float_random_1()  # one object, its gammas built by the first call
+    for name in order:
+        for tol in (deviation / 2, deviation * 2):
+            # the per-call route gives the verdict the stored deviation must give
+            fails = False
+            for mu in range(4):
+                try:
+                    ideal.gamma_of(basis_vector(mu, FLOAT), basis, tol)
+                except ConsistencyError:
+                    fails = True
+            assert fails == (tol < deviation)
+            if fails:
+                with pytest.raises(ConsistencyError, match="reconstruction"):
+                    calls[name](basis, tol)
+            else:
+                calls[name](basis, tol)
+    assert "float_gammas" in vars(basis)
+
+
+def test_cached_gammas_equal_the_per_call_route():
+    basis = _float_random_1()
+    gammas = basis.vector_gammas(1e-6)
+    for mu in range(4):
+        assert gammas[mu] == ideal.gamma_of(basis_vector(mu, FLOAT), basis, 1e-6)
+    with pytest.raises(DomainError):
+        BASIS.float_gammas
+
+
+def test_a_nan_deviation_fails_every_tolerance():
+    basis = _float_random_1()
+    vars(basis)["float_gammas"] = (basis.float_gammas[0], math.nan)
+    for tol in (1e-12, 1.0, math.inf):
+        with pytest.raises(ConsistencyError):
+            basis.vector_gammas(tol)
+
+
+def test_state_norm_checks_h_once_per_field():
+    bad_h = Multivector.unit(FLOAT).scale(2.0)
+    assert eq._state_norm(AnalyticField.zero(FLOAT), bad_h, 0, 1e-12) == 0.0
+    with pytest.raises(InvalidGeneratorError):
+        eq._state_norm(AnalyticField.constant(basis_vector(1, FLOAT)), bad_h, 0, 1e-12)
+
+
+@pytest.mark.parametrize("size", [1.0, 1e300])
+def test_state_norm_is_the_largest_pointwise_hermitian_norm(size):
+    rng = random.Random(15)
+    h = _float_random_1().gens.h
+    for seed in range(3):
+        state = random_full_state(rng).to_float().scale(size)
+        want = max(eq.hermitian_norm(state.eval(x), h, 1e-6) for x in eq.sample_points(seed))
+        got = eq._state_norm(state, h, seed, 1e-6)
+        assert got.hex() == want.hex()
+        assert math.isfinite(got) and got > 0.1 * size

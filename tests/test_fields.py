@@ -20,7 +20,7 @@ from stada.fields import (
     upsilon,
     upsilon_gradient,
 )
-from stada.multivector import Multivector, basis_vector
+from stada.multivector import CLIFFORD, WEDGE, Multivector, basis_vector
 from stada.scalars import EXACT, FLOAT, QQi
 
 
@@ -216,6 +216,85 @@ def test_field_products_match_pointwise():
         assert (prod - want).max_abs() < 1e-12
         wedge = f.wedge(g).eval(x)
         assert (wedge - (f.eval(x) ^ g.eval(x))).max_abs() < 1e-12
+
+
+def random_float_field(rng, nterms=3, linear=False):
+    """Dense float coefficients, some parts signed zeros, on several phases;
+    `linear` phases are plane waves."""
+    def part():
+        return rng.choice((0.0, -0.0, rng.uniform(-2, 2)))
+
+    entries = []
+    for _ in range(nterms):
+        axis = rng.randrange(4)
+        exps = (tuple(int(i == axis) for i in range(4)) if linear
+                else tuple(rng.randint(0, 1) for _ in range(4)))
+        phase = Poly({exps: rng.uniform(-2, 2)})
+        coeffs = [Poly() for _ in range(16)]
+        for _ in range(10):
+            m = rng.randrange(16)
+            exps = tuple(rng.randint(0, 2) for _ in range(4))
+            coeffs[m] = coeffs[m] + Poly({exps: complex(part(), rng.uniform(-2, 2))})
+        entries.append((phase, coeffs))
+    return AnalyticField(FLOAT, entries)
+
+
+def coefficient_bits(f):
+    """Every phase key with its coefficients, floats as the hex of both parts."""
+    def bits(c):
+        return (c.real.hex(), c.imag.hex()) if isinstance(c, complex) else c
+
+    return {key: [[(e, bits(c)) for e, c in q.terms.items()] for q in coeffs]
+            for key, (_, coeffs) in f.terms.items()}
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@pytest.mark.parametrize("product", [CLIFFORD, WEDGE], ids=["clifford", "wedge"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_mul_const_equals_the_field_product_bit_for_bit(side, product, backend):
+    rng = random.Random(12)
+    for _ in range(10):
+        if backend == EXACT:
+            f = random_exact_field(rng)
+            mv = Multivector([QQi(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(16)],
+                             EXACT)
+        else:
+            f = random_float_field(rng)
+            mv = Multivector([complex(rng.choice((0.0, -0.0, rng.uniform(-2, 2))),
+                                      rng.choice((0.0, -0.0, rng.uniform(-2, 2))))
+                              for _ in range(16)], FLOAT)
+        const = AnalyticField.constant(mv)
+        want = f._blade_mul(const, product) if side == "right" else const._blade_mul(f, product)
+        got = f.mul_const(mv, side, product)
+        assert got == want
+        assert coefficient_bits(got) == coefficient_bits(want)
+
+
+def test_unit_blade_part_of_a_const_product_is_the_full_products():
+    rng = random.Random(13)
+    for f, mv in [(random_float_field(rng), Multivector(
+                      [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(16)],
+                      FLOAT)),
+                  (random_exact_field(rng), Multivector.basis(5, EXACT).scale(QQi(1, 2)))]:
+        want = f.mul_const(mv, "right").component(0)
+        got = f.scalar_part_of_mul(mv)
+        assert coefficient_bits(got) == coefficient_bits(want)
+
+
+def test_partial_by_a_constant_phase_slope_is_the_chain_product():
+    # a plane-wave phase has a constant derivative, applied as a scale; the
+    # polynomial product of the chain rule gives the same bits
+    rng = random.Random(14)
+    for _ in range(5):
+        f = random_float_field(rng, linear=True)
+        for mu in range(4):
+            want = []
+            for phase, coeffs in f.terms.values():
+                slope = phase.linear_coefficients()[mu]
+                chain = Poly({(0, 0, 0, 0): complex(0.0, slope)})
+                want.append((phase, [q.diff(mu) + chain * q for q in coeffs]))
+            want = AnalyticField(FLOAT, want)
+            assert coefficient_bits(f.partial(mu)) == coefficient_bits(want)
 
 
 # each blade map of a field, with its reference on the field's value at a point
