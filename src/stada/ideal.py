@@ -22,6 +22,7 @@ from .multivector import (
     Multivector,
     basis_vector,
     hermitian_conjugate,
+    numerators,
     scalar_part_of_product,
 )
 from .scalars import DEFAULT_TOLERANCE, EXACT, Scalar, nan_max
@@ -149,7 +150,7 @@ def gamma_of(u: Multivector, basis: IdealBasis, tol: float = DEFAULT_TOLERANCE) 
     carries it to every U; on the float backend each call forms the
     products and checks it."""
     if basis.backend == EXACT and u.backend == EXACT:
-        flat = basis.blade_images(u.coeffs)
+        flat = basis.blade_images(numerators(u))
         return tuple(tuple(flat[4 * n:4 * n + 4]) for n in range(4))
     return _gamma_matrix(u, basis, tol)
 

@@ -1,24 +1,33 @@
-"""The bilinear kernel behind every blade-table product in the package.
+"""The exact number format and the bilinear kernel behind every blade-table
+product in the package.
+
+Exact coefficients below `Multivector` have one format, the numerator
+form (den, re, im): a positive integer denominator and two tuples of
+integers, coefficient k being (re[k] + i*im[k]) / den.  `lowest_terms`
+divides all three by gcd(den, *re, *im), one `math.gcd` per result; the
+form is then unique, so two exact values are equal exactly when their
+forms are.  `numerator_form` puts normalised `QQi` coefficients over their
+least common denominator, which is already in lowest terms, and
+`coefficients` turns a form back into `QQi`, one per nonzero entry, at the
+API boundary.
 
 A blade product table maps an ordered pair of basis blades (i, j) to a
 signed blade (sign, mask), with sign 0 where the product vanishes.
-`BladeProduct` keeps only the nonzero terms (i, j, sign, mask) of one
-table, grouped by left factor, and evaluates the
-bilinear product they define on 16-entry coefficient sequences:
+`BladeProduct` holds one table and evaluates the bilinear product it
+defines:
 
-* exact coefficients (`QQi`) are put over one shared denominator per
-  operand; the Gaussian-integer numerators are multiplied and summed per
-  output blade in integer arithmetic, and each nonzero output coefficient
-  is normalised once, by one `QQi` construction.  Normalised Gaussian
-  rationals are unique, so the result equals term-by-term `QQi`
-  arithmetic exactly;
-* any other coefficient ring (complex floats, polynomials) is summed term
-  by term in ascending (i, j) order from the given zero, the order of the
-  plain table loop, so float results keep their rounding bit for bit.
+* `exact` multiplies two numerator forms: Gaussian-integer numerators are
+  multiplied and summed per output blade, and the result is brought to
+  lowest terms once.  Normalised forms are unique, so the result equals
+  term-by-term `QQi` arithmetic exactly;
+* `generic` sums any other coefficient ring (complex floats, polynomials)
+  term by term in ascending (i, j) order from the given zero, the order of
+  the plain table loop, so float results keep their rounding bit for bit.
 
 The dual-route oracles (`suites.oracle_blade_product`,
 `exterior.clifford_product_via_table`, the brute-force Hodge star and the
-grade-pair table) check products computed here and never use this module.
+grade-pair table) check products computed here, read only `QQi`
+coefficients, and never use this module.
 """
 
 from __future__ import annotations
@@ -34,38 +43,89 @@ _ZERO = zero(EXACT)
 EVERY_BLADE = (True,) * 16
 
 
-def _numerators(coeffs: Sequence[QQi]) -> tuple[int, list]:
-    """(D, nums): D is the least common denominator of the coefficients and
-    nums[k] is the Gaussian integer (re, im) equal to D * coeffs[k], or None
-    where the coefficient is zero."""
+def lowest_terms(den: int, re: Sequence[int], im: Sequence[int]) -> tuple:
+    """The numerator form (den, re, im) divided by gcd(den, *re, *im); den > 0.
+    Zero comes out as denominator 1 over zero numerators."""
+    g = math.gcd(den, *re, *im)
+    if g == 1:
+        return den, tuple(re), tuple(im)
+    return den // g, tuple([x // g for x in re]), tuple([x // g for x in im])
+
+
+def numerator_form(coeffs: Sequence[QQi]) -> tuple:
+    """The numerator form of normalised QQi coefficients, over their least
+    common denominator.  It is in lowest terms: a prime dividing that
+    denominator and every numerator would divide some coefficient's own
+    a, b and d."""
     den = 1
     for c in coeffs:
         # a zero QQi is normalised to denominator 1
         if c.d != 1:
             den = math.lcm(den, c.d)
     if den == 1:
-        return 1, [(c.a, c.b) if c else None for c in coeffs]
-    return den, [(c.a * (den // c.d), c.b * (den // c.d)) if c else None for c in coeffs]
+        return 1, tuple([c.a for c in coeffs]), tuple([c.b for c in coeffs])
+    return (den, tuple([c.a * (den // c.d) for c in coeffs]),
+            tuple([c.b * (den // c.d) for c in coeffs]))
+
+
+def coefficients(den: int, re: Sequence[int], im: Sequence[int]) -> tuple:
+    """The QQi coefficients of a numerator form, one QQi per nonzero entry."""
+    return tuple([QQi(r, s, den) if r or s else _ZERO for r, s in zip(re, im)])
+
+
+def add_forms(a: tuple, b: tuple, sign: int = 1) -> tuple:
+    """a + sign*b for numerator forms, sign = 1 or -1, in lowest terms."""
+    da, ar, ai = a
+    db, br, bi = b
+    if da == db:
+        fa = fb = 1
+    else:
+        g = math.gcd(da, db)
+        fa, fb = db // g, da // g
+    fb *= sign
+    return lowest_terms(da * fa, [x * fa + y * fb for x, y in zip(ar, br)],
+                        [x * fa + y * fb for x, y in zip(ai, bi)])
+
+
+def scale_form(a: tuple, s: QQi) -> tuple:
+    """s*a for a numerator form and a Gaussian rational s, in lowest terms."""
+    den, ar, ai = a
+    p, q = s.a, s.b
+    if not q:
+        return lowest_terms(den * s.d, [x * p for x in ar], [y * p for y in ai])
+    return lowest_terms(den * s.d, [x * p - y * q for x, y in zip(ar, ai)],
+                        [x * q + y * p for x, y in zip(ar, ai)])
+
+
+def map_form(a: tuple, table, conjugate: bool = False) -> tuple:
+    """A blade map in the (sign, target) format of `exterior.STAR_TABLE`
+    applied to a numerator form, optionally conjugating, in lowest terms."""
+    den, ar, ai = a
+    re = [0] * 16
+    im = [0] * 16
+    for x, y, (sign, target) in zip(ar, ai, table):
+        if sign:
+            if conjugate:
+                y = -y
+            re[target], im[target] = (x, y) if sign > 0 else (-x, -y)
+    return lowest_terms(den, re, im)
 
 
 class BladeProduct:
-    """The nonzero terms of one blade product table and the product they define."""
+    """One blade product table and the bilinear product it defines."""
 
-    __slots__ = ("rows", "scalar_terms")
+    __slots__ = ("table", "rows", "scalar_terms")
 
     def __init__(self, table):
-        # rows[i]: the terms (j, sign, mask) with blade i on the left, ascending j
-        self.rows = tuple(tuple((j, sign, mask) for j, (sign, mask) in enumerate(table[i]) if sign)
+        # table[i][j]: (sign, mask) of blade i times blade j
+        self.table = tuple(tuple(row) for row in table)
+        # rows[i]: the nonzero terms (j, sign, mask) with blade i on the left, ascending j
+        self.rows = tuple(tuple((j, sign, mask) for j, (sign, mask) in enumerate(self.table[i])
+                                if sign)
                           for i in range(16))
         # (i, j, sign) of the terms landing on the unit blade
         self.scalar_terms = tuple((i, j, sign) for i, row in enumerate(self.rows)
                                   for j, sign, mask in row if mask == 0)
-
-    def product(self, a: Sequence[Scalar], b: Sequence[Scalar], backend: str) -> list:
-        """Coefficients of the product of two blade expansions."""
-        if backend == EXACT:
-            return self._exact(a, b)
-        return self.generic(a, b, 0j)
 
     def generic(self, a: Sequence, b: Sequence, zero_value) -> list:
         """The product over any coefficient ring whose zero is falsy."""
@@ -82,47 +142,33 @@ class BladeProduct:
                 out[mask] = out[mask] + p if sign > 0 else out[mask] - p
         return out
 
-    def _exact(self, a: Sequence[QQi], b: Sequence[QQi]) -> list:
-        da, na = _numerators(a)
-        db, nb = _numerators(b)
+    def exact(self, a: tuple, b: tuple) -> tuple:
+        """The product of two numerator forms, in lowest terms."""
+        da, ar, ai = a
+        db, br, bi = b
         re = [0] * 16
         im = [0] * 16
-        rows = self.rows
-        for i, x in enumerate(na):
-            if x is None:
+        live = [(j, y, z) for j, y, z in zip(range(16), br, bi) if y or z]
+        table = self.table
+        for i in range(16):
+            xr = ar[i]
+            xi = ai[i]
+            if not (xr or xi):
                 continue
-            xr, xi = x
-            for j, sign, mask in rows[i]:
-                y = nb[j]
-                if y is None:
-                    continue
-                yr, yi = y
+            row = table[i]
+            for j, yr, yi in live:
+                sign, mask = row[j]
                 if sign > 0:
                     re[mask] += xr * yr - xi * yi
                     im[mask] += xr * yi + xi * yr
-                else:
+                elif sign:
                     re[mask] -= xr * yr - xi * yi
                     im[mask] -= xr * yi + xi * yr
-        den = da * db
-        return [QQi(r, s, den) if r or s else _ZERO for r, s in zip(re, im)]
+        return lowest_terms(da * db, re, im)
 
-    def scalar_part(self, a: Sequence[Scalar], b: Sequence[Scalar], backend: str) -> Scalar:
-        """Unit-blade coefficient of the product, without forming the rest."""
-        if backend == EXACT:
-            da, na = _numerators(a)
-            db, nb = _numerators(b)
-            re = im = 0
-            for i, j, sign in self.scalar_terms:
-                x, y = na[i], nb[j]
-                if x is None or y is None:
-                    continue
-                r = x[0] * y[0] - x[1] * y[1]
-                s = x[0] * y[1] + x[1] * y[0]
-                if sign > 0:
-                    re, im = re + r, im + s
-                else:
-                    re, im = re - r, im - s
-            return QQi(re, im, da * db) if re or im else _ZERO
+    def scalar_part(self, a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
+        """Unit-blade coefficient of the product of two float expansions,
+        without forming the rest."""
         acc = 0j
         for i, j, sign in self.scalar_terms:
             x, y = a[i], b[j]
@@ -131,6 +177,24 @@ class BladeProduct:
             p = x * y
             acc = acc + p if sign > 0 else acc - p
         return acc
+
+    def exact_scalar_part(self, a: tuple, b: tuple) -> tuple:
+        """(re, im, den): the unit-blade coefficient of the product of two
+        numerator forms, (re + i*im)/den, not reduced."""
+        da, ar, ai = a
+        db, br, bi = b
+        re = im = 0
+        for i, j, sign in self.scalar_terms:
+            xr, xi, yr, yi = ar[i], ai[i], br[j], bi[j]
+            if not (xr or xi) or not (yr or yi):
+                continue
+            if sign > 0:
+                re += xr * yr - xi * yi
+                im += xr * yi + xi * yr
+            else:
+                re -= xr * yr - xi * yi
+                im -= xr * yi + xi * yr
+        return re, im, da * db
 
     def live_terms(self, a: Sequence, b: Sequence) -> list:
         """The terms (i, j, sign, mask) with a[i] and b[j] both truthy, in
@@ -146,34 +210,32 @@ class ExactLinearMap:
     16 basis blades.
 
     The images are put over one shared denominator when the map is built,
-    so applying it accumulates Gaussian integers and normalises each output
-    once, like `BladeProduct` does for products.
+    so applying it to a numerator form accumulates Gaussian integers and
+    builds one `QQi` per nonzero output.
     """
 
-    __slots__ = ("den", "rows")
+    __slots__ = ("den", "size", "cols")
 
     def __init__(self, images: Sequence[Sequence[QQi]]):
-        den = 1
-        for image in images:
-            den = math.lcm(den, _numerators(image)[0])
+        forms = [numerator_form(image) for image in images]
+        den = math.lcm(*(d for d, _, _ in forms))
         self.den = den
-        # rows[e]: (m, re, im) with den * images[m][e] == re + im*i, nonzero only
-        self.rows = tuple(
-            tuple((m, c.a * (den // c.d), c.b * (den // c.d))
-                  for m, image in enumerate(images) for c in (image[e],) if c)
-            for e in range(len(images[0])))
+        self.size = len(images[0])
+        # cols[m]: (e, re, im) with den * images[m][e] == re + im*i, nonzero only
+        self.cols = tuple(
+            tuple((e, r * (den // d), s * (den // d))
+                  for e, (r, s) in enumerate(zip(re, im)) if r or s)
+            for d, re, im in forms)
 
-    def __call__(self, coeffs: Sequence[QQi]) -> list:
-        du, nums = _numerators(coeffs)
-        den = du * self.den
-        out = []
-        for row in self.rows:
-            re = im = 0
-            for m, p, q in row:
-                x = nums[m]
-                if x is None:
-                    continue
-                re += x[0] * p - x[1] * q
-                im += x[0] * q + x[1] * p
-            out.append(QQi(re, im, den) if re or im else _ZERO)
-        return out
+    def __call__(self, form: tuple) -> tuple:
+        """The QQi image of a numerator form."""
+        du, ur, ui = form
+        re = [0] * self.size
+        im = [0] * self.size
+        for col, xr, xi in zip(self.cols, ur, ui):
+            if not (xr or xi):
+                continue
+            for e, p, q in col:
+                re[e] += xr * p - xi * q
+                im[e] += xr * q + xi * p
+        return coefficients(du * self.den, re, im)

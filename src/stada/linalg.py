@@ -1,14 +1,24 @@
-"""Small dense linear algebra over the package's scalar backends.
+"""Small dense linear algebra over the package's scalar backends, on
+matrices no larger than 48x16.
 
-Everything here is Gaussian elimination with magnitude pivoting on
-matrices no larger than 48x16, generic over exact Gaussian rationals,
-Fractions, and Python complex.  Exact scalars give exact ranks, solves
-and null spaces; the rank of a float matrix is the rank-revealing SVD
-count of numpy instead.
+A matrix whose entries are all exact (`QQi`, `Fraction` or `int`) is
+eliminated in integers: each row is put over its own common denominator,
+which is dropped, and fraction-free Gauss-Jordan elimination keeps every
+row primitive by dividing it by its integer content after each update.
+Each pivot is made a real integer, so dividing a pivot row by its pivot
+gives the unique reduced row echelon form, whatever the pivot order.  Ranks, solves and null spaces are then exact: `Fraction`s for
+real input and `QQi` for input with a `QQi` entry.  Exact `mat_mul` sums
+integer numerators over one denominator per matrix and normalises once
+per entry.
+
+Float matrices are solved by Gaussian elimination with magnitude
+pivoting, and the rank of a float matrix is the rank-revealing SVD count
+of numpy.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -37,7 +47,8 @@ def _magnitude(x):
 
 
 def _forward_eliminate(rows: list[list]) -> list[int]:
-    """In-place row echelon reduction; returns the pivot column list."""
+    """In-place Gauss-Jordan reduction of a float matrix with magnitude
+    pivoting; returns the pivot column list."""
     n_rows = len(rows)
     n_cols = len(rows[0]) if rows else 0
     pivots = []
@@ -60,21 +71,137 @@ def _forward_eliminate(rows: list[list]) -> list[int]:
     return pivots
 
 
+def _all_exact(rows) -> bool:
+    return all(_is_exact(v) for row in rows for v in row)
+
+
+def _numerators(values: Sequence) -> tuple[int, list[int], list[int]]:
+    """(den, re, im): exact values as Gaussian-integer numerators re + i*im
+    over their least common denominator den."""
+    den = 1
+    for v in values:
+        d = v.d if isinstance(v, QQi) else v.denominator
+        if d != 1:
+            den = math.lcm(den, d)
+    re = []
+    im = []
+    for v in values:
+        if isinstance(v, QQi):
+            f = den // v.d
+            re.append(v.a * f)
+            im.append(v.b * f)
+        else:
+            re.append(v.numerator * (den // v.denominator))
+            im.append(0)
+    return den, re, im
+
+
+def _primitive(values: list[int]) -> list[int]:
+    g = math.gcd(*values)
+    return [v // g for v in values] if g > 1 else values
+
+
+class _IntegerRows:
+    """An exact matrix as rows of Gaussian-integer numerators, reduced in
+    place by fraction-free Gauss-Jordan steps.
+
+    Row i of an n-column matrix is one list of 2n integers, the real parts
+    of its numerators followed by the imaginary parts.  `gaussian` says
+    whether any input entry was a `QQi`, which fixes the type of every
+    value read back.
+    """
+
+    def __init__(self, rows: Sequence[Sequence]):
+        self.gaussian = any(isinstance(v, QQi) for row in rows for v in row)
+        self.n_cols = len(rows[0])
+        # a row's common denominator only scales the row, so it is dropped
+        self.rows = [_primitive(re + im) for _, re, im in map(_numerators, rows)]
+        self.pivots = self._eliminate()
+
+    def _eliminate(self) -> list[int]:
+        rows, n = self.rows, self.n_cols
+        pivots = []
+        for c in range(n):
+            r = len(pivots)
+            live = [i for i in range(r, len(rows)) if rows[i][c] or rows[i][n + c]]
+            if not live:
+                continue
+            # any nonzero pivot gives the same reduced form; the smallest
+            # keeps the integers small
+            best = min(live, key=lambda i: abs(rows[i][c]) + abs(rows[i][n + c]))
+            rows[r], rows[best] = rows[best], rows[r]
+            p, q = rows[r][c], rows[r][n + c]
+            if q:
+                # times the conjugate p - i*q, which makes the pivot real
+                re, im = rows[r][:n], rows[r][n:]
+                rows[r] = _primitive([x * p + y * q for x, y in zip(re, im)]
+                                     + [y * p - x * q for x, y in zip(re, im)])
+            pivot_row = rows[r]
+            pivot = pivot_row[c]
+            turned = None
+            for i, row in enumerate(rows):
+                f, g = row[c], row[n + c]
+                if i == r or not (f or g):
+                    continue
+                # row i becomes pivot * row_i - (f + i*g) * pivot_row
+                k = math.gcd(pivot, f, g)
+                scale, f, g = pivot // k, f // k, g // k
+                if g:
+                    if turned is None:
+                        # i * pivot_row
+                        turned = [-y for y in pivot_row[n:]] + pivot_row[:n]
+                    rows[i] = _primitive([scale * x - f * y - g * z
+                                          for x, y, z in zip(row, pivot_row, turned)])
+                else:
+                    rows[i] = _primitive([scale * x - f * y for x, y in zip(row, pivot_row)])
+            pivots.append(c)
+            if len(pivots) == len(rows):
+                break
+        return pivots
+
+    def value(self, r: int, col: int, negate: bool = False):
+        """Entry `col` of row r of the reduced row echelon form, negated on
+        request: a Fraction for real input, a QQi for Gaussian input."""
+        row = self.rows[r]
+        x, y = row[col], row[self.n_cols + col]
+        if negate:
+            x, y = -x, -y
+        pivot = row[self.pivots[r]]
+        return QQi(x, y, pivot) if self.gaussian else Fraction(x, pivot)
+
+    def reduced_rows(self) -> list[list]:
+        """The nonzero rows of the reduced row echelon form."""
+        return [[self.value(r, col) for col in range(self.n_cols)]
+                for r in range(len(self.pivots))]
+
+
+def row_reduce(matrix: Sequence[Sequence]) -> tuple[list[int], list[list]]:
+    """(pivot columns, nonzero rows of the reduced row echelon form) of an
+    exact matrix."""
+    rows = _IntegerRows(matrix)
+    return rows.pivots, rows.reduced_rows()
+
+
 def rank(matrix: Sequence[Sequence]) -> int:
     """Exact rank by elimination when every entry is exact; otherwise the
     number of singular values above an absolute 1e-9."""
     rows = [list(row) for row in matrix]
     if not rows:
         return 0
-    if not all(_is_exact(v) for row in rows for v in row):
+    if not _all_exact(rows):
         return int(np.linalg.matrix_rank(np.array(rows), tol=_FLOAT_RANK_TOL))
-    return len(_forward_eliminate(rows))
+    return len(_IntegerRows(rows).pivots)
 
 
 def solve(matrix: Sequence[Sequence], rhs: Sequence):
     """Solve A x = b; returns None when A is singular."""
     n = len(matrix)
     rows = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    if _all_exact(rows):
+        reduced = _IntegerRows(rows)
+        if reduced.pivots != list(range(n)):
+            return None
+        return [reduced.value(i, n) for i in range(n)]
     pivots = _forward_eliminate(rows)
     if pivots != list(range(n)):
         return None
@@ -97,23 +224,54 @@ def null_space(matrix: Sequence[Sequence]) -> list[list]:
         return []
     n_cols = len(matrix[0])
     rows = [list(row) for row in matrix]
-    pivots = _forward_eliminate(rows)
-    free_cols = [c for c in range(n_cols) if c not in pivots]
+    if _all_exact(rows):
+        reduced = _IntegerRows(rows)
+        pivots = reduced.pivots
+        zero, one = (QQi(0), QQi(1)) if reduced.gaussian else (Fraction(0), Fraction(1))
+
+        def minus_entry(r, col):
+            return reduced.value(r, col, negate=True)
+    else:
+        pivots = _forward_eliminate(rows)
+        zero = matrix[0][0] - matrix[0][0]
+        one = _one_like(matrix[0][0])
+
+        def minus_entry(r, col):
+            return -rows[r][col]
     basis = []
-    zero = matrix[0][0] - matrix[0][0]
-    one = _one_like(matrix[0][0])
-    for free in free_cols:
+    for free in (c for c in range(n_cols) if c not in pivots):
         vec = [zero] * n_cols
         vec[free] = one
         for r, c in enumerate(pivots):
-            vec[c] = -rows[r][free]
+            vec[c] = minus_entry(r, free)
         basis.append(vec)
     return basis
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
-    """Product of two small dense matrices as nested tuples."""
+    """Product of two small dense matrices as nested tuples.
+
+    Two matrices of `QQi`, or two of `Fraction`s, are multiplied as integer
+    numerators over one denominator per matrix, with one normalised value
+    per entry; other entries are summed term by term."""
     n, k, m = len(a), len(b), len(b[0])
+    for kind in (QQi, Fraction):
+        if all(type(v) is kind for row in (*a, *b) for v in row):
+            da, ar, ai = _numerators([v for row in a for v in row])
+            db, br, bi = _numerators([v for row in b for v in row])
+            den = da * db
+            out = []
+            for i in range(n):
+                row = []
+                for j in range(m):
+                    re = im = 0
+                    for t in range(k):
+                        x, y = i * k + t, t * m + j
+                        re += ar[x] * br[y] - ai[x] * bi[y]
+                        im += ar[x] * bi[y] + ai[x] * br[y]
+                    row.append(QQi(re, im, den) if kind is QQi else Fraction(re, den))
+                out.append(tuple(row))
+            return tuple(out)
     out = []
     for i in range(n):
         row = []

@@ -9,14 +9,21 @@ driven by a 16x16 sign table built once from a transposition-counting
 rule; the table itself is cross-checked in the test suite against an
 independent adjacent-transposition oracle.
 
+An exact multivector keeps its coefficients in the kernel's numerator
+form: Gaussian-integer numerators over one positive denominator, in
+lowest terms, so `==` and `hash` compare the form itself.  Sums, scaling,
+the blade maps, the zero and reality tests and the products all work on
+that form, with one gcd per result; `coeffs`, the `QQi` tuple, is built
+once, on first read, for a value made by such an operation.  A value made
+from `QQi` coefficients keeps them and gets its form only when an
+operation first needs it.  A float multivector holds plain complex
+`coeffs`, and its products add the terms in the table order.
+
 The Clifford and exterior products, the scalar part of a product and the
 left-regular matrix all go through one `kernel.BladeProduct` per table.
-On the exact backend it puts each operand over a shared denominator,
-sums Gaussian-integer numerators per output blade, and normalises each
-output coefficient once, so the coefficients equal term-by-term `QQi`
-arithmetic exactly.  Float products add the terms in the table order.
 The oracles that check these products (`suites.oracle_blade_product`,
-`exterior.clifford_product_via_table`) stay independent of the kernel.
+`exterior.clifford_product_via_table`) read only `coeffs` and stay
+independent of the kernel.
 
 Text goes one way here: `format_multivector` writes a multivector, and
 `multivector_to_json` / `multivector_from_json` give its JSON form.
@@ -30,7 +37,15 @@ from typing import Iterable, Sequence
 
 from . import scalars
 from .errors import BackendMismatchError, DomainError, InvalidGeneratorError
-from .kernel import EVERY_BLADE, BladeProduct
+from .kernel import (
+    EVERY_BLADE,
+    BladeProduct,
+    add_forms,
+    coefficients,
+    map_form,
+    numerator_form,
+    scale_form,
+)
 from .scalars import DEFAULT_TOLERANCE, EXACT, FLOAT, QQi, Scalar
 
 ETA = (1, -1, -1, -1)
@@ -54,6 +69,9 @@ ODD_MAP = tuple((int(GRADE[m] % 2 == 1), m) for m in range(16))
 REVERSION_MAP = tuple((REVERSION_SIGN[GRADE[m]], m) for m in range(16))
 
 L5_MASK = 0b1111
+
+_ZEROS = (0,) * 16
+_QQI_ZERO = scalars.zero(EXACT)
 
 
 def blade_indices(mask: int) -> tuple[int, ...]:
@@ -102,15 +120,44 @@ WEDGE = BladeProduct(WEDGE_TABLE)
 
 
 class Multivector:
-    """Immutable element of the (complexified) spacetime algebra."""
+    """Immutable element of the (complexified) spacetime algebra.
 
-    __slots__ = ("coeffs", "backend")
+    `coeffs` is the tuple of 16 coefficients.  An exact value also has a
+    numerator form in `_numerators`: None for a value made from `QQi`
+    coefficients until `numerators` first builds it, and the only stored
+    form of a value made by `from_numerators`, whose `coeffs` is built on
+    first read.
+    """
+
+    __slots__ = ("coeffs", "backend", "_numerators")
 
     def __init__(self, coeffs: Sequence[Scalar], backend: str):
         if len(coeffs) != 16:
             raise ValueError("a multivector needs exactly 16 coefficients")
         object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "backend", backend)
+        if backend == EXACT:
+            object.__setattr__(self, "_numerators", None)
+
+    @classmethod
+    def from_numerators(cls, form: tuple, coeffs: tuple | None = None) -> "Multivector":
+        """The exact multivector of a numerator form (den, re, im) in lowest
+        terms; `coeffs`, when given, must be its QQi tuple."""
+        u = object.__new__(cls)
+        object.__setattr__(u, "backend", EXACT)
+        object.__setattr__(u, "_numerators", form)
+        if coeffs is not None:
+            object.__setattr__(u, "coeffs", coeffs)
+        return u
+
+    def __getattr__(self, name):
+        # reached only for an unset slot, which is the `coeffs` of a value
+        # made from its numerator form: build the QQi tuple once
+        if name != "coeffs":
+            raise AttributeError(f"'Multivector' object has no attribute {name!r}")
+        coeffs = coefficients(*self._numerators)
+        object.__setattr__(self, "coeffs", coeffs)
+        return coeffs
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
@@ -119,6 +166,8 @@ class Multivector:
 
     @classmethod
     def zero(cls, backend: str = EXACT) -> "Multivector":
+        if backend == EXACT:
+            return cls.from_numerators((1, _ZEROS, _ZEROS), (_QQI_ZERO,) * 16)
         return cls((scalars.zero(backend),) * 16, backend)
 
     @classmethod
@@ -128,7 +177,10 @@ class Multivector:
     @classmethod
     def scalar(cls, value, backend: str = EXACT) -> "Multivector":
         coeffs = [scalars.zero(backend)] * 16
-        coeffs[0] = scalars.coerce(value, backend)
+        coeffs[0] = c = scalars.coerce(value, backend)
+        if backend == EXACT:
+            return cls.from_numerators((c.d, (c.a,) + _ZEROS[1:], (c.b,) + _ZEROS[1:]),
+                                       tuple(coeffs))
         return cls(coeffs, backend)
 
     @classmethod
@@ -137,13 +189,19 @@ class Multivector:
             raise ValueError("blade mask out of range")
         coeffs = [scalars.zero(backend)] * 16
         coeffs[mask] = scalars.one(backend)
+        if backend == EXACT:
+            re = [0] * 16
+            re[mask] = 1
+            return cls.from_numerators((1, tuple(re), _ZEROS), tuple(coeffs))
         return cls(coeffs, backend)
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[int, object]], backend: str = EXACT) -> "Multivector":
         coeffs = [scalars.zero(backend)] * 16
         for mask, value in terms:
-            coeffs[mask] = coeffs[mask] + scalars.coerce(value, backend)
+            c = scalars.coerce(value, backend)
+            # an exact zero plus c is c itself; a float 0j + c turns -0.0 into 0.0
+            coeffs[mask] = coeffs[mask] + c if coeffs[mask] or backend != EXACT else c
         return cls(coeffs, backend)
 
     # ---- structure ----------------------------------------------------
@@ -153,6 +211,8 @@ class Multivector:
 
     def _map_blades(self, table, conjugate: bool = False) -> "Multivector":
         """Apply a blade map; with `conjugate`, conjugate the kept coefficients."""
+        if self.backend == EXACT:
+            return Multivector.from_numerators(map_form(numerators(self), table, conjugate))
         coeffs = [scalars.zero(self.backend)] * 16
         for c, (sign, target) in zip(self.coeffs, table):
             if sign:
@@ -172,11 +232,14 @@ class Multivector:
         return self._map_blades(ODD_MAP)
 
     def is_zero(self, tol: float = DEFAULT_TOLERANCE) -> bool:
+        if self.backend == EXACT:
+            _, re, im = numerators(self)
+            return re == _ZEROS and im == _ZEROS
         return all(scalars.is_zero(c, tol) for c in self.coeffs)
 
     def is_real(self, tol: float = DEFAULT_TOLERANCE) -> bool:
         if self.backend == EXACT:
-            return all(c.is_real() for c in self.coeffs)
+            return numerators(self)[2] == _ZEROS
         return all(abs(c.imag) <= tol for c in self.coeffs)
 
     def is_homogeneous(self, k: int, tol: float = DEFAULT_TOLERANCE) -> bool:
@@ -191,13 +254,21 @@ class Multivector:
 
     def __add__(self, other: "Multivector") -> "Multivector":
         self._check(other)
+        if self.backend == EXACT:
+            return Multivector.from_numerators(add_forms(numerators(self), numerators(other)))
         return Multivector([x + y for x, y in zip(self.coeffs, other.coeffs)], self.backend)
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         self._check(other)
+        if self.backend == EXACT:
+            return Multivector.from_numerators(add_forms(numerators(self), numerators(other), -1))
         return Multivector([x - y for x, y in zip(self.coeffs, other.coeffs)], self.backend)
 
     def __neg__(self) -> "Multivector":
+        if self.backend == EXACT:
+            den, re, im = numerators(self)
+            return Multivector.from_numerators(
+                (den, tuple([-x for x in re]), tuple([-y for y in im])))
         return Multivector([-c for c in self.coeffs], self.backend)
 
     def __mul__(self, other):
@@ -214,17 +285,29 @@ class Multivector:
 
     def scale(self, value) -> "Multivector":
         s = scalars.coerce(value, self.backend)
+        if self.backend == EXACT:
+            return Multivector.from_numerators(scale_form(numerators(self), s))
         return Multivector([c * s for c in self.coeffs], self.backend)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Multivector):
             return NotImplemented
-        return self.backend == other.backend and self.coeffs == other.coeffs
+        if self.backend != other.backend:
+            return False
+        # two values made from QQi coefficients compare them without a form
+        if self.backend == EXACT and (self._numerators is not None
+                                      or other._numerators is not None):
+            return numerators(self) == numerators(other)
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
+        if self.backend == EXACT:
+            return hash((self.backend, numerators(self)))
         return hash((self.backend, self.coeffs))
 
     def isclose(self, other: "Multivector", tol: float = DEFAULT_TOLERANCE) -> bool:
+        if self.backend == EXACT and other.backend == EXACT:
+            return numerators(self) == numerators(other)
         return all(scalars.close(x, y, tol) for x, y in zip(self.coeffs, other.coeffs))
 
     def max_abs(self) -> float:
@@ -261,6 +344,16 @@ class Multivector:
         return format_multivector(self)
 
 
+def numerators(u: Multivector) -> tuple:
+    """The numerator form (den, re, im) of an exact multivector, built once
+    from the QQi coefficients of a value made from them."""
+    form = u._numerators
+    if form is None:
+        form = numerator_form(u.coeffs)
+        object.__setattr__(u, "_numerators", form)
+    return form
+
+
 def basis_vector(mu: int, backend: str = EXACT) -> Multivector:
     if not 0 <= mu <= 3:
         raise ValueError("axis index outside 0..3")
@@ -274,18 +367,25 @@ def l5(backend: str = EXACT) -> Multivector:
 
 def clifford_product(a: Multivector, b: Multivector) -> Multivector:
     a._check(b)
-    return Multivector(CLIFFORD.product(a.coeffs, b.coeffs, a.backend), a.backend)
+    if a.backend == EXACT:
+        return Multivector.from_numerators(CLIFFORD.exact(numerators(a), numerators(b)))
+    return Multivector(CLIFFORD.generic(a.coeffs, b.coeffs, 0j), a.backend)
 
 
 def exterior_product(a: Multivector, b: Multivector) -> Multivector:
     a._check(b)
-    return Multivector(WEDGE.product(a.coeffs, b.coeffs, a.backend), a.backend)
+    if a.backend == EXACT:
+        return Multivector.from_numerators(WEDGE.exact(numerators(a), numerators(b)))
+    return Multivector(WEDGE.generic(a.coeffs, b.coeffs, 0j), a.backend)
 
 
 def scalar_part_of_product(a: Multivector, b: Multivector) -> Scalar:
     """Unit-blade coefficient of a*b without forming the full product."""
     a._check(b)
-    return CLIFFORD.scalar_part(a.coeffs, b.coeffs, a.backend)
+    if a.backend == EXACT:
+        re, im, den = CLIFFORD.exact_scalar_part(numerators(a), numerators(b))
+        return QQi(re, im, den) if re or im else _QQI_ZERO
+    return CLIFFORD.scalar_part(a.coeffs, b.coeffs)
 
 
 def commutator(a: Multivector, b: Multivector) -> Multivector:
@@ -313,8 +413,15 @@ def left_matrix(u: Multivector) -> list[list[Scalar]]:
     """16x16 matrix of left multiplication by u acting on coefficient vectors."""
     zero = scalars.zero(u.backend)
     rows = [[zero] * 16 for _ in range(16)]
-    for i, j, sign, mask in CLIFFORD.live_terms(u.coeffs, EVERY_BLADE):
-        c = u.coeffs[i]
+    coeffs = u.coeffs
+    if u.backend == EXACT:
+        # an exact zero plus c is c itself, so each entry is c or -c
+        negated = [-c if c else c for c in coeffs]
+        for i, j, sign, mask in CLIFFORD.live_terms(coeffs, EVERY_BLADE):
+            rows[mask][j] = coeffs[i] if sign > 0 else negated[i]
+        return rows
+    for i, j, sign, mask in CLIFFORD.live_terms(coeffs, EVERY_BLADE):
+        c = coeffs[i]
         rows[mask][j] = zero + c if sign > 0 else zero - c
     return rows
 

@@ -1,21 +1,29 @@
-"""The bilinear kernel against naive per-coefficient table loops, the cached
-gamma images against the product route, and the independence of the
-oracles from the kernel."""
+"""The bilinear kernel against naive per-coefficient table loops, the exact
+number format against term-by-term QQi references, the cached gamma images
+against the product route, and the independence of the oracles from the
+kernel."""
 
 import ast
+import math
 import random
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stada import exterior, ideal, spin, suites
+from stada import exterior, ideal, linalg, spin, suites
+from stada.kernel import ExactLinearMap
 from stada.multivector import (
     CLIFFORD_TABLE,
+    EVEN_MAP,
+    GRADE_MAPS,
+    ODD_MAP,
+    REVERSION_MAP,
     WEDGE_TABLE,
     Multivector,
     exterior_product,
     left_matrix,
+    numerators,
     scalar_part_of_product,
 )
 from stada.scalars import EXACT, FLOAT, QQi
@@ -75,6 +83,121 @@ def test_float_products_keep_the_naive_summation_order(u, v):
         naive_product(CLIFFORD_TABLE, fu.coeffs, fv.coeffs, 0j)[0])
 
 
+# ---- the exact number format against term-by-term QQi arithmetic -------------
+
+
+def ref_map(coeffs, table, conjugate=False):
+    """A blade map applied one QQi at a time."""
+    out = [QQi(0)] * 16
+    for c, (sign, target) in zip(coeffs, table):
+        if sign:
+            c = c.conjugate() if conjugate else c
+            out[target] = c if sign > 0 else -c
+    return tuple(out)
+
+
+def is_normalised(coeffs):
+    return all(type(c) is QQi and c.d > 0 and math.gcd(c.a, c.b, c.d) == 1 for c in coeffs)
+
+
+def made_by_product(u):
+    """The same value, made from a numerator form by a product."""
+    return u * Multivector.unit()
+
+
+# sparse values, and pairs whose sum or product cancels to zero
+sparse = st.lists(st.tuples(st.integers(0, 15), coeff), max_size=4).map(
+    lambda terms: Multivector.from_terms(terms, EXACT))
+one_plus_e0 = Multivector.from_terms([(0, QQi(1)), (1, QQi(1))])
+one_minus_e0 = Multivector.from_terms([(0, QQi(1)), (1, QQi(-1))])
+operands = st.one_of(mv_exact, sparse, mv_exact.map(lambda u: u * one_plus_e0),
+                     mv_exact.map(lambda u: one_minus_e0 * u))
+scale_value = st.one_of(coeff, st.integers(-5, 5),
+                        st.fractions(max_denominator=10 ** 12).filter(bool))
+
+
+@settings(max_examples=150, deadline=None)
+@given(operands, operands, st.booleans(), st.booleans())
+def test_exact_operations_match_qqi_reference(u, v, u_made, v_made):
+    if u_made:
+        u = made_by_product(u)
+    if v_made:
+        v = made_by_product(v)
+    zero = QQi(0)
+    cu, cv = u.coeffs, v.coeffs
+    for got, want in (
+            (u + v, [x + y for x, y in zip(cu, cv)]),
+            (u - v, [x - y for x, y in zip(cu, cv)]),
+            (u - u, [zero] * 16),
+            (-u, [-x for x in cu]),
+            (u * v, naive_product(CLIFFORD_TABLE, cu, cv, zero)),
+            (exterior_product(u, v), naive_product(WEDGE_TABLE, cu, cv, zero)),
+            (u.even_part(), ref_map(cu, EVEN_MAP)),
+            (u.odd_part(), ref_map(cu, ODD_MAP)),
+            (u.star(), ref_map(cu, REVERSION_MAP, conjugate=True)),
+            *((u.grade_part(k), ref_map(cu, GRADE_MAPS[k])) for k in range(5))):
+        assert got.coeffs == tuple(want)
+        assert is_normalised(got.coeffs)
+        assert got.is_zero() == (not any(want))
+        assert got.is_real() == all(c.b == 0 for c in want)
+    assert scalar_part_of_product(u, v) == naive_product(CLIFFORD_TABLE, cu, cv, zero)[0]
+    assert u.isclose(v) == (cu == cv) == (u == v)
+    assert u.trace() == cu[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(operands, scale_value)
+def test_exact_scale_matches_qqi_reference(u, value):
+    s = value if isinstance(value, QQi) else QQi.from_rational(value)
+    for w in (u, made_by_product(u)):
+        got = w.scale(value)
+        assert got.coeffs == tuple(c * s for c in u.coeffs)
+        assert is_normalised(got.coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(operands, operands)
+def test_products_equal_and_hash_like_values_made_from_coefficients(u, v):
+    w = u * v
+    from_coeffs = Multivector(w.coeffs, EXACT)
+    assert w == from_coeffs and from_coeffs == w
+    assert hash(w) == hash(from_coeffs)
+    assert numerators(w) == numerators(from_coeffs)
+    den, re, im = numerators(w)
+    assert den > 0 and math.gcd(den, *re, *im) == 1
+    # a value read only through coeffs never needs its numerator form
+    fresh = Multivector(w.coeffs, EXACT)
+    assert fresh == Multivector(w.coeffs, EXACT)
+    assert fresh._numerators is None
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.lists(coeff, min_size=16, max_size=16), min_size=16, max_size=16),
+       operands)
+def test_exact_linear_map_matches_qqi_reference(images, u):
+    want = [sum((c * image[e] for c, image in zip(u.coeffs, images)), QQi(0))
+            for e in range(16)]
+    assert ExactLinearMap(images)(numerators(u)) == tuple(want)
+
+
+_CANONICAL = ideal.canonical_basis()
+
+
+@settings(max_examples=30, deadline=None)
+@given(operands)
+def test_gamma_of_matches_qqi_reference(u):
+    zero = QQi(0)
+    basis = _CANONICAL
+    want = tuple(
+        tuple(naive_product(CLIFFORD_TABLE,
+                            naive_product(CLIFFORD_TABLE, u.coeffs, basis.ts[k].coeffs, zero),
+                            basis.ts_dagger[n].coeffs, zero)[0] * 4
+              for k in range(4))
+        for n in range(4))
+    assert ideal.gamma_of(u, basis) == want
+    assert ideal.gamma_of(made_by_product(u), basis) == want
+
+
 def _random_exact_mv(rng):
     return Multivector([QQi(rng.randint(-4, 4), rng.randint(-4, 4), rng.choice((1, 2, 3)))
                         for _ in range(16)], EXACT)
@@ -131,6 +254,19 @@ def _names_in_source(module) -> set:
 
 def test_oracles_do_not_use_the_kernel():
     kernel_names = {"kernel", "BladeProduct", "ExactLinearMap", "EVERY_BLADE",
-                    "CLIFFORD", "WEDGE"}
+                    "CLIFFORD", "WEDGE",
+                    # the numerator form: its attribute, constructors and helpers
+                    "_numerators", "numerators", "from_numerators", "numerator_form",
+                    "lowest_terms", "coefficients"}
     for module in (exterior, suites):
         assert not kernel_names & _names_in_source(module), module.__name__
+
+
+def test_mat_mul_is_its_own_route():
+    # mat_mul is the second route of representation.gamma_homomorphism
+    tree = ast.parse(Path(linalg.__file__).read_text(encoding="utf-8"))
+    (mat_mul,) = [node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "mat_mul"]
+    names = {node.id if isinstance(node, ast.Name) else node.attr
+             for node in ast.walk(mat_mul) if isinstance(node, (ast.Name, ast.Attribute))}
+    assert not {"BladeProduct", "CLIFFORD", "ExactLinearMap"} & names
