@@ -14,6 +14,7 @@ hermitian norm, which the gauge rotations of every form preserve exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field as dataclass_field
@@ -390,9 +391,16 @@ def form_operator(form: EquationForm, state, pot, m, h: Multivector | None = Non
 # ---- validated residual reports ----------------------------------------------------
 
 
+@functools.cache
+def _default_basis(backend: str) -> IdealBasis:
+    """The canonical basis of a backend, built once for the callers that pass
+    none (`canonical_basis` itself builds a fresh basis on every call)."""
+    return canonical_basis(backend)
+
+
 def _gammas(backend: str, basis: IdealBasis | None, tol: float) -> tuple:
     if basis is None:
-        basis = canonical_basis(backend if backend == EXACT else FLOAT)
+        basis = _default_basis(backend if backend == EXACT else FLOAT)
     if basis.backend == EXACT:
         gammas = tuple(gamma_of(basis_vector(mu, EXACT), basis) for mu in range(4))
     else:
@@ -766,7 +774,7 @@ def plane_wave(form: EquationForm, p, m, sign: int = 1,
     scale = max(1.0, sum(v * v for v in p))
     if not abs(shell - m * m) <= 1e-10 * scale:  # NaN from overflow is off shell too
         raise DomainError(f"momentum is off shell: p.p = {shell}, m^2 = {m * m}")
-    basis = _float_basis(basis, tol) if basis is not None else canonical_basis(FLOAT)
+    basis = _float_basis(basis, tol) if basis is not None else _default_basis(FLOAT)
     gammas = [np.array([[complex(v) for v in row] for row in g])
               for g in basis.vector_gammas(tol)]
     pslash = sum(p[mu] * gammas[mu] for mu in range(4))

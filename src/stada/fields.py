@@ -11,12 +11,26 @@ polynomial lambda, which is exactly what the differential operators,
 gauge transformations, and covariance checks need.  On the exact backend
 all of those operations are exact, so operator identities are asserted
 as structural equalities; evaluation at a point always produces floats.
+
+An exact field stores each phase term as one blade-sparse map from packed
+keys, monomial << 4 | blade with 16 bits per exponent, to Gaussian-integer
+numerator pairs over one shared denominator, brought to lowest terms with
+one gcd per output term (zero entries and empty terms dropped), and keys
+the term by its phase in integer form, so `==` compares that form.  Every
+exact operation works in plain integers and builds no `QQi`; `QQi` appears
+only at the boundary: the constructor reads `Poly` coefficients, and the
+`Poly` phase and 16 `Poly` coefficients of a term are built only where they
+are read (`terms`, and so `eval`, `max_abs` and `to_float`; `phase_polys`).
+A float field keeps its `Poly` phases and coefficients and sums its terms
+in the order of the plain loops, so its results are unchanged to the bit.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
+import math
 import operator
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -24,7 +38,7 @@ from typing import Iterable, Mapping
 from . import scalars
 from .errors import BackendMismatchError, DomainError
 from .exterior import STAR_TABLE
-from .kernel import BladeProduct
+from .kernel import EVERY_BLADE, BladeProduct
 from .multivector import (
     CLIFFORD,
     ETA,
@@ -36,8 +50,9 @@ from .multivector import (
     WEDGE,
     Multivector,
     basis_vector,
+    numerators,
 )
-from .scalars import DEFAULT_TOLERANCE, EXACT, FLOAT, QQi, Scalar
+from .scalars import DEFAULT_TOLERANCE, EXACT, FLOAT, QQi
 
 Exps = tuple[int, int, int, int]
 
@@ -191,16 +206,9 @@ class Poly:
         return f"Poly({self.terms!r})"
 
 
-def _coeff_from_real(value, backend: str, times_i: bool = False) -> Scalar:
-    if backend == EXACT:
-        f = Fraction(value)
-        return QQi.from_rational(0, f) if times_i else QQi.from_rational(f)
-    v = float(value)
-    return complex(0.0, v) if times_i else complex(v, 0.0)
-
-
-def _real_poly_as_coeff(p: Poly, backend: str, times_i: bool = False) -> Poly:
-    return Poly({exps: _coeff_from_real(c, backend, times_i) for exps, c in p.terms.items()})
+def _times_i(p: Poly) -> Poly:
+    """i times a real float polynomial, with complex coefficients."""
+    return Poly({exps: complex(0.0, float(c)) for exps, c in p.terms.items()})
 
 
 # 1/2 and -i/2, built once: the float backend converts them without building a QQi
@@ -211,16 +219,267 @@ _MINUS_HALF_I = QQi(0, -1, 2)
 _COMPONENT_MAPS = tuple(tuple((int(m == mask), 0) for m in range(16)) for mask in range(16))
 
 
+# ---- the exact term format ---------------------------------------------------
+#
+# An exact field maps each phase to one term (den, entries): entries[key] =
+# (re, im) means the coefficient (re + i*im)/den on blade key & 15 times the
+# monomial whose exponent mu sits in bits 4 + 16*mu of the key.  Stored
+# exponents stay below 2**15, so adding the keys of two monomials multiplies
+# them without a carry and the top bit of each exponent flags an overflow.
+# The phase itself is its key: the sorted tuple of (monomial key bits,
+# numerator, denominator) of its nonzero rational coefficients.
+
+_EXP_SHIFTS = (4, 20, 36, 52)
+_EXP_LIMIT = 1 << 15
+_EXP_HIGH = sum(1 << (shift + 15) for shift in _EXP_SHIFTS)
+_MONOMIAL = -16  # the key bits above the blade
+
+
+def pack_monomial(exps: Exps) -> int:
+    """The key bits of a monomial, with the blade bits zero."""
+    key = 0
+    for shift, e in zip(_EXP_SHIFTS, exps):
+        if not 0 <= e < _EXP_LIMIT:
+            raise DomainError(f"monomial exponent {e} outside 0..{_EXP_LIMIT - 1}")
+        key |= e << shift
+    return key
+
+
+def _exponents(key: int) -> Exps:
+    return tuple(key >> shift & 0xFFFF for shift in _EXP_SHIFTS)
+
+
+def _checked(entries: dict) -> dict:
+    """The entries, refused if a monomial product overflowed an exponent."""
+    if entries and functools.reduce(operator.or_, entries) & _EXP_HIGH:
+        raise DomainError(f"a monomial exponent exceeds {_EXP_LIMIT - 1}")
+    return entries
+
+
+def gaussian_parts(value) -> tuple:
+    """(re, im, den) of an exact scalar: a QQi, an int or a Fraction."""
+    if isinstance(value, QQi):
+        return value.a, value.b, value.d
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, 0, value.denominator
+    raise TypeError(f"cannot coerce {type(value).__name__} into an exact scalar")
+
+
+def phase_key(phase: Poly) -> tuple:
+    """The key of a real phase polynomial in an exact field."""
+    out = []
+    for exps, c in phase.terms.items():
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        out.append((pack_monomial(exps), c.numerator, c.denominator))
+    return tuple(sorted(out))
+
+
+def phase_poly(key: tuple) -> Poly:
+    """The phase polynomial of a key, with Fraction coefficients."""
+    return Poly({_exponents(mono): Fraction(n, d) for mono, n, d in key})
+
+
+def _phase_sum(a: tuple, b: tuple) -> tuple:
+    """The key of the sum of the phases with keys a and b."""
+    if not (a and b):
+        return a or b
+    acc = {mono: (n, d) for mono, n, d in a}
+    for mono, n, d in b:
+        if mono in acc:
+            n0, d0 = acc[mono]
+            n, d = n0 * d + n * d0, d0 * d
+            g = math.gcd(n, d)
+            n, d = n // g, d // g
+        acc[mono] = (n, d)
+    return tuple(sorted((mono, n, d) for mono, (n, d) in acc.items() if n))
+
+
+def term_lowest(den: int, entries: dict) -> tuple | None:
+    """(den, entries) without zero entries, divided by the gcd of den and
+    every numerator; None when no entry is left."""
+    live = entries
+    if (0, 0) in entries.values():
+        live = {k: v for k, v in entries.items() if v != (0, 0)}
+    if not live:
+        return None
+    g = den if den == 1 else math.gcd(den, *itertools.chain.from_iterable(live.values()))
+    if g == 1:
+        return den, live
+    return den // g, {k: (r // g, s // g) for k, (r, s) in live.items()}
+
+
+def term_form(coeffs) -> tuple:
+    """(den, entries), not reduced, of 16 coefficient polynomials with exact
+    scalar coefficients."""
+    parts = []
+    den = 1
+    for blade, q in enumerate(coeffs):
+        for exps, c in q.terms.items():
+            re, im, d = gaussian_parts(c)
+            parts.append((pack_monomial(exps) | blade, re, im, d))
+            if d != 1:
+                den = math.lcm(den, d)
+    return den, {key: (re * (den // d), im * (den // d)) for key, re, im, d in parts}
+
+
+def term_polys(den: int, entries: dict) -> tuple:
+    """The 16 coefficient polynomials of a term, with normalised QQi, each
+    listing its monomials in ascending key order whatever the history of
+    the term."""
+    polys = [{} for _ in range(16)]
+    for key, (re, im) in sorted(entries.items()):
+        polys[key & 15][_exponents(key)] = QQi(re, im, den)
+    return tuple(Poly(p) for p in polys)
+
+
+def _negated(entries: dict) -> dict:
+    return {k: (-r, -s) for k, (r, s) in entries.items()}
+
+
+def _term_sum(da: int, ea: dict, db: int, eb: dict) -> tuple:
+    """(den, entries) of a + b, not reduced."""
+    if da == db:
+        fa = fb = 1
+    else:
+        g = math.gcd(da, db)
+        fa, fb = db // g, da // g
+    acc = dict(ea) if fa == 1 else {k: (r * fa, s * fa) for k, (r, s) in ea.items()}
+    for k, (r, s) in eb.items():
+        o = acc.get(k)
+        acc[k] = (r * fb, s * fb) if o is None else (o[0] + r * fb, o[1] + s * fb)
+    return da * fa, acc
+
+
+def _collected(pieces) -> dict:
+    """The terms of a sum of terms (phase key, den, entries), merged by phase
+    in the order of first occurrence, each in lowest terms."""
+    groups: dict[tuple, tuple] = {}
+    for key, den, entries in pieces:
+        if key in groups:
+            groups[key] = _term_sum(*groups[key], den, entries)
+        else:
+            groups[key] = (den, entries)
+    out = {}
+    for key, (den, entries) in groups.items():
+        form = term_lowest(den, entries)
+        if form:
+            out[key] = form
+    return out
+
+
+def _term_partial(phase: tuple, den: int, entries: dict, mu: int) -> tuple:
+    """(den, entries) of d/dx^mu of one term, phase chain rule included."""
+    shift = _EXP_SHIFTS[mu]
+    step = 1 << shift
+    # the phase derivative: (monomial, numerator, denominator) per term
+    chain = [(mono - step, n * (mono >> shift & 0xFFFF), d)
+             for mono, n, d in phase if mono >> shift & 0xFFFF]
+    cden = math.lcm(*(d for _, _, d in chain)) if chain else 1
+    acc = {}
+    for k, (r, s) in entries.items():
+        e = k >> shift & 0xFFFF
+        if e:
+            e *= cden
+            acc[k - step] = (r * e, s * e)
+    # i*c*(r + i*s) = -c*s + i*c*r for each monomial c of the phase derivative
+    for mono, n, d in chain:
+        c = n * (cden // d)
+        for k, (r, s) in entries.items():
+            k += mono
+            o = acc.get(k)
+            acc[k] = (-c * s, c * r) if o is None else (o[0] - c * s, o[1] + c * r)
+    return den * cden, _checked(acc) if chain else acc
+
+
+def _term_slot_map(den: int, entries: dict, cols, cden: int) -> tuple:
+    """(den, entries) of a blade-axis linear map applied to one term; cols[b]
+    lists (target, re, im), the image of blade b with numerators over cden."""
+    acc = {}
+    for k, (r, s) in entries.items():
+        base = k & _MONOMIAL
+        for target, cr, ci in cols[k & 15]:
+            nk = base | target
+            re = r * cr - s * ci
+            im = r * ci + s * cr
+            o = acc.get(nk)
+            acc[nk] = (re, im) if o is None else (o[0] + re, o[1] + im)
+    return den * cden, acc
+
+
+@functools.lru_cache(maxsize=256)
+def _constant_columns(form: tuple, right: bool, product: BladeProduct) -> tuple:
+    """The columns of multiplication by a constant with numerator form
+    `form`, on the given side, in the format of `_term_slot_map`.  Kept for
+    the constants a run reuses (basis vectors, idempotents, generators)."""
+    _, re, im = form
+    live = [bool(r or s) for r, s in zip(re, im)]
+    cols = [[] for _ in range(16)]
+    for i, j, sign, mask in product.live_terms(
+            *((EVERY_BLADE, live) if right else (live, EVERY_BLADE))):
+        blade, c = (i, j) if right else (j, i)
+        cols[blade].append((mask, sign * re[c], sign * im[c]))
+    return tuple(map(tuple, cols))
+
+
+def _poly_times_line(poly: dict, line: dict) -> dict:
+    out = {}
+    for ka, ca in poly.items():
+        for kb, cb in line.items():
+            out[ka + kb] = out.get(ka + kb, 0) + ca * cb
+    return _checked(out)
+
+
+def _term_compose(den: int, entries: dict, lines, scale: int) -> tuple:
+    """(den, entries) of one term after x_mu = lines[mu] / scale, where each
+    line maps monomial key bits to integer coefficients."""
+    expanded = {}
+    for k in entries:
+        mono = k & _MONOMIAL
+        if mono not in expanded:
+            poly = {0: 1}
+            degree = 0
+            for mu, e in enumerate(_exponents(mono)):
+                for _ in range(e):
+                    poly = _poly_times_line(poly, lines[mu])
+                degree += e
+            expanded[mono] = (degree, poly)
+    top = max(degree for degree, _ in expanded.values())
+    acc = {}
+    for k, (r, s) in entries.items():
+        degree, poly = expanded[k & _MONOMIAL]
+        f = scale ** (top - degree)
+        for mono, c in poly.items():
+            c *= f
+            nk = mono | (k & 15)
+            o = acc.get(nk)
+            acc[nk] = (r * c, s * c) if o is None else (o[0] + r * c, o[1] + s * c)
+    return den * scale ** top, acc
+
+
 class AnalyticField:
     """Finite sum of blade-valued polynomial terms carrying polynomial phases.
 
-    Treat instances as immutable; all operations return new fields.
+    Treat instances as immutable; all operations return new fields.  A
+    float field holds `terms`, phase key -> (phase, 16 coefficient
+    polynomials).  An exact field holds `_forms`, `phase_key` -> (den,
+    entries) in the exact term format; its `terms` are built on first read.
     """
 
-    __slots__ = ("backend", "terms")
+    __slots__ = ("backend", "terms", "_forms")
 
     def __init__(self, backend: str,
                  terms: Iterable[tuple[Poly, Iterable[Poly]]] = ()):
+        self.backend = backend
+        if backend == EXACT:
+            pieces = []
+            for phase, coeffs in terms:
+                coeffs = list(coeffs)
+                if len(coeffs) != 16:
+                    raise ValueError("a field term needs 16 coefficient polynomials")
+                pieces.append((phase_key(phase), *term_form(coeffs)))
+            self._forms = _collected(pieces)
+            return
         merged: dict[tuple, tuple[Poly, list[Poly]]] = {}
         for phase, coeffs in terms:
             coeffs = list(coeffs)
@@ -236,8 +495,27 @@ class AnalyticField:
         for key, (phase, coeffs) in merged.items():
             if any(coeffs):
                 clean[key] = (phase, tuple(coeffs))
-        self.backend = backend
         self.terms = clean
+
+    @classmethod
+    def from_forms(cls, forms: dict) -> "AnalyticField":
+        """The exact field of terms already in the exact term format."""
+        f = object.__new__(cls)
+        f.backend = EXACT
+        f._forms = forms
+        return f
+
+    def __getattr__(self, name):
+        # reached only for an unset slot, which is the `terms` of an exact
+        # field: build its QQi coefficient polynomials once
+        if name != "terms" or self.backend != EXACT:
+            raise AttributeError(f"'AnalyticField' object has no attribute {name!r}")
+        terms = {}
+        for key, (den, entries) in self._forms.items():
+            phase = phase_poly(key)
+            terms[phase.key()] = (phase, term_polys(den, entries))
+        self.terms = terms
+        return terms
 
     # ---- constructors -----------------------------------------------------
 
@@ -246,14 +524,24 @@ class AnalyticField:
         return cls(backend)
 
     @classmethod
+    def _of_multivector(cls, mv: Multivector, phase: Poly,
+                        exps: Exps = _ZERO_EXPS) -> "AnalyticField":
+        """mv times one monomial, on one phase."""
+        if mv.backend != EXACT:
+            coeffs = [Poly({tuple(exps): c}) if c else Poly() for c in mv.coeffs]
+            return cls(mv.backend, [(phase, coeffs)])
+        den, re, im = numerators(mv)
+        mono = pack_monomial(exps)
+        entries = {mono | m: (r, s) for m, (r, s) in enumerate(zip(re, im)) if r or s}
+        return cls.from_forms({phase_key(phase): (den, entries)} if entries else {})
+
+    @classmethod
     def constant(cls, mv: Multivector) -> "AnalyticField":
-        coeffs = [Poly.constant(c) if c else Poly() for c in mv.coeffs]
-        return cls(mv.backend, [(Poly(), coeffs)])
+        return cls._of_multivector(mv, Poly())
 
     @classmethod
     def monomial(cls, mv: Multivector, exps: Exps) -> "AnalyticField":
-        coeffs = [Poly({tuple(exps): c}) if c else Poly() for c in mv.coeffs]
-        return cls(mv.backend, [(Poly(), coeffs)])
+        return cls._of_multivector(mv, Poly(), exps)
 
     @classmethod
     def plane_wave(cls, mv: Multivector, wave) -> "AnalyticField":
@@ -265,9 +553,7 @@ class AnalyticField:
             if w:
                 entries[tuple(1 if i == mu else 0 for i in range(4))] = (
                     Fraction(w) if backend == EXACT else float(w))
-        phase = Poly(entries)
-        coeffs = [Poly.constant(c) if c else Poly() for c in mv.coeffs]
-        return cls(backend, [(phase, coeffs)])
+        return cls._of_multivector(mv, Poly(entries))
 
     @classmethod
     def scalar_poly(cls, poly: Poly, backend: str) -> "AnalyticField":
@@ -277,13 +563,15 @@ class AnalyticField:
     # ---- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not (self._forms if self.backend == EXACT else self.terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AnalyticField):
             return NotImplemented
         if self.backend != other.backend:
             return False
+        if self.backend == EXACT:
+            return self._forms == other._forms
         if set(self.terms) != set(other.terms):
             return False
         return all(self.terms[k][1] == other.terms[k][1] for k in self.terms)
@@ -293,13 +581,31 @@ class AnalyticField:
 
     def grades(self) -> set[int]:
         out = set()
+        if self.backend == EXACT:
+            for _, entries in self._forms.values():
+                out.update(GRADE[k & 15] for k in entries)
+            return out
         for _, coeffs in self.terms.values():
             out.update(GRADE[m] for m in range(16) if coeffs[m])
         return out
 
+    def _slot_mapped(self, cols, cden: int = 1) -> "AnalyticField":
+        """An exact field under a blade-axis linear map, in the column format
+        of `_term_slot_map`."""
+        forms = {}
+        for key, (den, entries) in self._forms.items():
+            form = term_lowest(*_term_slot_map(den, entries, cols, cden))
+            if form:
+                forms[key] = form
+        return AnalyticField.from_forms(forms)
+
     def _map_blades(self, table, conjugate: bool = False) -> "AnalyticField":
         """Apply a blade map to every term; with `conjugate`, also conjugate
         the kept coefficients and negate the phases."""
+        if self.backend == EXACT:
+            field = self.conjugate() if conjugate else self
+            return field._slot_mapped([[(target, sign, 0)] if sign else []
+                                       for sign, target in table])
         out = []
         for phase, coeffs in self.terms.values():
             new = [Poly()] * 16
@@ -327,6 +633,12 @@ class AnalyticField:
 
     def apply_slot_matrix(self, rows) -> "AnalyticField":
         """Apply a constant 16x16 scalar matrix to the blade axis."""
+        if self.backend == EXACT:
+            parts = [[gaussian_parts(rows[i][j]) for i in range(16)] for j in range(16)]
+            cden = math.lcm(*(d for col in parts for _, _, d in col))
+            return self._slot_mapped([[(i, re * (cden // d), im * (cden // d))
+                                       for i, (re, im, d) in enumerate(col) if re or im]
+                                      for col in parts], cden)
         out = []
         for phase, coeffs in self.terms.values():
             new = [Poly() for _ in range(16)]
@@ -341,6 +653,8 @@ class AnalyticField:
         return AnalyticField(self.backend, out)
 
     def phase_polys(self) -> list[Poly]:
+        if self.backend == EXACT:
+            return [phase_poly(key) for key in self._forms]
         return [phase for phase, _ in self.terms.values()]
 
     # ---- linear operations --------------------------------------------------
@@ -352,6 +666,9 @@ class AnalyticField:
 
     def __add__(self, other: "AnalyticField") -> "AnalyticField":
         self._check(other)
+        if self.backend == EXACT:
+            return AnalyticField.from_forms(_collected(
+                (key, *form) for key, form in [*self._forms.items(), *other._forms.items()]))
         entries = [(p, list(c)) for p, c in self.terms.values()]
         entries += [(p, list(c)) for p, c in other.terms.values()]
         return AnalyticField(self.backend, entries)
@@ -360,10 +677,18 @@ class AnalyticField:
         return self + (-other)
 
     def __neg__(self) -> "AnalyticField":
+        if self.backend == EXACT:
+            return AnalyticField.from_forms({key: (den, _negated(entries))
+                                             for key, (den, entries) in self._forms.items()})
         return AnalyticField(self.backend,
                              [(p, [-q for q in c]) for p, c in self.terms.values()])
 
     def scale(self, value) -> "AnalyticField":
+        if self.backend == EXACT:
+            p, q, d = gaussian_parts(value)
+            if not (p or q):
+                return AnalyticField.zero(EXACT)
+            return self._slot_mapped([[(b, p, q)] for b in range(16)], d)
         s = scalars.coerce(value, self.backend)
         return AnalyticField(self.backend,
                              [(p, [q.scale(s) for q in c]) for p, c in self.terms.values()])
@@ -372,6 +697,11 @@ class AnalyticField:
 
     def conjugate(self) -> "AnalyticField":
         """Complex conjugation: conjugate coefficients, negate phases."""
+        if self.backend == EXACT:
+            return AnalyticField.from_forms({
+                tuple((mono, -n, d) for mono, n, d in key):
+                    (den, {k: (r, -s) for k, (r, s) in entries.items()})
+                for key, (den, entries) in self._forms.items()})
         return AnalyticField(self.backend,
                              [(-p, [q.conjugate() for q in c])
                               for p, c in self.terms.values()])
@@ -399,9 +729,16 @@ class AnalyticField:
 
     def partial(self, mu: int) -> "AnalyticField":
         """d/dx^mu, including the phase chain rule."""
+        if self.backend == EXACT:
+            forms = {}
+            for key, (den, entries) in self._forms.items():
+                form = term_lowest(*_term_partial(key, den, entries, mu))
+                if form:
+                    forms[key] = form
+            return AnalyticField.from_forms(forms)
         out = []
         for phase, coeffs in self.terms.values():
-            chain = _real_poly_as_coeff(phase.diff(mu), self.backend, times_i=True)
+            chain = _times_i(phase.diff(mu))
             # a constant phase derivative, as for a plane wave, acts as a scale
             const = chain.terms.get(_ZERO_EXPS) if len(chain.terms) == 1 else None
             new = []
@@ -418,6 +755,11 @@ class AnalyticField:
 
     def multiply_phase(self, lam: Poly) -> "AnalyticField":
         """Multiply by exp(i * lam) for a real polynomial lam."""
+        if self.backend == EXACT:
+            lam_key = phase_key(lam)
+            return AnalyticField.from_forms(_collected(
+                (_phase_sum(key, lam_key), den, entries)
+                for key, (den, entries) in self._forms.items()))
         return AnalyticField(self.backend,
                              [(p + lam, list(c)) for p, c in self.terms.values()])
 
@@ -425,6 +767,14 @@ class AnalyticField:
         """Substitute x = matrix . y in every polynomial and phase."""
         conv = Fraction if self.backend == EXACT else float
         rmat = [[conv(v) for v in row] for row in matrix]
+        if self.backend == EXACT:
+            scale = math.lcm(*(v.denominator for row in rmat for v in row))
+            lines = [{pack_monomial(tuple(int(i == nu) for i in range(4))):
+                      int(v * scale) for nu, v in enumerate(row) if v} for row in rmat]
+            return AnalyticField.from_forms(_collected(
+                (phase_key(phase_poly(key).compose_linear(rmat)),
+                 *_term_compose(den, entries, lines, scale))
+                for key, (den, entries) in self._forms.items()))
         cmat = [[scalars.coerce(v, self.backend) for v in row] for row in rmat]
         out = []
         for phase, coeffs in self.terms.values():
@@ -437,6 +787,11 @@ class AnalyticField:
 
     def _blade_mul(self, other: "AnalyticField", kind: BladeProduct) -> "AnalyticField":
         self._check(other)
+        if self.backend == EXACT:
+            return AnalyticField.from_forms(_collected(
+                (_phase_sum(pa, pb), da * db, _checked(kind.sparse(ea, eb)))
+                for pa, (da, ea) in self._forms.items()
+                for pb, (db, eb) in other._forms.items()))
         zero = Poly()
         out = []
         for pa, ca in self.terms.values():
@@ -460,6 +815,9 @@ class AnalyticField:
         product, whose coefficients it equals bit for bit."""
         self._check(mv)
         right = side == "right"
+        if self.backend == EXACT:
+            form = numerators(mv)
+            return self._slot_mapped(_constant_columns(form, right, product), form[0])
         out = []
         for phase, coeffs in self.terms.values():
             a, b = (coeffs, mv.coeffs) if right else (mv.coeffs, coeffs)
@@ -474,6 +832,13 @@ class AnalyticField:
         """The unit-blade part of the Clifford product self * mv, forming only
         the terms that land on the unit blade, in the order of mul_const."""
         self._check(mv)
+        if self.backend == EXACT:
+            den, re, im = numerators(mv)
+            cols = [[] for _ in range(16)]
+            for i, j, sign in CLIFFORD.scalar_terms:
+                if re[j] or im[j]:
+                    cols[i].append((0, sign * re[j], sign * im[j]))
+            return self._slot_mapped(cols, den)
         out = []
         for phase, coeffs in self.terms.values():
             acc = Poly()
@@ -515,8 +880,9 @@ class AnalyticField:
         return AnalyticField(FLOAT, out)
 
     def __repr__(self):
+        terms = self._forms if self.backend == EXACT else self.terms
         return (f"AnalyticField(backend={self.backend!r}, "
-                f"terms={len(self.terms)}, grades={sorted(self.grades())})")
+                f"terms={len(terms)}, grades={sorted(self.grades())})")
 
 
 # ---- the differential operators ---------------------------------------------

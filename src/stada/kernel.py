@@ -20,9 +20,14 @@ defines:
   multiplied and summed per output blade, and the result is brought to
   lowest terms once.  Normalised forms are unique, so the result equals
   term-by-term `QQi` arithmetic exactly;
-* `generic` sums any other coefficient ring (complex floats, polynomials)
-  term by term in ascending (i, j) order from the given zero, the order of
-  the plain table loop, so float results keep their rounding bit for bit.
+* `sparse` multiplies two blade-sparse maps from keys to Gaussian-integer
+  numerator pairs, the exact term format of `fields.AnalyticField`: a key
+  carries its blade in the low four bits, and the bits above add under the
+  product (there, the packed exponents of a monomial);
+* `generic` sums any other coefficient ring (complex floats, float
+  polynomials) term by term in ascending (i, j) order from the given zero,
+  the order of the plain table loop, so float results keep their rounding
+  bit for bit.
 
 The dual-route oracles (`suites.oracle_blade_product`,
 `exterior.clifford_product_via_table`, the brute-force Hodge star and the
@@ -41,6 +46,9 @@ _ZERO = zero(EXACT)
 
 # live flags for an operand whose every blade takes part, as in a matrix
 EVERY_BLADE = (True,) * 16
+
+# the bits of a blade-sparse key above its blade
+_ABOVE_BLADE = -16
 
 
 def lowest_terms(den: int, re: Sequence[int], im: Sequence[int]) -> tuple:
@@ -165,6 +173,31 @@ class BladeProduct:
                     re[mask] -= xr * yr - xi * yi
                     im[mask] -= xr * yi + xi * yr
         return lowest_terms(da * db, re, im)
+
+    def sparse(self, a: dict, b: dict) -> dict:
+        """The product of two blade-sparse maps key -> (re, im), over the
+        product of their denominators, neither reduced nor freed of zeros."""
+        by_blade = [[] for _ in range(16)]
+        for k, (r, s) in b.items():
+            by_blade[k & 15].append((k & _ABOVE_BLADE, r, s))
+        live = [j for j in range(16) if by_blade[j]]
+        acc = {}
+        for ka, (ar, ai) in a.items():
+            row = self.table[ka & 15]
+            base = ka & _ABOVE_BLADE
+            for j in live:
+                sign, mask = row[j]
+                if not sign:
+                    continue
+                for above, br, bi in by_blade[j]:
+                    k = (base + above) | mask
+                    re = ar * br - ai * bi
+                    im = ar * bi + ai * br
+                    if sign < 0:
+                        re, im = -re, -im
+                    o = acc.get(k)
+                    acc[k] = (re, im) if o is None else (o[0] + re, o[1] + im)
+        return acc
 
     def scalar_part(self, a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
         """Unit-blade coefficient of the product of two float expansions,

@@ -819,6 +819,36 @@ def test_state_norm_checks_h_once_per_field():
         eq._state_norm(AnalyticField.constant(basis_vector(1, FLOAT)), bad_h, 0, 1e-12)
 
 
+def test_the_default_basis_is_built_once_per_backend(monkeypatch):
+    built = []
+
+    def counted(backend):
+        built.append(backend)
+        return ideal.canonical_basis(backend)
+
+    monkeypatch.setattr(eq, "canonical_basis", counted)
+    eq._default_basis.cache_clear()
+    try:
+        reports = []
+        for backend in (FLOAT, FLOAT, EXACT, EXACT):
+            psi = eq.plane_wave(EquationForm.DIRAC_MATRIX, (1.0, 0, 0, 0), 1.0).state
+            if backend == EXACT:
+                psi = BispinorField.constant((1, 0, Fraction(1, 2), 0), EXACT)
+            reports.append(eq.residual_dirac(psi, None, 1.0))
+        assert built == [FLOAT, EXACT]
+        fresh = [eq.residual_dirac(eq.plane_wave(EquationForm.DIRAC_MATRIX, (1.0, 0, 0, 0), 1.0,
+                                                 basis=ideal.canonical_basis(FLOAT)).state,
+                                   None, 1.0, ideal.canonical_basis(FLOAT)),
+                 eq.residual_dirac(BispinorField.constant((1, 0, Fraction(1, 2), 0), EXACT),
+                                   None, 1.0, ideal.canonical_basis(EXACT))]
+        for got, want in zip(reports, [fresh[0], fresh[0], fresh[1], fresh[1]]):
+            assert got.to_json_dict() == want.to_json_dict()
+            assert got.max_norm.hex() == want.max_norm.hex()
+        assert reports[2].max_norm > 0.5
+    finally:
+        eq._default_basis.cache_clear()
+
+
 @pytest.mark.parametrize("size", [1.0, 1e300])
 def test_state_norm_is_the_largest_pointwise_hermitian_norm(size):
     rng = random.Random(15)

@@ -1,0 +1,333 @@
+"""The exact term format of analytic fields against a reference that keeps
+every coefficient as a `Poly` of `QQi`, summed term by term, and a guard
+that the exact operators build no `QQi` at all."""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stada.errors import DomainError
+from stada.exterior import STAR_TABLE
+from stada.fields import (
+    AnalyticField,
+    Poly,
+    d,
+    delta,
+    laplace,
+    upsilon,
+    upsilon_gradient,
+)
+from stada.multivector import (
+    CLIFFORD,
+    EVEN_MAP,
+    GRADE_MAPS,
+    ODD_MAP,
+    REVERSION_MAP,
+    WEDGE,
+    Multivector,
+    basis_vector,
+)
+from stada.scalars import EXACT, QQi
+
+
+# ---- the reference: exact fields with Poly coefficients ---------------------
+
+
+class PolyField:
+    """An exact field as a dict phase key -> (phase, 16 Polys of QQi), with
+    the operations written term by term on those polynomials."""
+
+    def __init__(self, terms=()):
+        merged = {}
+        for phase, coeffs in terms:
+            coeffs = list(coeffs)
+            key = phase.key()
+            if key in merged:
+                merged[key] = (phase, [a + b for a, b in zip(merged[key][1], coeffs)])
+            else:
+                merged[key] = (phase, coeffs)
+        self.terms = {key: (phase, tuple(coeffs))
+                      for key, (phase, coeffs) in merged.items() if any(coeffs)}
+
+    def entries(self):
+        return [(p, list(c)) for p, c in self.terms.values()]
+
+    def _map_blades(self, table, conjugate=False):
+        out = []
+        for phase, coeffs in self.terms.values():
+            new = [Poly()] * 16
+            for q, (sign, target) in zip(coeffs, table):
+                if sign and q:
+                    q = q.conjugate() if conjugate else q
+                    new[target] = q if sign > 0 else -q
+            out.append((-phase if conjugate else phase, new))
+        return PolyField(out)
+
+    def apply_slot_matrix(self, rows):
+        out = []
+        for phase, coeffs in self.terms.values():
+            new = [Poly() for _ in range(16)]
+            for j, q in enumerate(coeffs):
+                for i in range(16):
+                    if q and rows[i][j]:
+                        new[i] = new[i] + q.scale(rows[i][j])
+            out.append((phase, new))
+        return PolyField(out)
+
+    def __add__(self, other):
+        return PolyField(self.entries() + other.entries())
+
+    def __neg__(self):
+        return PolyField([(p, [-q for q in c]) for p, c in self.terms.values()])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, value):
+        s = value if isinstance(value, QQi) else QQi.from_rational(value)
+        return PolyField([(p, [q.scale(s) for q in c]) for p, c in self.terms.values()])
+
+    def conjugate(self):
+        return PolyField([(-p, [q.conjugate() for q in c]) for p, c in self.terms.values()])
+
+    def partial(self, mu):
+        out = []
+        for phase, coeffs in self.terms.values():
+            chain = Poly({e: QQi.from_rational(0, Fraction(c))
+                          for e, c in phase.diff(mu).terms.items()})
+            out.append((phase, [q.diff(mu) + chain * q for q in coeffs]))
+        return PolyField(out)
+
+    def multiply_phase(self, lam):
+        return PolyField([(p + lam, list(c)) for p, c in self.terms.values()])
+
+    def compose_linear(self, matrix):
+        rmat = [[Fraction(v) for v in row] for row in matrix]
+        cmat = [[QQi.from_rational(v) for v in row] for row in rmat]
+        return PolyField([(p.compose_linear(rmat), [q.compose_linear(cmat) for q in c])
+                          for p, c in self.terms.values()])
+
+    def product(self, other, kind):
+        return PolyField([(pa + pb, kind.generic(ca, cb, Poly()))
+                          for pa, ca in self.terms.values() for pb, cb in other.terms.values()])
+
+    def mul_const(self, mv, side, kind):
+        const = PolyField([(Poly(), [Poly.constant(c) for c in mv.coeffs])])
+        return self.product(const, kind) if side == "right" else const.product(self, kind)
+
+    def scalar_part_of_mul(self, mv):
+        return self.mul_const(mv, "right", CLIFFORD)._map_blades(
+            [(int(m == 0), 0) for m in range(16)])
+
+
+def same(field, ref):
+    """The field and the reference hold the same terms, and the field's form
+    is in lowest terms."""
+    got = {key: coeffs for key, (_, coeffs) in field.terms.items()}
+    want = {key: coeffs for key, (_, coeffs) in ref.terms.items()}
+    for den, entries in field._forms.values():
+        assert den > 0 and entries
+        assert all(r or s for r, s in entries.values())
+        assert math.gcd(den, *(x for pair in entries.values() for x in pair)) == 1
+    return got == want
+
+
+# ---- strategies -----------------------------------------------------------------
+
+
+ints = st.one_of(st.integers(-9, 9), st.integers(-10 ** 30, 10 ** 30))
+dens = st.sampled_from((1, 1, 2, 3, 4, 6, 7, 12, 10 ** 20 + 39))
+coeff = st.one_of(st.builds(QQi, ints, st.just(0), dens), st.builds(QQi, ints, ints, dens))
+exps = st.tuples(*[st.integers(0, 2)] * 4)
+rational = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 1, 2, 5)))
+# linear, non-linear and empty phases, few enough that terms share them
+phase = st.one_of(
+    st.sampled_from([Poly(), Poly({(1, 0, 0, 0): Fraction(1)}),
+                     Poly({(0, 1, 1, 0): Fraction(-2)}),
+                     Poly({(2, 0, 0, 0): Fraction(1, 3), (0, 0, 0, 1): Fraction(1)})]),
+    st.dictionaries(exps, rational, max_size=3).map(Poly))
+
+
+@st.composite
+def term_entries(draw):
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        coeffs = [Poly() for _ in range(16)]
+        for blade, e, c in draw(st.lists(st.tuples(st.integers(0, 15), exps, coeff),
+                                         max_size=6)):
+            coeffs[blade] = coeffs[blade] + Poly({e: c})
+        out.append((draw(phase), coeffs))
+    return out
+
+
+mv_exact = st.lists(st.one_of(st.just(QQi(0)), coeff), min_size=16, max_size=16).map(
+    lambda cs: Multivector(cs, EXACT))
+
+
+def both(entries):
+    return AnalyticField(EXACT, entries), PolyField(entries)
+
+
+# ---- differential tests -----------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(term_entries())
+def test_construction_and_read_back_match_the_reference(entries):
+    f, ref = both(entries)
+    assert same(f, ref)
+    rebuilt = AnalyticField(EXACT, f.terms.values())
+    assert rebuilt == f
+    assert rebuilt._forms == f._forms
+
+
+BLADE_MAPS = [("star_involution", REVERSION_MAP, True), ("hodge_star", STAR_TABLE, False),
+              ("even_part", EVEN_MAP, False), ("odd_part", ODD_MAP, False)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(term_entries(), st.integers(0, 15), st.integers(0, 4))
+def test_blade_maps_and_conjugation_match_the_reference(entries, mask, k):
+    f, ref = both(entries)
+    for name, table, conjugate in BLADE_MAPS:
+        assert same(getattr(f, name)(), ref._map_blades(table, conjugate)), name
+    assert same(f.component(mask), ref._map_blades(
+        [(int(m == mask), 0) for m in range(16)]))
+    assert same(f.grade_part(k), ref._map_blades(GRADE_MAPS[k]))
+    assert same(f.conjugate(), ref.conjugate())
+
+
+@settings(max_examples=60, deadline=None)
+@given(term_entries(), term_entries(),
+       st.one_of(coeff, rational, st.integers(-3, 3), st.just(QQi(0))))
+def test_sums_and_scaling_match_the_reference(a, b, value):
+    f, ref = both(a)
+    g, gref = both(b)
+    assert same(f + g, ref + gref)
+    assert same(f - g, ref - gref)
+    assert same(-f, -ref)
+    assert same(f.scale(value), ref.scale(value))
+    # cancellation to the empty field, by routes that meet only at the end
+    for empty in (f - f, f + f.scale(-1), f.scale(value) - f.scale(value),
+                  f.conjugate().conjugate() - f, (f + g) - g - f):
+        assert empty.is_zero() and empty == AnalyticField.zero(EXACT)
+        assert empty.terms == {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(term_entries(), st.integers(0, 3), phase)
+def test_calculus_matches_the_reference(entries, mu, lam):
+    f, ref = both(entries)
+    assert same(f.partial(mu), ref.partial(mu))
+    assert same(f.partial(mu).partial(3 - mu), ref.partial(mu).partial(3 - mu))
+    assert same(f.multiply_phase(lam), ref.multiply_phase(lam))
+    assert same(f.multiply_phase(lam).multiply_phase(-lam), ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(term_entries(), st.lists(st.lists(rational, min_size=4, max_size=4),
+                                min_size=4, max_size=4))
+def test_compose_linear_matches_the_reference(entries, matrix):
+    f, ref = both(entries)
+    assert same(f.compose_linear(matrix), ref.compose_linear(matrix))
+
+
+@settings(max_examples=60, deadline=None)
+@given(term_entries(), term_entries())
+def test_field_products_match_the_reference(a, b):
+    f, ref = both(a)
+    g, gref = both(b)
+    assert same(f.clifford(g), ref.product(gref, CLIFFORD))
+    assert same(f.wedge(g), ref.product(gref, WEDGE))
+    # a product that cancels: the wedge of a vector field with itself
+    v = f.grade_part(1)
+    assert v.wedge(v).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(term_entries(), mv_exact)
+def test_constant_products_match_the_reference(entries, mv):
+    f, ref = both(entries)
+    for side in ("left", "right"):
+        for kind in (CLIFFORD, WEDGE):
+            assert same(f.mul_const(mv, side, kind), ref.mul_const(mv, side, kind))
+    assert same(f.scalar_part_of_mul(mv), ref.scalar_part_of_mul(mv))
+
+
+@settings(max_examples=40, deadline=None)
+@given(term_entries(), st.lists(st.one_of(st.just(QQi(0)), st.just(QQi(0)), coeff, rational),
+                                min_size=256, max_size=256))
+def test_slot_matrices_match_the_reference(entries, flat):
+    f, ref = both(entries)
+    rows = [flat[16 * i:16 * i + 16] for i in range(16)]
+    qrows = [[v if isinstance(v, QQi) else QQi.from_rational(v) for v in row] for row in rows]
+    assert same(f.apply_slot_matrix(rows), ref.apply_slot_matrix(qrows))
+
+
+def test_constructors_match_the_poly_route():
+    mv = Multivector([QQi(k - 7, k % 3, 1 + k % 4) for k in range(16)], EXACT)
+    polys = [Poly.constant(c) for c in mv.coeffs]
+    wave = (1, Fraction(-1, 2), 0, 3)
+    lam = Poly({(1, 0, 0, 0): Fraction(1), (0, 1, 0, 0): Fraction(-1, 2),
+                (0, 0, 0, 1): Fraction(3)})
+    assert AnalyticField.constant(mv) == AnalyticField(EXACT, [(Poly(), polys)])
+    assert AnalyticField.plane_wave(mv, wave) == AnalyticField(EXACT, [(lam, polys)])
+    assert AnalyticField.monomial(mv, (1, 0, 2, 0)) == AnalyticField(
+        EXACT, [(Poly(), [Poly({(1, 0, 2, 0): c}) for c in mv.coeffs])])
+
+
+def test_exponents_beyond_the_packed_width_are_refused():
+    big = (2 ** 15 - 1, 0, 0, 0)
+    f = AnalyticField.monomial(Multivector.unit(), big)
+    with pytest.raises(DomainError):
+        f.clifford(f)
+    with pytest.raises(DomainError):
+        AnalyticField.monomial(Multivector.unit(), (2 ** 15, 0, 0, 0))
+    assert f.partial(0) == AnalyticField.monomial(Multivector.unit().scale(big[0]),
+                                                  (big[0] - 1, 0, 0, 0))
+
+
+# ---- no QQi inside the exact operators ---------------------------------------------
+
+
+def test_exact_field_operators_build_no_qqi(monkeypatch):
+    rng = random.Random(4)
+    entries = []
+    for k in range(3):
+        coeffs = [Poly() for _ in range(16)]
+        for _ in range(5):
+            m = rng.randrange(16)
+            coeffs[m] = coeffs[m] + Poly({tuple(rng.randint(0, 2) for _ in range(4)):
+                                          QQi(rng.randint(-5, 5), rng.randint(-5, 5),
+                                              rng.choice((1, 2, 3)))})
+        entries.append((Poly({(k % 2, 1, 0, k // 2): Fraction(rng.randint(-3, 3), 2)}),
+                        coeffs))
+    f = AnalyticField(EXACT, entries)
+    mv = Multivector([QQi(rng.randint(-3, 3), rng.randint(-3, 3), rng.choice((1, 5)))
+                      for _ in range(16)], EXACT)
+    g = f.mul_const(mv) + AnalyticField.plane_wave(mv, (1, 0, Fraction(1, 3), 0))
+    vectors = [basis_vector(mu, EXACT) for mu in range(4)]
+
+    built = []
+    init = QQi.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QQi, "__init__", counted)
+    results = [d(f), delta(f), upsilon(f), upsilon_gradient(f), f.clifford(g)]
+    results += [laplace(f, route) for route in ("direct", "upsilon", "d_minus_delta",
+                                                "de_rham")]
+    for side in ("left", "right"):
+        for kind in (CLIFFORD, WEDGE):
+            results.append(f.mul_const(mv, side, kind))
+            results += [f.mul_const(v, side, kind) for v in vectors]
+    assert built == []
+    assert not any(r.is_zero() for r in results[:4])
+    QQi(1, 2, 3)  # the counter sees a construction
+    assert len(built) == 1
