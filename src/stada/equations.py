@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import scalars
+from . import linalg, scalars
 from .errors import ConsistencyError, DomainError
 from .fields import AnalyticField, Poly, d, phase_cos, phase_sin, upsilon_gradient
 from .generators import SecondaryGenerators, make_secondary
@@ -760,9 +760,10 @@ def plane_wave(form: EquationForm, p, m, sign: int = 1,
                tol: float = DEFAULT_TOLERANCE) -> PlaneWaveSolution:
     """Exact free solution of the requested form with momentum covector p.
 
-    The amplitude solves the 4x4 eigenproblem (p-slash - sign*m) u = 0; the
-    momentum must satisfy the mass-shell relation p.p = m^2.  The float copy
-    of `basis` and its gamma matrices are checked within `tol`.
+    The amplitude is vector `which` of the `linalg.null_space` of
+    p-slash - sign*m; the momentum must satisfy the mass-shell relation
+    p.p = m^2.  The float copy of `basis` and its gamma matrices are
+    checked within `tol`.
     """
     p = tuple(float(v) for v in p)
     m = float(m)
@@ -778,14 +779,12 @@ def plane_wave(form: EquationForm, p, m, sign: int = 1,
     gammas = [np.array([[complex(v) for v in row] for row in g])
               for g in basis.vector_gammas(tol)]
     pslash = sum(p[mu] * gammas[mu] for mu in range(4))
-    target = pslash - sign * m * np.eye(4)
-    _, svals, vh = np.linalg.svd(target)
-    null_rows = [vh[i] for i in range(4) if svals[i] <= 1e-9 * max(svals[0], 1.0)]
-    if not null_rows:
+    amplitudes = linalg.null_space(pslash - sign * m * np.eye(4))
+    if not amplitudes:
         raise DomainError("no amplitude solves the momentum-space equation")
-    if which >= len(null_rows):
+    if which >= len(amplitudes):
         raise DomainError(f"amplitude index {which} exceeds the solution space")
-    u = null_rows[which].conj()
+    u = np.array(amplitudes[which])
     lead = int(np.argmax(np.abs(u)))
     u = u * (abs(u[lead]) / u[lead])
     u = u / np.linalg.norm(u)

@@ -6,14 +6,15 @@ eliminated in integers: each row is put over its own common denominator,
 which is dropped, and fraction-free Gauss-Jordan elimination keeps every
 row primitive by dividing it by its integer content after each update.
 Each pivot is made a real integer, so dividing a pivot row by its pivot
-gives the unique reduced row echelon form, whatever the pivot order.  Ranks, solves and null spaces are then exact: `Fraction`s for
-real input and `QQi` for input with a `QQi` entry.  Exact `mat_mul` sums
-integer numerators over one denominator per matrix and normalises once
-per entry.
+gives the unique reduced row echelon form, whatever the pivot order.
+Ranks, solves and null spaces are then exact: `Fraction`s for real input
+and `QQi` for input with a `QQi` entry.  Exact `mat_mul` sums integer
+numerators over one denominator per matrix and normalises once per entry.
 
-Float matrices are solved by Gaussian elimination with magnitude
-pivoting, and the rank of a float matrix is the rank-revealing SVD count
-of numpy.
+Float matrices go to numpy: `solve` is `numpy.linalg.solve`, the null
+space is spanned by the right singular vectors whose singular values are
+at most 1e-9 times the largest, and the rank counts the singular values
+above an absolute 1e-9.
 """
 
 from __future__ import annotations
@@ -24,51 +25,15 @@ from typing import Sequence
 
 import numpy as np
 
-from . import scalars
 from .scalars import QQi
 
-# absolute singular-value cutoff of the float rank
-_FLOAT_RANK_TOL = 1e-9
+# singular-value cutoff: absolute for the float rank, relative to the
+# largest singular value for the float null space
+_SINGULAR_CUTOFF = 1e-9
 
 
 def _is_exact(x) -> bool:
     return isinstance(x, (QQi, Fraction, int))
-
-
-def _nonzero(x) -> bool:
-    """An exact nonzero, or a float with abs(x) > 0, which refuses NaN."""
-    if _is_exact(x):
-        return bool(x)
-    return abs(x) > 0
-
-
-def _magnitude(x):
-    return scalars.magnitude_key(x) if isinstance(x, QQi) else abs(x)
-
-
-def _forward_eliminate(rows: list[list]) -> list[int]:
-    """In-place Gauss-Jordan reduction of a float matrix with magnitude
-    pivoting; returns the pivot column list."""
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot = max(range(r, n_rows), key=lambda i: _magnitude(rows[i][c]), default=None)
-        if pivot is None or not _nonzero(rows[pivot][c]):
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]
-        rows[r] = [v / inv for v in rows[r]]
-        for i in range(n_rows):
-            if i != r and _nonzero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return pivots
 
 
 def _all_exact(rows) -> bool:
@@ -189,12 +154,13 @@ def rank(matrix: Sequence[Sequence]) -> int:
     if not rows:
         return 0
     if not _all_exact(rows):
-        return int(np.linalg.matrix_rank(np.array(rows), tol=_FLOAT_RANK_TOL))
+        return int(np.linalg.matrix_rank(np.array(rows), tol=_SINGULAR_CUTOFF))
     return len(_IntegerRows(rows).pivots)
 
 
 def solve(matrix: Sequence[Sequence], rhs: Sequence):
-    """Solve A x = b; returns None when A is singular."""
+    """Solve A x = b; returns None when A is singular, or when a float A or
+    b holds a NaN or an infinity.  Float solutions are Python complexes."""
     n = len(matrix)
     rows = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
     if _all_exact(rows):
@@ -202,10 +168,14 @@ def solve(matrix: Sequence[Sequence], rhs: Sequence):
         if reduced.pivots != list(range(n)):
             return None
         return [reduced.value(i, n) for i in range(n)]
-    pivots = _forward_eliminate(rows)
-    if pivots != list(range(n)):
+    a = np.array(matrix, dtype=complex)
+    b = np.array(rhs, dtype=complex)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
         return None
-    return [rows[i][n] for i in range(n)]
+    try:
+        return np.linalg.solve(a, b).tolist()
+    except np.linalg.LinAlgError:
+        return None
 
 
 def _one_like(x):
@@ -219,31 +189,27 @@ def _one_like(x):
 
 
 def null_space(matrix: Sequence[Sequence]) -> list[list]:
-    """Basis of the kernel of A (list of coordinate vectors)."""
-    if not matrix:
-        return []
-    n_cols = len(matrix[0])
+    """Basis of the kernel of A (list of coordinate vectors).
+
+    Exact input gives one vector per free column of the reduced row echelon
+    form.  Float input gives the orthonormal right singular vectors whose
+    singular values are at most 1e-9 times the largest, as Python scalars."""
     rows = [list(row) for row in matrix]
-    if _all_exact(rows):
-        reduced = _IntegerRows(rows)
-        pivots = reduced.pivots
-        zero, one = (QQi(0), QQi(1)) if reduced.gaussian else (Fraction(0), Fraction(1))
-
-        def minus_entry(r, col):
-            return reduced.value(r, col, negate=True)
-    else:
-        pivots = _forward_eliminate(rows)
-        zero = matrix[0][0] - matrix[0][0]
-        one = _one_like(matrix[0][0])
-
-        def minus_entry(r, col):
-            return -rows[r][col]
+    if not rows:
+        return []
+    if not _all_exact(rows):
+        _, sing, vh = np.linalg.svd(np.array(rows))
+        cutoff = _SINGULAR_CUTOFF * (sing[0] if len(sing) else 1.0)
+        return [vh[i].conj().tolist() for i in range(len(vh))
+                if i >= len(sing) or sing[i] <= cutoff]
+    reduced = _IntegerRows(rows)
+    zero, one = (QQi(0), QQi(1)) if reduced.gaussian else (Fraction(0), Fraction(1))
     basis = []
-    for free in (c for c in range(n_cols) if c not in pivots):
-        vec = [zero] * n_cols
+    for free in (c for c in range(reduced.n_cols) if c not in reduced.pivots):
+        vec = [zero] * reduced.n_cols
         vec[free] = one
-        for r, c in enumerate(pivots):
-            vec[c] = minus_entry(r, free)
+        for r, c in enumerate(reduced.pivots):
+            vec[c] = reduced.value(r, free, negate=True)
         basis.append(vec)
     return basis
 

@@ -414,15 +414,10 @@ def left_matrix(u: Multivector) -> list[list[Scalar]]:
     zero = scalars.zero(u.backend)
     rows = [[zero] * 16 for _ in range(16)]
     coeffs = u.coeffs
-    if u.backend == EXACT:
-        # an exact zero plus c is c itself, so each entry is c or -c
-        negated = [-c if c else c for c in coeffs]
-        for i, j, sign, mask in CLIFFORD.live_terms(coeffs, EVERY_BLADE):
-            rows[mask][j] = coeffs[i] if sign > 0 else negated[i]
-        return rows
+    # each entry is c or -c, as one product term lands on each
+    negated = [-c if c else c for c in coeffs]
     for i, j, sign, mask in CLIFFORD.live_terms(coeffs, EVERY_BLADE):
-        c = coeffs[i]
-        rows[mask][j] = zero + c if sign > 0 else zero - c
+        rows[mask][j] = coeffs[i] if sign > 0 else negated[i]
     return rows
 
 

@@ -220,9 +220,3 @@ def close(x: Scalar, y: Scalar, tol: float = DEFAULT_TOLERANCE) -> bool:
         return x == y
     return abs(to_complex(x) - to_complex(y)) <= tol
 
-
-def magnitude_key(value: Scalar):
-    """Exact-friendly magnitude for pivot selection: |z|^2 as Fraction or float."""
-    if isinstance(value, QQi):
-        return Fraction(value.a * value.a + value.b * value.b, value.d * value.d)
-    return abs(value) ** 2

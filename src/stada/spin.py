@@ -5,7 +5,9 @@ Spin elements are even real multivectors S with S^star S = unit.  Test
 elements come from two factories: bivector exponentials (float backend,
 the identity component) and products of rational rotations and boosts
 built from Pythagorean triples (exact backend, so that group identities
-can be asserted as equalities).
+can be asserted as equalities).  Recovery solves the linear intertwining
+equations a X = X b by `linalg.null_space`, exactly on the exact backend
+and by its SVD cutoff on the float backend.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import linalg, scalars
 from .errors import ConvergenceError, DomainError, InvalidSpinError
@@ -37,8 +37,6 @@ _BOOST_MASKS = tuple(m for m in _BIVECTOR_MASKS if m & 1)
 # the exponential series stops at the first term below the cutoff
 _SERIES_CUTOFF = 1e-18
 _SERIES_TERMS = 256
-# relative singular-value cutoff of the float intertwiner kernel
-_RANK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -206,31 +204,15 @@ def _intertwine_rows(a: Multivector, b: Multivector) -> list[list]:
 
 
 def intertwiner_basis(pairs: list[tuple[Multivector, Multivector]]) -> list[Multivector]:
-    """Basis of even solutions X of the system a_i X = X b_i.
-
-    Exact inputs give an exact kernel; float inputs use an SVD with the
-    relative singular-value cutoff `_RANK_TOL`.
-    """
+    """Basis of even solutions X of the system a_i X = X b_i: the
+    `linalg.null_space` of the stacked real system, exact for exact inputs."""
     backend = pairs[0][0].backend
     stacked = []
     for a, b in pairs:
         stacked.extend(_intertwine_rows(a, b))
-    if backend == EXACT:
-        kernel = linalg.null_space(stacked)
-        out = []
-        for vec in kernel:
-            out.append(Multivector.from_terms(
-                [(mask, QQi.from_rational(v)) for mask, v in zip(EVEN_MASKS, vec)], EXACT))
-        return out
-    mat = np.array([[float(v) for v in row] for row in stacked])
-    _, sing, vh = np.linalg.svd(mat)
-    cutoff = _RANK_TOL * (sing[0] if len(sing) else 1.0)
-    kernel_rows = [vh[i] for i in range(len(vh)) if i >= len(sing) or sing[i] <= cutoff]
-    out = []
-    for vec in kernel_rows:
-        out.append(Multivector.from_terms(
-            [(mask, complex(v)) for mask, v in zip(EVEN_MASKS, vec)], FLOAT))
-    return out
+    return [Multivector.from_terms(
+        [(mask, scalars.coerce(v, backend)) for mask, v in zip(EVEN_MASKS, vec)], backend)
+        for vec in linalg.null_space(stacked)]
 
 
 def _rational_sqrt(q: Fraction) -> Fraction | None:

@@ -813,7 +813,7 @@ def _suite_equations(report: RunReport) -> None:
                 (rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))))
         for p in momenta:
             for form in eq.EquationForm:
-                sol = eq.plane_wave(form, p, 1.0, basis=basis)
+                sol = eq.plane_wave(form, p, 1.0, basis=fbasis)
                 yield eq.FieldConfig(form, sol.state, None, 1.0, fbasis).residual(
                     tolerance=tolerance).max_norm
         return len(momenta), len(eq.EquationForm)
@@ -863,7 +863,7 @@ def _suite_equations(report: RunReport) -> None:
                 yield _field_gap(*eq.reduction_sides(kind, t_red, rho, pot, m,
                                                      state_basis.gens))
 
-    sol = eq.plane_wave(eq.EquationForm.TENSOR, (1.0, 0, 0, 0), 1.0, basis=basis)
+    sol = eq.plane_wave(eq.EquationForm.TENSOR, (1.0, 0, 0, 0), 1.0, basis=fbasis)
 
     @_run_check(report, "equations.gauge_invariance",
                 "gauge transport preserves residual size for solutions and non-solutions",
@@ -874,7 +874,7 @@ def _suite_equations(report: RunReport) -> None:
                                       (0, 0, 1, 1): Fraction(-1, 5)}, FLOAT)]
         nonsol = eq.plane_wave(eq.EquationForm.TENSOR,
                                eq.boosted_momentum(1.0, 0.4, (0, 1, 1)), 1.0,
-                               basis=basis).state
+                               basis=fbasis).state
         for lam in lam_cases:
             for state, mass in ((sol.state, 1.0), (nonsol, 0.6)):
                 before = eq.residual_tensor(state, None, mass, fbasis.gens.h, fbasis.gens.i2,
@@ -884,7 +884,7 @@ def _suite_equations(report: RunReport) -> None:
                 after = eq.residual_tensor(st2, pot2, mass, fbasis.gens.h, fbasis.gens.i2,
                                            tolerance=tolerance)
                 yield abs(after.max_norm - before.max_norm)
-            psi = eq.plane_wave(eq.EquationForm.DIRAC_MATRIX, (1.0, 0, 0, 0), 1.0, basis=basis)
+            psi = eq.plane_wave(eq.EquationForm.DIRAC_MATRIX, (1.0, 0, 0, 0), 1.0, basis=fbasis)
             before = eq.residual_dirac(psi.state, None, 1.0, fbasis, tolerance=tolerance)
             st2, pot2 = eq.gauge_transform(psi.state, None, lam,
                                            eq.EquationForm.DIRAC_MATRIX, fbasis)
@@ -920,8 +920,8 @@ def _suite_equations(report: RunReport) -> None:
                 "lattice divergence of the sampled current shrinks at second order",
                 bound=0.8, detail="ratio {value:.3f}")
     def cases(rng, n):
-        s1 = eq.plane_wave(eq.EquationForm.TENSOR, (2.0, 2.0, 0, 0), 0.0, basis=basis, which=0)
-        s2 = eq.plane_wave(eq.EquationForm.TENSOR, (1.0, 0.0, 1.0, 0), 0.0, basis=basis,
+        s1 = eq.plane_wave(eq.EquationForm.TENSOR, (2.0, 2.0, 0, 0), 0.0, basis=fbasis, which=0)
+        s2 = eq.plane_wave(eq.EquationForm.TENSOR, (1.0, 0.0, 1.0, 0), 0.0, basis=fbasis,
                            which=1)
         phi2 = s1.state + s2.state
         h1 = math.pi / 4
@@ -937,7 +937,7 @@ def _suite_equations(report: RunReport) -> None:
     def cases(rng, n):
         for form in (eq.EquationForm.DIRAC_MATRIX, eq.EquationForm.HESTENES,
                      eq.EquationForm.TENSOR):
-            state = eq.plane_wave(form, (1.0, 0, 0, 0), 1.0, basis=basis).state
+            state = eq.plane_wave(form, (1.0, 0, 0, 0), 1.0, basis=fbasis).state
             for _ in range(3):
                 s = spin.random_spin(rng, scale=0.4)
                 yield eq.covariance_check(

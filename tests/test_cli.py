@@ -254,6 +254,23 @@ def test_residual_random_generators(capsys):
     assert json.loads(out)["verdict"] == "pass"
 
 
+TINY_WAVE = ["residual", "--form", "dirac", "-m", "1e-10", "--plane-wave"]
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_residual_tiny_plane_wave_passes(which, capsys):
+    # singular values below 1e-9 but above 1e-9 times the largest are not amplitudes
+    code, out, err = run_cli(TINY_WAVE + [f"m=1e-10;p=1e-10,0,0,0;which={which}"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"] == "pass"
+
+
+def test_residual_tiny_plane_wave_has_two_amplitudes(capsys):
+    code, out, err = run_cli(TINY_WAVE + ["m=1e-10;p=1e-10,0,0,0;which=2"], capsys)
+    assert (code, out) == (2, "")
+    assert "amplitude index 2 exceeds the solution space" in err
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_residual_loose_tolerance_reaches_the_float_basis(seed, capsys):
     # these float copies of transported bases fail their checks at 1e-12

@@ -274,3 +274,16 @@ def test_mat_mul_is_its_own_route():
     names = {node.id if isinstance(node, ast.Name) else node.attr
              for node in ast.walk(mat_mul) if isinstance(node, (ast.Name, ast.Attribute))}
     assert not {"BladeProduct", "CLIFFORD", "ExactLinearMap"} & names
+
+
+def test_only_linalg_calls_svd():
+    # float null spaces and ranks have one cutoff rule, in linalg
+    package = Path(linalg.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                 for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and isinstance(node.func, (ast.Name, ast.Attribute))}
+        assert "svd" not in calls, path.name

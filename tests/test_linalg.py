@@ -1,14 +1,18 @@
 """Exact linear algebra: integer-only input, the fraction-free elimination
 against the QQi elimination it replaced, the multivector inverse, and the
-exact matrix product against term-by-term arithmetic."""
+exact matrix product against term-by-term arithmetic.  Float linear
+algebra: numpy's solver against the exact solve, and the SVD null space on
+badly scaled matrices."""
 
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from stada import linalg, scalars
-from stada.multivector import Multivector, inverse, left_matrix
+from stada import linalg
+from stada.multivector import Multivector, format_multivector, inverse, left_matrix
 from stada.scalars import EXACT, QQi
 
 
@@ -20,7 +24,8 @@ def reference_eliminate(matrix):
     n_rows, n_cols = len(rows), len(rows[0])
 
     def magnitude(x):
-        return scalars.magnitude_key(x) if isinstance(x, QQi) else abs(x)
+        # |z|^2, exact for QQi
+        return Fraction(x.a * x.a + x.b * x.b, x.d * x.d) if isinstance(x, QQi) else abs(x)
 
     pivots = []
     r = 0
@@ -185,3 +190,61 @@ def test_exact_mat_mul_matches_term_by_term():
     # mixed entry types take the term-by-term loop
     assert linalg.mat_mul([[1, Fraction(1, 2)]], [[2], [4]]) == ((Fraction(4),),)
     assert linalg.mat_mul([[1, 2]], [[3], [4]]) == ((11,),)
+
+
+# ---- float routes: numpy's solver and the SVD null space ------------------------------
+
+
+@pytest.mark.parametrize("kind", ["qqi", "fraction"])
+def test_float_solve_matches_exact_solve(kind):
+    rng = random.Random(f"float:{kind}")
+    solved = 0
+    for n in (2, 4, 8, 16):
+        for _ in range(5):
+            matrix = random_matrix(rng, n, n, kind)
+            rhs = [_entry(rng, kind, 4) for _ in range(n)]
+            want = linalg.solve(matrix, rhs)
+            got = linalg.solve([[complex(v) for v in row] for row in matrix],
+                               [complex(v) for v in rhs])
+            if want is None:
+                continue
+            solved += 1
+            assert all(type(x) is complex for x in got)
+            size = max(abs(complex(x)) for x in want)
+            assert max(abs(x - complex(y)) for x, y in zip(got, want)) <= 1e-12 * size
+    assert solved >= 15
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_float_solve_refuses_singular_and_non_finite(bad):
+    assert linalg.solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 0.0]) is None
+    assert linalg.solve([[1j, 0j], [0j, 0j]], [1j, 0j]) is None
+    assert linalg.solve([[1.0, bad], [0.0, 1.0]], [1.0, 1.0]) is None
+    assert linalg.solve([[1.0, 0.0], [0.0, 1.0]], [bad, 1.0]) is None
+
+
+def test_float_inverse_prints_plain_numbers():
+    u = Multivector.from_terms([(0, QQi(2)), (1, QQi(1)), (0b0110, QQi(1, 0, 2))])
+    text = format_multivector(inverse(u.to_float()))
+    assert "np." not in text and "float64" not in text
+    assert text.startswith("0.56216216216216")
+    assert all(type(c) is complex for c in inverse(u.to_float()).coeffs)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+@pytest.mark.parametrize("kind", ["qqi", "fraction"])
+def test_float_null_space_is_orthonormal_and_scale_free(kind, scale):
+    rng = random.Random(f"null:{kind}")
+    for n_rows, n_cols in ((4, 6), (8, 8), (16, 16), (48, 16)):
+        matrix = random_matrix(rng, n_rows, n_cols, kind, rank=n_cols // 2)
+        nullity = n_cols - linalg.rank(matrix)
+        floats = [[complex(v) * scale for v in row] for row in matrix]
+        if kind == "fraction":
+            floats = [[v.real for v in row] for row in floats]
+        kernel = linalg.null_space(floats)
+        assert len(kernel) == nullity
+        assert all(type(x) is (complex if kind == "qqi" else float)
+                   for vec in kernel for x in vec)
+        a, v = np.array(floats), np.array(kernel).T
+        assert np.abs(v.conj().T @ v - np.eye(nullity)).max() <= 1e-12
+        assert np.abs(a @ v).max() <= 1e-12 * np.abs(a).max()

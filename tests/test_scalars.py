@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stada
-from stada.scalars import EXACT, FLOAT, QQi, coerce, from_real, is_zero, magnitude_key
+from stada.scalars import EXACT, FLOAT, QQi, coerce, from_real, is_zero
 
 ints = st.integers(min_value=-30, max_value=30)
 denoms = st.integers(min_value=1, max_value=12)
@@ -77,11 +77,6 @@ def test_coercion_and_tolerance():
     assert not is_zero(QQi(0, 1))
     assert is_zero(1e-15 + 0j)
     assert not is_zero(1e-9 + 0j)
-
-
-def test_magnitude_key_exact():
-    assert magnitude_key(QQi(3, 4, 5)) == Fraction(1)
-    assert magnitude_key(QQi(0)) == 0
 
 
 def test_no_module_state_holds_a_tolerance():
