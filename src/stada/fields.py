@@ -12,17 +12,18 @@ gauge transformations, and covariance checks need.  On the exact backend
 all of those operations are exact, so operator identities are asserted
 as structural equalities; evaluation at a point always produces floats.
 
-An exact field stores each phase term as one blade-sparse map from packed
-keys, monomial << 4 | blade with 16 bits per exponent, to Gaussian-integer
-numerator pairs over one shared denominator, brought to lowest terms with
-one gcd per output term (zero entries and empty terms dropped), and keys
-the term by its phase in integer form, so `==` compares that form.  Every
-exact operation works in plain integers and builds no `QQi`; `QQi` appears
-only at the boundary: the constructor reads `Poly` coefficients, and the
-`Poly` phase and 16 `Poly` coefficients of a term are built only where they
-are read (`terms`, and so `eval`, `max_abs` and `to_float`; `phase_polys`).
-A float field keeps its `Poly` phases and coefficients and sums its terms
-in the order of the plain loops, so its results are unchanged to the bit.
+Both backends store a field in one format: each phase term is one
+blade-sparse map from packed keys, monomial << 4 | blade with 16 bits per
+exponent, to numerator pairs over one shared denominator, and the term is
+keyed by its phase in the same (monomial, numerator, denominator) form, so
+`==` compares that form.  An exact field holds Gaussian-integer numerators
+brought to lowest terms with one gcd per output term; a float field holds
+float (re, im) pairs over the denominator 1.  Zero entries and empty terms
+are dropped on both.  Every operation is written once, for both backends;
+an exact operation works in plain integers and builds no `QQi`, and no
+operation builds a `Poly`.  `Poly` is the type of phases given to the
+constructors and of the read-back `terms` (and `phase_polys`), built on
+first read; `eval`, `max_abs` and `to_float` read the packed form.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Iterable, Mapping
 from . import scalars
 from .errors import BackendMismatchError, DomainError
 from .exterior import STAR_TABLE
-from .kernel import EVERY_BLADE, BladeProduct
+from .kernel import BladeProduct
 from .multivector import (
     CLIFFORD,
     ETA,
@@ -91,9 +92,6 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(self.key())
 
     def key(self) -> tuple:
         return tuple(sorted(self.terms.items()))
@@ -159,17 +157,6 @@ class Poly:
             total += v
         return total
 
-    def eval_real(self, x) -> float:
-        total = 0.0
-        for exps, c in self.terms.items():
-            v = float(c)
-            for mu in range(4):
-                e = exps[mu]
-                if e:
-                    v *= x[mu] ** e
-            total += v
-        return total
-
     def compose_linear(self, matrix) -> "Poly":
         """Substitute x_mu = sum_nu matrix[mu][nu] y_nu."""
         lines = []
@@ -206,11 +193,6 @@ class Poly:
         return f"Poly({self.terms!r})"
 
 
-def _times_i(p: Poly) -> Poly:
-    """i times a real float polynomial, with complex coefficients."""
-    return Poly({exps: complex(0.0, float(c)) for exps, c in p.terms.items()})
-
-
 # 1/2 and -i/2, built once: the float backend converts them without building a QQi
 _HALF = QQi(1, 0, 2)
 _MINUS_HALF_I = QQi(0, -1, 2)
@@ -219,15 +201,18 @@ _MINUS_HALF_I = QQi(0, -1, 2)
 _COMPONENT_MAPS = tuple(tuple((int(m == mask), 0) for m in range(16)) for mask in range(16))
 
 
-# ---- the exact term format ---------------------------------------------------
+# ---- the term format -----------------------------------------------------------
 #
-# An exact field maps each phase to one term (den, entries): entries[key] =
-# (re, im) means the coefficient (re + i*im)/den on blade key & 15 times the
-# monomial whose exponent mu sits in bits 4 + 16*mu of the key.  Stored
-# exponents stay below 2**15, so adding the keys of two monomials multiplies
-# them without a carry and the top bit of each exponent flags an overflow.
-# The phase itself is its key: the sorted tuple of (monomial key bits,
-# numerator, denominator) of its nonzero rational coefficients.
+# A field maps each phase to one term (den, entries): entries[key] = (re, im)
+# means the coefficient (re + i*im)/den on blade key & 15 times the monomial
+# whose exponent mu sits in bits 4 + 16*mu of the key.  Stored exponents stay
+# below 2**15, so adding the keys of two monomials multiplies them without a
+# carry and the top bit of each exponent flags an overflow.  The phase itself
+# is its key: the sorted tuple of (monomial key bits, numerator, denominator)
+# of its nonzero real coefficients.  On the exact backend the numerators are
+# integers; on the float backend they are floats over the denominator 1, so
+# every helper below serves both, and a float term sums in the order an exact
+# one does.
 
 _EXP_SHIFTS = (4, 20, 36, 52)
 _EXP_LIMIT = 1 << 15
@@ -249,6 +234,15 @@ def _exponents(key: int) -> Exps:
     return tuple(key >> shift & 0xFFFF for shift in _EXP_SHIFTS)
 
 
+def _times_monomial(v, key: int, x):
+    """v times the monomial of a key at the point x, axis by axis."""
+    for shift, xm in zip(_EXP_SHIFTS, x):
+        e = key >> shift & 0xFFFF
+        if e:
+            v *= xm ** e
+    return v
+
+
 def _checked(entries: dict) -> dict:
     """The entries, refused if a monomial product overflowed an exponent."""
     if entries and functools.reduce(operator.or_, entries) & _EXP_HIGH:
@@ -256,8 +250,13 @@ def _checked(entries: dict) -> dict:
     return entries
 
 
-def gaussian_parts(value) -> tuple:
-    """(re, im, den) of an exact scalar: a QQi, an int or a Fraction."""
+def scalar_parts(value, backend: str) -> tuple:
+    """(re, im, den) of a scalar in the term format of the backend: float
+    parts over 1, or Gaussian-integer numerators of a QQi, an int or a
+    Fraction."""
+    if backend == FLOAT:
+        z = complex(value)
+        return z.real, z.imag, 1
     if isinstance(value, QQi):
         return value.a, value.b, value.d
     if isinstance(value, (int, Fraction)):
@@ -265,19 +264,32 @@ def gaussian_parts(value) -> tuple:
     raise TypeError(f"cannot coerce {type(value).__name__} into an exact scalar")
 
 
-def phase_key(phase: Poly) -> tuple:
-    """The key of a real phase polynomial in an exact field."""
+def _numerator_form(mv: Multivector) -> tuple:
+    """(den, re, im) of a multivector in the term format of its backend."""
+    if mv.backend == EXACT:
+        return numerators(mv)
+    coeffs = [complex(c) for c in mv.coeffs]
+    return 1, tuple(z.real for z in coeffs), tuple(z.imag for z in coeffs)
+
+
+def phase_key(phase: Poly, backend: str) -> tuple:
+    """The key of a real phase polynomial in a field of the backend."""
     out = []
     for exps, c in phase.terms.items():
-        if not isinstance(c, (int, Fraction)):
+        if backend == EXACT:
             c = Fraction(c)
-        out.append((pack_monomial(exps), c.numerator, c.denominator))
+            n, d = c.numerator, c.denominator
+        else:
+            n, d = float(c), 1
+        out.append((pack_monomial(exps), n, d))
     return tuple(sorted(out))
 
 
 def phase_poly(key: tuple) -> Poly:
-    """The phase polynomial of a key, with Fraction coefficients."""
-    return Poly({_exponents(mono): Fraction(n, d) for mono, n, d in key})
+    """The phase polynomial of a key: Fraction coefficients for integer
+    numerators, float ones for float numerators."""
+    return Poly({_exponents(mono): n if isinstance(n, float) else Fraction(n, d)
+                 for mono, n, d in key})
 
 
 def _phase_sum(a: tuple, b: tuple) -> tuple:
@@ -289,8 +301,9 @@ def _phase_sum(a: tuple, b: tuple) -> tuple:
         if mono in acc:
             n0, d0 = acc[mono]
             n, d = n0 * d + n * d0, d0 * d
-            g = math.gcd(n, d)
-            n, d = n // g, d // g
+            if d != 1:
+                g = math.gcd(n, d)
+                n, d = n // g, d // g
         acc[mono] = (n, d)
     return tuple(sorted((mono, n, d) for mono, (n, d) in acc.items() if n))
 
@@ -309,27 +322,27 @@ def term_lowest(den: int, entries: dict) -> tuple | None:
     return den // g, {k: (r // g, s // g) for k, (r, s) in live.items()}
 
 
-def term_form(coeffs) -> tuple:
-    """(den, entries), not reduced, of 16 coefficient polynomials with exact
-    scalar coefficients."""
+def term_form(coeffs, backend: str) -> tuple:
+    """(den, entries), not reduced, of 16 coefficient polynomials."""
     parts = []
     den = 1
     for blade, q in enumerate(coeffs):
         for exps, c in q.terms.items():
-            re, im, d = gaussian_parts(c)
+            re, im, d = scalar_parts(c, backend)
             parts.append((pack_monomial(exps) | blade, re, im, d))
             if d != 1:
                 den = math.lcm(den, d)
     return den, {key: (re * (den // d), im * (den // d)) for key, re, im, d in parts}
 
 
-def term_polys(den: int, entries: dict) -> tuple:
-    """The 16 coefficient polynomials of a term, with normalised QQi, each
-    listing its monomials in ascending key order whatever the history of
-    the term."""
+def term_polys(den: int, entries: dict, backend: str) -> tuple:
+    """The 16 coefficient polynomials of a term, with normalised QQi or
+    complex coefficients, each listing its monomials in ascending key order
+    whatever the history of the term."""
     polys = [{} for _ in range(16)]
     for key, (re, im) in sorted(entries.items()):
-        polys[key & 15][_exponents(key)] = QQi(re, im, den)
+        polys[key & 15][_exponents(key)] = (QQi(re, im, den) if backend == EXACT
+                                            else complex(re, im))
     return tuple(Poly(p) for p in polys)
 
 
@@ -369,7 +382,11 @@ def _collected(pieces) -> dict:
 
 
 def _term_partial(phase: tuple, den: int, entries: dict, mu: int) -> tuple:
-    """(den, entries) of d/dx^mu of one term, phase chain rule included."""
+    """(den, entries) of d/dx^mu of one term, phase chain rule included.
+
+    The power rule multiplies a coefficient by (e, 0) and the chain rule by
+    i*c = (0, c), each written as the full complex product (r + i*s)(a + i*b),
+    so float parts keep the signed zeros of Python's complex arithmetic."""
     shift = _EXP_SHIFTS[mu]
     step = 1 << shift
     # the phase derivative: (monomial, numerator, denominator) per term
@@ -381,45 +398,47 @@ def _term_partial(phase: tuple, den: int, entries: dict, mu: int) -> tuple:
         e = k >> shift & 0xFFFF
         if e:
             e *= cden
-            acc[k - step] = (r * e, s * e)
-    # i*c*(r + i*s) = -c*s + i*c*r for each monomial c of the phase derivative
+            acc[k - step] = (r * e - s * 0, r * 0 + s * e)
     for mono, n, d in chain:
         c = n * (cden // d)
         for k, (r, s) in entries.items():
             k += mono
+            re = r * 0 - s * c
+            im = r * c + s * 0
             o = acc.get(k)
-            acc[k] = (-c * s, c * r) if o is None else (o[0] - c * s, o[1] + c * r)
+            acc[k] = (re, im) if o is None else (o[0] + re, o[1] + im)
     return den * cden, _checked(acc) if chain else acc
+
+
+def _blade_mapped(entries: dict, table) -> dict:
+    """The entries under a blade map in the (sign, target) format of
+    `exterior.STAR_TABLE`: each numerator pair moves, negated for sign -1,
+    with no arithmetic, so float signed zeros are kept."""
+    out = {}
+    for k, (r, s) in entries.items():
+        sign, target = table[k & 15]
+        if sign:
+            out[k & _MONOMIAL | target] = (r, s) if sign > 0 else (-r, -s)
+    return out
 
 
 def _term_slot_map(den: int, entries: dict, cols, cden: int) -> tuple:
     """(den, entries) of a blade-axis linear map applied to one term; cols[b]
-    lists (target, re, im), the image of blade b with numerators over cden."""
+    lists (target, sign, re, im), the image of blade b, sign times numerators
+    over cden.  The sign is applied after the product, as in
+    `BladeProduct.sparse`, so float results keep its signed zeros."""
     acc = {}
     for k, (r, s) in entries.items():
         base = k & _MONOMIAL
-        for target, cr, ci in cols[k & 15]:
+        for target, sign, cr, ci in cols[k & 15]:
             nk = base | target
             re = r * cr - s * ci
             im = r * ci + s * cr
+            if sign < 0:
+                re, im = -re, -im
             o = acc.get(nk)
             acc[nk] = (re, im) if o is None else (o[0] + re, o[1] + im)
     return den * cden, acc
-
-
-@functools.lru_cache(maxsize=256)
-def _constant_columns(form: tuple, right: bool, product: BladeProduct) -> tuple:
-    """The columns of multiplication by a constant with numerator form
-    `form`, on the given side, in the format of `_term_slot_map`.  Kept for
-    the constants a run reuses (basis vectors, idempotents, generators)."""
-    _, re, im = form
-    live = [bool(r or s) for r, s in zip(re, im)]
-    cols = [[] for _ in range(16)]
-    for i, j, sign, mask in product.live_terms(
-            *((EVERY_BLADE, live) if right else (live, EVERY_BLADE))):
-        blade, c = (i, j) if right else (j, i)
-        cols[blade].append((mask, sign * re[c], sign * im[c]))
-    return tuple(map(tuple, cols))
 
 
 def _poly_times_line(poly: dict, line: dict) -> dict:
@@ -432,7 +451,7 @@ def _poly_times_line(poly: dict, line: dict) -> dict:
 
 def _term_compose(den: int, entries: dict, lines, scale: int) -> tuple:
     """(den, entries) of one term after x_mu = lines[mu] / scale, where each
-    line maps monomial key bits to integer coefficients."""
+    line maps monomial key bits to coefficients."""
     expanded = {}
     for k in entries:
         mono = k & _MONOMIAL
@@ -457,13 +476,33 @@ def _term_compose(den: int, entries: dict, lines, scale: int) -> tuple:
     return den * scale ** top, acc
 
 
+def _phase_compose(key: tuple, lines, scale: int) -> tuple:
+    """The key of a phase after x_mu = lines[mu] / scale, the phase taken
+    as a term on the unit blade."""
+    if not key:
+        return key
+    den = math.lcm(*(d for _, _, d in key))
+    den, acc = _term_compose(den, {mono: (n * (den // d), 0) for mono, n, d in key},
+                             lines, scale)
+    out = []
+    for mono, (n, _) in sorted(acc.items()):
+        if n:
+            d = den
+            if d != 1:
+                g = math.gcd(n, d)
+                n, d = n // g, d // g
+            out.append((mono, n, d))
+    return tuple(out)
+
+
 class AnalyticField:
     """Finite sum of blade-valued polynomial terms carrying polynomial phases.
 
-    Treat instances as immutable; all operations return new fields.  A
-    float field holds `terms`, phase key -> (phase, 16 coefficient
-    polynomials).  An exact field holds `_forms`, `phase_key` -> (den,
-    entries) in the exact term format; its `terms` are built on first read.
+    Treat instances as immutable; all operations return new fields.  Every
+    field holds `_forms`, phase key -> (den, entries) in the term format of
+    its backend, and each operation is written once, for both backends.
+    `terms`, phase key -> (phase, 16 coefficient polynomials), is only the
+    read-back, built on first read.
     """
 
     __slots__ = ("backend", "terms", "_forms")
@@ -471,49 +510,33 @@ class AnalyticField:
     def __init__(self, backend: str,
                  terms: Iterable[tuple[Poly, Iterable[Poly]]] = ()):
         self.backend = backend
-        if backend == EXACT:
-            pieces = []
-            for phase, coeffs in terms:
-                coeffs = list(coeffs)
-                if len(coeffs) != 16:
-                    raise ValueError("a field term needs 16 coefficient polynomials")
-                pieces.append((phase_key(phase), *term_form(coeffs)))
-            self._forms = _collected(pieces)
-            return
-        merged: dict[tuple, tuple[Poly, list[Poly]]] = {}
+        pieces = []
         for phase, coeffs in terms:
             coeffs = list(coeffs)
             if len(coeffs) != 16:
                 raise ValueError("a field term needs 16 coefficient polynomials")
-            key = phase.key()
-            if key in merged:
-                old = merged[key][1]
-                merged[key] = (phase, [a + b for a, b in zip(old, coeffs)])
-            else:
-                merged[key] = (phase, coeffs)
-        clean = {}
-        for key, (phase, coeffs) in merged.items():
-            if any(coeffs):
-                clean[key] = (phase, tuple(coeffs))
-        self.terms = clean
+            pieces.append((phase_key(phase, backend), *term_form(coeffs, backend)))
+        self._forms = _collected(pieces)
 
     @classmethod
-    def from_forms(cls, forms: dict) -> "AnalyticField":
-        """The exact field of terms already in the exact term format."""
+    def from_forms(cls, forms: dict, backend: str) -> "AnalyticField":
+        """The field of terms already in the term format of the backend."""
         f = object.__new__(cls)
-        f.backend = EXACT
+        f.backend = backend
         f._forms = forms
         return f
 
+    def _with(self, forms: dict) -> "AnalyticField":
+        return AnalyticField.from_forms(forms, self.backend)
+
     def __getattr__(self, name):
-        # reached only for an unset slot, which is the `terms` of an exact
-        # field: build its QQi coefficient polynomials once
-        if name != "terms" or self.backend != EXACT:
+        # reached only for the unset `terms` slot: build the read-back once
+        if name != "terms":
             raise AttributeError(f"'AnalyticField' object has no attribute {name!r}")
         terms = {}
         for key, (den, entries) in self._forms.items():
             phase = phase_poly(key)
-            terms[phase.key()] = (phase, term_polys(den, entries))
+            terms[phase.key()] = (phase, term_polys(den, entries, self.backend))
         self.terms = terms
         return terms
 
@@ -527,13 +550,11 @@ class AnalyticField:
     def _of_multivector(cls, mv: Multivector, phase: Poly,
                         exps: Exps = _ZERO_EXPS) -> "AnalyticField":
         """mv times one monomial, on one phase."""
-        if mv.backend != EXACT:
-            coeffs = [Poly({tuple(exps): c}) if c else Poly() for c in mv.coeffs]
-            return cls(mv.backend, [(phase, coeffs)])
-        den, re, im = numerators(mv)
+        den, re, im = _numerator_form(mv)
         mono = pack_monomial(exps)
         entries = {mono | m: (r, s) for m, (r, s) in enumerate(zip(re, im)) if r or s}
-        return cls.from_forms({phase_key(phase): (den, entries)} if entries else {})
+        return cls.from_forms({phase_key(phase, mv.backend): (den, entries)} if entries else {},
+                              mv.backend)
 
     @classmethod
     def constant(cls, mv: Multivector) -> "AnalyticField":
@@ -546,14 +567,9 @@ class AnalyticField:
     @classmethod
     def plane_wave(cls, mv: Multivector, wave) -> "AnalyticField":
         """mv * exp(i * sum_mu wave[mu] x^mu)."""
-        backend = mv.backend
-        entries = {}
-        for mu in range(4):
-            w = wave[mu]
-            if w:
-                entries[tuple(1 if i == mu else 0 for i in range(4))] = (
-                    Fraction(w) if backend == EXACT else float(w))
-        return cls._of_multivector(mv, Poly(entries))
+        entries = {tuple(int(i == mu) for i in range(4)): wave[mu]
+                   for mu in range(4) if wave[mu]}
+        return cls._of_multivector(mv, real_polynomial(entries, mv.backend))
 
     @classmethod
     def scalar_poly(cls, poly: Poly, backend: str) -> "AnalyticField":
@@ -563,58 +579,43 @@ class AnalyticField:
     # ---- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not (self._forms if self.backend == EXACT else self.terms)
+        return not self._forms
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AnalyticField):
             return NotImplemented
-        if self.backend != other.backend:
-            return False
-        if self.backend == EXACT:
-            return self._forms == other._forms
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[k][1] == other.terms[k][1] for k in self.terms)
+        return self.backend == other.backend and self._forms == other._forms
 
     def __hash__(self):
         raise TypeError("AnalyticField is not hashable")
 
     def grades(self) -> set[int]:
         out = set()
-        if self.backend == EXACT:
-            for _, entries in self._forms.values():
-                out.update(GRADE[k & 15] for k in entries)
-            return out
-        for _, coeffs in self.terms.values():
-            out.update(GRADE[m] for m in range(16) if coeffs[m])
+        for _, entries in self._forms.values():
+            out.update(GRADE[k & 15] for k in entries)
         return out
 
-    def _slot_mapped(self, cols, cden: int = 1) -> "AnalyticField":
-        """An exact field under a blade-axis linear map, in the column format
-        of `_term_slot_map`."""
+    def _termwise(self, op) -> "AnalyticField":
+        """The field with each term replaced by op(phase key, den, entries),
+        a (den, entries) on the same phase, brought to lowest terms."""
         forms = {}
         for key, (den, entries) in self._forms.items():
-            form = term_lowest(*_term_slot_map(den, entries, cols, cden))
+            form = term_lowest(*op(key, den, entries))
             if form:
                 forms[key] = form
-        return AnalyticField.from_forms(forms)
+        return self._with(forms)
+
+    def _slot_mapped(self, cols, cden: int) -> "AnalyticField":
+        """The field under a blade-axis linear map, in the column format of
+        `_term_slot_map`."""
+        return self._termwise(lambda _, den, entries: _term_slot_map(den, entries, cols, cden))
 
     def _map_blades(self, table, conjugate: bool = False) -> "AnalyticField":
-        """Apply a blade map to every term; with `conjugate`, also conjugate
-        the kept coefficients and negate the phases."""
-        if self.backend == EXACT:
-            field = self.conjugate() if conjugate else self
-            return field._slot_mapped([[(target, sign, 0)] if sign else []
-                                       for sign, target in table])
-        out = []
-        for phase, coeffs in self.terms.values():
-            new = [Poly()] * 16
-            for q, (sign, target) in zip(coeffs, table):
-                if sign and q:
-                    q = q.conjugate() if conjugate else q
-                    new[target] = q if sign > 0 else -q
-            out.append((-phase if conjugate else phase, new))
-        return AnalyticField(self.backend, out)
+        """Apply a blade map to every term, moving and negating numerators;
+        with `conjugate`, also conjugate the coefficients and negate the
+        phases."""
+        field = self.conjugate() if conjugate else self
+        return field._termwise(lambda _, den, entries: (den, _blade_mapped(entries, table)))
 
     def component(self, mask: int) -> "AnalyticField":
         """The coefficient of one basis blade, as a scalar-valued field."""
@@ -633,29 +634,14 @@ class AnalyticField:
 
     def apply_slot_matrix(self, rows) -> "AnalyticField":
         """Apply a constant 16x16 scalar matrix to the blade axis."""
-        if self.backend == EXACT:
-            parts = [[gaussian_parts(rows[i][j]) for i in range(16)] for j in range(16)]
-            cden = math.lcm(*(d for col in parts for _, _, d in col))
-            return self._slot_mapped([[(i, re * (cden // d), im * (cden // d))
-                                       for i, (re, im, d) in enumerate(col) if re or im]
-                                      for col in parts], cden)
-        out = []
-        for phase, coeffs in self.terms.values():
-            new = [Poly() for _ in range(16)]
-            for j, q in enumerate(coeffs):
-                if not q:
-                    continue
-                for i in range(16):
-                    entry = rows[i][j]
-                    if entry:
-                        new[i] = new[i] + q.scale(entry)
-            out.append((phase, new))
-        return AnalyticField(self.backend, out)
+        parts = [[scalar_parts(rows[i][j], self.backend) for i in range(16)] for j in range(16)]
+        cden = math.lcm(*(d for col in parts for _, _, d in col))
+        return self._slot_mapped([[(i, 1, re * (cden // d), im * (cden // d))
+                                   for i, (re, im, d) in enumerate(col) if re or im]
+                                  for col in parts], cden)
 
     def phase_polys(self) -> list[Poly]:
-        if self.backend == EXACT:
-            return [phase_poly(key) for key in self._forms]
-        return [phase for phase, _ in self.terms.values()]
+        return [phase_poly(key) for key in self._forms]
 
     # ---- linear operations --------------------------------------------------
 
@@ -666,45 +652,30 @@ class AnalyticField:
 
     def __add__(self, other: "AnalyticField") -> "AnalyticField":
         self._check(other)
-        if self.backend == EXACT:
-            return AnalyticField.from_forms(_collected(
-                (key, *form) for key, form in [*self._forms.items(), *other._forms.items()]))
-        entries = [(p, list(c)) for p, c in self.terms.values()]
-        entries += [(p, list(c)) for p, c in other.terms.values()]
-        return AnalyticField(self.backend, entries)
+        return self._with(_collected(
+            (key, *form) for key, form in [*self._forms.items(), *other._forms.items()]))
 
     def __sub__(self, other: "AnalyticField") -> "AnalyticField":
         return self + (-other)
 
     def __neg__(self) -> "AnalyticField":
-        if self.backend == EXACT:
-            return AnalyticField.from_forms({key: (den, _negated(entries))
-                                             for key, (den, entries) in self._forms.items()})
-        return AnalyticField(self.backend,
-                             [(p, [-q for q in c]) for p, c in self.terms.values()])
+        return self._with({key: (den, _negated(entries))
+                           for key, (den, entries) in self._forms.items()})
 
     def scale(self, value) -> "AnalyticField":
-        if self.backend == EXACT:
-            p, q, d = gaussian_parts(value)
-            if not (p or q):
-                return AnalyticField.zero(EXACT)
-            return self._slot_mapped([[(b, p, q)] for b in range(16)], d)
-        s = scalars.coerce(value, self.backend)
-        return AnalyticField(self.backend,
-                             [(p, [q.scale(s) for q in c]) for p, c in self.terms.values()])
+        p, q, d = scalar_parts(value, self.backend)
+        if not (p or q):
+            return AnalyticField.zero(self.backend)
+        return self._slot_mapped([[(b, 1, p, q)] for b in range(16)], d)
 
     # ---- involutions ---------------------------------------------------------
 
     def conjugate(self) -> "AnalyticField":
         """Complex conjugation: conjugate coefficients, negate phases."""
-        if self.backend == EXACT:
-            return AnalyticField.from_forms({
-                tuple((mono, -n, d) for mono, n, d in key):
-                    (den, {k: (r, -s) for k, (r, s) in entries.items()})
-                for key, (den, entries) in self._forms.items()})
-        return AnalyticField(self.backend,
-                             [(-p, [q.conjugate() for q in c])
-                              for p, c in self.terms.values()])
+        return self._with({
+            tuple((mono, -n, d) for mono, n, d in key):
+                (den, {k: (r, -s) for k, (r, s) in entries.items()})
+            for key, (den, entries) in self._forms.items()})
 
     def star_involution(self) -> "AnalyticField":
         """Blade reversion sign with conjugation, applied pointwise."""
@@ -729,75 +700,34 @@ class AnalyticField:
 
     def partial(self, mu: int) -> "AnalyticField":
         """d/dx^mu, including the phase chain rule."""
-        if self.backend == EXACT:
-            forms = {}
-            for key, (den, entries) in self._forms.items():
-                form = term_lowest(*_term_partial(key, den, entries, mu))
-                if form:
-                    forms[key] = form
-            return AnalyticField.from_forms(forms)
-        out = []
-        for phase, coeffs in self.terms.values():
-            chain = _times_i(phase.diff(mu))
-            # a constant phase derivative, as for a plane wave, acts as a scale
-            const = chain.terms.get(_ZERO_EXPS) if len(chain.terms) == 1 else None
-            new = []
-            for q in coeffs:
-                if not q:
-                    new.append(q)
-                    continue
-                dq = q.diff(mu)
-                if chain:
-                    dq = dq + (q.scale(const) if const is not None else chain * q)
-                new.append(dq)
-            out.append((phase, new))
-        return AnalyticField(self.backend, out)
+        return self._termwise(lambda key, den, entries: _term_partial(key, den, entries, mu))
 
     def multiply_phase(self, lam: Poly) -> "AnalyticField":
         """Multiply by exp(i * lam) for a real polynomial lam."""
-        if self.backend == EXACT:
-            lam_key = phase_key(lam)
-            return AnalyticField.from_forms(_collected(
-                (_phase_sum(key, lam_key), den, entries)
-                for key, (den, entries) in self._forms.items()))
-        return AnalyticField(self.backend,
-                             [(p + lam, list(c)) for p, c in self.terms.values()])
+        lam_key = phase_key(lam, self.backend)
+        return self._with(_collected((_phase_sum(key, lam_key), den, entries)
+                                     for key, (den, entries) in self._forms.items()))
 
     def compose_linear(self, matrix) -> "AnalyticField":
         """Substitute x = matrix . y in every polynomial and phase."""
-        conv = Fraction if self.backend == EXACT else float
-        rmat = [[conv(v) for v in row] for row in matrix]
-        if self.backend == EXACT:
-            scale = math.lcm(*(v.denominator for row in rmat for v in row))
-            lines = [{pack_monomial(tuple(int(i == nu) for i in range(4))):
-                      int(v * scale) for nu, v in enumerate(row) if v} for row in rmat]
-            return AnalyticField.from_forms(_collected(
-                (phase_key(phase_poly(key).compose_linear(rmat)),
-                 *_term_compose(den, entries, lines, scale))
-                for key, (den, entries) in self._forms.items()))
-        cmat = [[scalars.coerce(v, self.backend) for v in row] for row in rmat]
-        out = []
-        for phase, coeffs in self.terms.values():
-            new_phase = phase.compose_linear(rmat)
-            new_coeffs = [q.compose_linear(cmat) if q else Poly() for q in coeffs]
-            out.append((new_phase, new_coeffs))
-        return AnalyticField(self.backend, out)
+        exact = self.backend == EXACT
+        rmat = [[Fraction(v) if exact else float(v) for v in row] for row in matrix]
+        scale = math.lcm(*(v.denominator for row in rmat for v in row)) if exact else 1
+        lines = [{pack_monomial(tuple(int(i == nu) for i in range(4))):
+                  int(v * scale) if exact else v for nu, v in enumerate(row) if v}
+                 for row in rmat]
+        return self._with(_collected(
+            (_phase_compose(key, lines, scale), *_term_compose(den, entries, lines, scale))
+            for key, (den, entries) in self._forms.items()))
 
     # ---- products ---------------------------------------------------------------
 
     def _blade_mul(self, other: "AnalyticField", kind: BladeProduct) -> "AnalyticField":
         self._check(other)
-        if self.backend == EXACT:
-            return AnalyticField.from_forms(_collected(
-                (_phase_sum(pa, pb), da * db, _checked(kind.sparse(ea, eb)))
-                for pa, (da, ea) in self._forms.items()
-                for pb, (db, eb) in other._forms.items()))
-        zero = Poly()
-        out = []
-        for pa, ca in self.terms.values():
-            for pb, cb in other.terms.values():
-                out.append((pa + pb, kind.generic(ca, cb, zero)))
-        return AnalyticField(self.backend, out)
+        return self._with(_collected(
+            (_phase_sum(pa, pb), da * db, _checked(kind.sparse(ea, eb)))
+            for pa, (da, ea) in self._forms.items()
+            for pb, (db, eb) in other._forms.items()))
 
     def clifford(self, other: "AnalyticField") -> "AnalyticField":
         return self._blade_mul(other, CLIFFORD)
@@ -807,82 +737,69 @@ class AnalyticField:
 
     def mul_const(self, mv: Multivector, side: str = "right",
                   product: BladeProduct = CLIFFORD) -> "AnalyticField":
-        """Multiply by the constant mv, on the given side, under the given product.
-
-        The constant acts as a slot map: each live term (i, j, sign, mask)
-        scales one coefficient polynomial by one coefficient of mv into slot
-        mask, summed in the ascending (i, j) order of the field-by-field
-        product, whose coefficients it equals bit for bit."""
+        """Multiply by the constant mv, on the given side, under the given
+        product: the field product with the constant field of mv, one
+        `BladeProduct.sparse` per term, so its coefficients equal that
+        product's bit for bit."""
         self._check(mv)
-        right = side == "right"
-        if self.backend == EXACT:
-            form = numerators(mv)
-            return self._slot_mapped(_constant_columns(form, right, product), form[0])
-        out = []
-        for phase, coeffs in self.terms.values():
-            a, b = (coeffs, mv.coeffs) if right else (mv.coeffs, coeffs)
-            new = [Poly()] * 16
-            for i, j, sign, mask in product.live_terms(a, b):
-                p = a[i].scale(b[j]) if right else b[j].scale(a[i])
-                new[mask] = new[mask] + p if sign > 0 else new[mask] - p
-            out.append((phase, new))
-        return AnalyticField(self.backend, out)
+        den, re, im = _numerator_form(mv)
+        const = {m: (r, s) for m, (r, s) in enumerate(zip(re, im)) if r or s}
+        return self._termwise(lambda _, d, entries: (
+            d * den, product.sparse(entries, const) if side == "right"
+            else product.sparse(const, entries)))
 
     def scalar_part_of_mul(self, mv: Multivector) -> "AnalyticField":
         """The unit-blade part of the Clifford product self * mv, forming only
         the terms that land on the unit blade, in the order of mul_const."""
         self._check(mv)
-        if self.backend == EXACT:
-            den, re, im = numerators(mv)
-            cols = [[] for _ in range(16)]
-            for i, j, sign in CLIFFORD.scalar_terms:
-                if re[j] or im[j]:
-                    cols[i].append((0, sign * re[j], sign * im[j]))
-            return self._slot_mapped(cols, den)
-        out = []
-        for phase, coeffs in self.terms.values():
-            acc = Poly()
-            for i, j, sign in CLIFFORD.scalar_terms:
-                if coeffs[i] and mv.coeffs[j]:
-                    p = coeffs[i].scale(mv.coeffs[j])
-                    acc = acc + p if sign > 0 else acc - p
-            out.append((phase, [acc] + [Poly()] * 15))
-        return AnalyticField(self.backend, out)
+        den, re, im = _numerator_form(mv)
+        cols = [[] for _ in range(16)]
+        for i, j, sign in CLIFFORD.scalar_terms:
+            if re[j] or im[j]:
+                cols[i].append((0, sign, re[j], im[j]))
+        return self._slot_mapped(cols, den)
 
     # ---- evaluation ----------------------------------------------------------------
 
     def eval(self, x) -> Multivector:
-        """Value at a point, always on the float backend."""
+        """Value at a point, always on the float backend.  Each blade sums
+        its monomials in ascending key order, each converted as
+        complex(re/den, im/den), and the sum is multiplied by the phase
+        factor."""
         coeffs = [0j] * 16
-        for phase, polys in self.terms.values():
-            factor = cmath.exp(1j * phase.eval_real(x))
-            for m, q in enumerate(polys):
-                if q:
-                    coeffs[m] += factor * q.eval(x)
+        for key, (den, entries) in self._forms.items():
+            phase = 0.0
+            for mono, n, d in key:
+                phase += _times_monomial(n / d, mono, x)
+            factor = cmath.exp(1j * phase)
+            sums = {}
+            for k, (r, s) in sorted(entries.items()):
+                blade = k & 15
+                sums[blade] = sums.get(blade, 0j) + _times_monomial(
+                    complex(r / den, s / den), k, x)
+            for m in sorted(sums):
+                coeffs[m] += factor * sums[m]
         return Multivector(coeffs, FLOAT)
 
     def max_abs(self) -> float:
         worst = 0.0
-        for _, coeffs in self.terms.values():
-            for q in coeffs:
-                for c in q.terms.values():
-                    worst = scalars.nan_max(worst, abs(complex(c)))
+        for den, entries in self._forms.values():
+            for r, s in entries.values():
+                worst = scalars.nan_max(worst, abs(complex(r / den, s / den)))
         return worst
 
     def to_float(self) -> "AnalyticField":
         if self.backend == FLOAT:
             return self
-        out = []
-        for phase, coeffs in self.terms.values():
-            fphase = Poly({e: float(c) for e, c in phase.terms.items()})
-            fcoeffs = [Poly({e: complex(c) for e, c in q.terms.items()}) for q in coeffs]
-            out.append((fphase, fcoeffs))
-        return AnalyticField(FLOAT, out)
+        # rounding can merge two phases, or send a coefficient to zero
+        return AnalyticField.from_forms(_collected(
+            (tuple((mono, n / d, 1) for mono, n, d in key if n / d), 1,
+             {k: (r / den, s / den) for k, (r, s) in sorted(entries.items())})
+            for key, (den, entries) in self._forms.items()), FLOAT)
 
     def __repr__(self):
-        terms = self._forms if self.backend == EXACT else self.terms
         return (f"AnalyticField(backend={self.backend!r}, "
-                f"terms={len(terms)}, grades={sorted(self.grades())})")
+                f"terms={len(self._forms)}, grades={sorted(self.grades())})")
 
 
 # ---- the differential operators ---------------------------------------------

@@ -207,13 +207,6 @@ class Bispinor:
     components: tuple[Scalar, Scalar, Scalar, Scalar]
     backend: str
 
-    @classmethod
-    def from_values(cls, values, backend: str = EXACT) -> "Bispinor":
-        comps = tuple(scalars.coerce(v, backend) for v in values)
-        if len(comps) != 4:
-            raise ValueError("a bispinor needs exactly 4 components")
-        return cls(comps, backend)
-
     def isclose(self, other: "Bispinor", tol: float = DEFAULT_TOLERANCE) -> bool:
         return all(scalars.close(a, b, tol)
                    for a, b in zip(self.components, other.components))

@@ -134,18 +134,6 @@ class _IntegerRows:
         pivot = row[self.pivots[r]]
         return QQi(x, y, pivot) if self.gaussian else Fraction(x, pivot)
 
-    def reduced_rows(self) -> list[list]:
-        """The nonzero rows of the reduced row echelon form."""
-        return [[self.value(r, col) for col in range(self.n_cols)]
-                for r in range(len(self.pivots))]
-
-
-def row_reduce(matrix: Sequence[Sequence]) -> tuple[list[int], list[list]]:
-    """(pivot columns, nonzero rows of the reduced row echelon form) of an
-    exact matrix."""
-    rows = _IntegerRows(matrix)
-    return rows.pivots, rows.reduced_rows()
-
 
 def rank(matrix: Sequence[Sequence]) -> int:
     """Exact rank by elimination when every entry is exact; otherwise the
@@ -176,16 +164,6 @@ def solve(matrix: Sequence[Sequence], rhs: Sequence):
         return np.linalg.solve(a, b).tolist()
     except np.linalg.LinAlgError:
         return None
-
-
-def _one_like(x):
-    if isinstance(x, QQi):
-        return QQi(1)
-    if isinstance(x, Fraction):
-        return Fraction(1)
-    if isinstance(x, int):
-        return 1
-    return 1.0 + 0.0j if isinstance(x, complex) else 1.0
 
 
 def null_space(matrix: Sequence[Sequence]) -> list[list]:
@@ -248,12 +226,6 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
-
-
-def mat_identity(n: int, like) -> tuple:
-    one = _one_like(like)
-    zero = like - like
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
 def mat_eq(a, b) -> bool:

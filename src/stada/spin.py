@@ -155,9 +155,6 @@ class LorentzMatrix:
     def as_floats(self) -> tuple:
         return tuple(tuple(float(v) for v in row) for row in self.rows)
 
-    def to_json(self) -> list:
-        return [float(v) for row in self.rows for v in row]
-
     def metric_residual(self) -> float:
         """max |P^T g P - g| over entries."""
         p = self.as_floats()
@@ -304,28 +301,3 @@ def recover_spin_pair(h: Multivector, i2: Multivector) -> SpinElement:
         except InvalidSpinError:
             continue
     raise InvalidSpinError("no kernel element normalizes to a spin element")
-
-
-def recover_even_intertwiner(pairs: list[tuple[Multivector, Multivector]]) -> Multivector:
-    """Some invertible even X with a_i X = X b_i for every pair; used for
-    instance checks of conjugation statements that do not need Spin
-    normalization."""
-    from .multivector import inverse
-
-    kernel = intertwiner_basis(pairs)
-    rng = random.Random(7)
-    candidates = list(kernel)
-    for _ in range(8):
-        if len(kernel) > 1:
-            mix = Multivector.zero(kernel[0].backend)
-            for x in kernel:
-                w = rng.randint(-3, 3)
-                mix = mix + x.scale(w if kernel[0].backend == EXACT else complex(w))
-            candidates.append(mix)
-    for x in candidates:
-        try:
-            inverse(x)
-            return x
-        except ZeroDivisionError:
-            continue
-    raise InvalidSpinError("no invertible even intertwiner found")

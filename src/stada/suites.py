@@ -391,8 +391,8 @@ def _suite_spin(report: RunReport) -> None:
     def cases(rng, n):
         p00 = [float(p.rows[0][0]) for _, p in lorentz]
         yield from (x > 0 for x in p00)
-        # min(1.0, *p00) drops a NaN; the negated nan_max keeps it
-        return -nan_max(-1.0, *(-x for x in p00))
+        # min(*p00) drops a NaN; the negated nan_max keeps it
+        return -nan_max(*(-x for x in p00))
 
     @_run_check(report, "spin.double_cover", "opposite spin elements induce the same matrix")
     def cases(rng, n):

@@ -261,7 +261,7 @@ def test_oracles_do_not_use_the_kernel():
                     # the exact term format of fields: its slot, constructor and helpers
                     "sparse", "_forms", "from_forms", "term_form", "term_lowest",
                     "term_polys", "pack_monomial", "phase_key", "phase_poly",
-                    "gaussian_parts"}
+                    "gaussian_parts", "scalar_parts"}
     for module in (exterior, suites):
         assert not kernel_names & _names_in_source(module), module.__name__
 

@@ -95,6 +95,17 @@ def test_a_nan_time_component_is_not_orthochronous(monkeypatch):
     assert (verdict.status, verdict.measured, verdict.detail) == ("fail", 3.0, "min p00 = nan")
 
 
+def test_orthochronous_detail_is_the_true_minimum():
+    # p00 is cosh of the rapidity, above 1 for every random boost; a minimum
+    # that starts from 1.0 would always read 1.0
+    rng = suites._rng(1, "spin.lorentz")
+    p00 = [float(spin.lorentz_of(spin.random_spin(rng)).rows[0][0]) for _ in range(100)]
+    (verdict,) = [c for c in suites.run_suite("spin", seed=1).checks
+                  if c.id == "spin.lorentz_orthochronous"]
+    assert verdict.detail == f"min p00 = {min(p00)}"
+    assert min(p00) > 1.0
+
+
 def test_a_nan_product_is_not_in_the_group(monkeypatch):
     # nan > 1e-10 is False, so "violation if above the tolerance" lets NaN
     # through; a case is ok only when its deviation is <= the tolerance.
