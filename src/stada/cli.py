@@ -19,7 +19,7 @@ from .equations import EquationForm
 from .errors import DomainError, ParseError, StadaError
 from .expr import eval_expr, parse_field
 from .fields import AnalyticField, Poly
-from .multivector import Multivector, format_multivector
+from .multivector import format_multivector
 from .scalars import EXACT, FLOAT
 
 EXIT_PASS = 0
@@ -194,7 +194,7 @@ def _reduction_report(args, form: EquationForm, fbasis, pot):
     t_red = eq.reduction_idempotent(args.reduce, fbasis.gens)
     lhs, rhs = eq.reduction_sides(args.reduce, t_red, rho, pot, args.mass, fbasis.gens)
     diff = lhs - rhs
-    gap = eq.sampled_max(diff, Multivector.max_abs, args.seed)
+    gap = eq.sampled_max(diff, eq._max_abs, args.seed)
     report = eq.ResidualReport(
         form=form.value, backend="float", max_norm=gap, tolerance=args.tolerance,
         verdict="pass" if gap <= args.tolerance else "fail", seed=args.seed,

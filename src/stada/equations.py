@@ -25,19 +25,19 @@ import numpy as np
 
 from . import linalg, scalars
 from .errors import ConsistencyError, DomainError
-from .fields import AnalyticField, Poly, d, phase_cos, phase_sin, upsilon_gradient
+from .fields import (AnalyticField, Poly, complex_from_parts, complex_times, d, phase_cos,
+                     phase_sin, upsilon_gradient)
 from .generators import SecondaryGenerators, make_secondary
 from .grid import GridField, Stencil, central_difference, sample
 from .ideal import IdealBasis, canonical_basis, gamma_of, idempotent_of
 from .multivector import (
     CLIFFORD,
     ETA,
+    REVERSION_MAP,
     Multivector,
     basis_vector,
-    clifford_product,
     l5,
     require_unit_square,
-    scalar_part_of_product,
 )
 from .scalars import DEFAULT_TOLERANCE, EXACT, FLOAT, QQi, nan_max
 
@@ -131,7 +131,13 @@ class BispinorField:
         return all(a.is_zero() for a in self.components)
 
     def eval(self, x) -> tuple:
-        return tuple(complex(a.eval(x).coeffs[0]) for a in self.components)
+        """The four values at one point: the one-point case of `eval_points`."""
+        return tuple(self.eval_points([x])[:, 0].tolist())
+
+    def eval_points(self, points):
+        """The four values at each point: a complex array of shape (4, P)."""
+        points = list(points)
+        return np.array([a.eval_points(points)[0] for a in self.components])
 
 
 # ---- norms and sample points -------------------------------------------------
@@ -152,24 +158,101 @@ def _rescaled(norm, u) -> float:
     return s * norm(u.scale(1.0 / s)) if math.isfinite(s) else value
 
 
+# A size maps the values at P points, the columns `eval_points` gives, to the
+# list of their P sizes, each with the bits of the one-point rule.
+#
+# CLIFFORD's sign of blade i times blade j, and the blades reversion negates
+_CLIFFORD_SIGNS = np.array([[sign for sign, _ in row] for row in CLIFFORD.table], dtype=float)
+_REVERSED = np.array([sign < 0 for sign, _ in REVERSION_MAP])[:, None]
+# CLIFFORD.scalar_terms, the terms that land on the unit blade, in its order
+_UNIT_TERMS = (np.array([[i] for i, _, _ in CLIFFORD.scalar_terms]),
+               np.array([[j] for _, j, _ in CLIFFORD.scalar_terms]),
+               np.array([[[sign]] for _, _, sign in CLIFFORD.scalar_terms], dtype=float))
+
+
+def _clifford_terms(live, constant_left: bool) -> tuple:
+    """(i, j, sign) arrays of shape (K, 16) (sign (K, 16, 1)): for each blade
+    m, the K terms a[i] b[j] of a Clifford product landing on m, in ascending
+    i as `BladeProduct.generic` adds them, where the constant factor, left or
+    right, has the K blades `live` and the other may use every blade."""
+    m = np.arange(16)
+    k = np.array(live)[:, None]
+    i = np.broadcast_to(k, (len(live), 16)) if constant_left else np.sort(k ^ m, axis=0)
+    return i, i ^ m, _CLIFFORD_SIGNS[i, i ^ m][..., None]
+
+
+def _products(a, b, terms):
+    """Per column and blade m, the sum from 0j of sign * a[i] * b[j] over the
+    terms of m in order, skipping a term with a zero factor (0 * inf would
+    add a NaN): `BladeProduct.generic` or `scalar_part` on each column."""
+    i, j, sign = terms
+    x, y = a[i], b[j]
+    live = (x != 0) & (y != 0)
+    # a skipped term adds -0.0, which leaves every sum as it is
+    with np.errstate(all="ignore"):
+        p = complex_from_parts(np.where(live, sign * (x.real * y.real - x.imag * y.imag), -0.0),
+                               np.where(live, sign * (x.real * y.imag + x.imag * y.real), -0.0))
+        out = 0j + p[0]
+        for q in p[1:]:
+            out = out + q
+    return out
+
+
+def _max_abs(u) -> list:
+    """`Multivector.max_abs` of each column of a (16, P) array: the largest
+    abs() of its values, NaN if one is NaN."""
+    return np.array([abs(c) for c in u.ravel().tolist()]).reshape(u.shape).max(axis=0).tolist()
+
+
+def _column_norms(u) -> list:
+    """sqrt(sum |v|^2) of each column of a (4, P) bispinor array, summed down
+    the column, by `hypot` in a column where a square overflows."""
+    out = []
+    for col in u.T.tolist():
+        try:
+            out.append(math.sqrt(sum(abs(v) ** 2 for v in col)))
+        except OverflowError:  # a finite square beyond float range
+            out.append(math.hypot(*map(abs, col)))
+    return out
+
+
 def _hermitian_size(h: Multivector, tol: float):
-    """u -> sqrt(4 Tr(U U^dagger)) with U^dagger = H U^star H; H*H = unit is
-    checked here, once, within `tol`."""
+    """The size sqrt(4 Tr(U U^dagger)), U^dagger = H U^star H, of each column
+    U; H*H = unit is checked here, once, within `tol`.  H U^star, then that
+    times H, then the unit-blade terms of U U^dagger in CLIFFORD's order,
+    each a whole row at a time; a column whose norm is not finite is
+    measured again as s * norm(U / s), s = max |U|, where s is finite."""
     hf = h.to_float()
     require_unit_square(hf, tol)
+    live = [m for m, c in enumerate(hf.coeffs) if c]
+    hcol = np.array(hf.coeffs)[:, None]
+    h_left, h_right = _clifford_terms(live, True), _clifford_terms(live, False)
 
-    def direct(v: Multivector) -> float:
-        dagger = clifford_product(clifford_product(hf, v.star()), hf)
-        val = complex(scalar_part_of_product(v, dagger)) * 4
-        return math.sqrt(max(val.real, 0.0))
+    def norms(u):
+        conj = u.conj()
+        star = np.where(_REVERSED, -conj, conj)
+        dagger = _products(_products(hcol, star, h_left), hcol, h_right)
+        trace = _products(u, dagger, _UNIT_TERMS)[0]
+        val = trace.real * 4.0 - trace.imag * 0.0
+        return np.sqrt(np.where(val < 0.0, 0.0, val))
 
-    return lambda u: _rescaled(direct, u.to_float())
+    def size(u) -> list:
+        with np.errstate(all="ignore"):
+            out = norms(u)
+            cols = np.flatnonzero(~np.isfinite(out))
+            if cols.size:
+                s = np.array(_max_abs(u[:, cols]))
+                cols, s = cols[np.isfinite(s)], s[np.isfinite(s)]
+                out[cols] = s * norms(complex_times(u[:, cols], 1.0 / s))
+        return out.tolist()
+
+    return size
 
 
 def hermitian_norm(u: Multivector, h: Multivector, tol: float = DEFAULT_TOLERANCE) -> float:
     """sqrt(4 Tr(U U^dagger)) with the conjugation adapted to H, which must
-    square to the unit within `tol`."""
-    return _hermitian_size(h, tol)(u)
+    square to the unit within `tol`: the one-point case of the sampled size."""
+    return _hermitian_size(h, tol)(np.array(u.to_float().coeffs)[:, None])[0]
 
 
 def _grid_norm(state: GridField, h_mv: Multivector) -> float:
@@ -186,26 +269,19 @@ def _grid_norm(state: GridField, h_mv: Multivector) -> float:
 
 
 def sampled_max(field, size, seed: int = 0) -> float:
-    """The largest size(field.eval(x)) over the seeded sample points; 0.0 for a
-    structurally zero field, NaN if any point measures NaN."""
+    """The largest size over the seeded sample points: `size` maps the
+    values of the field at every point (`eval_points`) to their sizes.  0.0
+    for a structurally zero field, NaN if any point measures NaN."""
     if field.is_zero():
         return 0.0
-    return nan_max(*(size(field.eval(x)) for x in sample_points(seed)))
-
-
-def _column_norm(vals) -> float:
-    """sqrt(sum |v|^2) of a bispinor column, by hypot where a square overflows."""
-    try:
-        return math.sqrt(sum(abs(v) ** 2 for v in vals))
-    except OverflowError:  # a finite square beyond float range
-        return math.hypot(*map(abs, vals))
+    return nan_max(*size(field.eval_points(sample_points(seed))))
 
 
 def _state_norm(state, h_mv: Multivector, seed: int, tol: float) -> float:
     if isinstance(state, GridField):
         return _rescaled(lambda g: _grid_norm(g, h_mv), state)
     if isinstance(state, BispinorField):
-        return sampled_max(state, _column_norm, seed)
+        return sampled_max(state, _column_norms, seed)
     if isinstance(state, AnalyticField):
         # H*H = unit is checked once per measured field, not at every point
         return 0.0 if state.is_zero() else sampled_max(state, _hermitian_size(h_mv, tol), seed)
@@ -620,7 +696,7 @@ class CurrentResult:
     match_error: float
 
     def divergence_max(self, seed: int = 0) -> float:
-        return sampled_max(self.divergence, Multivector.max_abs, seed)
+        return sampled_max(self.divergence, _max_abs, seed)
 
 
 def current(phi, h_mv: Multivector, *, seed: int = 0) -> CurrentResult:
@@ -638,14 +714,14 @@ def current(phi, h_mv: Multivector, *, seed: int = 0) -> CurrentResult:
         j_fields.append(jmu)
     J = phi.clifford(phi_bar)
     leak = J - J.grade_part(1)
-    grade_leak = sampled_max(leak, Multivector.max_abs, seed)
+    grade_leak = sampled_max(leak, _max_abs, seed)
     lowered = AnalyticField.zero(backend)
     for mu in range(4):
         sgn = ETA[mu]
         term = j_fields[mu].mul_const(basis_vector(mu, backend), side="right")
         lowered = lowered + (term if sgn > 0 else -term)
     match = J.grade_part(1) - lowered
-    match_error = sampled_max(match, Multivector.max_abs, seed)
+    match_error = sampled_max(match, _max_abs, seed)
     div = AnalyticField.zero(backend)
     for mu in range(4):
         div = div + j_fields[mu].partial(mu)
@@ -703,7 +779,7 @@ def lagrangian(phi: AnalyticField, pot, m, h_mv: Multivector, i_mv: Multivector,
             alt = alt + term
     alt = alt.scale(Fraction(-1, 2))
     diff = field_part - alt
-    err = sampled_max(diff, Multivector.max_abs, seed)
+    err = sampled_max(diff, _max_abs, seed)
     return LagrangianResult(density=matter + field_part, matter_part=matter,
                             field_part=field_part, trace_identity_error=err)
 
@@ -727,8 +803,8 @@ def maxwell_residual(phi: AnalyticField, pot, h_mv: Multivector, *,
     strength_residual = (d(pot) - F) if pot is not None else AnalyticField.zero(backend)
     J = current(phi, h_mv).J
     source = delta(F) - J
-    smax = sampled_max(strength_residual, Multivector.max_abs, seed)
-    jmax = sampled_max(source, Multivector.max_abs, seed)
+    smax = sampled_max(strength_residual, _max_abs, seed)
+    jmax = sampled_max(source, _max_abs, seed)
     return MaxwellResult(field_strength=F, strength_residual_max=smax,
                          source_residual=source, source_residual_max=jmax)
 

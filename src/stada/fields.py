@@ -23,7 +23,7 @@ are dropped on both.  Every operation is written once, for both backends;
 an exact operation works in plain integers and builds no `QQi`, and no
 operation builds a `Poly`.  `Poly` is the type of phases given to the
 constructors and of the read-back `terms` (and `phase_polys`), built on
-first read; `eval`, `max_abs` and `to_float` read the packed form.
+first read; `eval_points`, `max_abs` and `to_float` read the packed form.
 """
 
 from __future__ import annotations
@@ -234,13 +234,22 @@ def _exponents(key: int) -> Exps:
     return tuple(key >> shift & 0xFFFF for shift in _EXP_SHIFTS)
 
 
-def _times_monomial(v, key: int, x):
-    """v times the monomial of a key at the point x, axis by axis."""
-    for shift, xm in zip(_EXP_SHIFTS, x):
-        e = key >> shift & 0xFFFF
-        if e:
-            v *= xm ** e
-    return v
+def complex_times(a, b):
+    """a * b on complex arrays as Python multiplies complex numbers; a float
+    b is b + 0j, so an infinite part of a meets 0.0 and gives NaN."""
+    return complex_from_parts(a.real * b.real - a.imag * b.imag,
+                              a.real * b.imag + a.imag * b.real)
+
+
+def complex_from_parts(re, im):
+    """The complex array with these parts, set rather than computed, so an
+    infinite part or a -0.0 stays as it is."""
+    import numpy as np
+
+    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
 
 
 def _checked(entries: dict) -> dict:
@@ -762,24 +771,58 @@ class AnalyticField:
     # ---- evaluation ----------------------------------------------------------------
 
     def eval(self, x) -> Multivector:
-        """Value at a point, always on the float backend.  Each blade sums
-        its monomials in ascending key order, each converted as
-        complex(re/den, im/den), and the sum is multiplied by the phase
-        factor."""
-        coeffs = [0j] * 16
-        for key, (den, entries) in self._forms.items():
-            phase = 0.0
-            for mono, n, d in key:
-                phase += _times_monomial(n / d, mono, x)
-            factor = cmath.exp(1j * phase)
-            sums = {}
-            for k, (r, s) in sorted(entries.items()):
-                blade = k & 15
-                sums[blade] = sums.get(blade, 0j) + _times_monomial(
-                    complex(r / den, s / den), k, x)
-            for m in sorted(sums):
-                coeffs[m] += factor * sums[m]
-        return Multivector(coeffs, FLOAT)
+        """Value at one point: the one-point case of `eval_points`."""
+        return Multivector(self.eval_points([x])[:, 0].tolist(), FLOAT)
+
+    def eval_points(self, points):
+        """Values at a sequence of points, on the float backend: a complex
+        array of shape (16, number of points), one column per point.  Per
+        term, the phase factor is cmath.exp(1j * phase); each blade sums its
+        monomials from 0j in ascending key order, each complex(re/den, im/den)
+        times x[mu] ** e axis by axis, and adds that sum times the factor.
+        Powers and exponentials are Python's, every product is written out
+        on real parts, so each column has the bits of Python's complex
+        arithmetic at that point, signed zeros, infinities and NaN included."""
+        import numpy as np
+
+        points = list(points)
+        powers = {}
+
+        def power(mu: int, e: int):
+            if (mu, e) not in powers:
+                powers[mu, e] = np.array([x[mu] ** e for x in points], dtype=float)
+            return powers[mu, e]
+
+        out = np.zeros((16, len(points)), dtype=complex)
+        with np.errstate(all="ignore"):
+            for key, (den, entries) in self._forms.items():
+                phase = np.zeros(len(points))
+                for mono, n, d in key:
+                    v = n / d
+                    for mu, shift in enumerate(_EXP_SHIFTS):
+                        if mono >> shift & 0xFFFF:
+                            v = v * power(mu, mono >> shift & 0xFFFF)
+                    phase = phase + v
+                factor = np.array([cmath.exp(1j * p) for p in phase.tolist()])
+                keys = sorted(entries)
+                vals = np.repeat([[complex(r / den, s / den)] for r, s in map(entries.get, keys)],
+                                 len(points), axis=1)
+                for mu, shift in enumerate(_EXP_SHIFTS):
+                    for e in {k >> shift & 0xFFFF for k in keys} - {0}:
+                        rows = [i for i, k in enumerate(keys) if k >> shift & 0xFFFF == e]
+                        vals[rows] = complex_times(vals[rows], power(mu, e))
+                # each blade sums its entries in key order; a blade with fewer
+                # entries adds -0.0, which leaves its sum as it is
+                by_blade = {}
+                for i, k in enumerate(keys):
+                    by_blade.setdefault(k & 15, []).append(i)
+                blades = sorted(by_blade)
+                vals = np.vstack([vals, np.full(len(points), complex(-0.0, -0.0))])
+                sums = 0j
+                for rows in itertools.zip_longest(*map(by_blade.get, blades), fillvalue=-1):
+                    sums = sums + vals[list(rows)]
+                out[blades] += complex_times(factor, sums)
+        return out
 
     def max_abs(self) -> float:
         worst = 0.0

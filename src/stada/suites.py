@@ -786,7 +786,7 @@ def _field_gap(a, b) -> float:
     if a == b:
         return 0.0
     diff = a - b
-    size = eq._column_norm if isinstance(diff, eq.BispinorField) else Multivector.max_abs
+    size = eq._column_norms if isinstance(diff, eq.BispinorField) else eq._max_abs
     return eq.sampled_max(diff, size)
 
 

@@ -1,19 +1,32 @@
 """Residual evaluators, translations, reductions, gauge and Lorentz
 invariance, the conserved current, and the Lagrangian consistency checks."""
 
+import cmath
+import functools
 import math
 import random
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stada import equations as eq
 from stada import generators, ideal, spin
 from stada.equations import BispinorField, EquationForm
 from stada.errors import ConsistencyError, DomainError, InvalidGeneratorError
 from stada.fields import AnalyticField, Poly, real_polynomial, upsilon_gradient
-from stada.multivector import EVEN_MASKS, Multivector, basis_vector
-from stada.scalars import EXACT, FLOAT, QQi
+from stada.multivector import (
+    EVEN_MASKS,
+    Multivector,
+    basis_vector,
+    clifford_product,
+    hermitian_conjugate,
+    scalar_part_of_product,
+)
+from stada.scalars import DEFAULT_TOLERANCE, EXACT, FLOAT, QQi, nan_max
 
 BASIS = ideal.canonical_basis()
 FBASIS = eq._float_basis(BASIS)
@@ -855,7 +868,266 @@ def test_state_norm_is_the_largest_pointwise_hermitian_norm(size):
     h = _float_random_1().gens.h
     for seed in range(3):
         state = random_full_state(rng).to_float().scale(size)
-        want = max(eq.hermitian_norm(state.eval(x), h, 1e-6) for x in eq.sample_points(seed))
+        want = max(_hermitian_at(_value_at(state, x), h, 1e-6) for x in eq.sample_points(seed))
         got = eq._state_norm(state, h, seed, 1e-6)
         assert got.hex() == want.hex()
         assert math.isfinite(got) and got > 0.1 * size
+
+
+# ---- sampled sizes against a per-point reference ---------------------------------------
+#
+# The reference measures one point at a time with public scalar operations, as
+# the sampled sizes once did: the value from the read-back terms, then
+# hermitian_conjugate and scalar_part_of_product, Multivector.max_abs or the
+# column norm.  The batched sizes must give its bits.
+
+
+def _value_at(field, x) -> Multivector:
+    """The value at x from the read-back terms: per term the phase factor
+    times each blade's polynomial, term after term."""
+    coeffs = [0j] * 16
+    for phase, polys in field.terms.values():
+        angle = 0.0
+        for exps, c in phase.terms.items():
+            v = float(c)
+            for mu in range(4):
+                if exps[mu]:
+                    v *= x[mu] ** exps[mu]
+            angle += v
+        factor = cmath.exp(1j * angle)
+        for m, q in enumerate(polys):
+            if q:
+                coeffs[m] += factor * q.eval(x)
+    return Multivector(coeffs, FLOAT)
+
+
+def _hermitian_direct(u: Multivector, h: Multivector, tol: float) -> float:
+    val = complex(scalar_part_of_product(u, hermitian_conjugate(u, h, tol))) * 4
+    return math.sqrt(max(val.real, 0.0))
+
+
+def _hermitian_at(u: Multivector, h: Multivector, tol: float) -> float:
+    """sqrt(4 Tr(U U^dagger)), or s * norm(U / s) with s = max |U| where a
+    finite U overflows."""
+    value = _hermitian_direct(u, h, tol)
+    if math.isfinite(value):
+        return value
+    s = u.max_abs()
+    return s * _hermitian_direct(u.scale(1.0 / s), h, tol) if math.isfinite(s) else value
+
+
+def _column_at(vals) -> float:
+    try:
+        return math.sqrt(sum(abs(v) ** 2 for v in vals))
+    except OverflowError:
+        return math.hypot(*map(abs, vals))
+
+
+def _reference_max(field, size, seed: int) -> float:
+    if field.is_zero():
+        return 0.0
+    if isinstance(field, BispinorField):
+        values = [[complex(_value_at(c, x).coeffs[0]) for c in field.components]
+                  for x in eq.sample_points(seed)]
+    else:
+        values = [_value_at(field, x) for x in eq.sample_points(seed)]
+    return nan_max(*map(size, values))
+
+
+@functools.cache
+def _random_1_h() -> Multivector:
+    return _float_random_1().gens.h
+
+
+def _sizes(field, h_name: str) -> list:
+    """(field, batched size, per-point reference) for the hermitian norm with
+    H = e0 or the three-blade H of random:1, max_abs and the column norm."""
+    h = basis_vector(0, FLOAT) if h_name == "e0" else _random_1_h()
+    spinor = BispinorField(tuple(field.component(m) for m in (0, 3, 6, 15)))
+    return [(field, eq._hermitian_size(h, 1e-6), lambda u: _hermitian_at(u, h, 1e-6)),
+            (field, eq._max_abs, Multivector.max_abs),
+            (spinor, eq._column_norms, _column_at)]
+
+
+_real = st.floats(-3.0, 3.0, allow_nan=False)
+_monomial = st.tuples(*[st.integers(0, 3)] * 4)
+_coefficient = st.builds(complex, _real, _real)
+
+
+@st.composite
+def _two_phase_fields(draw):
+    """(seed, field): a float field of two phases whose blades hold nothing,
+    a polynomial with exponents up to 3, or c * (x^mu - p^mu), which is
+    exactly zero at one of the seed's sample points p."""
+    seed = draw(st.integers(0, 3))
+    p = eq.sample_points(seed)[draw(st.integers(0, 23))]
+    kinds = draw(st.lists(st.sampled_from(["none", "poly", "zero at p"]),
+                          min_size=16, max_size=16))
+    terms = []
+    for _ in range(2):
+        phase = Poly(draw(st.dictionaries(_monomial, _real, min_size=1, max_size=3)))
+        coeffs = []
+        for kind in kinds:
+            if kind == "poly":
+                coeffs.append(Poly(draw(st.dictionaries(_monomial, _coefficient, max_size=3))))
+            elif kind == "zero at p":
+                mu, c = draw(st.integers(0, 3)), draw(_coefficient)
+                coeffs.append(Poly({(0, 0, 0, 0): -(c * p[mu]),
+                                    tuple(int(i == mu) for i in range(4)): c}))
+            else:
+                coeffs.append(Poly())
+        terms.append((phase, coeffs))
+    return seed, AnalyticField(FLOAT, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_two_phase_fields(), st.sampled_from(["e0", "random:1"]))
+def test_sampled_sizes_equal_the_per_point_reference(drawn, h_name):
+    seed, field = drawn
+    for f, size, reference in _sizes(field, h_name):
+        assert eq.sampled_max(f, size, seed).hex() == _reference_max(f, reference, seed).hex()
+
+
+def _outcome(size, *args) -> str:
+    """The bits of a size, or the name of the error it raises."""
+    try:
+        return size(*args).hex()
+    except ArithmeticError as exc:
+        return type(exc).__name__
+
+
+_special = st.sampled_from([0.0, -0.0, 1.0, -2.5, 5e-324, 1e200, -1e308, math.inf, -math.inf,
+                            math.nan])
+
+
+_special_coefficient = st.one_of(st.just(0j), st.builds(complex, _special, _special))
+
+
+def _bits(values) -> list:
+    return [(complex(c).real.hex(), complex(c).imag.hex()) for c in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_special_coefficient, min_size=32, max_size=32),
+       st.sampled_from(["e0", "random:1"]))
+def test_columnwise_products_keep_the_one_point_bits(coeffs, h_name):
+    # a zero factor skips its term: 0 * inf would add a NaN
+    u, v = Multivector(coeffs[:16], FLOAT), Multivector(coeffs[16:], FLOAT)
+    h = basis_vector(0, FLOAT) if h_name == "e0" else _random_1_h()
+    live = [m for m, c in enumerate(h.coeffs) if c]
+    hcol, ucol, vcol = (np.array(w.coeffs)[:, None] for w in (h, u, v))
+    left = eq._products(hcol, ucol, eq._clifford_terms(live, True))
+    right = eq._products(ucol, hcol, eq._clifford_terms(live, False))
+    assert _bits(left[:, 0]) == _bits(clifford_product(h, u).coeffs)
+    assert _bits(right[:, 0]) == _bits(clifford_product(u, h).coeffs)
+    unit = eq._products(ucol, vcol, eq._UNIT_TERMS)
+    assert _bits(unit[:, 0]) == _bits([scalar_part_of_product(u, v)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_special_coefficient, min_size=16, max_size=16),
+       st.sampled_from(["e0", "random:1"]))
+def test_one_point_sizes_equal_the_reference(coeffs, h_name):
+    # zeros of either sign, infinities, NaN and overflowing values at one point
+    u = Multivector(coeffs, FLOAT)
+    h = basis_vector(0, FLOAT) if h_name == "e0" else _random_1_h()
+    column = np.array(coeffs)[:, None]
+    assert _outcome(eq.hermitian_norm, u, h, 1e-6) == _outcome(_hermitian_at, u, h, 1e-6)
+    assert _outcome(lambda: eq._max_abs(column)[0]) == _outcome(u.max_abs)
+    assert _outcome(lambda: eq._column_norms(column[:4])[0]) == _outcome(_column_at, coeffs[:4])
+
+
+def _overflow_at_one_point() -> AnalyticField:
+    """c x^0 e1 with c such that 4 |c x^0|^2 overflows at the sample point of
+    largest |x^0| alone."""
+    a1, a2 = sorted(abs(x[0]) for x in eq.sample_points(0))[:-3:-1]
+    c = math.sqrt(sys.float_info.max / 4) / math.sqrt(a1 * a2)
+    return AnalyticField.monomial(basis_vector(1, FLOAT).scale(c), (1, 0, 0, 0))
+
+
+def _with_an_inf() -> AnalyticField:
+    """A field with an inf coefficient next to ones that vanish at a sample
+    point."""
+    p = eq.sample_points(0)[5]
+    coeffs = [Poly() for _ in range(16)]
+    coeffs[1] = Poly({(0, 0, 0, 0): complex(math.inf, 0.5)})
+    for m in (0, 2, 6, 9):
+        coeffs[m] = Poly({(0, 0, 0, 0): -(1.5j * p[m % 4]),
+                          tuple(int(i == m % 4) for i in range(4)): 1.5j})
+    return AnalyticField(FLOAT, [(Poly({(1, 0, 0, 0): 0.5}), coeffs)])
+
+
+@pytest.mark.parametrize("h_name", ["e0", "random:1"])
+def test_sampled_sizes_off_the_finite_range_equal_the_reference(h_name, monkeypatch):
+    huge = _overflow_at_one_point()
+    h = basis_vector(0, FLOAT)
+    norms = [_hermitian_direct(_value_at(huge, x), h, 1e-6) for x in eq.sample_points(0)]
+    assert sum(not math.isfinite(v) for v in norms) == 1
+    spinor = BispinorField.constant((1e200, 0, complex(0, -1e200), 1.0), FLOAT)
+    with pytest.raises(OverflowError):  # so the column norm takes hypot
+        sum(abs(v) ** 2 for v in spinor.eval((0.0, 0.0, 0.0, 0.0)))
+    cases = [*_sizes(_with_an_inf(), h_name),
+             (huge, eq._hermitian_size(h, 1e-6), lambda u: _hermitian_at(u, h, 1e-6)),
+             (spinor, eq._column_norms, _column_at)]
+    for f, size, reference in cases:
+        got = eq.sampled_max(f, size)
+        assert got.hex() == _reference_max(f, reference, 0).hex()
+        assert not got <= DEFAULT_TOLERANCE
+    # a NaN sample point after a finite one
+    finite = _sizes(random_full_state(random.Random(7)).to_float(), h_name)
+    nan = math.nan
+    monkeypatch.setattr(eq, "sample_points",
+                        lambda seed=0: [(0.1, 0.2, 0.3, 0.4), (nan, nan, nan, nan)])
+    for f, size, reference in finite:
+        got = eq.sampled_max(f, size)
+        assert math.isnan(got) and math.isnan(_reference_max(f, reference, 0))
+
+
+def test_reports_off_the_finite_range_do_not_pass(monkeypatch):
+    sol = eq.plane_wave(EquationForm.ILK, (1.0, 0, 0, 0), 1.0, basis=FBASIS)
+    assert eq.residual_ilk(sol.state, None, 1.0).verdict == "pass"
+    assert eq.residual_ilk(_with_an_inf(), None, 1.0).verdict == "fail"
+    assert eq.residual_ilk(_overflow_at_one_point(), None, 1.0).verdict == "fail"
+    spinor = BispinorField.constant((1e200, 0, 0, 0), FLOAT)
+    assert eq.residual_dirac(spinor, None, 1.0).verdict == "fail"
+    monkeypatch.setattr(eq, "sample_points",
+                        lambda seed=0: [(0.1, 0.2, 0.3, 0.4), (math.nan,) * 4])
+    report = eq.residual_ilk(sol.state, None, 1.5)
+    assert math.isnan(report.max_norm) and report.verdict == "fail"
+
+
+def test_float_residual_norm_makes_no_per_point_products(monkeypatch):
+    # the sampled norm measures every point in one pass: a product or an
+    # evaluation per point would show in these counts
+    from stada import multivector
+
+    sol = eq.plane_wave(EquationForm.ILK, (1.25, 0.6, 0, 0.8), 0.75, basis=FBASIS)
+    products, evals = [], []
+    original = multivector.clifford_product
+
+    def counted_product(a, b):
+        products.append((a, b))
+        return original(a, b)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("stada") and getattr(module, "clifford_product", None) is original:
+            monkeypatch.setattr(module, "clifford_product", counted_product)
+    evaluate = AnalyticField.eval
+    monkeypatch.setattr(AnalyticField, "eval",
+                        lambda self, x: evals.append(x) or evaluate(self, x))
+    report = eq.residual_ilk(sol.state, None, 1.5)
+    assert report.max_norm > 0.1
+    # the one product is the check that H*H is the unit, once per measured field
+    e0 = basis_vector(0, FLOAT)
+    assert products == [(e0, e0)]
+    assert evals == []
+    # and all 24 sample points are evaluated in one pass
+    batches = []
+    evaluate_points = AnalyticField.eval_points
+    monkeypatch.setattr(AnalyticField, "eval_points",
+                        lambda self, points: batches.append(len(points))
+                        or evaluate_points(self, points))
+    size = eq._hermitian_size(e0, DEFAULT_TOLERANCE)
+    products.clear()
+    assert eq.sampled_max(report.residual, size).hex() == report.max_norm.hex()
+    assert products == [] and evals == [] and batches == [24]
