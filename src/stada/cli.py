@@ -92,9 +92,7 @@ def _cmd_residual(args) -> int:
     from . import equations as eq
 
     form = EquationForm.from_name(args.form)
-    basis = _residual_basis(args.generators)
-    # a loose verdict loosens the basis checks; below the default, rounding would fail them
-    fbasis = eq._float_basis(basis, max(args.tolerance, scalars.DEFAULT_TOLERANCE))
+    fbasis = _residual_basis(args.generators).to_float()
     pot = None
     if args.potential:
         if os.path.exists(args.potential):
@@ -155,8 +153,7 @@ def _load_state(args, form: EquationForm, fbasis):
         if len(p) != 4 or not all(map(math.isfinite, p + (m,))) or which < 0:
             raise DomainError("the plane wave needs four finite momenta, a finite mass "
                               "and which >= 0")
-        return eq.plane_wave(form, p, m, sign, basis=fbasis, which=which,
-                             tol=max(args.tolerance, scalars.DEFAULT_TOLERANCE)).state
+        return eq.plane_wave(form, p, m, sign, basis=fbasis, which=which).state
     if args.state == "zero":
         if form == EquationForm.DIRAC_MATRIX:
             return eq.BispinorField.zero(FLOAT)

@@ -27,9 +27,9 @@ from . import linalg, scalars
 from .errors import ConsistencyError, DomainError
 from .fields import (AnalyticField, Poly, complex_from_parts, complex_times, d, phase_cos,
                      phase_sin, upsilon_gradient)
-from .generators import SecondaryGenerators, make_secondary
+from .generators import SecondaryGenerators
 from .grid import GridField, Stencil, central_difference, sample
-from .ideal import IdealBasis, canonical_basis, gamma_of, idempotent_of
+from .ideal import IdealBasis, canonical_basis, gamma_of
 from .multivector import (
     CLIFFORD,
     ETA,
@@ -200,8 +200,9 @@ def _products(a, b, terms):
 
 def _max_abs(u) -> list:
     """`Multivector.max_abs` of each column of a (16, P) array: the largest
-    abs() of its values, NaN if one is NaN."""
-    return np.array([abs(c) for c in u.ravel().tolist()]).reshape(u.shape).max(axis=0).tolist()
+    modulus of its values, NaN if one is NaN."""
+    moduli = [scalars.modulus(c) for c in u.ravel().tolist()]
+    return np.array(moduli).reshape(u.shape).max(axis=0).tolist()
 
 
 def _column_norms(u) -> list:
@@ -362,16 +363,20 @@ def _check_bispinor(state, basis, tol: float) -> None:
         raise DomainError("the matrix form needs a bispinor state")
 
 
+def _domain_bound(state, tol: float) -> float:
+    """The bound of a float domain check: it follows the rounding of the
+    state, and a loose verdict tolerance does not widen it."""
+    return min(tol, DEFAULT_TOLERANCE) * max(state.max_abs(), 1.0) * 10
+
+
 def _check_in_ideal(theta, basis: IdealBasis, tol: float) -> None:
     t_mv = basis.t if theta.backend == EXACT else basis.t.to_float()
     diff = theta.mul_const(t_mv, side="right") - theta
     if theta.backend == EXACT:
         if not diff.is_zero():
             raise DomainError("state leaves the left ideal")
-    else:
-        scalefree = max(theta.max_abs(), 1.0)
-        if diff.max_abs() > tol * scalefree * 10:
-            raise DomainError("state leaves the left ideal")
+    elif diff.max_abs() > _domain_bound(theta, tol):
+        raise DomainError("state leaves the left ideal")
 
 
 def _check_even_real(state, basis, tol: float, require_real: bool = True) -> None:
@@ -381,8 +386,7 @@ def _check_even_real(state, basis, tol: float, require_real: bool = True) -> Non
         if require_real and not state.is_real():
             raise DomainError("state must be real")
         return
-    # the bound follows the rounding of the state; a loose verdict does not widen it
-    bound = min(tol, DEFAULT_TOLERANCE) * max(state.max_abs(), 1.0) * 10
+    bound = _domain_bound(state, tol)
     if state.odd_part().max_abs() > bound:
         raise DomainError("state must be even")
     if require_real and not state.is_real(bound):
@@ -475,15 +479,10 @@ def _default_basis(backend: str) -> IdealBasis:
 
 
 def _gammas(backend: str, basis: IdealBasis | None, tol: float) -> tuple:
-    if basis is None:
-        basis = _default_basis(backend if backend == EXACT else FLOAT)
-    if basis.backend == EXACT:
-        gammas = tuple(gamma_of(basis_vector(mu, EXACT), basis) for mu in range(4))
-    else:
-        gammas = basis.vector_gammas(max(tol, DEFAULT_TOLERANCE))
-    if backend != basis.backend:
-        gammas = tuple(tuple(tuple(complex(v) for v in row) for row in g) for g in gammas)
-    return gammas
+    basis = basis or _default_basis(backend)
+    if backend == EXACT:
+        return tuple(gamma_of(basis_vector(mu, EXACT), basis) for mu in range(4))
+    return basis.to_float().vector_gammas(max(tol, DEFAULT_TOLERANCE))
 
 
 def _residual(form: EquationForm, state, pot, m, h=None, i2=None, basis=None, *,
@@ -822,15 +821,6 @@ class PlaneWaveSolution:
     state: object
 
 
-def _float_basis(basis: IdealBasis, tol: float = DEFAULT_TOLERANCE) -> IdealBasis:
-    """The float copy of a basis, rebuilt and checked within `tol`."""
-    if basis.backend == FLOAT:
-        return basis
-    gens = make_secondary(basis.gens.h.to_float(), basis.gens.i2.to_float(),
-                          basis.gens.k2.to_float(), tol)
-    return idempotent_of(gens, tol)
-
-
 def plane_wave(form: EquationForm, p, m, sign: int = 1,
                basis: IdealBasis | None = None, which: int = 0,
                tol: float = DEFAULT_TOLERANCE) -> PlaneWaveSolution:
@@ -838,8 +828,8 @@ def plane_wave(form: EquationForm, p, m, sign: int = 1,
 
     The amplitude is vector `which` of the `linalg.null_space` of
     p-slash - sign*m; the momentum must satisfy the mass-shell relation
-    p.p = m^2.  The float copy of `basis` and its gamma matrices are
-    checked within `tol`.
+    p.p = m^2.  The gammas are those of `basis.to_float()`; a basis born
+    float has their reconstruction checked within `tol`.
     """
     p = tuple(float(v) for v in p)
     m = float(m)
@@ -851,10 +841,8 @@ def plane_wave(form: EquationForm, p, m, sign: int = 1,
     scale = max(1.0, sum(v * v for v in p))
     if not abs(shell - m * m) <= 1e-10 * scale:  # NaN from overflow is off shell too
         raise DomainError(f"momentum is off shell: p.p = {shell}, m^2 = {m * m}")
-    basis = _float_basis(basis, tol) if basis is not None else _default_basis(FLOAT)
-    gammas = [np.array([[complex(v) for v in row] for row in g])
-              for g in basis.vector_gammas(tol)]
-    pslash = sum(p[mu] * gammas[mu] for mu in range(4))
+    basis = basis.to_float() if basis is not None else _default_basis(FLOAT)
+    pslash = sum(p[mu] * np.array(g) for mu, g in enumerate(basis.vector_gammas(tol)))
     amplitudes = linalg.null_space(pslash - sign * m * np.eye(4))
     if not amplitudes:
         raise DomainError("no amplitude solves the momentum-space equation")
@@ -945,8 +933,7 @@ class FieldConfig:
 
     def residual(self, *, tolerance: float = DEFAULT_TOLERANCE,
                  seed: int = 0) -> ResidualReport:
-        b = (self.basis if self.state.backend == EXACT
-             else _float_basis(self.basis, max(tolerance, DEFAULT_TOLERANCE)))
+        b = self.basis if self.state.backend == EXACT else self.basis.to_float()
         return _RESIDUALS[self.form](self.state, self.potential, self.mass, b, b.gens.h,
                                      b.gens.i2, tolerance=tolerance, seed=seed)
 

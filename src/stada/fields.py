@@ -828,7 +828,7 @@ class AnalyticField:
         worst = 0.0
         for den, entries in self._forms.values():
             for r, s in entries.values():
-                worst = scalars.nan_max(worst, abs(complex(r / den, s / den)))
+                worst = scalars.nan_max(worst, scalars.modulus(complex(r / den, s / den)))
         return worst
 
     def to_float(self) -> "AnalyticField":

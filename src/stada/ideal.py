@@ -44,10 +44,9 @@ class IdealBasis:
 
     On the exact backend the matrix representation is linear in U, so the
     images of the 16 basis blades are built once per basis, on the first
-    `gamma_of`, and every later call combines them.  On the float backend
-    the four gamma^mu are built once per basis, on the first
-    `vector_gammas`, and every call checks their stored reconstruction
-    deviation against its own tolerance.
+    `gamma_of`, and every later call combines them.  A basis born float
+    builds its four gamma^mu on the first `vector_gammas`, and every call
+    checks their stored reconstruction deviation against its own tolerance.
     """
 
     gens: SecondaryGenerators
@@ -71,6 +70,19 @@ class IdealBasis:
         """Membership test for the left ideal: u t == u."""
         return (u * self.t - u).is_zero(tol)
 
+    def to_float(self) -> "IdealBasis":
+        """The float copy, built once: the members and gamma^mu of the verified exact
+        basis rounded, nothing rebuilt in floats.  A float basis is its own copy."""
+        return self if self.backend != EXACT else self._float_copy
+
+    @cached_property
+    def _float_copy(self) -> "IdealBasis":
+        copy = IdealBasis(SecondaryGenerators(*_rounded((self.gens.h, self.gens.i2, self.gens.k2))),
+                          *_rounded((self.t, self.ts, self.fs, self.ts_dagger)))
+        gammas = tuple(gamma_of(basis_vector(mu, EXACT), self) for mu in range(4))
+        vars(copy)["float_gammas"] = (_rounded(gammas), 0.0)  # where the property keeps it
+        return copy
+
     @cached_property
     def blade_images(self) -> ExactLinearMap:
         """U -> gamma(U) as a linear map, from the verified images of the blades."""
@@ -82,7 +94,7 @@ class IdealBasis:
     def float_gammas(self) -> tuple:
         """(gammas, deviation): gamma_of(e_mu) for mu = 0..3 on a float basis,
         and the largest coefficient of U t_k - sum_n gamma[n][k] t_n over
-        all four, NaN if any is NaN."""
+        all four, NaN if any is NaN; `to_float()` sets both on its copy."""
         if self.backend == EXACT:
             raise DomainError("float gammas need a float basis")
         built = [_gamma_misfits(basis_vector(mu, self.backend), self) for mu in range(4)]
@@ -96,6 +108,13 @@ class IdealBasis:
         if not deviation <= tol:
             raise ConsistencyError("representation reconstruction failed")
         return gammas
+
+
+def _rounded(value):
+    """A multivector, a scalar, or nested tuples of them, rounded to float."""
+    if isinstance(value, tuple):
+        return tuple(map(_rounded, value))
+    return value.to_float() if isinstance(value, Multivector) else complex(value)
 
 
 def idempotent_of(g: SecondaryGenerators, tol: float = DEFAULT_TOLERANCE) -> IdealBasis:

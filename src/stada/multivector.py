@@ -32,6 +32,7 @@ Reading text is the job of `stada.expr`, the one parser.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -311,7 +312,7 @@ class Multivector:
         return all(scalars.close(x, y, tol) for x, y in zip(self.coeffs, other.coeffs))
 
     def max_abs(self) -> float:
-        return scalars.nan_max(*(abs(scalars.to_complex(c)) for c in self.coeffs))
+        return scalars.nan_max(*(scalars.modulus(c) for c in self.coeffs))
 
     # ---- involutions and traces ----------------------------------------
 
@@ -397,8 +398,17 @@ def anticommutator(a: Multivector, b: Multivector) -> Multivector:
 
 
 def require_unit_square(h: Multivector, tol: float = DEFAULT_TOLERANCE) -> None:
-    """Refuse an H whose square differs from the unit by more than `tol`."""
-    if not clifford_product(h, h).isclose(Multivector.unit(h.backend), tol):
+    """Refuse an H whose square differs from the unit by more than `tol`, and
+    a float H by more than `tol` plus the rounding bound of H*H: each
+    coefficient sums 16 complex products, so (16 + 2) u (sum |h_i|)^2 with
+    u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, section 3.1).  A float H whose bound is not finite is refused."""
+    slack = 0.0
+    if h.backend != EXACT:
+        size = sum(map(scalars.modulus, h.coeffs))
+        slack = 18 * 2.0 ** -53 * size * size  # inf, where ** would raise, once it overflows
+    if not (slack < math.inf
+            and clifford_product(h, h).isclose(Multivector.unit(h.backend), tol + slack)):
         raise InvalidGeneratorError("hermitian conjugation needs H with H*H = unit")
 
 

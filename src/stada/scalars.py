@@ -209,6 +209,15 @@ def to_complex(value: Scalar) -> complex:
     return complex(value)
 
 
+def modulus(value: Scalar) -> float:
+    """|value| as a float; inf where a finite value's modulus is beyond the
+    float range, where abs() raises."""
+    try:
+        return abs(to_complex(value))
+    except OverflowError:
+        return math.inf
+
+
 def is_zero(value: Scalar, tol: float = DEFAULT_TOLERANCE) -> bool:
     if isinstance(value, QQi):
         return not value

@@ -796,7 +796,7 @@ def _suite_equations(report: RunReport) -> None:
     map_bound = 0.0 if exact_mode else tolerance
     m = Fraction(3, 2) if exact_mode else 1.5
     basis = ideal.canonical_basis()
-    fbasis = eq._float_basis(basis)
+    fbasis = basis.to_float()
     state_basis = basis if exact_mode else fbasis
     gammas = tuple(ideal.gamma_of(basis_vector(mu, backend), state_basis)
                    for mu in range(4))

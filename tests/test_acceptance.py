@@ -27,7 +27,7 @@ from stada.multivector import (
 from stada.scalars import EXACT, FLOAT, QQi
 
 BASIS = ideal.canonical_basis()
-FBASIS = eq._float_basis(BASIS)
+FBASIS = BASIS.to_float()
 
 
 def _announce(number: int, ok: bool, text: str) -> None:

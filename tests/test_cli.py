@@ -176,6 +176,15 @@ def test_residual_reduction(capsys):
         assert any(kind in note for note in data["notes"])
 
 
+@pytest.mark.parametrize("form", ["ilk", "tde"])
+def test_residual_of_a_modulus_beyond_the_float_range_is_usage(form, capsys):
+    # each coefficient is finite, but |1.5e308 + 1.5e308i| is not, and abs() raises
+    code, out, err = run_cli(["residual", "--form", form,
+                              "--state", "(1.5e308+1.5e308i) e0"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("kind", ["t-HI", "t-H", "t-e5"])
 def test_residual_reduction_keeps_a_late_nan(kind, capsys, monkeypatch):
     # a NaN after a finite sample point must reach the gap, not be dropped by its
@@ -233,6 +242,27 @@ def test_loose_tolerance_keeps_the_even_real_domain(dump, message, tmp_path, cap
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("tolerance", [[], ["--tolerance", "0.01"], ["--tolerance", "0.2"]],
+                         ids=["default", "0.01", "0.2"])
+def test_every_tolerance_keeps_the_ideal_domain(tolerance, tmp_path, capsys):
+    # the ilk-e5 plane wave leaves the left ideal; at 0.2 this passed with
+    # max_norm 0.070 when the bound followed the verdict tolerance
+    import math
+
+    from stada import equations as eq
+    from stada import ideal
+    from stada.grid import sample
+
+    sol = eq.plane_wave(EquationForm.ILK_E5, (1.0, 0, 0, 0), 1.0,
+                        basis=ideal.canonical_basis())
+    path = tmp_path / "state.json"
+    sample(sol.state, 8, math.pi / 4).save(str(path))
+    code, out, err = run_cli(["residual", "--form", "ideal", "--state", str(path),
+                              *tolerance], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: state leaves the left ideal\n"
+
+
 def test_residual_offshell_is_usage(capsys):
     code, _, err = run_cli(["residual", "--form", "tde",
                             "--plane-wave", "m=1;p=2,0,0,0"], capsys)
@@ -271,16 +301,21 @@ def test_residual_tiny_plane_wave_has_two_amplitudes(capsys):
     assert "amplitude index 2 exceeds the solution space" in err
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_residual_loose_tolerance_reaches_the_float_basis(seed, capsys):
-    # these float copies of transported bases fail their checks at 1e-12
+@pytest.mark.parametrize("tolerance", [None, "1e-6"])
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_residual_reaches_a_verdict_on_every_random_basis(seed, tolerance, capsys):
+    # the float copy of a valid exact basis is its rounding, so no float
+    # construction check can abort the run (random:1..3 did at 1e-12, where
+    # max |H| is up to 184.5)
+    loose = ["--tolerance", tolerance] if tolerance else []
     for form in EquationForm:
         code, out, err = run_cli(["residual", "--form", form.value,
                                   "--plane-wave", "m=1;p=1,0,0,0",
-                                  "--generators", f"random:{seed}",
-                                  "--tolerance", "1e-6"], capsys)
-        assert (code, err) == (0, ""), form
-        assert json.loads(out)["verdict"] == "pass"
+                                  "--generators", f"random:{seed}", *loose], capsys)
+        verdict = json.loads(out)["verdict"]
+        assert err == "" and (code, verdict) in ((0, "pass"), (1, "fail")), form
+        if tolerance:
+            assert verdict == "pass", form
 
 
 # ---- report -----------------------------------------------------------------

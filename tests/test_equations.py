@@ -29,7 +29,7 @@ from stada.multivector import (
 from stada.scalars import DEFAULT_TOLERANCE, EXACT, FLOAT, QQi, nan_max
 
 BASIS = ideal.canonical_basis()
-FBASIS = eq._float_basis(BASIS)
+FBASIS = BASIS.to_float()
 GAMMAS = tuple(ideal.gamma_of(basis_vector(mu), BASIS) for mu in range(4))
 
 
@@ -774,9 +774,11 @@ def test_gauge_rotor_needs_generators_only_where_j_names_one():
 
 
 def _float_random_1():
-    # max|H| is 184.5, so the float copy only holds at a loose tolerance
-    return eq._float_basis(ideal.idempotent_of(generators.random_generators(random.Random(1))),
-                           1e-6)
+    # a basis born float from the rounded random:1 generators; max|H| is 184.5,
+    # so its construction only holds at a loose tolerance
+    g = generators.random_generators(random.Random(1))
+    rounded = generators.make_secondary(g.h.to_float(), g.i2.to_float(), g.k2.to_float(), 1e-6)
+    return ideal.idempotent_of(rounded, 1e-6)
 
 
 @pytest.mark.parametrize("order", [("plane_wave", "dirac"), ("dirac", "plane_wave")])
@@ -823,6 +825,78 @@ def test_a_nan_deviation_fails_every_tolerance():
     for tol in (1e-12, 1.0, math.inf):
         with pytest.raises(ConsistencyError):
             basis.vector_gammas(tol)
+
+
+def _random_1():
+    return ideal.idempotent_of(generators.random_generators(random.Random(1)))
+
+
+def _coeffs(u):
+    return [(c.real, c.imag) for c in u.coeffs]  # the bits, signed zeros included
+
+
+@pytest.mark.parametrize("make", [lambda: BASIS, _random_1])
+def test_the_float_copy_is_the_rounded_exact_basis(make):
+    basis = make()
+    copy = basis.to_float()
+    assert basis.to_float() is copy and copy.to_float() is copy
+    assert copy.backend == FLOAT
+    exact_members = [basis.gens.h, basis.gens.i2, basis.gens.k2, basis.t,
+                     *basis.ts, *basis.fs, *basis.ts_dagger]
+    float_members = [copy.gens.h, copy.gens.i2, copy.gens.k2, copy.t,
+                     *copy.ts, *copy.fs, *copy.ts_dagger]
+    for u, fu in zip(exact_members, float_members):
+        assert _coeffs(fu) == _coeffs(u.to_float())
+    want = tuple(tuple(tuple(complex(v) for v in row)
+                       for row in ideal.gamma_of(basis_vector(mu, EXACT), basis))
+                 for mu in range(4))
+    assert copy.vector_gammas() == want
+    assert copy.float_gammas == (want, 0.0)
+
+
+def _float_constructions(monkeypatch) -> list:
+    """Record the backend of every idempotent_of and make_secondary call."""
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(first, *args, **kwargs):
+            calls.append((name, first.backend))
+            return original(first, *args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(ideal, "idempotent_of")
+    counted(generators, "make_secondary")
+    return calls
+
+
+def test_an_exact_basis_is_never_rebuilt_in_float(monkeypatch):
+    from stada import suites
+
+    basis = _random_1()
+    eq._default_basis(FLOAT)
+    calls = _float_constructions(monkeypatch)
+    for form in EquationForm:
+        sol = eq.plane_wave(form, (1.0, 0, 0, 0), 1.0, basis=basis)
+        eq.FieldConfig(form, sol.state, None, 1.0, basis).residual()
+    assert calls == []
+    suites.run_suite("equations", seed=1)
+    assert calls and all(backend == EXACT for _, backend in calls)
+
+
+def test_equations_builds_no_basis():
+    import ast
+    from pathlib import Path
+
+    tree = ast.parse(Path(eq.__file__).read_text(encoding="utf-8"))
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for a in node.names}
+    used = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    for name in ("idempotent_of", "make_secondary"):
+        assert name not in imported | used
+    assert not hasattr(eq, "_float_basis")
 
 
 def test_state_norm_checks_h_once_per_field():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from stada.errors import BackendMismatchError, InvalidGeneratorError, ParseError
 from stada.expr import eval_expr
+from stada.generators import random_generators
 from stada.multivector import (
     EVEN_MASKS,
     GRADE,
@@ -21,6 +22,7 @@ from stada.multivector import (
     l5,
     multivector_from_json,
     multivector_to_json,
+    require_unit_square,
     scalar_part_of_product,
 )
 from stada.scalars import EXACT, FLOAT, QQi
@@ -175,6 +177,24 @@ def test_hermitian_conjugation():
 def test_hermitian_conjugation_rejects_bad_h():
     with pytest.raises(InvalidGeneratorError):
         hermitian_conjugate(Multivector.unit(), basis_vector(1))
+
+
+def test_unit_square_check_allows_the_rounding_of_h_times_h():
+    # the rounded random:1 H (max |h_i| 184.5) squares to the unit within
+    # 7.3e-12, beyond the absolute 1e-12, and within its rounding bound
+    h = random_generators(random.Random(1)).h.to_float()
+    assert not (h * h).isclose(Multivector.unit(FLOAT), 1e-12)
+    require_unit_square(h, 1e-12)
+
+
+@pytest.mark.parametrize("h", [
+    basis_vector(0, FLOAT).scale(1 + 1e-9),
+    Multivector.from_terms([(1, 1.0 + 0j), (2, complex("nan"))], FLOAT),
+    basis_vector(0, FLOAT).scale(1e200),  # H*H and its rounding bound overflow
+])
+def test_unit_square_check_refuses(h):
+    with pytest.raises(InvalidGeneratorError):
+        require_unit_square(h, 1e-12)
 
 
 def test_backend_mismatch():

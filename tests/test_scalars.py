@@ -1,6 +1,7 @@
 """Exact Gaussian-rational scalar arithmetic."""
 
 import ast
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stada
-from stada.scalars import EXACT, FLOAT, QQi, coerce, from_real, is_zero
+from stada.scalars import EXACT, FLOAT, QQi, coerce, from_real, is_zero, modulus
 
 ints = st.integers(min_value=-30, max_value=30)
 denoms = st.integers(min_value=1, max_value=12)
@@ -89,3 +90,20 @@ def test_no_module_state_holds_a_tolerance():
         assert [name for name in dir(module) if "tolerance" in name.lower()] == [
             "DEFAULT_TOLERANCE"]
     assert stada.DEFAULT_TOLERANCE == 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.complex_numbers(allow_nan=False, allow_infinity=False))
+def test_modulus_keeps_the_bits_of_abs(z):
+    try:
+        want = abs(z)
+    except OverflowError:
+        want = math.inf
+    assert modulus(z).hex() == want.hex()
+
+
+def test_modulus_beyond_the_float_range_is_inf():
+    assert modulus(complex(1.5e308, 1.5e308)) == math.inf
+    assert modulus(QQi(10 ** 400, 1)) == math.inf
+    assert modulus(complex(3.0, 4.0)) == modulus(QQi(3, 4)) == 5.0
+    assert math.isnan(modulus(complex(math.nan, 0.0)))
