@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
@@ -219,14 +220,23 @@ def _column_norms(u) -> list:
 
 def _hermitian_size(h: Multivector, tol: float):
     """The size sqrt(4 Tr(U U^dagger)), U^dagger = H U^star H, of each column
-    U; H*H = unit is checked here, once, within `tol`.  H U^star, then that
-    times H, then the unit-blade terms of U U^dagger in CLIFFORD's order,
-    each a whole row at a time; a column whose norm is not finite is
-    measured again as s * norm(U / s), s = max |U|, where s is finite."""
-    hf = h.to_float()
+    U, built once per float H and `tol` (`_float_hermitian_size`)."""
+    return _float_hermitian_size(tuple(h.to_float().coeffs), tol)
+
+
+# bounded: the covariance checks measure a new pushed H for each case; an H
+# that fails its check raises, and nothing is kept for it
+@functools.lru_cache(maxsize=64)
+def _float_hermitian_size(h_coeffs: tuple, tol: float):
+    """The size of each column for the float H with these coefficients; H*H
+    = unit is checked here, within `tol`.  H U^star, then that times H,
+    then the unit-blade terms of U U^dagger in CLIFFORD's order, each a
+    whole row at a time; a column whose norm is not finite is measured again
+    as s * norm(U / s), s = max |U|, where s is finite."""
+    hf = Multivector(list(h_coeffs), FLOAT)
     require_unit_square(hf, tol)
-    live = [m for m, c in enumerate(hf.coeffs) if c]
-    hcol = np.array(hf.coeffs)[:, None]
+    live = [m for m, c in enumerate(h_coeffs) if c]
+    hcol = np.array(h_coeffs)[:, None]
     h_left, h_right = _clifford_terms(live, True), _clifford_terms(live, False)
 
     def norms(u):
@@ -284,7 +294,7 @@ def _state_norm(state, h_mv: Multivector, seed: int, tol: float) -> float:
     if isinstance(state, BispinorField):
         return sampled_max(state, _column_norms, seed)
     if isinstance(state, AnalyticField):
-        # H*H = unit is checked once per measured field, not at every point
+        # H*H = unit is checked once per float H, not per field or point
         return 0.0 if state.is_zero() else sampled_max(state, _hermitian_size(h_mv, tol), seed)
     raise DomainError(f"cannot measure a {type(state).__name__}")
 
@@ -363,19 +373,25 @@ def _check_bispinor(state, basis, tol: float) -> None:
         raise DomainError("the matrix form needs a bispinor state")
 
 
-def _domain_bound(state, tol: float) -> float:
-    """The bound of a float domain check: it follows the rounding of the
-    state, and a loose verdict tolerance does not widen it."""
-    return min(tol, DEFAULT_TOLERANCE) * max(state.max_abs(), 1.0) * 10
+def _domain_bound(state, tol: float) -> tuple:
+    """(state, bound) of a float domain check: the bound follows the
+    rounding of the state, and a loose verdict tolerance does not widen it.
+    A state whose modulus overflows is halved first, so that its bound is
+    finite: an infinite bound would admit any state."""
+    size = state.max_abs()
+    if size == math.inf:
+        state = state.scale(0.5)
+        size = state.max_abs()
+    return state, min(tol, DEFAULT_TOLERANCE) * max(size, 1.0) * 10
 
 
 def _check_in_ideal(theta, basis: IdealBasis, tol: float) -> None:
-    t_mv = basis.t if theta.backend == EXACT else basis.t.to_float()
-    diff = theta.mul_const(t_mv, side="right") - theta
     if theta.backend == EXACT:
-        if not diff.is_zero():
+        if not (theta.mul_const(basis.t, side="right") - theta).is_zero():
             raise DomainError("state leaves the left ideal")
-    elif diff.max_abs() > _domain_bound(theta, tol):
+        return
+    theta, bound = _domain_bound(theta, tol)
+    if (theta.mul_const(basis.t.to_float(), side="right") - theta).max_abs() > bound:
         raise DomainError("state leaves the left ideal")
 
 
@@ -386,7 +402,7 @@ def _check_even_real(state, basis, tol: float, require_real: bool = True) -> Non
         if require_real and not state.is_real():
             raise DomainError("state must be real")
         return
-    bound = _domain_bound(state, tol)
+    state, bound = _domain_bound(state, tol)
     if state.odd_part().max_abs() > bound:
         raise DomainError("state must be even")
     if require_real and not state.is_real(bound):
@@ -656,6 +672,38 @@ def translate(state, src: EquationForm, dst: EquationForm, basis: IdealBasis):
     raise DomainError(f"no translation from {src.value} to {dst.value}")
 
 
+def amplitude_columns(basis: IdealBasis) -> dict:
+    """form -> (P, M) for the ideal and the Hestenes form of a basis.
+
+    With L = `translate` from the matrix form, which is pointwise and
+    R-linear, P_k = (L(e_k) - i L(i e_k))/2 and M_k = (L(e_k) + i L(i e_k))/2
+    on the constant unit spinors e_k, so that
+    L(u) = sum_k u_k P_k + conj(u_k) M_k for every constant spinor u.  M is
+    zero, in floats too, where L is C-linear.  `IdealBasis.amplitude_columns`
+    keeps them, built once per basis."""
+    backend = basis.backend
+    i_unit, zero = scalars.imaginary_unit(backend), scalars.zero(backend)
+
+    def image(dst, k, c):
+        spinor = BispinorField.constant([c if n == k else 0 for n in range(4)], backend)
+        value = translate(spinor, EquationForm.DIRAC_MATRIX, dst, basis)
+        _, polys = value.terms[()]  # a constant field has one term, on the zero phase
+        return Multivector([q.terms.get((0, 0, 0, 0), zero) for q in polys], backend)
+
+    out = {}
+    for dst in (EquationForm.IDEAL, EquationForm.HESTENES):
+        real = [image(dst, k, 1) for k in range(4)]
+        turned = [image(dst, k, i_unit).scale(i_unit) for k in range(4)]
+        out[dst] = (tuple((a - b).scale(Fraction(1, 2)) for a, b in zip(real, turned)),
+                    tuple((a + b).scale(Fraction(1, 2)) for a, b in zip(real, turned)))
+    return out
+
+
+def _combination(coeffs, cols) -> Multivector:
+    """sum_k coeffs[k] cols[k], added left to right."""
+    return functools.reduce(operator.add, (col.scale(c) for c, col in zip(coeffs, cols)))
+
+
 # ---- gauge transformations ---------------------------------------------------------
 
 
@@ -811,6 +859,10 @@ def maxwell_residual(phi: AnalyticField, pot, h_mv: Multivector, *,
 # ---- plane-wave solutions -----------------------------------------------------------------
 
 
+# the forms whose plane wave is built from the Hestenes columns
+_HESTENES_WAVES = (EquationForm.HESTENES, EquationForm.TENSOR, EquationForm.ILK_EVEN)
+
+
 @dataclass(frozen=True)
 class PlaneWaveSolution:
     form: EquationForm
@@ -826,10 +878,18 @@ def plane_wave(form: EquationForm, p, m, sign: int = 1,
                tol: float = DEFAULT_TOLERANCE) -> PlaneWaveSolution:
     """Exact free solution of the requested form with momentum covector p.
 
-    The amplitude is vector `which` of the `linalg.null_space` of
+    The amplitude u is vector `which` of the `linalg.null_space` of
     p-slash - sign*m; the momentum must satisfy the mass-shell relation
     p.p = m^2.  The gammas are those of `basis.to_float()`; a basis born
     float has their reconstruction checked within `tol`.
+
+    The state is u exp(i phi), phi = -sign p.x, carried to the form without
+    a field translation: every translation is pointwise and R-linear, so it
+    acts on the amplitude alone, and the amplitude columns P, M of the basis
+    (`amplitude_columns`) give it as A+ exp(i phi) + A- exp(-i phi) with
+    A+ = sum_k u_k P_k and A- = sum_k conj(u_k) M_k; A- is zero for the
+    ideal-valued forms.  The right factor of ilk-even or ilk-e5 multiplies
+    A+ and A- once each, after the sums.
     """
     p = tuple(float(v) for v in p)
     m = float(m)
@@ -852,27 +912,28 @@ def plane_wave(form: EquationForm, p, m, sign: int = 1,
     lead = int(np.argmax(np.abs(u)))
     u = u * (abs(u[lead]) / u[lead])
     u = u / np.linalg.norm(u)
-    phase_entries = {}
-    for mu in range(4):
-        if p[mu]:
-            phase_entries[tuple(1 if i == mu else 0 for i in range(4))] = -sign * p[mu]
-    phase = Poly(phase_entries)
-    comps = tuple(
-        AnalyticField.scalar_poly(Poly.constant(complex(u[k])), FLOAT).multiply_phase(phase)
-        for k in range(4))
-    psi = BispinorField(comps)
-    # ideal states solve ilk as they stand; the Hestenes state times (unit - iI)/2
-    # is even complex and solves ilk-even; the ideal state times t-e5 solves ilk-e5
-    via = {EquationForm.ILK: EquationForm.IDEAL, EquationForm.ILK_EVEN: EquationForm.HESTENES,
-           EquationForm.ILK_E5: EquationForm.IDEAL}.get(form, form)
-    state = translate(psi, EquationForm.DIRAC_MATRIX, via, basis)
-    if form == EquationForm.ILK_EVEN:
-        unit = Multivector.unit(FLOAT)
-        state = state.mul_const((unit - basis.gens.i2.scale(1j)).scale(0.5), side="right")
-    elif form == EquationForm.ILK_E5:
-        state = state.mul_const(reduction_idempotent("t-e5", basis.gens), side="right")
+    u = [complex(v) for v in u]
+    wave = tuple(-sign * v for v in p)
+    if form == EquationForm.DIRAC_MATRIX:
+        state = BispinorField(tuple(
+            AnalyticField.plane_wave(Multivector.scalar(v, FLOAT), wave) for v in u))
+    else:
+        # ideal states solve ilk as they stand; the Hestenes state times (unit - iI)/2
+        # is even complex and solves ilk-even; the ideal state times t-e5 solves ilk-e5
+        via = EquationForm.HESTENES if form in _HESTENES_WAVES else EquationForm.IDEAL
+        plus, minus = basis.amplitude_columns[via]
+        amps = (_combination(u, plus), _combination([v.conjugate() for v in u], minus))
+        if form == EquationForm.ILK_EVEN:
+            unit = Multivector.unit(FLOAT)
+            right = (unit - basis.gens.i2.scale(1j)).scale(0.5)
+            amps = tuple(a * right for a in amps)
+        elif form == EquationForm.ILK_E5:
+            right = reduction_idempotent("t-e5", basis.gens)
+            amps = tuple(a * right for a in amps)
+        state = (AnalyticField.plane_wave(amps[0], wave)
+                 + AnalyticField.plane_wave(amps[1], tuple(-v for v in wave)))
     return PlaneWaveSolution(form=form, momentum=p, mass=m, energy_sign=sign,
-                             amplitude=tuple(complex(v) for v in u), state=state)
+                             amplitude=tuple(u), state=state)
 
 
 def boosted_momentum(m: float, rapidity: float, direction) -> tuple:

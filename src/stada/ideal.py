@@ -10,7 +10,7 @@ as equalities, not tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -47,6 +47,8 @@ class IdealBasis:
     `gamma_of`, and every later call combines them.  A basis born float
     builds its four gamma^mu on the first `vector_gammas`, and every call
     checks their stored reconstruction deviation against its own tolerance.
+    The plane-wave amplitude columns are built on first use; a float copy
+    rounds those of its exact `source`.
     """
 
     gens: SecondaryGenerators
@@ -54,6 +56,8 @@ class IdealBasis:
     ts: tuple[Multivector, Multivector, Multivector, Multivector]
     fs: tuple[Multivector, Multivector, Multivector, Multivector]
     ts_dagger: tuple[Multivector, Multivector, Multivector, Multivector]
+    # the exact basis a float copy was rounded from
+    source: "IdealBasis | None" = field(default=None, repr=False, compare=False)
 
     @property
     def backend(self) -> str:
@@ -78,7 +82,7 @@ class IdealBasis:
     @cached_property
     def _float_copy(self) -> "IdealBasis":
         copy = IdealBasis(SecondaryGenerators(*_rounded((self.gens.h, self.gens.i2, self.gens.k2))),
-                          *_rounded((self.t, self.ts, self.fs, self.ts_dagger)))
+                          *_rounded((self.t, self.ts, self.fs, self.ts_dagger)), source=self)
         gammas = tuple(gamma_of(basis_vector(mu, EXACT), self) for mu in range(4))
         vars(copy)["float_gammas"] = (_rounded(gammas), 0.0)  # where the property keeps it
         return copy
@@ -100,6 +104,17 @@ class IdealBasis:
         built = [_gamma_misfits(basis_vector(mu, self.backend), self) for mu in range(4)]
         deviation = nan_max(*(r.max_abs() for _, misfits in built for r in misfits))
         return tuple(mat for mat, _ in built), deviation
+
+    @cached_property
+    def amplitude_columns(self) -> dict:
+        """form -> (P, M), the columns a plane wave combines its amplitude
+        with (`equations.amplitude_columns`), built once per basis; a float
+        copy rounds the columns of its exact basis."""
+        if self.source is not None:
+            return {form: _rounded(cols) for form, cols in self.source.amplitude_columns.items()}
+        from .equations import amplitude_columns  # equations builds on this module
+
+        return amplitude_columns(self)
 
     def vector_gammas(self, tol: float = DEFAULT_TOLERANCE) -> tuple:
         """The four float gamma^mu, built once per basis; every call checks

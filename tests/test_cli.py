@@ -185,6 +185,19 @@ def test_residual_of_a_modulus_beyond_the_float_range_is_usage(form, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("form,state,message", [
+    ("tde", "(1.5e308+1.5e308i) e0", "state must be even"),
+    ("hde", "(1.5e308+1.5e308i) e0", "state must be even"),
+    ("tde", "(1.5e308+1.5e308i) e01", "state must be real"),
+    ("ideal", "(1.5e308+1.5e308i) e0", "state leaves the left ideal"),
+])
+def test_domain_checks_refuse_a_state_whose_modulus_overflows(form, state, message, capsys):
+    # max |state| is inf, so a bound proportional to it would admit any state;
+    # the check measures the halved state instead
+    code, out, err = run_cli(["residual", "--form", form, "--state", state], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("kind", ["t-HI", "t-H", "t-e5"])
 def test_residual_reduction_keeps_a_late_nan(kind, capsys, monkeypatch):
     # a NaN after a finite sample point must reach the gap, not be dropped by its

@@ -936,6 +936,170 @@ def test_the_default_basis_is_built_once_per_backend(monkeypatch):
         eq._default_basis.cache_clear()
 
 
+def _boost_h(rapidity: float) -> Multivector:
+    """cosh(a) e0 + sinh(a) e1, which squares to the unit."""
+    return (basis_vector(0, FLOAT).scale(math.cosh(rapidity))
+            + basis_vector(1, FLOAT).scale(math.sinh(rapidity)))
+
+
+def _counted_unit_squares(monkeypatch) -> list:
+    checks = []
+    original = eq.require_unit_square
+
+    def counted(h, tol=DEFAULT_TOLERANCE):
+        checks.append((tuple(h.coeffs), tol))
+        return original(h, tol)
+
+    monkeypatch.setattr(eq, "require_unit_square", counted)
+    eq._float_hermitian_size.cache_clear()
+    return checks
+
+
+def test_hermitian_size_is_built_once_per_float_h_and_tolerance(monkeypatch):
+    checks = _counted_unit_squares(monkeypatch)
+    fields = [random_full_state(random.Random(k)).to_float() for k in range(3)]
+    h = BASIS.gens.h
+    first = [eq._state_norm(f, h, 0, 1e-12) for f in fields]
+    assert len(checks) == 1
+    # the exact H and its rounding share one size; another tolerance does not
+    assert [eq._state_norm(f, h.to_float(), 0, 1e-12) for f in fields] == first
+    assert len(checks) == 1
+    eq._state_norm(fields[0], h, 0, 1e-9)
+    assert len(checks) == 2
+    # a kept size gives the bits of a fresh one
+    eq._float_hermitian_size.cache_clear()
+    fresh = [eq._state_norm(f, h, 0, 1e-12) for f in fields]
+    assert [v.hex() for v in fresh] == [v.hex() for v in first]
+
+
+def test_a_failing_h_is_never_kept(monkeypatch):
+    checks = _counted_unit_squares(monkeypatch)
+    bad_h = Multivector.unit(FLOAT).scale(2.0)
+    field = AnalyticField.constant(basis_vector(1, FLOAT))
+    for _ in range(2):
+        with pytest.raises(InvalidGeneratorError):
+            eq._state_norm(field, bad_h, 0, 1e-12)
+    assert len(checks) == 2
+    assert eq._float_hermitian_size.cache_info().currsize == 0
+
+
+def test_kept_hermitian_sizes_stay_bounded():
+    # the covariance checks push a new H for every case
+    eq._float_hermitian_size.cache_clear()
+    field = AnalyticField.constant(basis_vector(0, FLOAT))
+    for k in range(200):
+        assert eq._state_norm(field, _boost_h(k / 100), 0, 1e-9) > 0
+    info = eq._float_hermitian_size.cache_info()
+    assert info.currsize <= info.maxsize < 200
+
+
+# ---- plane waves from amplitude columns -------------------------------------------------
+
+
+def _field_route(sol, basis):
+    """The state of a plane wave by the field route: the four component
+    fields, `translate` to the ideal or Hestenes form, then the right factor
+    of ilk-even or ilk-e5."""
+    form, p, sign = sol.form, sol.momentum, sol.energy_sign
+    phase = Poly({tuple(int(i == mu) for i in range(4)): -sign * p[mu]
+                  for mu in range(4) if p[mu]})
+    psi = BispinorField(tuple(
+        AnalyticField.scalar_poly(Poly.constant(v), FLOAT).multiply_phase(phase)
+        for v in sol.amplitude))
+    via = {EquationForm.ILK: EquationForm.IDEAL, EquationForm.ILK_EVEN: EquationForm.HESTENES,
+           EquationForm.ILK_E5: EquationForm.IDEAL}.get(form, form)
+    state = eq.translate(psi, EquationForm.DIRAC_MATRIX, via, basis)
+    if form == EquationForm.ILK_EVEN:
+        unit = Multivector.unit(FLOAT)
+        state = state.mul_const((unit - basis.gens.i2.scale(1j)).scale(0.5), side="right")
+    elif form == EquationForm.ILK_E5:
+        state = state.mul_const(eq.reduction_idempotent("t-e5", basis.gens), side="right")
+    return state
+
+
+@functools.cache
+def _wave_basis(name: str):
+    if name == "canonical":
+        return FBASIS
+    return ideal.idempotent_of(
+        generators.random_generators(random.Random(int(name.split(":")[1])))).to_float()
+
+
+def _l1(mv: Multivector) -> float:
+    return sum(abs(c) for c in mv.coeffs)
+
+
+def _field_route_bound(basis) -> float:
+    """A relative bound on the rounding of the field route, which multiplies
+    through t_k, t^k dagger, F_k and I: 64 u times the product of their
+    largest coefficient sums, u = 2^-53.  The columns of a float copy are
+    the rounded exact ones, so the gap is mostly the field route's own."""
+    size = (max(map(_l1, basis.ts)) * max(map(_l1, basis.ts_dagger))
+            * max(map(_l1, basis.fs)) * _l1(basis.gens.i2))
+    return 64 * 2.0 ** -53 * size
+
+
+def _relative_gap(a, b) -> float:
+    """max |a - b| / max |b| over the field, or over all four components."""
+    pairs = list(zip(a.components, b.components)) if isinstance(a, BispinorField) else [(a, b)]
+    return max((x - y).max_abs() for x, y in pairs) / max(y.max_abs() for _, y in pairs)
+
+
+@st.composite
+def _on_shell(draw):
+    """(p, m, sign, which): boosted massive momenta, light-like momenta with
+    m = 0, and p = 0 with m = 0, where every spinor is an amplitude."""
+    kind = draw(st.sampled_from(["massive", "light", "zero"]))
+    sign = draw(st.sampled_from([1, -1]))
+    # no component below 1e-3 but zero: halving a subnormal rounds, and the
+    # two routes halve at different steps
+    part = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3))
+    direction = tuple(draw(part) for _ in range(3))
+    if kind == "zero":
+        return (0.0, 0.0, 0.0, 0.0), 0.0, sign, draw(st.integers(0, 3))
+    if kind == "light" and any(direction):
+        e = draw(st.floats(0.1, 3.0))
+        n = math.sqrt(sum(v * v for v in direction))
+        return (e, *(e * v / n for v in direction)), 0.0, sign, draw(st.integers(0, 1))
+    m = draw(st.floats(0.1, 3.0))
+    p = eq.boosted_momentum(m, draw(st.floats(0.0, 2.0)), direction)
+    return p, m, sign, draw(st.integers(0, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_on_shell(), st.sampled_from(["canonical", *(f"random:{n}" for n in range(1, 6))]))
+def test_plane_waves_equal_the_field_route(wave, basis_name):
+    p, m, sign, which = wave
+    basis = _wave_basis(basis_name)
+    for form in EquationForm:
+        sol = eq.plane_wave(form, p, m, sign=sign, basis=basis, which=which)
+        reference = _field_route(sol, basis)
+        if basis_name == "canonical":
+            assert sol.state == reference, form
+        else:
+            assert _relative_gap(sol.state, reference) <= _field_route_bound(basis), form
+
+
+def test_plane_waves_translate_nothing_once_the_columns_are_built(monkeypatch):
+    builds, translations, constants = [], [], []
+    build, translate, mul_const = eq.amplitude_columns, eq.translate, AnalyticField.mul_const
+    monkeypatch.setattr(eq, "amplitude_columns", lambda b: builds.append(b) or build(b))
+    monkeypatch.setattr(eq, "translate",
+                        lambda state, *args: translations.append(args) or translate(state, *args))
+    monkeypatch.setattr(AnalyticField, "mul_const",
+                        lambda self, *a, **kw: constants.append(a) or mul_const(self, *a, **kw))
+    exact = _random_1()
+    for basis, built_on in ((ideal.canonical_basis(FLOAT),) * 2, (exact.to_float(), exact)):
+        eq.plane_wave(EquationForm.TENSOR, (1.0, 0, 0, 0), 1.0, basis=basis)
+        # a float copy rounds the columns of its exact basis
+        assert builds == [built_on] and translations
+        builds.clear(), translations.clear(), constants.clear()
+        for form in EquationForm:
+            for sign in (1, -1):
+                eq.plane_wave(form, (1.25, 0.6, 0, 0.8), 0.75, sign=sign, basis=basis)
+        assert builds == translations == constants == []
+
+
 @pytest.mark.parametrize("size", [1.0, 1e300])
 def test_state_norm_is_the_largest_pointwise_hermitian_norm(size):
     rng = random.Random(15)
@@ -1189,12 +1353,16 @@ def test_float_residual_norm_makes_no_per_point_products(monkeypatch):
     evaluate = AnalyticField.eval
     monkeypatch.setattr(AnalyticField, "eval",
                         lambda self, x: evals.append(x) or evaluate(self, x))
+    eq._float_hermitian_size.cache_clear()
     report = eq.residual_ilk(sol.state, None, 1.5)
     assert report.max_norm > 0.1
-    # the one product is the check that H*H is the unit, once per measured field
+    # the one product is the check that H*H is the unit, once per float H
     e0 = basis_vector(0, FLOAT)
     assert products == [(e0, e0)]
     assert evals == []
+    products.clear()
+    assert eq.residual_ilk(sol.state, None, 1.5).max_norm.hex() == report.max_norm.hex()
+    assert products == []
     # and all 24 sample points are evaluated in one pass
     batches = []
     evaluate_points = AnalyticField.eval_points
