@@ -28,6 +28,9 @@ EXIT_USAGE = 2
 
 REPORT_DIR_ENV = "STADA_REPORT_DIR"
 
+# the mass of `residual` without --mass, unless a plane wave names its own
+_DEFAULT_MASS = 1.0
+
 
 def _report_path(arg_path: str | None, default_name: str) -> str | None:
     if arg_path:
@@ -113,8 +116,8 @@ def _cmd_residual(args) -> int:
     if args.reduce:
         report = _reduction_report(args, form, fbasis, pot)
     else:
-        state = _load_state(args, form, fbasis)
-        report = eq.FieldConfig(form, state, pot, args.mass, fbasis).residual(
+        state, mass = _load_state(args, form, fbasis)
+        report = eq.FieldConfig(form, state, pot, mass, fbasis).residual(
             tolerance=args.tolerance, seed=args.seed)
     payload = report.to_json_dict()
     try:
@@ -131,9 +134,12 @@ def _cmd_residual(args) -> int:
 
 
 def _load_state(args, form: EquationForm, fbasis):
+    """The state of `residual` and the mass its residual takes: `--mass`
+    when given, else the plane wave's own m, else 1."""
     from . import equations as eq
     from .grid import GridField
 
+    mass = _DEFAULT_MASS if args.mass is None else args.mass
     if args.plane_wave:
         params = {}
         for part in args.plane_wave.split(";"):
@@ -144,7 +150,7 @@ def _load_state(args, form: EquationForm, fbasis):
         if "p" not in params:
             raise DomainError("the plane wave needs a momentum p=p0,p1,p2,p3")
         try:
-            m = float(params.get("m", args.mass))
+            m = float(params["m"]) if "m" in params else mass
             p = tuple(float(v) for v in params["p"].split(","))
             sign = int(params.get("sign", 1))
             which = int(params.get("which", 0))
@@ -153,19 +159,20 @@ def _load_state(args, form: EquationForm, fbasis):
         if len(p) != 4 or not all(map(math.isfinite, p + (m,))) or which < 0:
             raise DomainError("the plane wave needs four finite momenta, a finite mass "
                               "and which >= 0")
-        return eq.plane_wave(form, p, m, sign, basis=fbasis, which=which).state
+        state = eq.plane_wave(form, p, m, sign, basis=fbasis, which=which).state
+        return state, m if args.mass is None else mass
     if args.state == "zero":
         if form == EquationForm.DIRAC_MATRIX:
-            return eq.BispinorField.zero(FLOAT)
-        return AnalyticField.zero(FLOAT)
+            return eq.BispinorField.zero(FLOAT), mass
+        return AnalyticField.zero(FLOAT), mass
     if os.path.exists(args.state):
         if form == EquationForm.DIRAC_MATRIX:
             raise DomainError("grid states are not defined for the matrix form; "
                               "use --plane-wave or --state zero")
-        return GridField.load(args.state)
+        return GridField.load(args.state), mass
     if form == EquationForm.DIRAC_MATRIX:
         raise DomainError("the matrix form accepts --plane-wave or --state zero")
-    return parse_field(args.state, FLOAT)
+    return parse_field(args.state, FLOAT), mass
 
 
 def _reduction_report(args, form: EquationForm, fbasis, pot):
@@ -189,7 +196,8 @@ def _reduction_report(args, form: EquationForm, fbasis, pot):
         entries.append((phase, coeffs))
     rho = AnalyticField(FLOAT, entries)
     t_red = eq.reduction_idempotent(args.reduce, fbasis.gens)
-    lhs, rhs = eq.reduction_sides(args.reduce, t_red, rho, pot, args.mass, fbasis.gens)
+    mass = _DEFAULT_MASS if args.mass is None else args.mass
+    lhs, rhs = eq.reduction_sides(args.reduce, t_red, rho, pot, mass, fbasis.gens)
     diff = lhs - rhs
     gap = eq.sampled_max(diff, eq._max_abs, args.seed)
     report = eq.ResidualReport(
@@ -303,7 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--plane-wave", default=None, metavar="SPEC",
                        help="generate a free solution, e.g. 'm=1;p=1,0,0,0;sign=1'")
     p_res.add_argument("--potential", "-A", default=None, metavar="EXPR_OR_PATH")
-    p_res.add_argument("--mass", "-m", type=_finite, default=1.0)
+    p_res.add_argument("--mass", "-m", type=_finite, default=None,
+                       help="mass of the residual; default: the m of --plane-wave, "
+                            "else 1")
     p_res.add_argument("--generators", default="canonical",
                        help="'canonical' or 'random:<seed>'")
     p_res.add_argument("--reduce", default=None, choices=("t-HI", "t-H", "t-e5"),

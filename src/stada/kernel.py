@@ -19,7 +19,20 @@ defines:
 * `exact` multiplies two numerator forms: Gaussian-integer numerators are
   multiplied and summed per output blade, and the result is brought to
   lowest terms once.  Normalised forms are unique, so the result equals
-  term-by-term `QQi` arithmetic exactly;
+  term-by-term `QQi` arithmetic exactly.  The sums take one of two
+  routes, picked by the operands alone, with no option:
+  - the int64 route, for a dense product: the live blades of `a` and `b`
+    pair up at least `DENSE_PAIRS` times and every numerator is below
+    `INT64_BOUND` in absolute value.  A gather index and a sign matrix,
+    built once per table on the first such product, lay the numerators of
+    `b` out as the signed 32x32 matrix of x -> x*b, and one int64
+    matrix-vector product with the 32 numerators of `a` gives the 32 sums.
+    The bound keeps every sum below 2^61, so int64 never overflows and the
+    sums are the loop's integers (the proof is at `_int64_sums`);
+  - the Python loop over the live blades, on integers of any size, for
+    every other product: a sparse operand, a numerator at or above the
+    bound, or a table that is not an XOR table (see `gather_tables`).
+    `exact_scalar_part`, `sparse` and `ExactLinearMap` always loop;
 * `sparse` multiplies two blade-sparse maps from keys to Gaussian-integer
   numerator pairs, the exact term format of `fields.AnalyticField`: a key
   carries its blade in the low four bits, and the bits above add under the
@@ -38,6 +51,7 @@ coefficients, and never use this module.
 from __future__ import annotations
 
 import math
+from operator import or_
 from typing import Sequence
 
 from .scalars import EXACT, QQi, Scalar, zero
@@ -49,6 +63,13 @@ EVERY_BLADE = (True,) * 16
 
 # the bits of a blade-sparse key above its blade
 _ABOVE_BLADE = -16
+
+# An exact product takes the int64 route when the live blades of its
+# operands pair up at least this often (8 x 8, two even multivectors, say)
+# and every numerator is below INT64_BOUND in absolute value.  Below this
+# count the Python loop, which skips dead blades, is the faster of the two.
+DENSE_PAIRS = 64
+INT64_BOUND = 1 << 28
 
 
 def lowest_terms(den: int, re: Sequence[int], im: Sequence[int]) -> tuple:
@@ -119,10 +140,43 @@ def map_form(a: tuple, table, conjugate: bool = False) -> tuple:
     return lowest_terms(den, re, im)
 
 
+def gather_tables(table) -> tuple:
+    """The int64 tables (index, sign) of a blade table, for the vector
+    v = ar + ai + br + bi of two numerator forms: (v[index] * sign) @ v[:32]
+    gives the 16 real, then 16 imaginary, numerator sums of the product.
+
+    Row k (real) and 16 + k (imaginary) of output blade k take, in column
+    i (of ar[i]) and 16 + i (of ai[i]), the numerator of b on blade j with
+    (i, j) -> (sign, k), since (ar + i ai)(br + i bi) = (ar br - ai bi) +
+    i (ar bi + ai br).  That j must be unique for each (i, k), so the table
+    must be an XOR table, each nonzero entry (i, j) landing on blade i ^ j,
+    as the Clifford and exterior tables do; any other table is refused with
+    ValueError.  Both arrays are read-only.
+    """
+    import numpy as np
+
+    index = np.zeros((32, 32), dtype=np.intp)
+    signs = np.zeros((32, 32), dtype=np.int64)
+    for i, row in enumerate(table):
+        for j, (sign, mask) in enumerate(row):
+            if not sign:
+                continue
+            if mask != i ^ j:
+                raise ValueError(f"blade {i} times blade {j} lands on {mask}, not on {i ^ j}")
+            re_b, im_b = 32 + j, 48 + j
+            index[mask, i], signs[mask, i] = re_b, sign
+            index[mask, 16 + i], signs[mask, 16 + i] = im_b, -sign
+            index[16 + mask, i], signs[16 + mask, i] = im_b, sign
+            index[16 + mask, 16 + i], signs[16 + mask, 16 + i] = re_b, sign
+    index.flags.writeable = False
+    signs.flags.writeable = False
+    return index, signs
+
+
 class BladeProduct:
     """One blade product table and the bilinear product it defines."""
 
-    __slots__ = ("table", "rows", "scalar_terms")
+    __slots__ = ("table", "rows", "scalar_terms", "_gather")
 
     def __init__(self, table):
         # table[i][j]: (sign, mask) of blade i times blade j
@@ -134,6 +188,8 @@ class BladeProduct:
         # (i, j, sign) of the terms landing on the unit blade
         self.scalar_terms = tuple((i, j, sign) for i, row in enumerate(self.rows)
                                   for j, sign, mask in row if mask == 0)
+        # the int64 tables of `exact`, built on its first dense product
+        self._gather = None
 
     def generic(self, a: Sequence, b: Sequence, zero_value) -> list:
         """The product over any coefficient ring whose zero is falsy."""
@@ -154,9 +210,24 @@ class BladeProduct:
         """The product of two numerator forms, in lowest terms."""
         da, ar, ai = a
         db, br, bi = b
+        live = [(j, y, z) for j, y, z in zip(range(16), br, bi) if y or z]
+        n = len(live)
+        # live pairs are n times the live blades of a, which are not counted
+        # when b alone is too sparse; x | y is zero exactly when x and y both
+        # are, so the zeros of map(or_, ar, ai) are the dead blades of a
+        if n * 16 >= DENSE_PAIRS and n * (16 - list(map(or_, ar, ai)).count(0)) >= DENSE_PAIRS:
+            v = ar + ai + br + bi
+            if -INT64_BOUND < min(v) and max(v) < INT64_BOUND and self._int64_tables():
+                sums = self._int64_sums(v)
+                return lowest_terms(da * db, sums[:16], sums[16:])
+        re, im = self._loop_sums(ar, ai, live)
+        return lowest_terms(da * db, re, im)
+
+    def _loop_sums(self, ar: Sequence[int], ai: Sequence[int], live: list) -> tuple:
+        """The unreduced real and imaginary numerator sums of a product, by
+        the table loop over the live blades (j, br[j], bi[j]) of b."""
         re = [0] * 16
         im = [0] * 16
-        live = [(j, y, z) for j, y, z in zip(range(16), br, bi) if y or z]
         table = self.table
         for i in range(16):
             xr = ar[i]
@@ -172,7 +243,37 @@ class BladeProduct:
                 elif sign:
                     re[mask] -= xr * yr - xi * yi
                     im[mask] -= xr * yi + xi * yr
-        return lowest_terms(da * db, re, im)
+        return re, im
+
+    def _int64_tables(self):
+        """The (index, sign) pair of `gather_tables`, built on first use;
+        False for a table that `gather_tables` refuses."""
+        if self._gather is None:
+            try:
+                self._gather = gather_tables(self.table)
+            except ValueError:
+                self._gather = False
+        return self._gather
+
+    def _int64_sums(self, v: tuple) -> list:
+        """The 16 real, then 16 imaginary, unreduced numerator sums of a
+        product, as Python ints, from v = ar + ai + br + bi with every
+        |entry| < INT64_BOUND.
+
+        Bound: output k sums the 32 products sign * x_i * y, one per
+        numerator x_i of a, each y a numerator of b.  With |x|, |y| < 2^28
+        each product is below 2^56 in absolute value, so every partial sum,
+        in whatever order the matrix product adds them, is below
+        32 * 2^56 = 2^61 < 2^63 and int64 cannot overflow: the sums are
+        exactly the integers the loop forms.
+        """
+        import numpy as np
+
+        index, sign = self._gather
+        x = np.fromiter(v, np.int64, 64)
+        m = x[index]
+        m *= sign
+        return (m @ x[:32]).tolist()
 
     def sparse(self, a: dict, b: dict) -> dict:
         """The product of two blade-sparse maps key -> (re, im), over the

@@ -140,6 +140,46 @@ def test_residual_plane_wave(capsys):
     assert data["form"] == "tde"
 
 
+@pytest.mark.parametrize("spec", ["m=0;p=1,1,0,0", "m=0;p=0,0,0,0", "m=2;p=2,0,0,0"])
+def test_plane_wave_residual_takes_the_spec_mass(spec, capsys):
+    # without --mass the residual is taken at the mass the wave solves for
+    code, out, _ = run_cli(["residual", "--form", "ideal", "--plane-wave", spec], capsys)
+    assert code == 0
+    assert json.loads(out)["max_norm"] <= 1e-12
+
+
+@pytest.mark.parametrize("spec,mass", [("m=1;p=1,0,0,0", "2"), ("m=2;p=2,0,0,0", "1")])
+def test_an_explicit_mass_overrides_the_spec_mass(spec, mass, capsys):
+    code, out, _ = run_cli(["residual", "--form", "ideal", "--plane-wave", spec,
+                            "--mass", mass], capsys)
+    assert code == 1
+    assert json.loads(out)["max_norm"] > 0.5
+
+
+def test_an_off_shell_spec_mass_is_still_refused(capsys):
+    code, out, err = run_cli(["residual", "--form", "ideal", "--plane-wave",
+                              "m=1;p=2,0,0,0", "--mass", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert "off shell" in err
+
+
+def test_reduction_keeps_the_unit_default_mass(capsys, monkeypatch):
+    from stada import equations as eq
+
+    masses = []
+    sides = eq.reduction_sides
+
+    def spy(kind, t_red, rho, pot, mass, gens):
+        masses.append(mass)
+        return sides(kind, t_red, rho, pot, mass, gens)
+
+    monkeypatch.setattr(eq, "reduction_sides", spy)
+    outputs = [run_cli(["residual", "--form", "ilk", "--reduce", "t-H"] + extra, capsys)
+               for extra in ([], ["--mass", "1"], ["--mass", "0.3"])]
+    assert masses == [1.0, 1.0, 0.3]
+    assert outputs[0] == outputs[1]
+
+
 def test_residual_zero_state(capsys):
     code, out, _ = run_cli(["residual", "--form", "dirac", "--state", "zero"],
                            capsys)

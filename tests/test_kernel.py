@@ -1,20 +1,32 @@
-"""The bilinear kernel against naive per-coefficient table loops, the exact
-number format against term-by-term QQi references, the cached gamma images
-against the product route, and the independence of the oracles from the
-kernel."""
+"""The bilinear kernel against naive per-coefficient table loops, its two
+exact routes (int64 and the Python loop) against each other and the rule
+that picks between them, the exact number format against term-by-term QQi
+references, the cached gamma images against the product route, and the
+independence of the oracles from the kernel."""
 
 import ast
 import math
 import random
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stada import exterior, ideal, linalg, spin, suites
-from stada.kernel import ExactLinearMap
+from stada import exterior, ideal, kernel, linalg, spin, suites
+from stada.kernel import (
+    DENSE_PAIRS,
+    INT64_BOUND,
+    BladeProduct,
+    ExactLinearMap,
+    coefficients,
+    gather_tables,
+    lowest_terms,
+)
 from stada.multivector import (
+    CLIFFORD,
     CLIFFORD_TABLE,
+    WEDGE,
     EVEN_MAP,
     GRADE_MAPS,
     ODD_MAP,
@@ -81,6 +93,167 @@ def test_float_products_keep_the_naive_summation_order(u, v):
         naive_product(WEDGE_TABLE, fu.coeffs, fv.coeffs, 0j)))
     assert repr(scalar_part_of_product(fu, fv)) == repr(
         naive_product(CLIFFORD_TABLE, fu.coeffs, fv.coeffs, 0j)[0])
+
+
+# ---- the two exact routes: int64 and the Python loop ---------------------------
+
+# numerators at the int64 bound and far beyond it, of either sign
+_EDGES = (INT64_BOUND - 1, INT64_BOUND, INT64_BOUND + 1, 10 ** 30)
+edge_numerator = st.sampled_from(_EDGES + tuple(-x for x in _EDGES))
+numerator = st.one_of(st.integers(-9, 9), st.integers(-INT64_BOUND + 1, INT64_BOUND - 1),
+                      edge_numerator)
+# live blade counts on both sides of DENSE_PAIRS, and any others
+_NEAR_THRESHOLD = ((8, 8), (9, 7), (7, 9), (4, 16), (16, 4), (5, 13), (13, 5), (16, 16))
+live_counts = st.one_of(st.sampled_from(_NEAR_THRESHOLD),
+                        st.tuples(st.integers(0, 16), st.integers(0, 16)))
+_PRODUCTS = ((CLIFFORD, CLIFFORD_TABLE), (WEDGE, WEDGE_TABLE))
+
+
+@st.composite
+def numerator_forms(draw, live):
+    """A numerator form with exactly `live` live blades."""
+    re = [0] * 16
+    im = [0] * 16
+    for k in draw(st.permutations(range(16)))[:live]:
+        re[k], im[k] = draw(numerator), draw(numerator)
+        if not (re[k] or im[k]):
+            re[k] = 1
+    return draw(st.sampled_from((1, 1, 3, 12, 10 ** 20 + 39))), tuple(re), tuple(im)
+
+
+@st.composite
+def operand_pairs(draw):
+    la, lb = draw(live_counts)
+    return draw(numerator_forms(la)), draw(numerator_forms(lb))
+
+
+def loop_sums(product, a, b):
+    """The unreduced sums of the Python loop route."""
+    _, br, bi = b
+    live = [(j, y, z) for j, y, z in zip(range(16), br, bi) if y or z]
+    return product._loop_sums(a[1], a[2], live)
+
+
+def is_live(form):
+    return [bool(x or y) for x, y in zip(form[1], form[2])]
+
+
+def takes_int64(a, b):
+    """The route rule: enough live pairs and every numerator in bound."""
+    pairs = sum(is_live(a)) * sum(is_live(b))
+    in_bound = all(abs(x) < INT64_BOUND for x in a[1] + a[2] + b[1] + b[2])
+    return pairs >= DENSE_PAIRS and in_bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(operand_pairs())
+def test_exact_routes_match_naive_product_and_each_other(pair):
+    a, b = pair
+    zero = QQi(0)
+    for product, table in _PRODUCTS:
+        got = product.exact(a, b)
+        assert coefficients(*got) == tuple(naive_product(
+            table, coefficients(*a), coefficients(*b), zero))
+        re, im = loop_sums(product, a, b)
+        assert got == lowest_terms(a[0] * b[0], re, im)
+        if all(abs(x) < INT64_BOUND for x in a[1] + a[2] + b[1] + b[2]):
+            # the int64 sums are the loop's integers on any in-bound pair, sparse or not
+            assert product._int64_tables()
+            sums = product._int64_sums(a[1] + a[2] + b[1] + b[2])
+            assert sums == re + im
+            assert all(type(x) is int for x in sums)
+
+
+def _fail(*args):
+    raise AssertionError("this route must not run")
+
+
+def _dense_form(live, value, den=1):
+    """A form whose first `live` blades k hold value + i*(value // 2 + k),
+    value nonzero."""
+    re = [value if k < live else 0 for k in range(16)]
+    im = [value // 2 + k if k < live else 0 for k in range(16)]
+    return den, tuple(re), tuple(im)
+
+
+@pytest.mark.parametrize("la,lb", [(8, 8), (16, 4), (4, 16), (16, 16), (11, 6)])
+@pytest.mark.parametrize("value", [1, INT64_BOUND - 16, -INT64_BOUND + 1])
+def test_a_dense_in_bound_product_takes_int64(la, lb, value, monkeypatch):
+    a, b = _dense_form(la, value, 3), _dense_form(lb, -value)
+    assert takes_int64(a, b)
+    want = [(product.exact(a, b), product) for product, _ in _PRODUCTS]
+    monkeypatch.setattr(BladeProduct, "_loop_sums", _fail)
+    for form, product in want:
+        assert product.exact(a, b) == form
+
+
+@pytest.mark.parametrize("la,lb", [(9, 7), (7, 9), (4, 15), (1, 16), (0, 16)])
+def test_a_product_below_the_live_pair_count_takes_the_loop(la, lb, monkeypatch):
+    a, b = _dense_form(la, 5), _dense_form(lb, -3)
+    want = [(product.exact(a, b), product) for product, _ in _PRODUCTS]
+    monkeypatch.setattr(BladeProduct, "_int64_sums", _fail)
+    for form, product in want:
+        assert product.exact(a, b) == form
+
+
+@pytest.mark.parametrize("big", [INT64_BOUND, -INT64_BOUND, INT64_BOUND + 1, 10 ** 30])
+@pytest.mark.parametrize("where", [(0, 1, 0), (0, 2, 15), (1, 1, 7), (1, 2, 3)])
+def test_a_numerator_at_the_bound_takes_the_loop(big, where, monkeypatch):
+    forms = [_dense_form(16, 1), _dense_form(16, -2)]
+    side, part, blade = where
+    parts = list(forms[side])
+    values = list(parts[part])
+    values[blade] = big
+    parts[part] = tuple(values)
+    forms[side] = tuple(parts)
+    a, b = forms
+    assert not takes_int64(a, b)
+    zero = QQi(0)
+    monkeypatch.setattr(BladeProduct, "_int64_sums", _fail)
+    for product, table in _PRODUCTS:
+        assert coefficients(*product.exact(a, b)) == tuple(naive_product(
+            table, coefficients(*a), coefficients(*b), zero))
+
+
+def test_package_tables_are_xor_tables():
+    for product, table in _PRODUCTS:
+        index, sign = gather_tables(table)
+        assert index.shape == sign.shape == (32, 32)
+        assert not index.flags.writeable and not sign.flags.writeable
+        assert set(sign.ravel().tolist()) <= {-1, 0, 1}
+
+
+def test_a_table_off_xor_is_refused_and_keeps_the_loop():
+    # the OR monoid algebra: blade i times blade j is blade i | j, which is
+    # i ^ j only when the two share no axis
+    or_table = tuple(tuple((1, i | j) for j in range(16)) for i in range(16))
+    with pytest.raises(ValueError, match="not on"):
+        gather_tables(or_table)
+    product = BladeProduct(or_table)
+    a, b = _dense_form(16, 3), _dense_form(16, -5, 2)
+    zero = QQi(0)
+    assert coefficients(*product.exact(a, b)) == tuple(naive_product(
+        or_table, coefficients(*a), coefficients(*b), zero))
+    assert product._gather is False
+
+
+def test_kernel_imports_numpy_only_inside_functions():
+    tree = ast.parse(Path(kernel.__file__).read_text(encoding="utf-8"))
+    module_level = []
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            module_level += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module_level.append(node.module or "")
+        stack.extend(ast.iter_child_nodes(node))
+    assert module_level
+    assert not [name for name in module_level if name.split(".")[0] == "numpy"]
+    # the gather tables are built inside a function that imports numpy itself
+    assert "numpy" in _names_in_source(kernel)
 
 
 # ---- the exact number format against term-by-term QQi arithmetic -------------
