@@ -13,6 +13,7 @@ rounding dust.
 
 from __future__ import annotations
 
+import cmath
 import json
 import warnings
 import zipfile
@@ -80,16 +81,22 @@ def _times(c: complex, row: np.ndarray) -> np.ndarray:
 
 
 def _apply_blades(mat: np.ndarray, values: np.ndarray, out: np.ndarray,
-                  shift: Offset = _ZERO_OFFSET) -> None:
+                  live: list[bool], shift: Offset = _ZERO_OFFSET) -> None:
     """out[i] += sum_j mat[i, j] values[j], with values read at site + shift.
 
     One blade row at a time, over the live xor diagonals of mat only: a
     one-blade multiplication or a difference entry costs one row product per
     blade, a dense matrix at most sixteen, and the only temporaries are
-    single rows.  Zeros inside a live diagonal are multiplied, not skipped,
-    so 0 * inf still gives NaN.  Each row sums its terms from the lowest
-    source blade up and is added to out once, so finite results equal
-    einsum's bit for bit.
+    single rows.  `live[j]` tells whether source row j is nonzero at some
+    site (`values[j].any()`, worked out once by the caller).  A term whose
+    source row is dead and whose coefficient is finite is dropped, and an
+    output row left with no term is not touched.  That keeps every byte:
+    such a term is +-0 everywhere, and out starts at +0.0 and only gains
+    sums, so it never holds -0.0 and adding +-0 changes nothing.  Zeros
+    inside a live diagonal are multiplied, not skipped, and a non-finite
+    coefficient is kept even on a dead row, so 0 * inf still gives NaN.
+    Each row sums its terms from the lowest source blade up and is added to
+    out once, so finite results equal einsum's bit for bit.
     """
     # a zero matrix still multiplies its main diagonal, so a non-finite site
     # is not dropped from mul_const by zero
@@ -98,7 +105,11 @@ def _apply_blades(mat: np.ndarray, values: np.ndarray, out: np.ndarray,
     # reading f(site + k e_axis) means rolling data backwards
     back = tuple(-shift[axis] for axis in axes)
     for i in range(16):
-        (j, c), *rest = sorted((i ^ s, diag[i]) for s, diag in diagonals.items())
+        terms = sorted((i ^ s, diag[i]) for s, diag in diagonals.items()
+                       if live[i ^ s] or not cmath.isfinite(diag[i]))
+        if not terms:
+            continue
+        (j, c), *rest = terms
         acc = _times(c, values[j])
         for j, c in rest:
             acc += _times(c, values[j])
@@ -143,7 +154,8 @@ class GridField:
 
     def mul_const(self, mv: Multivector, side: str = "right") -> "GridField":
         out = np.zeros_like(self.values)
-        _apply_blades(_blade_matrix(CLIFFORD, mv.to_float(), side), self.values, out)
+        _apply_blades(_blade_matrix(CLIFFORD, mv.to_float(), side), self.values, out,
+                      [v.any() for v in self.values])
         return GridField(self.n, self.h, out)
 
     def pointwise_product(self, other: "GridField") -> "GridField":
@@ -156,12 +168,21 @@ class GridField:
         return GridField(self.n, self.h, out)
 
     def _map_blades(self, table, conjugate: bool = False) -> "GridField":
-        """Apply a blade map site by site; with `conjugate`, conjugate the values."""
-        src = self.values.conj() if conjugate else self.values
+        """Apply a blade map site by site; with `conjugate`, conjugate the values.
+        Each target row is written in place, with no copy of the whole field."""
         out = np.zeros_like(self.values)
         for m, (sign, target) in enumerate(table):
-            if sign:
-                out[target] = src[m] if sign > 0 else -src[m]
+            if not sign:
+                continue
+            row = out[target]
+            if conjugate:
+                np.conjugate(self.values[m], out=row)
+                if sign < 0:
+                    np.negative(row, out=row)
+            elif sign < 0:
+                np.negative(self.values[m], out=row)
+            else:
+                row[...] = self.values[m]
         return GridField(self.n, self.h, out)
 
     def hodge_star(self) -> "GridField":
@@ -368,13 +389,15 @@ class Stencil:
         """The stencil applied to a grid of its spacing: for each offset, its
         matrix acts on the blade axis of the field read at site + offset,
         through the blade kernel `_apply_blades` (one blade row at a time,
-        over the live xor diagonals of the matrix)."""
+        over the live xor diagonals of the matrix, skipping the source rows
+        that are zero at every site)."""
         if field.h != self.h:
             raise DomainError(f"a stencil of spacing {self.h} cannot act on a grid "
                               f"of spacing {field.h}")
         out = np.zeros_like(field.values)
+        live = [v.any() for v in field.values]
         for off, mat in self.entries.items():
-            _apply_blades(mat, field.values, out, off)
+            _apply_blades(mat, field.values, out, live, off)
         return GridField(field.n, field.h, out)
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from stada import grid
 from stada.equations import residual_ilk, residual_tensor
 from stada.errors import DomainError, StadaError
-from stada.exterior import _wedge_sequence, hodge_star
+from stada.exterior import STAR_TABLE, _wedge_sequence, hodge_star
 from stada.fields import AnalyticField, d, delta, laplace, upsilon, upsilon_gradient
 from stada.grid import (
     AliasingWarning,
@@ -23,7 +23,14 @@ from stada.grid import (
     sample,
 )
 from stada.ideal import canonical_basis
-from stada.multivector import Multivector, basis_vector, blade_indices
+from stada.multivector import (
+    GRADE_MAPS,
+    ODD_MAP,
+    REVERSION_MAP,
+    Multivector,
+    basis_vector,
+    blade_indices,
+)
 from stada.scalars import FLOAT
 
 
@@ -263,6 +270,118 @@ def test_non_finite_site_never_vanishes(blade, bad):
             pass  # refusing the state is not a pass either
 
 
+def _grid_with_dead_rows(seed, dead, bad):
+    """A random grid whose rows are dead ("none", "some" or "all" of them) and
+    hold -0.0 in both parts; with `bad`, one site of a live row is inf or NaN."""
+    rng = np.random.default_rng(seed)
+    f = random_grid(4, 0.5, seed=seed)
+    rows = {"none": [], "some": rng.choice(16, size=int(rng.integers(1, 16)), replace=False),
+            "all": list(_ROWS)}[dead]
+    f.values[rows] = complex(-0.0, -0.0)
+    live = [m for m in range(16) if m not in set(rows)]
+    if bad is not None and live:
+        f.values[(int(rng.choice(live)),) + _BAD_SITE] = bad
+    return f
+
+
+def _without_skip(entries, values):
+    """The blade kernel with every source row taken as live: no term dropped."""
+    out = np.zeros_like(values)
+    for off, mat in entries.items():
+        grid._apply_blades(mat, values, out, [True] * 16, off)
+    return out
+
+
+_dead = st.sampled_from(["none", "some", "all"])
+_bad = st.sampled_from([None, np.inf, -np.inf, np.nan, complex(np.inf, np.nan)])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(["xor", "monomial", "dense"]), _dead, _bad, _offsets,
+       st.integers(0, 2 ** 32 - 1))
+@example("xor", "some", None, (1, 0, -1, 0), 4)
+@example("monomial", "some", np.nan, (0, 2, 0, 0), 5)
+@example("xor", "all", None, (0, 0, 0, 0), 6)
+def test_dead_rows_keep_the_bytes(kind, dead, bad, off, seed):
+    # a dropped term is +-0 everywhere and out never holds -0.0, so skipping keeps every byte
+    mat = _blade_matrix_of(kind, np.random.default_rng(seed))
+    f = _grid_with_dead_rows(seed, dead, bad)
+    got = Stencil(0.5, {off: mat}).apply(f).values
+    assert got.tobytes() == _without_skip({off: mat}, f.values).tobytes()
+    if bad is None and kind != "dense":
+        # einsum also multiplies the zeros off the diagonals, so it matches finite fields only
+        assert got.tobytes() == _reference_apply({off: mat}, f.values).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 16), st.sampled_from(["left", "right"]), _dead, _bad,
+       st.integers(0, 2 ** 32 - 1))
+def test_mul_const_on_dead_rows_keeps_the_bytes(blades, side, dead, bad, seed):
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros(16, dtype=complex)
+    live = rng.choice(16, size=blades, replace=False)
+    coeffs[live] = _coefficients(rng, blades)
+    mv = Multivector(list(coeffs), FLOAT)
+    f = _grid_with_dead_rows(seed, dead, bad)
+    got = f.mul_const(mv, side).values
+    mat = grid._blade_matrix(grid.CLIFFORD, mv, side)
+    assert got.tobytes() == _without_skip({(0, 0, 0, 0): mat}, f.values).tobytes()
+    if bad is None and blades == 1:
+        want = _reference_apply({(0, 0, 0, 0): _product_matrix(mv, side)}, f.values)
+        assert got.tobytes() == want.tobytes()
+
+
+def _scalar_row_only(seed=7):
+    f = GridField.zeros(4, 0.5)
+    f.values[0] = random_grid(4, 0.5, seed=seed).values[0]
+    return f
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("blade", [0, 5, 15])
+def test_infinite_constant_on_dead_rows_gives_nan(blade, side):
+    # inf * 0 is NaN: a dead source row is skipped only under a finite coefficient
+    f = _scalar_row_only()
+    mv = Multivector([np.inf if m == blade else 0.0 for m in range(16)], FLOAT)
+    got = f.mul_const(mv, side).values
+    assert all(np.isnan(row).all() for row in got)
+    mat = grid._blade_matrix(grid.CLIFFORD, mv, side)
+    assert got.tobytes() == _without_skip({(0, 0, 0, 0): mat}, f.values).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("s", [1, 6, 15])
+@pytest.mark.parametrize("off", [(0, 0, 0, 0), (1, 0, 0, -1)])
+def test_infinite_stencil_coefficient_on_a_dead_row_gives_nan(s, off):
+    # one xor diagonal reads the live scalar row into row s; row 3 ^ s reads dead row 3 under inf
+    f = _scalar_row_only()
+    mat = np.zeros((16, 16), dtype=complex)
+    mat[_ROWS, _ROWS ^ s] = 0.5 - 0.25j
+    mat[3 ^ s, 3] = np.inf
+    got = Stencil(0.5, {off: mat}).apply(f).values
+    assert np.isnan(got[3 ^ s]).all()
+    assert np.isfinite(got[s]).all() and got[s].all()
+    assert not np.delete(got, [s, 3 ^ s], axis=0).any()
+    assert got.tobytes() == _without_skip({off: mat}, f.values).tobytes()
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 16])
+def test_upsilon_makes_one_row_product_per_live_row_and_entry(k, monkeypatch):
+    # Υ has eight entries of one blade each: 8 k row products on k live rows, not 128
+    calls = []
+    times = grid._times
+    monkeypatch.setattr(grid, "_times", lambda c, row: calls.append(c) or times(c, row))
+    f = random_grid(4, 0.5, seed=k)
+    f.values[np.random.default_rng(k).permutation(16)[k:]] = 0
+    lattice = upsilon_gradient(Stencil.identity(f.h))
+    assert len(lattice.entries) == 8
+    lattice.apply(f)
+    assert len(calls) == 8 * k
+
+
 def test_sampling_matches_pointwise_eval():
     field = AnalyticField.plane_wave(
         Multivector.unit(FLOAT) + basis_vector(2, FLOAT), (1.0, 0.0, 0.0, 0.0))
@@ -364,6 +483,37 @@ def test_blade_maps_match_multivector(op):
     f = random_grid(4, 0.5, seed=3)
     for site in [(0, 1, 2, 3), (3, 0, 0, 2), (2, 2, 1, 1)]:
         assert (grid_map(f).eval(site) - reference(f.eval(site))).max_abs() < 1e-13
+
+
+def _map_blades_by_copy(values, table, conjugate):
+    """A blade map built from a conjugated copy of the field and -src[m]."""
+    src = values.conj() if conjugate else values
+    out = np.zeros_like(values)
+    for m, (sign, target) in enumerate(table):
+        if sign:
+            out[target] = src[m] if sign > 0 else -src[m]
+    return out
+
+
+_COPY_MAPS = {
+    **{f"grade{k}": (lambda f, k=k: f.grade_part(k), GRADE_MAPS[k], False) for k in range(5)},
+    "odd": (GridField.odd_part, ODD_MAP, False),
+    "star_involution": (GridField.star_involution, REVERSION_MAP, True),
+    "hodge_star": (GridField.hodge_star, STAR_TABLE, False),
+}
+
+
+@pytest.mark.parametrize("op", list(_COPY_MAPS))
+def test_blade_maps_in_place_keep_the_bytes(op):
+    grid_map, table, conjugate = _COPY_MAPS[op]
+    f = random_grid(4, 0.5, seed=8)
+    specials = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), complex(np.inf, -0.0),
+                complex(-np.inf, np.nan), complex(np.nan, -np.inf), complex(-np.nan, 1.0)]
+    for m in range(16):
+        for k, z in enumerate(specials):
+            f.values[m, k % 4, k // 4, m % 4, 1] = z
+    got = grid_map(f).values
+    assert got.tobytes() == _map_blades_by_copy(f.values, table, conjugate).tobytes()
 
 
 @pytest.mark.parametrize("k", [5, -1])
