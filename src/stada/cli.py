@@ -4,6 +4,10 @@ residual computation, and report summaries.
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 usage or
 input errors.  Reports are JSON with sorted keys, so a fixed seed gives
 byte-identical output apart from the environment stamp.
+
+A command imports the modules it runs when it runs: `verify` loads
+`suites` and `residual` loads `equations`, so `eval` and `report` never
+load numpy.
 """
 
 from __future__ import annotations
@@ -14,12 +18,12 @@ import math
 import os
 import sys
 
-from . import scalars, suites
-from .equations import EquationForm
+from . import scalars
 from .errors import DomainError, ParseError, StadaError
 from .expr import eval_expr, parse_field
 from .fields import AnalyticField, Poly
 from .multivector import format_multivector
+from .names import SUITE_NAMES, EquationForm
 from .scalars import EXACT, FLOAT
 
 EXIT_PASS = 0
@@ -49,6 +53,8 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _cmd_verify(args) -> int:
+    from . import suites
+
     report = suites.run_suite(args.suite, seed=args.seed, backend=args.backend,
                               iterations=args.iterations, tolerance=args.tolerance)
     for check in report.checks:
@@ -285,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
-    p_verify.add_argument("--suite", default="all", choices=suites.SUITE_NAMES)
+    p_verify.add_argument("--suite", default="all", choices=SUITE_NAMES)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--backend", default="exact", choices=("exact", "float"),
                           help="scalar backend of the equations suite; the other "

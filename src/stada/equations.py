@@ -19,7 +19,6 @@ import math
 import operator
 import random
 from dataclasses import dataclass, field as dataclass_field
-from enum import Enum
 from fractions import Fraction
 
 import numpy as np
@@ -40,24 +39,9 @@ from .multivector import (
     l5,
     require_unit_square,
 )
+from .names import EquationForm
 from .scalars import DEFAULT_TOLERANCE, EXACT, FLOAT, QQi, nan_max
-
-
-class EquationForm(Enum):
-    DIRAC_MATRIX = "dirac"
-    IDEAL = "ideal"
-    HESTENES = "hde"
-    TENSOR = "tde"
-    ILK = "ilk"
-    ILK_EVEN = "ilk-even"
-    ILK_E5 = "ilk-e5"
-
-    @classmethod
-    def from_name(cls, name: str) -> "EquationForm":
-        for member in cls:
-            if member.value == name:
-                return member
-        raise DomainError(f"unknown equation form {name!r}")
+from .spin import lorentz_of
 
 
 # ---- bispinor-valued fields -------------------------------------------------
@@ -1012,8 +996,6 @@ def covariance_check(s, config: FieldConfig, *, tolerance: float = 1e-10,
                      seed: int = 0) -> CovarianceReport:
     """Transform a configuration by the Lorentz change of coordinates carried
     by a spin element and check the transformed residual."""
-    from .spin import lorentz_of
-
     form = config.form
     state = config.state
     pot = config.potential

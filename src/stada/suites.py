@@ -43,6 +43,7 @@ from .multivector import (
     inverse,
     l5,
 )
+from .names import SUITE_NAMES
 from .scalars import DEFAULT_TOLERANCE, EXACT, FLOAT, QQi, nan_max
 
 
@@ -964,8 +965,6 @@ _SUITES = {
     "fields": _suite_fields,
     "equations": _suite_equations,
 }
-
-SUITE_NAMES = tuple(_SUITES) + ("all",)
 
 
 def run_suite(name: str, seed: int = 0, backend: str = EXACT,

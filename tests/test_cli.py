@@ -90,6 +90,29 @@ def test_verify_unknown_suite_is_usage(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv,choices", [
+    (["verify", "--suite", "nope"], suites.SUITE_NAMES),
+    (["residual", "--form", "nope"], [f.value for f in EquationForm]),
+], ids=["suite", "form"])
+def test_an_unknown_choice_names_every_choice_in_one_line(argv, choices, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert out.err.startswith(f"error: argument {argv[1]}: invalid choice: 'nope'")
+    assert out.err.count("\n") == 1 and all(repr(c) in out.err for c in choices)
+
+
+@pytest.mark.parametrize("command,choices", [
+    ("verify", "{" + ",".join(suites.SUITE_NAMES) + "}"),
+    ("residual", "{" + ",".join(f.value for f in EquationForm) + "}"),
+])
+def test_help_lists_the_choices(command, choices, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0 and choices in capsys.readouterr().out
+
+
 def test_verify_env_report_dir(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("STADA_REPORT_DIR", str(tmp_path))
     code, out, _ = run_cli(["verify", "--suite", "hodge"], capsys)

@@ -1,0 +1,137 @@
+"""The lazy `stada` package: every public name, what an import loads, and
+what a command loads."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+import stada
+from stada import equations, names, suites
+
+# every public name of the package, by the module it was imported from when
+# the package imported all of them eagerly
+PUBLIC = {
+    "errors": ["BackendMismatchError", "ConsistencyError", "ConvergenceError", "DomainError",
+               "InvalidGeneratorError", "InvalidSpinError", "ParseError", "StadaError"],
+    "scalars": ["DEFAULT_TOLERANCE", "EXACT", "FLOAT", "QQi"],
+    "multivector": ["Multivector", "basis_vector", "clifford_product", "exterior_product",
+                    "format_multivector", "hermitian_conjugate", "inverse", "l5",
+                    "multivector_from_json", "multivector_to_json"],
+    "exterior": ["ExteriorForm", "METRIC_G", "clifford_product_via_table", "com_bracket",
+                 "hodge_star", "missing_case_audit"],
+    "spin": ["LorentzMatrix", "SpinElement", "lorentz_of", "random_rational_spin",
+             "random_spin", "recover_spin", "recover_spin_candidates", "recover_spin_pair",
+             "sandwich", "sandwich_inverse", "spin_from_bivector"],
+    "generators": ["SecondaryGenerators", "basis16_of", "canonical_generators",
+                   "make_secondary", "secondary_violations", "transported_generators"],
+    "ideal": ["Bispinor", "IdealBasis", "bispinor_from_ideal", "bispinor_to_json",
+              "canonical_basis", "even_from_ideal", "gamma_of", "ideal_from_bispinor",
+              "ideal_from_even", "idempotent_of", "matrix_to_json", "representation_change",
+              "scalar_product"],
+    "fields": ["AnalyticField", "Poly", "d", "delta", "laplace", "real_polynomial",
+               "upsilon", "upsilon_gradient"],
+    "grid": ["AliasingWarning", "GridField", "Stencil", "sample"],
+    "equations": ["BispinorField", "CovarianceReport", "CurrentResult", "EquationForm",
+                  "FieldConfig", "PlaneWaveSolution", "ResidualReport", "boosted_momentum",
+                  "covariance_check", "current", "gauge_transform", "lagrangian",
+                  "maxwell_residual", "plane_wave", "residual_dirac", "residual_hestenes",
+                  "residual_ideal", "residual_ilk", "residual_ilk_e5", "residual_ilk_even",
+                  "residual_tensor", "translate"],
+    "expr": ["eval_expr"],
+    "suites": ["RunReport", "SUITE_NAMES", "run_suite"],
+}
+SUBMODULES = sorted(set(PUBLIC) | {"cli", "kernel", "linalg", "names"})
+
+
+def run_fresh(code: str):
+    """The JSON a fresh interpreter prints after running `code`."""
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_every_public_name_is_the_object_of_its_module():
+    wrong = [name for module, listed in PUBLIC.items() for name in listed
+             if getattr(stada, name)
+             is not getattr(importlib.import_module(f"stada.{module}"), name)]
+    assert wrong == []
+
+
+def test_all_lists_every_public_name_and_dir_every_submodule():
+    public = {name for listed in PUBLIC.values() for name in listed}
+    assert sorted(stada.__all__) == stada.__all__ and set(stada.__all__) == public
+    assert public | set(SUBMODULES) <= set(dir(stada))
+    assert "__main__" not in dir(stada)
+
+
+def test_star_import_binds_all():
+    namespace = {}
+    exec("from stada import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == stada.__all__
+    assert all(value is getattr(stada, name) for name, value in namespace.items())
+
+
+def test_an_unknown_name_is_a_one_line_attribute_error():
+    with pytest.raises(AttributeError) as exc:
+        stada.no_such_name  # noqa: B018
+    assert str(exc.value) == "module 'stada' has no attribute 'no_such_name'"
+    assert not hasattr(stada, "__wrapped__")
+
+
+def test_version_is_unchanged():
+    assert stada.__version__ == "0.1.0"
+
+
+def test_the_parser_names_are_the_engine_objects():
+    assert equations.EquationForm is names.EquationForm is stada.EquationForm
+    assert suites.SUITE_NAMES is names.SUITE_NAMES is stada.SUITE_NAMES
+    # "all" runs every battery, in the order the parser lists them
+    assert tuple(suites._SUITES) + ("all",) == names.SUITE_NAMES
+
+
+def test_each_submodule_resolves_before_anything_imports_it():
+    loaded = run_fresh(f"""
+        import json, sys
+        seen = {{}}
+        for name in {SUBMODULES!r}:
+            for key in [k for k in sys.modules if k == "stada" or k.startswith("stada.")]:
+                del sys.modules[key]
+            import stada
+            before = "stada." + name in sys.modules
+            module = getattr(stada, name)
+            seen[name] = [before, module is sys.modules["stada." + name], module.__name__]
+        print(json.dumps(seen))
+    """)
+    assert loaded == {name: [False, True, f"stada.{name}"] for name in SUBMODULES}
+
+
+def test_the_basis_probe_loads_only_the_algebra():
+    loaded = run_fresh("""
+        import json, sys
+        import stada
+        stada.canonical_basis()
+        stada.canonical_basis("float")
+        print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "stada")))
+    """)
+    assert loaded == ["stada", "stada.errors", "stada.generators", "stada.ideal",
+                      "stada.kernel", "stada.multivector", "stada.scalars"]
+
+
+def test_eval_loads_no_numpy_and_no_engine_beyond_the_algebra():
+    got = run_fresh("""
+        import contextlib, io, json, sys
+        from stada.cli import main
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(["eval", "e0 * e1"])
+        heavy = ["numpy", "stada.suites", "stada.equations", "stada.grid"]
+        print(json.dumps([code, out.getvalue(), [m for m in heavy if m in sys.modules]]))
+    """)
+    assert got == [0, "e01\n", []]
