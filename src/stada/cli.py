@@ -22,7 +22,7 @@ from . import scalars
 from .errors import DomainError, ParseError, StadaError
 from .expr import eval_expr, parse_field
 from .fields import AnalyticField, Poly
-from .multivector import format_multivector
+from .multivector import format_multivector, multivector_from_json
 from .names import SUITE_NAMES, EquationForm
 from .scalars import EXACT, FLOAT
 
@@ -105,8 +105,6 @@ def _cmd_residual(args) -> int:
     pot = None
     if args.potential:
         if os.path.exists(args.potential):
-            from .multivector import multivector_from_json
-
             with open(args.potential, encoding="utf-8") as fh:
                 try:
                     data = json.load(fh)

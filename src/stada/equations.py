@@ -25,8 +25,8 @@ import numpy as np
 
 from . import linalg, scalars
 from .errors import ConsistencyError, DomainError
-from .fields import (AnalyticField, Poly, complex_from_parts, complex_times, d, phase_cos,
-                     phase_sin, upsilon_gradient)
+from .fields import (AnalyticField, Poly, complex_from_parts, complex_times, d, delta,
+                     phase_cos, phase_sin, upsilon_gradient)
 from .generators import SecondaryGenerators
 from .grid import GridField, Stencil, central_difference, sample
 from .ideal import IdealBasis, canonical_basis, gamma_of
@@ -36,6 +36,7 @@ from .multivector import (
     REVERSION_MAP,
     Multivector,
     basis_vector,
+    blade_indices,
     l5,
     require_unit_square,
 )
@@ -471,18 +472,11 @@ def form_operator(form: EquationForm, state, pot, m, h: Multivector | None = Non
 # ---- validated residual reports ----------------------------------------------------
 
 
-@functools.cache
-def _default_basis(backend: str) -> IdealBasis:
-    """The canonical basis of a backend, built once for the callers that pass
-    none (`canonical_basis` itself builds a fresh basis on every call)."""
-    return canonical_basis(backend)
-
-
-def _gammas(backend: str, basis: IdealBasis | None, tol: float) -> tuple:
-    basis = basis or _default_basis(backend)
+def _gammas(backend: str, basis: IdealBasis | None) -> tuple:
+    basis = basis or canonical_basis(backend)
     if backend == EXACT:
         return tuple(gamma_of(basis_vector(mu, EXACT), basis) for mu in range(4))
-    return basis.to_float().vector_gammas(max(tol, DEFAULT_TOLERANCE))
+    return basis.to_float().vector_gammas()
 
 
 def _residual(form: EquationForm, state, pot, m, h=None, i2=None, basis=None, *,
@@ -493,7 +487,7 @@ def _residual(form: EquationForm, state, pot, m, h=None, i2=None, basis=None, *,
     if row.domain is not None:
         row.domain(state, basis, tolerance)
     if form == EquationForm.DIRAC_MATRIX:  # the independent gamma-matrix route
-        res = dirac_operator(state, pot, m, _gammas(state.backend, basis, tolerance))
+        res = dirac_operator(state, pot, m, _gammas(state.backend, basis))
     else:
         res = form_operator(form, state, pot, m, h, i2)
     notes = []
@@ -642,8 +636,7 @@ def translate(state, src: EquationForm, dst: EquationForm, basis: IdealBasis):
         if dst in (EquationForm.HESTENES, EquationForm.TENSOR):
             comps = _component_fields(state, basis)
             out = AnalyticField.zero(state.backend)
-            for comp, f in zip(comps, basis.fs):
-                fi = f * basis.gens.i2
+            for comp, f, fi in zip(comps, basis.fs, basis.fs_i2):
                 out = out + comp.real_part().mul_const(f, side="right")
                 out = out + comp.imag_part().mul_const(fi, side="right")
             return out
@@ -827,8 +820,6 @@ def maxwell_residual(phi: AnalyticField, pot, h_mv: Multivector, *,
                      seed: int = 0) -> MaxwellResult:
     """Residuals of the coupled field equations: dA - F (zero by construction)
     and delta F - J with J the conserved current of the matter field."""
-    from .fields import delta
-
     backend = phi.backend
     F = d(pot) if pot is not None else AnalyticField.zero(backend)
     strength_residual = (d(pot) - F) if pot is not None else AnalyticField.zero(backend)
@@ -858,14 +849,13 @@ class PlaneWaveSolution:
 
 
 def plane_wave(form: EquationForm, p, m, sign: int = 1,
-               basis: IdealBasis | None = None, which: int = 0,
-               tol: float = DEFAULT_TOLERANCE) -> PlaneWaveSolution:
+               basis: IdealBasis | None = None, which: int = 0) -> PlaneWaveSolution:
     """Exact free solution of the requested form with momentum covector p.
 
     The amplitude u is vector `which` of the `linalg.null_space` of
     p-slash - sign*m; the momentum must satisfy the mass-shell relation
-    p.p = m^2.  The gammas are those of `basis.to_float()`; a basis born
-    float has their reconstruction checked within `tol`.
+    p.p = m^2.  The gammas are those of `basis.to_float()`, the rounded exact
+    gamma_of(e_mu) of the canonical basis when none is given.
 
     The state is u exp(i phi), phi = -sign p.x, carried to the form without
     a field translation: every translation is pointwise and R-linear, so it
@@ -885,8 +875,8 @@ def plane_wave(form: EquationForm, p, m, sign: int = 1,
     scale = max(1.0, sum(v * v for v in p))
     if not abs(shell - m * m) <= 1e-10 * scale:  # NaN from overflow is off shell too
         raise DomainError(f"momentum is off shell: p.p = {shell}, m^2 = {m * m}")
-    basis = basis.to_float() if basis is not None else _default_basis(FLOAT)
-    pslash = sum(p[mu] * np.array(g) for mu, g in enumerate(basis.vector_gammas(tol)))
+    basis = (basis or canonical_basis()).to_float()
+    pslash = sum(p[mu] * np.array(g) for mu, g in enumerate(basis.vector_gammas()))
     amplitudes = linalg.null_space(pslash - sign * m * np.eye(4))
     if not amplitudes:
         raise DomainError("no amplitude solves the momentum-space equation")
@@ -937,8 +927,6 @@ def boosted_momentum(m: float, rapidity: float, direction) -> tuple:
 
 def _push_matrix(q_rows, backend: str):
     """Slot matrix of the substitution e^nu -> sum_lambda q[nu][lambda] e^lambda."""
-    from .multivector import blade_indices
-
     cols = []
     for mask in range(16):
         blade = Multivector.unit(backend)
@@ -953,8 +941,8 @@ def _push_matrix(q_rows, backend: str):
     return [[cols[j][i] for j in range(16)] for i in range(16)]
 
 
-def push_covectors(mv: Multivector, q_rows) -> Multivector:
-    rows = _push_matrix(q_rows, mv.backend)
+def push_covectors(mv: Multivector, rows) -> Multivector:
+    """mv with its covectors substituted by the slot matrix `rows` of `_push_matrix`."""
     out = [scalars.zero(mv.backend)] * 16
     for j, c in enumerate(mv.coeffs):
         if not c:
@@ -976,9 +964,14 @@ class FieldConfig:
     mass: object
     basis: IdealBasis
 
+    @property
+    def state_basis(self) -> IdealBasis:
+        """The basis on the state's backend: the float copy for a float state."""
+        return self.basis if self.state.backend == EXACT else self.basis.to_float()
+
     def residual(self, *, tolerance: float = DEFAULT_TOLERANCE,
                  seed: int = 0) -> ResidualReport:
-        b = self.basis if self.state.backend == EXACT else self.basis.to_float()
+        b = self.state_basis
         return _RESIDUALS[self.form](self.state, self.potential, self.mass, b, b.gens.h,
                                      b.gens.i2, tolerance=tolerance, seed=seed)
 
@@ -1000,16 +993,14 @@ def covariance_check(s, config: FieldConfig, *, tolerance: float = 1e-10,
     state = config.state
     pot = config.potential
     m = config.mass
-    basis = config.basis
+    basis = config.state_basis
     q = lorentz_of(s, inverse=True).rows
     if isinstance(state, GridField):
         raise DomainError("covariance checks run on the analytic backend")
+    # one slot matrix pushes the covectors of the potential, the tensor state, H and I
+    push = _push_matrix(q, state.backend)
     # potential: new components a~_lam = q^mu_lam a_mu composed with x = Q x~
-    if pot is not None:
-        pot_moved = pot.compose_linear(q)
-        new_pot = pot_moved.apply_slot_matrix(_push_matrix(q, pot.backend))
-    else:
-        new_pot = None
+    new_pot = pot.compose_linear(q).apply_slot_matrix(push) if pot is not None else None
     h, i2 = new_h, new_i = basis.gens.h, basis.gens.i2
     if form == EquationForm.DIRAC_MATRIX:
         new_state = state.compose_linear(q).apply_matrix(gamma_of(s.element, basis))
@@ -1017,9 +1008,8 @@ def covariance_check(s, config: FieldConfig, *, tolerance: float = 1e-10,
         new_state = AnalyticField.constant(s.element).clifford(state.compose_linear(q))
     elif form == EquationForm.TENSOR:
         # the exterior form pushes the state's covectors, and H and I with them
-        push = _push_matrix(q, state.backend)
         new_state = state.compose_linear(q).apply_slot_matrix(push)
-        new_h, new_i = push_covectors(h, q), push_covectors(i2, q)
+        new_h, new_i = push_covectors(h, push), push_covectors(i2, push)
     else:
         raise DomainError(f"covariance check not defined for form {form.value}")
     before = _RESIDUALS[form](state, pot, m, basis, h, i2, tolerance=tolerance, seed=seed)

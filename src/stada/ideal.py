@@ -2,30 +2,32 @@
 representation of the algebra, together with the bijections between the
 ideal, bispinor columns, and the real even subalgebra.
 
-Everything here runs on either backend, but theorem-grade checks use the
-exact backend: the idempotent construction is rational in the generators,
-so idempotency, orthonormality, and homomorphism properties are asserted
-as equalities, not tolerances.
+A basis is built only from exact generators: the idempotent construction
+is rational in them, so idempotency, the ideal multiplication law and
+orthonormality are asserted as equalities, not tolerances.  Its float copy
+(`IdealBasis.to_float`) rounds the verified exact basis, so there is one
+kind of float basis and no float construction check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import scalars
 from .errors import ConsistencyError, DomainError
-from .generators import SecondaryGenerators, canonical_generators
+from .generators import SecondaryGenerators, canonical_generators, transported_generators
 from .kernel import ExactLinearMap
 from .multivector import (
+    EVEN_MASKS,
     Multivector,
     basis_vector,
     hermitian_conjugate,
     numerators,
     scalar_part_of_product,
 )
-from .scalars import DEFAULT_TOLERANCE, EXACT, Scalar, nan_max
+from .scalars import DEFAULT_TOLERANCE, EXACT, Scalar
 
 
 def scalar_product(u: Multivector, v: Multivector, h: Multivector,
@@ -44,11 +46,10 @@ class IdealBasis:
 
     On the exact backend the matrix representation is linear in U, so the
     images of the 16 basis blades are built once per basis, on the first
-    `gamma_of`, and every later call combines them.  A basis born float
-    builds its four gamma^mu on the first `vector_gammas`, and every call
-    checks their stored reconstruction deviation against its own tolerance.
-    The plane-wave amplitude columns are built on first use; a float copy
-    rounds those of its exact `source`.
+    `gamma_of`, and every later call combines them.  A float basis is the
+    copy `to_float()` of an exact one, its `source`: its four gamma^mu and
+    its plane-wave amplitude columns are those of the source, rounded on
+    first use, and the products F_k I are built once from its own members.
     """
 
     gens: SecondaryGenerators
@@ -75,17 +76,14 @@ class IdealBasis:
         return (u * self.t - u).is_zero(tol)
 
     def to_float(self) -> "IdealBasis":
-        """The float copy, built once: the members and gamma^mu of the verified exact
-        basis rounded, nothing rebuilt in floats.  A float basis is its own copy."""
+        """The float copy, built once: the members of the verified exact basis
+        rounded, nothing rebuilt in floats.  A float basis is its own copy."""
         return self if self.backend != EXACT else self._float_copy
 
     @cached_property
     def _float_copy(self) -> "IdealBasis":
-        copy = IdealBasis(SecondaryGenerators(*_rounded((self.gens.h, self.gens.i2, self.gens.k2))),
+        return IdealBasis(SecondaryGenerators(*_rounded((self.gens.h, self.gens.i2, self.gens.k2))),
                           *_rounded((self.t, self.ts, self.fs, self.ts_dagger)), source=self)
-        gammas = tuple(gamma_of(basis_vector(mu, EXACT), self) for mu in range(4))
-        vars(copy)["float_gammas"] = (_rounded(gammas), 0.0)  # where the property keeps it
-        return copy
 
     @cached_property
     def blade_images(self) -> ExactLinearMap:
@@ -93,17 +91,6 @@ class IdealBasis:
         return ExactLinearMap([
             [v for row in _gamma_matrix(Multivector.basis(mask, EXACT), self) for v in row]
             for mask in range(16)])
-
-    @cached_property
-    def float_gammas(self) -> tuple:
-        """(gammas, deviation): gamma_of(e_mu) for mu = 0..3 on a float basis,
-        and the largest coefficient of U t_k - sum_n gamma[n][k] t_n over
-        all four, NaN if any is NaN; `to_float()` sets both on its copy."""
-        if self.backend == EXACT:
-            raise DomainError("float gammas need a float basis")
-        built = [_gamma_misfits(basis_vector(mu, self.backend), self) for mu in range(4)]
-        deviation = nan_max(*(r.max_abs() for _, misfits in built for r in misfits))
-        return tuple(mat for mat, _ in built), deviation
 
     @cached_property
     def amplitude_columns(self) -> dict:
@@ -116,13 +103,22 @@ class IdealBasis:
 
         return amplitude_columns(self)
 
-    def vector_gammas(self, tol: float = DEFAULT_TOLERANCE) -> tuple:
-        """The four float gamma^mu, built once per basis; every call checks
-        their reconstruction within `tol`, and a NaN deviation fails."""
-        gammas, deviation = self.float_gammas
-        if not deviation <= tol:
-            raise ConsistencyError("representation reconstruction failed")
-        return gammas
+    @cached_property
+    def fs_i2(self) -> tuple:
+        """F_k I for k = 1..4, the right factors of the imaginary parts in the
+        translation from the ideal to the Hestenes form."""
+        return tuple(f * self.gens.i2 for f in self.fs)
+
+    def vector_gammas(self) -> tuple:
+        """The four float gamma^mu of a float copy: the exact gamma_of(e_mu)
+        of its source, rounded on the first call."""
+        return self._rounded_gammas
+
+    @cached_property
+    def _rounded_gammas(self) -> tuple:
+        if self.source is None:
+            raise DomainError("float gammas are those of a float copy of an exact basis")
+        return _rounded(tuple(gamma_of(basis_vector(mu, EXACT), self.source) for mu in range(4)))
 
 
 def _rounded(value):
@@ -132,14 +128,16 @@ def _rounded(value):
     return value.to_float() if isinstance(value, Multivector) else complex(value)
 
 
-def idempotent_of(g: SecondaryGenerators, tol: float = DEFAULT_TOLERANCE) -> IdealBasis:
-    """Build t = (unit+H)(unit-iI)/4 and its ideal basis, verifying every
-    construction invariant (idempotency, the multiplication law among the
-    t_k, and orthonormality under the scalar product)."""
-    backend = g.backend
-    unit = Multivector.unit(backend)
-    i_unit = scalars.imaginary_unit(backend)
-    t = ((unit + g.h) * (unit - g.i2.scale(i_unit))).scale(Fraction(1, 4))
+def idempotent_of(g: SecondaryGenerators) -> IdealBasis:
+    """Build t = (unit+H)(unit-iI)/4 and its ideal basis from exact generators,
+    verifying every construction invariant exactly (idempotency, the
+    multiplication law among the t_k, and orthonormality under the scalar
+    product).  A float basis is the rounded copy `to_float()`."""
+    if g.backend != EXACT:
+        raise DomainError("an ideal basis is built from exact generators; "
+                          "round it with IdealBasis.to_float()")
+    unit = Multivector.unit(EXACT)
+    t = ((unit + g.h) * (unit - g.i2.scale(scalars.imaginary_unit(EXACT)))).scale(Fraction(1, 4))
     ps = g.pseudoscalar()
     fs = (
         unit,
@@ -148,27 +146,33 @@ def idempotent_of(g: SecondaryGenerators, tol: float = DEFAULT_TOLERANCE) -> Ide
         -(g.k2 * g.i2 * ps),
     )
     ts = tuple(f * t for f in fs)
-    ts_dagger = tuple(hermitian_conjugate(tk, g.h, tol) for tk in ts)
+    ts_dagger = tuple(hermitian_conjugate(tk, g.h) for tk in ts)
     basis = IdealBasis(gens=g, t=t, ts=ts, fs=fs, ts_dagger=ts_dagger)
-    if not (t * t - t).is_zero(tol):
+    if not (t * t - t).is_zero():
         raise ConsistencyError("idempotency t*t = t failed")
     for k, tk in enumerate(ts):
         for n, tn in enumerate(ts):
-            target = tk if n == 0 else Multivector.zero(backend)
-            if not (tk * tn - target).is_zero(tol):
+            target = tk if n == 0 else Multivector.zero(EXACT)
+            if not (tk * tn - target).is_zero():
                 raise ConsistencyError(f"t_{k + 1} t_{n + 1} violates the ideal multiplication law")
-    one = scalars.one(backend)
-    zero = scalars.zero(backend)
     for k, tk in enumerate(ts):
         for n in range(4):
-            val = scalar_product(tk, ts[n], g.h, tol)
-            if not scalars.close(val, one if k == n else zero, tol):
+            val = scalar_product(tk, ts[n], g.h)
+            if val != (1 if k == n else 0):
                 raise ConsistencyError(f"orthonormality (t_{k + 1}, t^{n + 1}) failed: {val}")
     return basis
 
 
 def canonical_basis(backend: str = EXACT) -> IdealBasis:
-    return idempotent_of(canonical_generators(backend))
+    """The canonical basis, built and verified once (`_canonical_exact`); on
+    the float backend, its rounded copy."""
+    basis = _canonical_exact()
+    return basis if backend == EXACT else basis.to_float()
+
+
+@cache
+def _canonical_exact() -> IdealBasis:
+    return idempotent_of(canonical_generators())
 
 
 # ---- the matrix representation -------------------------------------------
@@ -189,44 +193,35 @@ def gamma_of(u: Multivector, basis: IdealBasis, tol: float = DEFAULT_TOLERANCE) 
     return _gamma_matrix(u, basis, tol)
 
 
-def _gamma_misfits(u: Multivector, basis: IdealBasis) -> tuple:
-    """(gamma, misfits): gamma_of from the products U t_k, and for each k the
-    difference sum_n gamma[n][k] t_n - U t_k of its reconstruction."""
+def _gamma_matrix(u: Multivector, basis: IdealBasis,
+                  tol: float = DEFAULT_TOLERANCE) -> tuple:
+    """gamma_of from the products U t_k, with the reconstruction check
+    U t_k = sum_n gamma[n][k] t_n for each k."""
     products = [u * tk for tk in basis.ts]
     mat = tuple(
         tuple(scalar_part_of_product(products[k], basis.ts_dagger[n]) * 4
               for k in range(4))
         for n in range(4)
     )
-    misfits = []
     for k in range(4):
         recon = Multivector.zero(basis.backend)
         for n in range(4):
             recon = recon + basis.ts[n].scale(mat[n][k])
-        misfits.append(recon - products[k])
-    return mat, misfits
-
-
-def _gamma_matrix(u: Multivector, basis: IdealBasis,
-                  tol: float = DEFAULT_TOLERANCE) -> tuple:
-    """gamma_of from the products U t_k, with the reconstruction check."""
-    mat, misfits = _gamma_misfits(u, basis)
-    if not all(r.is_zero(tol) for r in misfits):
-        raise ConsistencyError("representation reconstruction failed")
+        if not (recon - products[k]).is_zero(tol):
+            raise ConsistencyError("representation reconstruction failed")
     return mat
 
 
-def representation_change(s, basis: IdealBasis, tol: float = DEFAULT_TOLERANCE) -> IdealBasis:
-    """Transport the ideal basis along a spin element: each t_k moves by the
-    sandwich action, which is realized by rebuilding the construction from
-    the transported generators and checking the two routes agree."""
-    from .generators import transported_generators
-    from .spin import sandwich
+def representation_change(s, basis: IdealBasis) -> IdealBasis:
+    """Transport the exact ideal basis along a spin element: each t_k moves
+    by the sandwich action, which is realized by rebuilding the construction
+    from the transported generators and checking the two routes agree."""
+    from .spin import sandwich  # spin imports numpy, which the basis alone never needs
 
     new_gens = transported_generators(s, basis.gens)
-    new_basis = idempotent_of(new_gens, tol)
+    new_basis = idempotent_of(new_gens)
     for tk, new_tk in zip(basis.ts, new_basis.ts):
-        if not (sandwich(s, tk) - new_tk).is_zero(tol):
+        if not (sandwich(s, tk) - new_tk).is_zero():
             raise ConsistencyError("transported basis disagrees with rebuilt basis")
     return new_basis
 
@@ -296,8 +291,7 @@ def bispinor_to_json(psi: Bispinor) -> list:
 def even_ideal_map_rank(basis: IdealBasis) -> int:
     """Rank of Omega -> Omega t restricted to the 8-dimensional real even
     subspace; 8 means the map is injective and the bijection holds."""
-    from . import linalg
-    from .multivector import EVEN_MASKS
+    from . import linalg  # linalg imports numpy, which the basis alone never needs
 
     backend = basis.backend
     cols = []

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import equations as eq
-from . import exterior, generators, ideal, linalg, spin
+from . import __version__, exterior, generators, ideal, linalg, spin
 from .errors import InvalidGeneratorError
 from .expr import eval_expr
 from .fields import AnalyticField, Poly, d, delta, laplace, real_polynomial, upsilon, upsilon_gradient
@@ -132,8 +132,6 @@ class RunReport:
 
 
 def environment_stamp() -> dict:
-    from . import __version__
-
     return {"python": sys.version.split()[0], "platform": platform.platform(),
             "package_version": __version__}
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from stada import equations as eq
 from stada import generators, ideal, spin
 from stada.equations import BispinorField, EquationForm
-from stada.errors import ConsistencyError, DomainError, InvalidGeneratorError
+from stada.errors import DomainError, InvalidGeneratorError
 from stada.fields import AnalyticField, Poly, real_polynomial, upsilon_gradient
 from stada.multivector import (
     EVEN_MASKS,
@@ -342,6 +342,8 @@ def test_covariance_preserves_solutions(form):
         rep = eq.covariance_check(s, eq.FieldConfig(form, state, None, 1.0, FBASIS))
         assert rep.residual_after <= 1e-10
         assert rep.verdict == "pass"
+        # an exact basis is taken through its float copy, as the residual does
+        assert eq.covariance_check(s, eq.FieldConfig(form, state, None, 1.0, BASIS)) == rep
 
 
 @pytest.mark.parametrize("form", [EquationForm.DIRAC_MATRIX, EquationForm.HESTENES,
@@ -773,62 +775,21 @@ def test_gauge_rotor_needs_generators_only_where_j_names_one():
 # ---- work done once per basis and once per norm ---------------------------------------
 
 
-def _float_random_1():
-    # a basis born float from the rounded random:1 generators; max|H| is 184.5,
-    # so its construction only holds at a loose tolerance
-    g = generators.random_generators(random.Random(1))
-    rounded = generators.make_secondary(g.h.to_float(), g.i2.to_float(), g.k2.to_float(), 1e-6)
-    return ideal.idempotent_of(rounded, 1e-6)
-
-
-@pytest.mark.parametrize("order", [("plane_wave", "dirac"), ("dirac", "plane_wave")])
-def test_cached_gammas_cannot_hide_a_failure(order):
-    deviation = _float_random_1().float_gammas[1]
-    assert 1e-12 < deviation < 1e-6
-    calls = {
-        "plane_wave": lambda b, tol: eq.plane_wave(EquationForm.DIRAC_MATRIX, (1.0, 0, 0, 0),
-                                                   1.0, basis=b, tol=tol),
-        "dirac": lambda b, tol: eq.residual_dirac(
-            BispinorField.constant((1, 0, 0, 0), FLOAT), None, 1.0, b, tolerance=tol),
-    }
-    basis = _float_random_1()  # one object, its gammas built by the first call
-    for name in order:
-        for tol in (deviation / 2, deviation * 2):
-            # the per-call route gives the verdict the stored deviation must give
-            fails = False
-            for mu in range(4):
-                try:
-                    ideal.gamma_of(basis_vector(mu, FLOAT), basis, tol)
-                except ConsistencyError:
-                    fails = True
-            assert fails == (tol < deviation)
-            if fails:
-                with pytest.raises(ConsistencyError, match="reconstruction"):
-                    calls[name](basis, tol)
-            else:
-                calls[name](basis, tol)
-    assert "float_gammas" in vars(basis)
+def _random_1():
+    return ideal.idempotent_of(generators.random_generators(random.Random(1)))
 
 
 def test_cached_gammas_equal_the_per_call_route():
-    basis = _float_random_1()
-    gammas = basis.vector_gammas(1e-6)
-    for mu in range(4):
-        assert gammas[mu] == ideal.gamma_of(basis_vector(mu, FLOAT), basis, 1e-6)
+    # the rounded exact gamma^mu of a float copy against the float products of
+    # the copy; max|H| of random:1 is 184.5, so its route holds at 1e-9 only
+    for basis, tol in ((FBASIS, 0.0), (_random_1().to_float(), 1e-9)):
+        gammas = basis.vector_gammas()
+        for mu in range(4):
+            per_call = ideal.gamma_of(basis_vector(mu, FLOAT), basis, max(tol, 1e-12))
+            assert max(abs(a - b) for ra, rb in zip(gammas[mu], per_call)
+                       for a, b in zip(ra, rb)) <= tol
     with pytest.raises(DomainError):
-        BASIS.float_gammas
-
-
-def test_a_nan_deviation_fails_every_tolerance():
-    basis = _float_random_1()
-    vars(basis)["float_gammas"] = (basis.float_gammas[0], math.nan)
-    for tol in (1e-12, 1.0, math.inf):
-        with pytest.raises(ConsistencyError):
-            basis.vector_gammas(tol)
-
-
-def _random_1():
-    return ideal.idempotent_of(generators.random_generators(random.Random(1)))
+        BASIS.vector_gammas()
 
 
 def _coeffs(u):
@@ -850,8 +811,36 @@ def test_the_float_copy_is_the_rounded_exact_basis(make):
     want = tuple(tuple(tuple(complex(v) for v in row)
                        for row in ideal.gamma_of(basis_vector(mu, EXACT), basis))
                  for mu in range(4))
-    assert copy.vector_gammas() == want
-    assert copy.float_gammas == (want, 0.0)
+    bits = [[[(v.real, v.imag) for v in row] for row in g] for g in want]
+    assert [[[(v.real, v.imag) for v in row] for row in g] for g in copy.vector_gammas()] == bits
+    for form, cols in basis.amplitude_columns.items():
+        assert [list(map(_coeffs, c)) for c in copy.amplitude_columns[form]] \
+            == [[_coeffs(u.to_float()) for u in c] for c in cols]
+    assert [_coeffs(u) for u in copy.fs_i2] == [_coeffs(f * copy.gens.i2) for f in copy.fs]
+
+
+def test_the_float_copy_rounds_its_gammas_on_first_use():
+    basis = ideal.idempotent_of(generators.canonical_generators())
+    copy = basis.to_float()
+    assert "blade_images" not in vars(basis) and "_rounded_gammas" not in vars(copy)
+    gammas = copy.vector_gammas()
+    assert "blade_images" in vars(basis) and copy.vector_gammas() is gammas
+    assert gammas == tuple(tuple(tuple(complex(v) for v in row)
+                                 for row in ideal.gamma_of(basis_vector(mu, EXACT), basis))
+                           for mu in range(4))
+
+
+def _fresh_canonical_basis(monkeypatch) -> list:
+    """Replace the cached canonical basis by one built on first use in this
+    test; the returned list records each exact construction."""
+    built = []
+
+    @functools.cache
+    def fresh():
+        built.append(EXACT)
+        return ideal.idempotent_of(generators.canonical_generators())
+    monkeypatch.setattr(ideal, "_canonical_exact", fresh)
+    return built
 
 
 def _float_constructions(monkeypatch) -> list:
@@ -875,12 +864,16 @@ def test_an_exact_basis_is_never_rebuilt_in_float(monkeypatch):
     from stada import suites
 
     basis = _random_1()
-    eq._default_basis(FLOAT)
+    _fresh_canonical_basis(monkeypatch)
     calls = _float_constructions(monkeypatch)
+    ideal.canonical_basis(FLOAT)  # built here, from exact generators
+    assert ("idempotent_of", EXACT) in calls and all(backend == EXACT for _, backend in calls)
+    calls.clear()
     for form in EquationForm:
         sol = eq.plane_wave(form, (1.0, 0, 0, 0), 1.0, basis=basis)
         eq.FieldConfig(form, sol.state, None, 1.0, basis).residual()
     assert calls == []
+    _fresh_canonical_basis(monkeypatch)  # so the suite builds its basis while recorded
     suites.run_suite("equations", seed=1)
     assert calls and all(backend == EXACT for _, backend in calls)
 
@@ -907,33 +900,34 @@ def test_state_norm_checks_h_once_per_field():
 
 
 def test_the_default_basis_is_built_once_per_backend(monkeypatch):
-    built = []
+    built = _fresh_canonical_basis(monkeypatch)
+    used = []
 
-    def counted(backend):
-        built.append(backend)
-        return ideal.canonical_basis(backend)
+    def recorded(*args):
+        used.append(ideal.canonical_basis(*args))
+        return used[-1]
 
-    monkeypatch.setattr(eq, "canonical_basis", counted)
-    eq._default_basis.cache_clear()
-    try:
-        reports = []
-        for backend in (FLOAT, FLOAT, EXACT, EXACT):
-            psi = eq.plane_wave(EquationForm.DIRAC_MATRIX, (1.0, 0, 0, 0), 1.0).state
-            if backend == EXACT:
-                psi = BispinorField.constant((1, 0, Fraction(1, 2), 0), EXACT)
-            reports.append(eq.residual_dirac(psi, None, 1.0))
-        assert built == [FLOAT, EXACT]
-        fresh = [eq.residual_dirac(eq.plane_wave(EquationForm.DIRAC_MATRIX, (1.0, 0, 0, 0), 1.0,
-                                                 basis=ideal.canonical_basis(FLOAT)).state,
-                                   None, 1.0, ideal.canonical_basis(FLOAT)),
-                 eq.residual_dirac(BispinorField.constant((1, 0, Fraction(1, 2), 0), EXACT),
-                                   None, 1.0, ideal.canonical_basis(EXACT))]
-        for got, want in zip(reports, [fresh[0], fresh[0], fresh[1], fresh[1]]):
-            assert got.to_json_dict() == want.to_json_dict()
-            assert got.max_norm.hex() == want.max_norm.hex()
-        assert reports[2].max_norm > 0.5
-    finally:
-        eq._default_basis.cache_clear()
+    monkeypatch.setattr(eq, "canonical_basis", recorded)
+    reports = []
+    for backend in (FLOAT, FLOAT, EXACT, EXACT):
+        psi = eq.plane_wave(EquationForm.DIRAC_MATRIX, (1.0, 0, 0, 0), 1.0).state
+        if backend == EXACT:
+            psi = BispinorField.constant((1, 0, Fraction(1, 2), 0), EXACT)
+        reports.append(eq.residual_dirac(psi, None, 1.0))
+    # one exact construction; the float basis is its copy, made once
+    assert built == [EXACT]
+    assert {id(b) for b in used} == {id(ideal.canonical_basis()), id(ideal.canonical_basis(FLOAT))}
+    assert ideal.canonical_basis(FLOAT) is ideal.canonical_basis().to_float()
+    fresh_exact = ideal.idempotent_of(generators.canonical_generators())
+    fresh = [eq.residual_dirac(eq.plane_wave(EquationForm.DIRAC_MATRIX, (1.0, 0, 0, 0), 1.0,
+                                             basis=fresh_exact.to_float()).state,
+                               None, 1.0, fresh_exact.to_float()),
+             eq.residual_dirac(BispinorField.constant((1, 0, Fraction(1, 2), 0), EXACT),
+                               None, 1.0, fresh_exact)]
+    for got, want in zip(reports, [fresh[0], fresh[0], fresh[1], fresh[1]]):
+        assert got.to_json_dict() == want.to_json_dict()
+        assert got.max_norm.hex() == want.max_norm.hex()
+    assert reports[2].max_norm > 0.5
 
 
 def _boost_h(rapidity: float) -> Multivector:
@@ -1088,10 +1082,12 @@ def test_plane_waves_translate_nothing_once_the_columns_are_built(monkeypatch):
                         lambda state, *args: translations.append(args) or translate(state, *args))
     monkeypatch.setattr(AnalyticField, "mul_const",
                         lambda self, *a, **kw: constants.append(a) or mul_const(self, *a, **kw))
+    _fresh_canonical_basis(monkeypatch)
     exact = _random_1()
-    for basis, built_on in ((ideal.canonical_basis(FLOAT),) * 2, (exact.to_float(), exact)):
+    for basis, built_on in ((ideal.canonical_basis(FLOAT), ideal.canonical_basis()),
+                            (exact.to_float(), exact)):
         eq.plane_wave(EquationForm.TENSOR, (1.0, 0, 0, 0), 1.0, basis=basis)
-        # a float copy rounds the columns of its exact basis
+        # a float copy rounds the columns of its exact basis, built once
         assert builds == [built_on] and translations
         builds.clear(), translations.clear(), constants.clear()
         for form in EquationForm:
@@ -1103,7 +1099,7 @@ def test_plane_waves_translate_nothing_once_the_columns_are_built(monkeypatch):
 @pytest.mark.parametrize("size", [1.0, 1e300])
 def test_state_norm_is_the_largest_pointwise_hermitian_norm(size):
     rng = random.Random(15)
-    h = _float_random_1().gens.h
+    h = _random_1().to_float().gens.h
     for seed in range(3):
         state = random_full_state(rng).to_float().scale(size)
         want = max(_hermitian_at(_value_at(state, x), h, 1e-6) for x in eq.sample_points(seed))
@@ -1174,7 +1170,7 @@ def _reference_max(field, size, seed: int) -> float:
 
 @functools.cache
 def _random_1_h() -> Multivector:
-    return _float_random_1().gens.h
+    return _random_1().to_float().gens.h
 
 
 def _sizes(field, h_name: str) -> list:

@@ -77,6 +77,25 @@ def test_idempotent_canonical_expansion():
     assert basis.t * basis.t == basis.t
 
 
+def test_a_basis_is_built_from_exact_generators_only():
+    # the float basis is the rounded copy of an exact one, never built in floats
+    for g in (generators.canonical_generators(FLOAT),
+              generators.transported_generators(spin.random_spin(random.Random(4)),
+                                                generators.canonical_generators(FLOAT))):
+        with pytest.raises(DomainError) as exc:
+            ideal.idempotent_of(g)
+        assert "\n" not in str(exc.value) and "to_float" in str(exc.value)
+
+
+def test_the_canonical_basis_is_one_object_per_backend():
+    for backend in (EXACT, FLOAT):
+        assert ideal.canonical_basis(backend) is ideal.canonical_basis(backend)
+        assert ideal.canonical_basis(backend).backend == backend
+    assert ideal.canonical_basis() is ideal.canonical_basis(EXACT)
+    assert ideal.canonical_basis(FLOAT) is ideal.canonical_basis().to_float()
+    assert ideal.canonical_basis(FLOAT).source is ideal.canonical_basis()
+
+
 def test_ideal_basis_multiplication_law():
     rng = random.Random(2)
     for _ in range(10):

@@ -1,12 +1,14 @@
 """The lazy `stada` package: every public name, what an import loads, and
 what a command loads."""
 
+import ast
 import importlib
 import json
 import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -135,3 +137,63 @@ def test_eval_loads_no_numpy_and_no_engine_beyond_the_algebra():
         print(json.dumps([code, out.getvalue(), [m for m in heavy if m in sys.modules]]))
     """)
     assert got == [0, "e01\n", []]
+
+
+_NUMPY = "keeps numpy off the algebra and eval paths"
+_CYCLE = "breaks an import cycle"
+_COMMAND = "a per-command import in cli"
+
+# every import inside a function of src/stada, as (module, function, what it
+# imports), and why it is not at the top of its module
+LATE_IMPORTS = {
+    ("cli", "_cmd_verify", ".suites"): _COMMAND,
+    ("cli", "_residual_basis", ".ideal"): _COMMAND,
+    ("cli", "_residual_basis", "random"): _COMMAND,
+    ("cli", "_residual_basis", ".generators"): _COMMAND,
+    ("cli", "_cmd_residual", ".equations"): _COMMAND,
+    ("cli", "_load_state", ".equations"): _COMMAND,
+    ("cli", "_load_state", ".grid"): _COMMAND,
+    ("cli", "_reduction_report", "random"): _COMMAND,
+    ("cli", "_reduction_report", ".equations"): _COMMAND,
+    ("fields", "complex_from_parts", "numpy"): _NUMPY,
+    ("fields", "eval_points", "numpy"): _NUMPY,
+    ("generators", "basis16_of", ".linalg"): _NUMPY,
+    ("generators", "transported_generators", ".spin"): _CYCLE + ": spin imports generators",
+    ("generators", "random_generators", ".spin"): _CYCLE + ": spin imports generators",
+    ("ideal", "amplitude_columns", ".equations"): _CYCLE + ": equations imports ideal",
+    ("ideal", "representation_change", ".spin"): _NUMPY + ": spin imports linalg",
+    ("ideal", "even_ideal_map_rank", ".linalg"): _NUMPY,
+    ("kernel", "gather_tables", "numpy"): _NUMPY,
+    ("kernel", "_int64_sums", "numpy"): _NUMPY,
+    ("multivector", "inverse", ".linalg"): _NUMPY,
+}
+
+
+def _function_imports(path: Path) -> set:
+    """(module, innermost function, imported module) for each import inside a
+    function; `from . import x` counts as importing `.x`."""
+    found = set()
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if function and isinstance(child, ast.Import):
+                found.update((path.stem, function, a.name) for a in child.names)
+            elif function and isinstance(child, ast.ImportFrom):
+                prefix = "." * child.level
+                found.update((path.stem, function, prefix + (child.module or a.name))
+                             for a in child.names)
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_every_function_level_import_is_listed_with_a_reason():
+    found = set()
+    for path in sorted(Path(stada.__file__).parent.glob("*.py")):
+        found |= _function_imports(path)
+    assert found == set(LATE_IMPORTS)
+    assert all(LATE_IMPORTS.values())
