@@ -203,23 +203,23 @@ def _column_norms(u) -> list:
     return out
 
 
-def _hermitian_size(h: Multivector, tol: float):
+def _hermitian_size(h: Multivector):
     """The size sqrt(4 Tr(U U^dagger)), U^dagger = H U^star H, of each column
-    U, built once per float H and `tol` (`_float_hermitian_size`)."""
-    return _float_hermitian_size(tuple(h.to_float().coeffs), tol)
+    U, built once per float H (`_float_hermitian_size`)."""
+    return _float_hermitian_size(tuple(h.to_float().coeffs))
 
 
 # bounded: the covariance checks measure a new pushed H for each case; an H
 # that fails its check raises, and nothing is kept for it
 @functools.lru_cache(maxsize=64)
-def _float_hermitian_size(h_coeffs: tuple, tol: float):
-    """The size of each column for the float H with these coefficients; H*H
-    = unit is checked here, within `tol`.  H U^star, then that times H,
-    then the unit-blade terms of U U^dagger in CLIFFORD's order, each a
-    whole row at a time; a column whose norm is not finite is measured again
-    as s * norm(U / s), s = max |U|, where s is finite."""
+def _float_hermitian_size(h_coeffs: tuple):
+    """The size of each column for the float H with these coefficients;
+    `require_unit_square` checks H*H = unit here.  H U^star, then that
+    times H, then the unit-blade terms of U U^dagger in CLIFFORD's order,
+    each a whole row at a time; a column whose norm is not finite is
+    measured again as s * norm(U / s), s = max |U|, where s is finite."""
     hf = Multivector(list(h_coeffs), FLOAT)
-    require_unit_square(hf, tol)
+    require_unit_square(hf)
     live = [m for m, c in enumerate(h_coeffs) if c]
     hcol = np.array(h_coeffs)[:, None]
     h_left, h_right = _clifford_terms(live, True), _clifford_terms(live, False)
@@ -245,10 +245,10 @@ def _float_hermitian_size(h_coeffs: tuple, tol: float):
     return size
 
 
-def hermitian_norm(u: Multivector, h: Multivector, tol: float = DEFAULT_TOLERANCE) -> float:
+def hermitian_norm(u: Multivector, h: Multivector) -> float:
     """sqrt(4 Tr(U U^dagger)) with the conjugation adapted to H, which must
-    square to the unit within `tol`: the one-point case of the sampled size."""
-    return _hermitian_size(h, tol)(np.array(u.to_float().coeffs)[:, None])[0]
+    square to the unit: the one-point case of the sampled size."""
+    return _hermitian_size(h)(np.array(u.to_float().coeffs)[:, None])[0]
 
 
 def _grid_norm(state: GridField, h_mv: Multivector) -> float:
@@ -273,14 +273,15 @@ def sampled_max(field, size, seed: int = 0) -> float:
     return nan_max(*size(field.eval_points(sample_points(seed))))
 
 
-def _state_norm(state, h_mv: Multivector, seed: int, tol: float) -> float:
+def _state_norm(state, h_mv: Multivector, seed: int) -> float:
     if isinstance(state, GridField):
+        require_unit_square(h_mv.to_float())
         return _rescaled(lambda g: _grid_norm(g, h_mv), state)
     if isinstance(state, BispinorField):
         return sampled_max(state, _column_norms, seed)
     if isinstance(state, AnalyticField):
         # H*H = unit is checked once per float H, not per field or point
-        return 0.0 if state.is_zero() else sampled_max(state, _hermitian_size(h_mv, tol), seed)
+        return 0.0 if state.is_zero() else sampled_max(state, _hermitian_size(h_mv), seed)
     raise DomainError(f"cannot measure a {type(state).__name__}")
 
 
@@ -495,8 +496,7 @@ def _residual(form: EquationForm, state, pot, m, h=None, i2=None, basis=None, *,
         # the grade content of the residual is recorded, not asserted
         notes.append(f"residual grades: {sorted(res.grades())}")
     norm_h = basis_vector(0, FLOAT) if row.norm == "e0" else h
-    # rounding in the float checks behind the norm would fail them below the default
-    max_norm = _state_norm(res, norm_h, seed, max(tolerance, DEFAULT_TOLERANCE))
+    max_norm = _state_norm(res, norm_h, seed)
     grid = {"n": res.n, "h": res.h} if isinstance(res, GridField) else None
     return ResidualReport(form=form.value, backend="grid" if grid else res.backend,
                           max_norm=max_norm, tolerance=tolerance,

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
+from operator import add
 
 from . import scalars
-from .errors import ConsistencyError, DomainError
+from .errors import BackendMismatchError, ConsistencyError, DomainError
 from .generators import SecondaryGenerators, canonical_generators, transported_generators
 from .kernel import ExactLinearMap
 from .multivector import (
@@ -27,7 +28,7 @@ from .multivector import (
     numerators,
     scalar_part_of_product,
 )
-from .scalars import DEFAULT_TOLERANCE, EXACT, Scalar
+from .scalars import DEFAULT_TOLERANCE, EXACT, FLOAT, Scalar
 
 
 def scalar_product(u: Multivector, v: Multivector, h: Multivector,
@@ -44,12 +45,12 @@ class IdealBasis:
     The dual basis elements t^k coincide with t_k; both index positions
     appear in the formulas, one storage backs them.
 
-    On the exact backend the matrix representation is linear in U, so the
-    images of the 16 basis blades are built once per basis, on the first
-    `gamma_of`, and every later call combines them.  A float basis is the
-    copy `to_float()` of an exact one, its `source`: its four gamma^mu and
-    its plane-wave amplitude columns are those of the source, rounded on
-    first use, and the products F_k I are built once from its own members.
+    The matrix representation is linear in U, so the images of the 16
+    basis blades are built once per basis, on the first `gamma_of`, and
+    every later call combines them.  A float basis is the copy `to_float()`
+    of an exact one, its `source`: its blade images and its plane-wave
+    amplitude columns are those of the source, rounded on first use, and
+    the products F_k I are built once from its own members.
     """
 
     gens: SecondaryGenerators
@@ -93,6 +94,14 @@ class IdealBasis:
             for mask in range(16)])
 
     @cached_property
+    def rounded_images(self) -> tuple:
+        """gamma_of of each blade of a float copy, rows flattened: its source's, rounded."""
+        if self.source is None:
+            raise DomainError("float gammas are those of a float copy of an exact basis")
+        return tuple(sum(_rounded(gamma_of(Multivector.basis(mask, EXACT), self.source)), ())
+                     for mask in range(16))
+
+    @cached_property
     def amplitude_columns(self) -> dict:
         """form -> (P, M), the columns a plane wave combines its amplitude
         with (`equations.amplitude_columns`), built once per basis; a float
@@ -110,15 +119,12 @@ class IdealBasis:
         return tuple(f * self.gens.i2 for f in self.fs)
 
     def vector_gammas(self) -> tuple:
-        """The four float gamma^mu of a float copy: the exact gamma_of(e_mu)
-        of its source, rounded on the first call."""
-        return self._rounded_gammas
+        """gamma_of(e_mu) of a float copy for mu = 0..3, kept from the first call."""
+        return self._vector_gammas
 
     @cached_property
-    def _rounded_gammas(self) -> tuple:
-        if self.source is None:
-            raise DomainError("float gammas are those of a float copy of an exact basis")
-        return _rounded(tuple(gamma_of(basis_vector(mu, EXACT), self.source) for mu in range(4)))
+    def _vector_gammas(self) -> tuple:
+        return tuple(gamma_of(basis_vector(mu, FLOAT), self) for mu in range(4))
 
 
 def _rounded(value):
@@ -166,6 +172,8 @@ def idempotent_of(g: SecondaryGenerators) -> IdealBasis:
 def canonical_basis(backend: str = EXACT) -> IdealBasis:
     """The canonical basis, built and verified once (`_canonical_exact`); on
     the float backend, its rounded copy."""
+    if backend not in (EXACT, FLOAT):
+        raise DomainError(f"unknown backend: {backend}")
     basis = _canonical_exact()
     return basis if backend == EXACT else basis.to_float()
 
@@ -178,38 +186,34 @@ def _canonical_exact() -> IdealBasis:
 # ---- the matrix representation -------------------------------------------
 
 
-def gamma_of(u: Multivector, basis: IdealBasis, tol: float = DEFAULT_TOLERANCE) -> tuple:
+def gamma_of(u: Multivector, basis: IdealBasis) -> tuple:
     """The 4x4 matrix of left multiplication on the ideal basis: entry
     [n][k] is (U t_k, t^n); the upper index enumerates rows.
 
-    The reconstruction U t_k = sum_n gamma[n][k] t_n holds for every
-    returned matrix.  On the exact backend it is checked once per basis
-    blade, when the blade images of `basis` are built, and exact linearity
-    carries it to every U; on the float backend each call forms the
-    products and checks it."""
-    if basis.backend == EXACT and u.backend == EXACT:
+    gamma(U) = sum_m u_m gamma_m over the blade images gamma_m, checked
+    exactly once per exact basis (`_gamma_matrix`).  A float copy sums its
+    `rounded_images` over ascending m from 0j and skips a term with a zero
+    factor, as the blade products do, so 0 * inf adds no NaN."""
+    if u.backend != basis.backend:
+        raise BackendMismatchError(f"mixed scalar backends: {u.backend} vs {basis.backend}")
+    if basis.backend == EXACT:
         flat = basis.blade_images(numerators(u))
-        return tuple(tuple(flat[4 * n:4 * n + 4]) for n in range(4))
-    return _gamma_matrix(u, basis, tol)
+    else:
+        live = [(x, image) for x, image in zip(u.coeffs, basis.rounded_images) if x]
+        flat = [reduce(add, (x * image[e] for x, image in live if image[e]), 0j)
+                for e in range(16)]
+    return tuple(tuple(flat[4 * n:4 * n + 4]) for n in range(4))
 
 
-def _gamma_matrix(u: Multivector, basis: IdealBasis,
-                  tol: float = DEFAULT_TOLERANCE) -> tuple:
-    """gamma_of from the products U t_k, with the reconstruction check
-    U t_k = sum_n gamma[n][k] t_n for each k."""
+def _gamma_matrix(u: Multivector, basis: IdealBasis) -> tuple:
+    """gamma_of of an exact U: column k holds the components of U t_k, and
+    the reconstruction U t_k = sum_n gamma[n][k] t_n is checked exactly."""
     products = [u * tk for tk in basis.ts]
-    mat = tuple(
-        tuple(scalar_part_of_product(products[k], basis.ts_dagger[n]) * 4
-              for k in range(4))
-        for n in range(4)
-    )
-    for k in range(4):
-        recon = Multivector.zero(basis.backend)
-        for n in range(4):
-            recon = recon + basis.ts[n].scale(mat[n][k])
-        if not (recon - products[k]).is_zero(tol):
+    columns = [basis.project_components(p) for p in products]
+    for p, column in zip(products, columns):
+        if ideal_from_bispinor(Bispinor(column, EXACT), basis) != p:
             raise ConsistencyError("representation reconstruction failed")
-    return mat
+    return tuple(zip(*columns))
 
 
 def representation_change(s, basis: IdealBasis) -> IdealBasis:
@@ -293,12 +297,8 @@ def even_ideal_map_rank(basis: IdealBasis) -> int:
     subspace; 8 means the map is injective and the bijection holds."""
     from . import linalg  # linalg imports numpy, which the basis alone never needs
 
-    backend = basis.backend
-    cols = []
-    for mask in EVEN_MASKS:
-        image = Multivector.basis(mask, backend) * basis.t
-        col = []
-        for c in image.coeffs:
-            col.extend((c.real, c.imag))
-        cols.append(col)
-    return linalg.rank([[cols[j][i] for j in range(8)] for i in range(32)])
+    # one row per even blade, the real and imaginary parts of its image: the
+    # transpose of the map's matrix, which has the same rank
+    rows = [[x for c in (Multivector.basis(mask, basis.backend) * basis.t).coeffs
+             for x in (c.real, c.imag)] for mask in EVEN_MASKS]
+    return linalg.rank(rows)

@@ -13,8 +13,8 @@ numerators over one denominator per matrix and normalises once per entry.
 
 Float matrices go to numpy: `solve` is `numpy.linalg.solve`, the null
 space is spanned by the right singular vectors whose singular values are
-at most 1e-9 times the largest, and the rank counts the singular values
-above an absolute 1e-9.
+at most 1e-9 times the largest, and the rank is the column count less the
+dimension of that null space, so rank and nullity share one cutoff.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ import numpy as np
 
 from .scalars import QQi
 
-# singular-value cutoff: absolute for the float rank, relative to the
-# largest singular value for the float null space
+# singular-value cutoff of the float null space and rank, relative to the
+# largest singular value
 _SINGULAR_CUTOFF = 1e-9
 
 
@@ -137,12 +137,12 @@ class _IntegerRows:
 
 def rank(matrix: Sequence[Sequence]) -> int:
     """Exact rank by elimination when every entry is exact; otherwise the
-    number of singular values above an absolute 1e-9."""
+    column count less the nullity of `null_space`."""
     rows = [list(row) for row in matrix]
     if not rows:
         return 0
     if not _all_exact(rows):
-        return int(np.linalg.matrix_rank(np.array(rows), tol=_SINGULAR_CUTOFF))
+        return len(rows[0]) - len(null_space(rows))
     return len(_IntegerRows(rows).pivots)
 
 

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 from stada import equations as eq
 from stada import generators, ideal, spin
 from stada.equations import BispinorField, EquationForm
-from stada.errors import DomainError, InvalidGeneratorError
+from stada.errors import BackendMismatchError, DomainError, InvalidGeneratorError
 from stada.fields import AnalyticField, Poly, real_polynomial, upsilon_gradient
+from stada.grid import sample
 from stada.multivector import (
     EVEN_MASKS,
     Multivector,
@@ -775,21 +776,78 @@ def test_gauge_rotor_needs_generators_only_where_j_names_one():
 # ---- work done once per basis and once per norm ---------------------------------------
 
 
+def _random_basis(k: int):
+    return ideal.idempotent_of(generators.random_generators(random.Random(k)))
+
+
 def _random_1():
-    return ideal.idempotent_of(generators.random_generators(random.Random(1)))
+    return _random_basis(1)
+
+
+def _matrix_bits(mat) -> list:
+    return _bits([v for row in mat for v in row])
 
 
 def test_cached_gammas_equal_the_per_call_route():
-    # the rounded exact gamma^mu of a float copy against the float products of
-    # the copy; max|H| of random:1 is 184.5, so its route holds at 1e-9 only
-    for basis, tol in ((FBASIS, 0.0), (_random_1().to_float(), 1e-9)):
-        gammas = basis.vector_gammas()
+    # the gamma^mu of a float copy, kept and per call, are the rounded exact
+    # gamma_of(e_mu) bit for bit, also where max|H| is large (184.5 on random:1)
+    for basis in (BASIS, *map(_random_basis, range(1, 6))):
+        copy = basis.to_float()
+        gammas = copy.vector_gammas()
         for mu in range(4):
-            per_call = ideal.gamma_of(basis_vector(mu, FLOAT), basis, max(tol, 1e-12))
-            assert max(abs(a - b) for ra, rb in zip(gammas[mu], per_call)
-                       for a, b in zip(ra, rb)) <= tol
-    with pytest.raises(DomainError):
+            want = _matrix_bits(ideal.gamma_of(basis_vector(mu, EXACT), basis))
+            assert _matrix_bits(gammas[mu]) == want
+            assert _matrix_bits(ideal.gamma_of(basis_vector(mu, FLOAT), copy)) == want
+    # an exact basis has no float gammas: e_mu and the basis mix backends
+    with pytest.raises(BackendMismatchError):
         BASIS.vector_gammas()
+
+
+def _image_sum(u, basis) -> tuple:
+    """The float gamma of u: sum_m u_m times the rounded exact gamma of blade
+    m, over ascending m from 0j, skipping a term with a zero factor."""
+    images = [[complex(v) for row in ideal.gamma_of(Multivector.basis(m, EXACT), basis)
+               for v in row] for m in range(16)]
+    flat = []
+    for e in range(16):
+        acc = 0j
+        for x, image in zip(u.coeffs, images):
+            if x and image[e]:
+                acc = acc + x * image[e]
+        flat.append(acc)
+    return tuple(tuple(flat[4 * n:4 * n + 4]) for n in range(4))
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_float_gammas_of_a_random_basis_sum_the_rounded_images(k):
+    # H is large on these bases (max|H| = 184.5 on random:1)
+    basis = _random_basis(k)
+    copy = basis.to_float()
+    elements = [Multivector.basis(m, FLOAT) for m in range(16)]
+    elements.append(spin.random_spin(random.Random(k), scale=0.4).element)
+    for u in elements:
+        assert _matrix_bits(ideal.gamma_of(u, copy)) == _matrix_bits(_image_sum(u, basis))
+
+
+def test_float_gammas_skip_zero_factors():
+    # 0 * inf is NaN, so an entry whose blade image is zero stays 0j
+    coeffs = [0j] * 16
+    coeffs[1] = complex(math.inf, 0.0)
+    got = ideal.gamma_of(Multivector(coeffs, FLOAT), FBASIS)
+    want = ideal.gamma_of(Multivector.basis(1, EXACT), BASIS)
+    zeros = [(n, k) for n in range(4) for k in range(4) if want[n][k] == 0]
+    assert zeros and all(got[n][k] == 0j for n, k in zeros)
+
+
+def test_matrix_covariance_on_a_random_basis_gives_a_verdict():
+    basis = _random_1()
+    state = eq.plane_wave(EquationForm.DIRAC_MATRIX, (1.0, 0, 0, 0), 1.0, basis=basis).state
+    rng = random.Random(7)
+    for _ in range(3):
+        s = spin.random_spin(rng, scale=0.4)
+        config = eq.FieldConfig(EquationForm.DIRAC_MATRIX, state, None, 1.0, basis.to_float())
+        rep = eq.covariance_check(s, config)
+        assert rep.verdict == "pass" and rep.residual_after <= 1e-10
 
 
 def _coeffs(u):
@@ -822,9 +880,10 @@ def test_the_float_copy_is_the_rounded_exact_basis(make):
 def test_the_float_copy_rounds_its_gammas_on_first_use():
     basis = ideal.idempotent_of(generators.canonical_generators())
     copy = basis.to_float()
-    assert "blade_images" not in vars(basis) and "_rounded_gammas" not in vars(copy)
+    assert "blade_images" not in vars(basis) and "rounded_images" not in vars(copy)
     gammas = copy.vector_gammas()
     assert "blade_images" in vars(basis) and copy.vector_gammas() is gammas
+    assert "rounded_images" in vars(copy)
     assert gammas == tuple(tuple(tuple(complex(v) for v in row)
                                  for row in ideal.gamma_of(basis_vector(mu, EXACT), basis))
                            for mu in range(4))
@@ -894,9 +953,26 @@ def test_equations_builds_no_basis():
 
 def test_state_norm_checks_h_once_per_field():
     bad_h = Multivector.unit(FLOAT).scale(2.0)
-    assert eq._state_norm(AnalyticField.zero(FLOAT), bad_h, 0, 1e-12) == 0.0
+    assert eq._state_norm(AnalyticField.zero(FLOAT), bad_h, 0) == 0.0
     with pytest.raises(InvalidGeneratorError):
-        eq._state_norm(AnalyticField.constant(basis_vector(1, FLOAT)), bad_h, 0, 1e-12)
+        eq._state_norm(AnalyticField.constant(basis_vector(1, FLOAT)), bad_h, 0)
+
+
+def test_a_grid_residual_checks_h_as_an_analytic_one_does():
+    wave = eq.plane_wave(EquationForm.HESTENES, (1.0, 0, 0, 0), 1.0).state
+    bad_h = Multivector.unit(FLOAT).scale(2.0)
+    for state in (wave, sample(wave, 8, math.pi / 4)):
+        with pytest.raises(InvalidGeneratorError):
+            eq.residual_hestenes(state, None, 1.0, bad_h, FBASIS.gens.i2)
+
+
+def test_the_verdict_tolerance_does_not_loosen_the_h_check():
+    # H*H - 1 is 2e-4 here, far inside a verdict tolerance of 0.5
+    near_h = basis_vector(0, FLOAT).scale(1.0 + 1e-4)
+    wave = eq.plane_wave(EquationForm.HESTENES, (1.0, 0, 0, 0), 1.0).state
+    for state in (wave, sample(wave, 8, math.pi / 4)):
+        with pytest.raises(InvalidGeneratorError):
+            eq.residual_hestenes(state, None, 1.0, near_h, FBASIS.gens.i2, tolerance=0.5)
 
 
 def test_the_default_basis_is_built_once_per_backend(monkeypatch):
@@ -949,20 +1025,18 @@ def _counted_unit_squares(monkeypatch) -> list:
     return checks
 
 
-def test_hermitian_size_is_built_once_per_float_h_and_tolerance(monkeypatch):
+def test_hermitian_size_is_built_once_per_float_h(monkeypatch):
     checks = _counted_unit_squares(monkeypatch)
     fields = [random_full_state(random.Random(k)).to_float() for k in range(3)]
     h = BASIS.gens.h
-    first = [eq._state_norm(f, h, 0, 1e-12) for f in fields]
+    first = [eq._state_norm(f, h, 0) for f in fields]
     assert len(checks) == 1
-    # the exact H and its rounding share one size; another tolerance does not
-    assert [eq._state_norm(f, h.to_float(), 0, 1e-12) for f in fields] == first
+    # the exact H and its rounding share one size
+    assert [eq._state_norm(f, h.to_float(), 0) for f in fields] == first
     assert len(checks) == 1
-    eq._state_norm(fields[0], h, 0, 1e-9)
-    assert len(checks) == 2
     # a kept size gives the bits of a fresh one
     eq._float_hermitian_size.cache_clear()
-    fresh = [eq._state_norm(f, h, 0, 1e-12) for f in fields]
+    fresh = [eq._state_norm(f, h, 0) for f in fields]
     assert [v.hex() for v in fresh] == [v.hex() for v in first]
 
 
@@ -972,7 +1046,7 @@ def test_a_failing_h_is_never_kept(monkeypatch):
     field = AnalyticField.constant(basis_vector(1, FLOAT))
     for _ in range(2):
         with pytest.raises(InvalidGeneratorError):
-            eq._state_norm(field, bad_h, 0, 1e-12)
+            eq._state_norm(field, bad_h, 0)
     assert len(checks) == 2
     assert eq._float_hermitian_size.cache_info().currsize == 0
 
@@ -982,7 +1056,7 @@ def test_kept_hermitian_sizes_stay_bounded():
     eq._float_hermitian_size.cache_clear()
     field = AnalyticField.constant(basis_vector(0, FLOAT))
     for k in range(200):
-        assert eq._state_norm(field, _boost_h(k / 100), 0, 1e-9) > 0
+        assert eq._state_norm(field, _boost_h(k / 100), 0) > 0
     info = eq._float_hermitian_size.cache_info()
     assert info.currsize <= info.maxsize < 200
 
@@ -1102,8 +1176,8 @@ def test_state_norm_is_the_largest_pointwise_hermitian_norm(size):
     h = _random_1().to_float().gens.h
     for seed in range(3):
         state = random_full_state(rng).to_float().scale(size)
-        want = max(_hermitian_at(_value_at(state, x), h, 1e-6) for x in eq.sample_points(seed))
-        got = eq._state_norm(state, h, seed, 1e-6)
+        want = max(_hermitian_at(_value_at(state, x), h) for x in eq.sample_points(seed))
+        got = eq._state_norm(state, h, seed)
         assert got.hex() == want.hex()
         assert math.isfinite(got) and got > 0.1 * size
 
@@ -1135,19 +1209,19 @@ def _value_at(field, x) -> Multivector:
     return Multivector(coeffs, FLOAT)
 
 
-def _hermitian_direct(u: Multivector, h: Multivector, tol: float) -> float:
-    val = complex(scalar_part_of_product(u, hermitian_conjugate(u, h, tol))) * 4
+def _hermitian_direct(u: Multivector, h: Multivector) -> float:
+    val = complex(scalar_part_of_product(u, hermitian_conjugate(u, h))) * 4
     return math.sqrt(max(val.real, 0.0))
 
 
-def _hermitian_at(u: Multivector, h: Multivector, tol: float) -> float:
+def _hermitian_at(u: Multivector, h: Multivector) -> float:
     """sqrt(4 Tr(U U^dagger)), or s * norm(U / s) with s = max |U| where a
     finite U overflows."""
-    value = _hermitian_direct(u, h, tol)
+    value = _hermitian_direct(u, h)
     if math.isfinite(value):
         return value
     s = u.max_abs()
-    return s * _hermitian_direct(u.scale(1.0 / s), h, tol) if math.isfinite(s) else value
+    return s * _hermitian_direct(u.scale(1.0 / s), h) if math.isfinite(s) else value
 
 
 def _column_at(vals) -> float:
@@ -1178,7 +1252,7 @@ def _sizes(field, h_name: str) -> list:
     H = e0 or the three-blade H of random:1, max_abs and the column norm."""
     h = basis_vector(0, FLOAT) if h_name == "e0" else _random_1_h()
     spinor = BispinorField(tuple(field.component(m) for m in (0, 3, 6, 15)))
-    return [(field, eq._hermitian_size(h, 1e-6), lambda u: _hermitian_at(u, h, 1e-6)),
+    return [(field, eq._hermitian_size(h), lambda u: _hermitian_at(u, h)),
             (field, eq._max_abs, Multivector.max_abs),
             (spinor, eq._column_norms, _column_at)]
 
@@ -1266,7 +1340,7 @@ def test_one_point_sizes_equal_the_reference(coeffs, h_name):
     u = Multivector(coeffs, FLOAT)
     h = basis_vector(0, FLOAT) if h_name == "e0" else _random_1_h()
     column = np.array(coeffs)[:, None]
-    assert _outcome(eq.hermitian_norm, u, h, 1e-6) == _outcome(_hermitian_at, u, h, 1e-6)
+    assert _outcome(eq.hermitian_norm, u, h) == _outcome(_hermitian_at, u, h)
     assert _outcome(lambda: eq._max_abs(column)[0]) == _outcome(u.max_abs)
     assert _outcome(lambda: eq._column_norms(column[:4])[0]) == _outcome(_column_at, coeffs[:4])
 
@@ -1295,13 +1369,13 @@ def _with_an_inf() -> AnalyticField:
 def test_sampled_sizes_off_the_finite_range_equal_the_reference(h_name, monkeypatch):
     huge = _overflow_at_one_point()
     h = basis_vector(0, FLOAT)
-    norms = [_hermitian_direct(_value_at(huge, x), h, 1e-6) for x in eq.sample_points(0)]
+    norms = [_hermitian_direct(_value_at(huge, x), h) for x in eq.sample_points(0)]
     assert sum(not math.isfinite(v) for v in norms) == 1
     spinor = BispinorField.constant((1e200, 0, complex(0, -1e200), 1.0), FLOAT)
     with pytest.raises(OverflowError):  # so the column norm takes hypot
         sum(abs(v) ** 2 for v in spinor.eval((0.0, 0.0, 0.0, 0.0)))
     cases = [*_sizes(_with_an_inf(), h_name),
-             (huge, eq._hermitian_size(h, 1e-6), lambda u: _hermitian_at(u, h, 1e-6)),
+             (huge, eq._hermitian_size(h), lambda u: _hermitian_at(u, h)),
              (spinor, eq._column_norms, _column_at)]
     for f, size, reference in cases:
         got = eq.sampled_max(f, size)
@@ -1365,7 +1439,7 @@ def test_float_residual_norm_makes_no_per_point_products(monkeypatch):
     monkeypatch.setattr(AnalyticField, "eval_points",
                         lambda self, points: batches.append(len(points))
                         or evaluate_points(self, points))
-    size = eq._hermitian_size(e0, DEFAULT_TOLERANCE)
+    size = eq._hermitian_size(e0)
     products.clear()
     assert eq.sampled_max(report.residual, size).hex() == report.max_norm.hex()
     assert products == [] and evals == [] and batches == [24]

@@ -96,6 +96,11 @@ def test_the_canonical_basis_is_one_object_per_backend():
     assert ideal.canonical_basis(FLOAT).source is ideal.canonical_basis()
 
 
+def test_the_canonical_basis_refuses_an_unknown_backend():
+    with pytest.raises(DomainError, match="unknown backend"):
+        ideal.canonical_basis("bogus")
+
+
 def test_ideal_basis_multiplication_law():
     rng = random.Random(2)
     for _ in range(10):
@@ -224,7 +229,7 @@ def test_theorem3_rank_eight():
         assert ideal.even_ideal_map_rank(basis) == 8
 
 
-# ---- float ranks: the SVD count of linalg.rank ----------------------------------
+# ---- float ranks: the column count less the nullity ----------------------------
 
 
 def test_float_canonical_generators_span_rank_sixteen():

@@ -5,6 +5,7 @@ references, the cached gamma images against the product route, and the
 independence of the oracles from the kernel."""
 
 import ast
+import dataclasses
 import math
 import random
 from pathlib import Path
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stada import exterior, generators, ideal, kernel, linalg, spin, suites
+from stada.errors import ConsistencyError
 from stada.kernel import (
     DENSE_PAIRS,
     INT64_BOUND,
@@ -393,6 +395,15 @@ def test_cached_gamma_matches_product_route():
         assert "blade_images" in vars(basis)
 
 
+def test_the_blade_images_check_the_reconstruction():
+    # swapped dual basis elements give components that do not rebuild U t_k
+    basis = ideal.idempotent_of(generators.canonical_generators())
+    d = basis.ts_dagger
+    broken = dataclasses.replace(basis, ts_dagger=(d[1], d[0], d[2], d[3]))
+    with pytest.raises(ConsistencyError, match="reconstruction"):
+        ideal.gamma_of(Multivector.basis(1), broken)
+
+
 def test_basis_construction_builds_no_image_cache():
     # a fresh basis: the cached canonical one may have built its images already
     basis = ideal.idempotent_of(generators.canonical_generators())
@@ -408,10 +419,18 @@ def test_basis_construction_builds_no_image_cache():
     assert "blade_images" not in vars(new_basis)
 
 
-def test_float_gamma_builds_no_image_cache():
-    basis = ideal.canonical_basis(FLOAT)
-    ideal.gamma_of(Multivector.basis(1, FLOAT), basis)
-    assert "blade_images" not in vars(basis)
+def test_float_gamma_reads_the_rounded_images_of_its_source():
+    # a fresh basis: the cached canonical one may have built its images already
+    basis = ideal.idempotent_of(generators.canonical_generators())
+    copy = basis.to_float()
+    got = ideal.gamma_of(Multivector.basis(1, FLOAT), copy)
+    # the copy rounds the exact blade images of its source once
+    assert "rounded_images" in vars(copy) and "blade_images" in vars(basis)
+    assert copy.rounded_images == tuple(
+        tuple(complex(v) for row in ideal.gamma_of(Multivector.basis(m), basis) for v in row)
+        for m in range(16))
+    assert got == tuple(tuple(map(complex, row))
+                        for row in ideal.gamma_of(Multivector.basis(1), basis))
 
 
 def _names_in_source(module) -> set:

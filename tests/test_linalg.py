@@ -256,3 +256,12 @@ def test_float_null_space_is_orthonormal_and_scale_free(kind, scale):
         a, v = np.array(floats), np.array(kernel).T
         assert np.abs(v.conj().T @ v - np.eye(nullity)).max() <= 1e-12
         assert np.abs(a @ v).max() <= 1e-12 * np.abs(a).max()
+
+
+def test_float_rank_and_nullity_share_one_cutoff():
+    # every entry is below an absolute 1e-9; the relative cutoff sees rank 2
+    matrix = [[1e-12, 2e-12, 0.0], [2e-12, 4e-12, 0.0], [0.0, 0.0, 1e-12]]
+    assert linalg.rank(matrix) == 2
+    assert linalg.rank(matrix) + len(linalg.null_space(matrix)) == 3
+    scaled = [[v * 1e12 for v in row] for row in matrix]
+    assert linalg.rank(scaled) == 2 and len(linalg.null_space(scaled)) == 1
