@@ -129,10 +129,12 @@ class BispinorField:
 # ---- norms and sample points -------------------------------------------------
 
 
-def sample_points(seed: int = 0) -> list:
-    """24 seeded points of the box [-1, 1]^4."""
+# bounded: a caller may pass any seed; a tuple, so no caller changes the kept points
+@functools.lru_cache(maxsize=16)
+def sample_points(seed: int = 0) -> tuple:
+    """24 seeded points of the box [-1, 1]^4, drawn once per seed."""
     rng = random.Random(seed)
-    return [tuple(rng.uniform(-1.0, 1.0) for _ in range(4)) for _ in range(24)]
+    return tuple(tuple(rng.uniform(-1.0, 1.0) for _ in range(4)) for _ in range(24))
 
 
 def _rescaled(norm, u) -> float:

@@ -138,7 +138,12 @@ def idempotent_of(g: SecondaryGenerators) -> IdealBasis:
     """Build t = (unit+H)(unit-iI)/4 and its ideal basis from exact generators,
     verifying every construction invariant exactly (idempotency, the
     multiplication law among the t_k, and orthonormality under the scalar
-    product).  A float basis is the rounded copy `to_float()`."""
+    product).  A float basis is the rounded copy `to_float()`.
+
+    Orthonormality reads the stored daggers `ts_dagger`, H t_n^star H each
+    built once: (t_k, t^n) = 4 Tr(t_k t_n^dagger) is `project_components(t_k)`,
+    the value `scalar_product` gives, so the check verifies the daggers
+    every later projection uses."""
     if g.backend != EXACT:
         raise DomainError("an ideal basis is built from exact generators; "
                           "round it with IdealBasis.to_float()")
@@ -162,8 +167,7 @@ def idempotent_of(g: SecondaryGenerators) -> IdealBasis:
             if not (tk * tn - target).is_zero():
                 raise ConsistencyError(f"t_{k + 1} t_{n + 1} violates the ideal multiplication law")
     for k, tk in enumerate(ts):
-        for n in range(4):
-            val = scalar_product(tk, ts[n], g.h)
+        for n, val in enumerate(basis.project_components(tk)):
             if val != (1 if k == n else 0):
                 raise ConsistencyError(f"orthonormality (t_{k + 1}, t^{n + 1}) failed: {val}")
     return basis

@@ -312,7 +312,17 @@ class Multivector:
         return all(scalars.close(x, y, tol) for x, y in zip(self.coeffs, other.coeffs))
 
     def max_abs(self) -> float:
-        return scalars.nan_max(*(scalars.modulus(c) for c in self.coeffs))
+        """The largest coefficient modulus, NaN if one is NaN, inf where a
+        finite coefficient's modulus is beyond the float range
+        (`scalars.modulus`).  A float multivector takes the builtin abs of
+        every coefficient in one map, and the per-coefficient rule only
+        where abs raises."""
+        if self.backend != EXACT:
+            try:
+                return scalars.nan_max(*map(abs, self.coeffs))
+            except OverflowError:
+                pass
+        return scalars.nan_max(*map(scalars.modulus, self.coeffs))
 
     # ---- involutions and traces ----------------------------------------
 

@@ -211,11 +211,13 @@ def to_complex(value: Scalar) -> complex:
 
 def modulus(value: Scalar) -> float:
     """|value| as a float; inf where a finite value's modulus is beyond the
-    float range, where abs() raises."""
+    float range, where abs() raises.  NaN for a NaN even right after such an
+    overflow: CPython's complex abs leaves errno at ERANGE then, and its NaN
+    path, which does not reset errno, raises as well."""
     try:
         return abs(to_complex(value))
     except OverflowError:
-        return math.inf
+        return math.nan if value != value else math.inf
 
 
 def is_zero(value: Scalar, tol: float = DEFAULT_TOLERANCE) -> bool:

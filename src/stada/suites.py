@@ -179,19 +179,37 @@ def _run_check(report: RunReport, check_id: str, law: str, *, key: str | None = 
     return run
 
 
+def _draws(rng: random.Random, span: int, count: int) -> list[int]:
+    """`count` integers of [-span, span]: the values `rng.randint(-span, span)`
+    gives, in the same order, leaving `rng` in the same state.  This is
+    CPython's rejection loop behind `randint` for a `random.Random`, inline:
+    draw k = n.bit_length() bits until the value is below n = 2 span + 1.
+    `tests/test_suites.py::test_draws_reproduce_randint` pins the equality."""
+    n = 2 * span + 1
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        out.append(r - span)
+    return out
+
+
 def _random_mv(rng: random.Random, backend: str = EXACT, span: int = 3,
-               masks=range(16)) -> Multivector:
+               masks=range(16), den: int = 1) -> Multivector:
     if backend == EXACT:
+        parts = iter(_draws(rng, span, 2 * len(masks)))
         return Multivector.from_terms(
-            [(m, QQi(rng.randint(-span, span), rng.randint(-span, span)))
-             for m in masks], EXACT)
+            [(m, QQi(re, im, den)) for m, re, im in zip(masks, parts, parts)], EXACT)
     return Multivector.from_terms(
         [(m, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for m in masks], FLOAT)
 
 
 def _random_real_mv(rng: random.Random, masks=range(16), span: int = 3) -> Multivector:
     return Multivector.from_terms(
-        [(m, QQi(rng.randint(-span, span))) for m in masks], EXACT)
+        [(m, QQi(a)) for m, a in zip(masks, _draws(rng, span, len(masks)))], EXACT)
 
 
 # ---- suite: algebra --------------------------------------------------------------
@@ -276,12 +294,8 @@ def _suite_algebra(report: RunReport) -> None:
                 key="algebra.float_agreement", n=100, bound=1e-12)
     def cases(rng, n):
         for _ in range(n):
-            u = Multivector.from_terms(
-                [(m, QQi(rng.randint(-64, 64), rng.randint(-64, 64), 64)) for m in range(16)],
-                EXACT)
-            v = Multivector.from_terms(
-                [(m, QQi(rng.randint(-64, 64), rng.randint(-64, 64), 64)) for m in range(16)],
-                EXACT)
+            u = _random_mv(rng, span=64, den=64)
+            v = _random_mv(rng, span=64, den=64)
             exact = (u * v).to_float()
             approx = u.to_float() * v.to_float()
             yield (exact - approx).max_abs()

@@ -1061,6 +1061,16 @@ def test_kept_hermitian_sizes_stay_bounded():
     assert info.currsize <= info.maxsize < 200
 
 
+def test_sample_points_are_drawn_once_per_seed():
+    for seed in (0, 3):
+        rng = random.Random(seed)
+        want = [tuple(rng.uniform(-1.0, 1.0) for _ in range(4)) for _ in range(24)]
+        points = eq.sample_points(seed)
+        assert points is eq.sample_points(seed)
+        assert isinstance(points, tuple) and all(isinstance(x, tuple) for x in points)
+        assert list(points) == want
+
+
 # ---- plane waves from amplitude columns -------------------------------------------------
 
 

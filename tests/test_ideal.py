@@ -7,7 +7,7 @@ import random
 import pytest
 
 from stada import generators, ideal, linalg, spin
-from stada.errors import DomainError, InvalidGeneratorError
+from stada.errors import ConsistencyError, DomainError, InvalidGeneratorError
 from stada.multivector import (
     EVEN_MASKS,
     Multivector,
@@ -119,6 +119,27 @@ def test_orthonormality():
             for n in range(4):
                 val = basis.pairing(basis.ts[k], basis.ts[n])
                 assert val == (QQi(1) if k == n else QQi(0))
+
+
+def test_wrong_daggers_fail_the_orthonormality_check(monkeypatch):
+    # orthonormality reads the daggers the basis keeps, so a wrong dagger,
+    # which every later projection would use, is refused at construction
+    gens = generators.canonical_generators()
+    real = ideal.hermitian_conjugate
+    monkeypatch.setattr(ideal, "hermitian_conjugate", lambda *args: -real(*args))
+    with pytest.raises(ConsistencyError, match="orthonormality"):
+        ideal.idempotent_of(gens)
+
+
+def test_a_basis_builds_each_dagger_once(monkeypatch):
+    gens = random_generator_set(random.Random(5))
+    calls = []
+    real = ideal.hermitian_conjugate
+    monkeypatch.setattr(ideal, "hermitian_conjugate",
+                        lambda *args: calls.append(args) or real(*args))
+    basis = ideal.idempotent_of(gens)
+    assert len(calls) == 4
+    assert [u for u, _ in calls] == list(basis.ts)
 
 
 def test_absorption_identities():

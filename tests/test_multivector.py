@@ -1,6 +1,7 @@
 """Core algebra: products against the transposition oracle, involutions,
 trace laws, inversion, and the literal grammar."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from stada.multivector import (
     require_unit_square,
     scalar_part_of_product,
 )
-from stada.scalars import EXACT, FLOAT, QQi
+from stada.scalars import EXACT, FLOAT, QQi, modulus, nan_max
 from stada.suites import oracle_blade_product
 
 small = st.integers(min_value=-3, max_value=3)
@@ -275,3 +276,30 @@ def test_json_roundtrip():
 
 def test_format_zero():
     assert format_multivector(Multivector.zero()) == "0"
+
+
+@pytest.mark.parametrize("values", [
+    [],
+    [math.nan],
+    [math.inf],
+    [-math.inf],
+    [complex(math.inf, math.nan), 2.0],
+    [complex(math.nan, -math.inf)],
+    [1e308 + 1e308j, complex(1.7e308, 1.7e308)],
+    [complex(1.7e308, -1.7e308), math.nan],
+    [math.nan, -1.7e308 - 1.7e308j, 1.0],
+    [-0.0, complex(-0.0, -0.0), complex(0.0, -0.0)],
+    [0.5 - 2j, -3.0, 1e-300j, complex(-1e308, 1e308)],
+])
+def test_float_max_abs_is_the_per_coefficient_modulus_rule(values):
+    # the one-map route for floats gives the bits of nan_max over modulus,
+    # also where abs raises on a finite value's modulus beyond the float range
+    coeffs = [complex(v) for v in values] + [0j] * (16 - len(values))
+    for order in (coeffs, coeffs[::-1]):
+        got = Multivector(order, FLOAT).max_abs()
+        assert repr(got) == repr(nan_max(*(modulus(c) for c in order)))
+
+
+def test_float_max_abs_keeps_a_nan_after_an_overflow():
+    u = Multivector([complex(1.7e308, 1.7e308), complex(math.nan, 0.0)] + [0j] * 14, FLOAT)
+    assert math.isnan(u.max_abs())

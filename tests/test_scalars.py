@@ -107,3 +107,11 @@ def test_modulus_beyond_the_float_range_is_inf():
     assert modulus(QQi(10 ** 400, 1)) == math.inf
     assert modulus(complex(3.0, 4.0)) == modulus(QQi(3, 4)) == 5.0
     assert math.isnan(modulus(complex(math.nan, 0.0)))
+
+
+def test_a_nan_right_after_an_overflow_stays_nan():
+    # CPython's complex abs keeps errno at ERANGE after an overflow, and
+    # abs of a NaN then raises as well; read as inf, a NaN would be lost
+    for nan in (complex(math.nan, 0.0), complex(2.0, math.nan), math.nan):
+        moduli = [modulus(z) for z in (complex(1.7e308, 1.7e308), nan, complex(math.inf, math.nan))]
+        assert moduli[0] == math.inf and math.isnan(moduli[1]) and moduli[2] == math.inf

@@ -4,14 +4,15 @@ import ast
 import contextlib
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
 
 from stada import spin, suites
 from stada.errors import InvalidSpinError
-from stada.multivector import Multivector
-from stada.scalars import FLOAT
+from stada.multivector import EVEN_MASKS, MASKS_OF_GRADE, Multivector
+from stada.scalars import EXACT, FLOAT, QQi
 
 
 def test_every_suite_passes_quickly():
@@ -69,6 +70,34 @@ def test_seeded_report_matches_golden_file(name):
     report = suites.run_suite(name, seed=1)
     blob = json.dumps(report.to_json_dict(with_environment=False), sort_keys=True, indent=1)
     assert blob + "\n" == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("span", [1, 2, 3, 9, 64])
+@pytest.mark.parametrize("count", [0, 1, 32])
+def test_draws_reproduce_randint(span, count):
+    # the seeded suites draw their exact cases through this loop: the same
+    # values as randint, in order, and the generator left where randint leaves
+    # it, so every later draw of a check is unchanged too
+    for seed in ("1:algebra.associativity", 7):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert suites._draws(ours, span, count) == [theirs.randint(-span, span)
+                                                    for _ in range(count)]
+        assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("span, masks, den", [(2, range(16), 1), (1, MASKS_OF_GRADE[2], 1),
+                                              (64, range(16), 64)])
+def test_random_multivectors_draw_as_randint_did(span, masks, den):
+    ours, theirs = random.Random(11), random.Random(11)
+    got = suites._random_mv(ours, span=span, masks=masks, den=den)
+    want = Multivector.from_terms(
+        [(m, QQi(theirs.randint(-span, span), theirs.randint(-span, span), den))
+         for m in masks], EXACT)
+    assert got == want
+    real = suites._random_real_mv(ours, masks=EVEN_MASKS, span=span)
+    assert real == Multivector.from_terms(
+        [(m, QQi(theirs.randint(-span, span))) for m in EVEN_MASKS], EXACT)
+    assert ours.getstate() == theirs.getstate()
 
 
 def _spin_verdicts(monkeypatch) -> dict:
