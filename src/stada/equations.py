@@ -10,6 +10,9 @@ whatever state it is given (the reduction identities need that), and each
 `residual_*` validates the state, evaluates the operator, and packages a
 report.  Pointwise residual size is measured with the generator-adapted
 hermitian norm, which the gauge rotations of every form preserve exactly.
+
+The spinor bijections are those of `ideal`, which owns the basis and imports
+nothing from here; `translate` carries fields along them.
 """
 
 from __future__ import annotations
@@ -604,18 +607,15 @@ def reduction_sides(kind: str, t_red: Multivector, rho, pot, m,
 # ---- translations --------------------------------------------------------------------
 
 
-def _component_fields(state, basis: IdealBasis) -> list:
-    """Scalar fields (state, t^k) = 4 <state t^k dagger>_0 for an
-    ideal-valued analytic state."""
-    return [state.scalar_part_of_mul(td).scale(4) for td in basis.ts_dagger]
-
-
 def translate(state, src: EquationForm, dst: EquationForm, basis: IdealBasis):
     """Carry a state between equation forms along the canonical bijections.
 
     The real-even and exterior-calculus forms share storage, so that pair
     translates as the identity for any state kind; the remaining maps are
-    defined on analytic states.
+    defined on analytic states and pass through the ideal: psi_k t_k and
+    Omega t lead in, the components (theta, t^k) and 4 <Re theta>_even
+    (proved in `ideal.even_from_ideal`) lead out.  The last map is defined
+    on the ideal, and the state is not checked to lie in it.
     """
     if src == dst:
         return state
@@ -628,54 +628,15 @@ def translate(state, src: EquationForm, dst: EquationForm, basis: IdealBasis):
         theta = AnalyticField.zero(state.backend)
         for comp, tk in zip(state.components, basis.ts):
             theta = theta + comp.mul_const(tk, side="right")
-        if dst == EquationForm.IDEAL:
-            return theta
         return translate(theta, EquationForm.IDEAL, dst, basis)
-    if src == EquationForm.IDEAL:
-        if dst == EquationForm.DIRAC_MATRIX:
-            comps = _component_fields(state, basis)
-            return BispinorField(tuple(comps))
-        if dst in (EquationForm.HESTENES, EquationForm.TENSOR):
-            comps = _component_fields(state, basis)
-            out = AnalyticField.zero(state.backend)
-            for comp, f, fi in zip(comps, basis.fs, basis.fs_i2):
-                out = out + comp.real_part().mul_const(f, side="right")
-                out = out + comp.imag_part().mul_const(fi, side="right")
-            return out
-        raise DomainError(f"no translation from {src.value} to {dst.value}")
     if src in (EquationForm.HESTENES, EquationForm.TENSOR):
-        theta = state.mul_const(basis.t, side="right")
-        if dst == EquationForm.IDEAL:
-            return theta
-        return translate(theta, EquationForm.IDEAL, dst, basis)
+        return translate(state.mul_const(basis.t, side="right"), EquationForm.IDEAL, dst, basis)
+    if src == EquationForm.IDEAL and dst == EquationForm.DIRAC_MATRIX:
+        return BispinorField(tuple(state.scalar_part_of_mul(td).scale(4)
+                                   for td in basis.ts_dagger))
+    if src == EquationForm.IDEAL and dst in (EquationForm.HESTENES, EquationForm.TENSOR):
+        return state.real_part().even_part().scale(4)
     raise DomainError(f"no translation from {src.value} to {dst.value}")
-
-
-def amplitude_columns(basis: IdealBasis) -> dict:
-    """form -> (P, M) for the ideal and the Hestenes form of a basis.
-
-    With L = `translate` from the matrix form, which is pointwise and
-    R-linear, P_k = (L(e_k) - i L(i e_k))/2 and M_k = (L(e_k) + i L(i e_k))/2
-    on the constant unit spinors e_k, so that
-    L(u) = sum_k u_k P_k + conj(u_k) M_k for every constant spinor u.  M is
-    zero, in floats too, where L is C-linear.  `IdealBasis.amplitude_columns`
-    keeps them, built once per basis."""
-    backend = basis.backend
-    i_unit, zero = scalars.imaginary_unit(backend), scalars.zero(backend)
-
-    def image(dst, k, c):
-        spinor = BispinorField.constant([c if n == k else 0 for n in range(4)], backend)
-        value = translate(spinor, EquationForm.DIRAC_MATRIX, dst, basis)
-        _, polys = value.terms[()]  # a constant field has one term, on the zero phase
-        return Multivector([q.terms.get((0, 0, 0, 0), zero) for q in polys], backend)
-
-    out = {}
-    for dst in (EquationForm.IDEAL, EquationForm.HESTENES):
-        real = [image(dst, k, 1) for k in range(4)]
-        turned = [image(dst, k, i_unit).scale(i_unit) for k in range(4)]
-        out[dst] = (tuple((a - b).scale(Fraction(1, 2)) for a, b in zip(real, turned)),
-                    tuple((a + b).scale(Fraction(1, 2)) for a, b in zip(real, turned)))
-    return out
 
 
 def _combination(coeffs, cols) -> Multivector:
@@ -861,11 +822,12 @@ def plane_wave(form: EquationForm, p, m, sign: int = 1,
 
     The state is u exp(i phi), phi = -sign p.x, carried to the form without
     a field translation: every translation is pointwise and R-linear, so it
-    acts on the amplitude alone, and the amplitude columns P, M of the basis
-    (`amplitude_columns`) give it as A+ exp(i phi) + A- exp(-i phi) with
-    A+ = sum_k u_k P_k and A- = sum_k conj(u_k) M_k; A- is zero for the
-    ideal-valued forms.  The right factor of ilk-even or ilk-e5 multiplies
-    A+ and A- once each, after the sums.
+    acts on the amplitude alone, and the closed-form amplitude columns P, M
+    of the basis (`IdealBasis.amplitude_columns`, "ideal" or "even") give it
+    as A+ exp(i phi) + A- exp(-i phi) with A+ = sum_k u_k P_k and
+    A- = sum_k conj(u_k) M_k; A- is zero for the ideal-valued forms.  The
+    right factor of ilk-even or ilk-e5 multiplies A+ and A- once each, after
+    the sums.
     """
     p = tuple(float(v) for v in p)
     m = float(m)
@@ -896,8 +858,7 @@ def plane_wave(form: EquationForm, p, m, sign: int = 1,
     else:
         # ideal states solve ilk as they stand; the Hestenes state times (unit - iI)/2
         # is even complex and solves ilk-even; the ideal state times t-e5 solves ilk-e5
-        via = EquationForm.HESTENES if form in _HESTENES_WAVES else EquationForm.IDEAL
-        plus, minus = basis.amplitude_columns[via]
+        plus, minus = basis.amplitude_columns["even" if form in _HESTENES_WAVES else "ideal"]
         amps = (_combination(u, plus), _combination([v.conjugate() for v in u], minus))
         if form == EquationForm.ILK_EVEN:
             unit = Multivector.unit(FLOAT)

@@ -49,8 +49,7 @@ class IdealBasis:
     basis blades are built once per basis, on the first `gamma_of`, and
     every later call combines them.  A float basis is the copy `to_float()`
     of an exact one, its `source`: its blade images and its plane-wave
-    amplitude columns are those of the source, rounded on first use, and
-    the products F_k I are built once from its own members.
+    amplitude columns are those of the source, rounded on first use.
     """
 
     gens: SecondaryGenerators
@@ -103,20 +102,19 @@ class IdealBasis:
 
     @cached_property
     def amplitude_columns(self) -> dict:
-        """form -> (P, M), the columns a plane wave combines its amplitude
-        with (`equations.amplitude_columns`), built once per basis; a float
-        copy rounds the columns of its exact basis."""
+        """"ideal" and "even" -> (P, M), the columns a plane wave combines its
+        amplitude u with: sum_k u_k P_k + conj(u_k) M_k is the image of the
+        constant spinor u in the ideal, sum_k u_k t_k with P_k = t_k and
+        M_k = 0, or in the real even subalgebra, sum_k F_k (Re u_k + Im u_k I)
+        with P_k = F_k (1 - iI)/2 and M_k = F_k (1 + iI)/2.  Built exactly,
+        once per basis; a float copy rounds the columns of its exact basis."""
         if self.source is not None:
-            return {form: _rounded(cols) for form, cols in self.source.amplitude_columns.items()}
-        from .equations import amplitude_columns  # equations builds on this module
-
-        return amplitude_columns(self)
-
-    @cached_property
-    def fs_i2(self) -> tuple:
-        """F_k I for k = 1..4, the right factors of the imaginary parts in the
-        translation from the ideal to the Hestenes form."""
-        return tuple(f * self.gens.i2 for f in self.fs)
+            return {name: _rounded(cols) for name, cols in self.source.amplitude_columns.items()}
+        half = Multivector.unit(EXACT).scale(Fraction(1, 2))
+        half_ii = self.gens.i2.scale(scalars.imaginary_unit(EXACT) * Fraction(1, 2))
+        return {"ideal": (self.ts, (Multivector.zero(EXACT),) * 4),
+                "even": (tuple(f * (half - half_ii) for f in self.fs),
+                         tuple(f * (half + half_ii) for f in self.fs))}
 
     def vector_gammas(self) -> tuple:
         """gamma_of(e_mu) of a float copy for mu = 0..3, kept from the first call."""
@@ -267,19 +265,16 @@ def bispinor_from_ideal(theta: Multivector, basis: IdealBasis,
 
 def even_from_ideal(phi: Multivector, basis: IdealBasis,
                     tol: float = DEFAULT_TOLERANCE) -> Multivector:
-    """The unique real even solution of Omega t = phi: with phi components
-    alpha^k + i beta^k, Omega = F_k (alpha^k unit + beta^k I)."""
+    """The unique real even solution Omega of Omega t = phi, which is
+    4 <Re phi>_even:
+
+        phi = Omega t = [Omega (1 + H) - i Omega (1 + H) I]/4, with Omega, H, I real;
+        so Re phi = (Omega + Omega H)/4;
+        Omega H is odd, so <Re phi>_even = Omega/4.
+    """
     if not basis.contains(phi, tol):
         raise DomainError("element does not lie in the left ideal")
-    backend = basis.backend
-    comps = basis.project_components(phi)
-    unit = Multivector.unit(backend)
-    out = Multivector.zero(backend)
-    for c, f in zip(comps, basis.fs):
-        alpha = scalars.from_real(c.real, backend)
-        beta = scalars.from_real(c.imag, backend)
-        out = out + f * (unit.scale(alpha) + basis.gens.i2.scale(beta))
-    return out
+    return (phi + phi.conjugate()).even_part().scale(2)
 
 
 def ideal_from_even(omega: Multivector, basis: IdealBasis) -> Multivector:

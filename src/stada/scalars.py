@@ -199,12 +199,6 @@ def coerce(value, backend: str) -> Scalar:
     return complex(value)
 
 
-def from_real(value: RealLike, backend: str) -> Scalar:
-    if backend == EXACT:
-        return QQi.from_rational(value)
-    return complex(float(value), 0.0)
-
-
 def to_complex(value: Scalar) -> complex:
     return complex(value)
 
@@ -223,11 +217,18 @@ def modulus(value: Scalar) -> float:
 def is_zero(value: Scalar, tol: float = DEFAULT_TOLERANCE) -> bool:
     if isinstance(value, QQi):
         return not value
-    return abs(value) <= tol
+    try:
+        return abs(value) <= tol
+    except OverflowError:  # as in `modulus`: a NaN right after an overflow reads False
+        return modulus(value) <= tol
 
 
 def close(x: Scalar, y: Scalar, tol: float = DEFAULT_TOLERANCE) -> bool:
     if isinstance(x, QQi) and isinstance(y, QQi):
         return x == y
-    return abs(to_complex(x) - to_complex(y)) <= tol
+    diff = to_complex(x) - to_complex(y)
+    try:
+        return abs(diff) <= tol
+    except OverflowError:  # as in `modulus`: a NaN right after an overflow reads False
+        return modulus(diff) <= tol
 

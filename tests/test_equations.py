@@ -226,6 +226,36 @@ def test_translate_roundtrips():
                             EquationForm.HESTENES, BASIS) == psi
 
 
+def _exact_wave_basis(name: str):
+    return BASIS if name == "canonical" else _random_basis(int(name.split(":")[1]))
+
+
+EXACT_BASES = ["canonical", *(f"random:{n}" for n in range(1, 6))]
+
+
+@pytest.mark.parametrize("name", EXACT_BASES)
+def test_translate_to_the_even_form_is_f_times_re_plus_im_i(name):
+    basis = _exact_wave_basis(name)
+    rng = random.Random(f"even:{name}")
+    for _ in range(5):
+        psi = random_bispinor(rng)
+        want = AnalyticField.zero(EXACT)
+        for comp, f in zip(psi.components, basis.fs):
+            want = (want + comp.real_part().mul_const(f, side="right")
+                    + comp.imag_part().mul_const(f * basis.gens.i2, side="right"))
+        assert eq.translate(psi, EquationForm.DIRAC_MATRIX, EquationForm.HESTENES, basis) == want
+
+
+@pytest.mark.parametrize("name", EXACT_BASES)
+def test_translate_from_the_ideal_inverts_omega_t(name):
+    basis = _exact_wave_basis(name)
+    rng = random.Random(f"omega:{name}")
+    for _ in range(5):
+        omega = random_even_real(rng)
+        theta = omega.mul_const(basis.t, side="right")
+        assert eq.translate(theta, EquationForm.IDEAL, EquationForm.HESTENES, basis) == omega
+
+
 def test_translate_unit_bispinor():
     psi = BispinorField.constant((1, 0, 0, 0), EXACT)
     even = eq.translate(psi, EquationForm.DIRAC_MATRIX, EquationForm.HESTENES, BASIS)
@@ -874,7 +904,6 @@ def test_the_float_copy_is_the_rounded_exact_basis(make):
     for form, cols in basis.amplitude_columns.items():
         assert [list(map(_coeffs, c)) for c in copy.amplitude_columns[form]] \
             == [[_coeffs(u.to_float()) for u in c] for c in cols]
-    assert [_coeffs(u) for u in copy.fs_i2] == [_coeffs(f * copy.gens.i2) for f in copy.fs]
 
 
 def test_the_float_copy_rounds_its_gammas_on_first_use():
@@ -1159,9 +1188,8 @@ def test_plane_waves_equal_the_field_route(wave, basis_name):
 
 
 def test_plane_waves_translate_nothing_once_the_columns_are_built(monkeypatch):
-    builds, translations, constants = [], [], []
-    build, translate, mul_const = eq.amplitude_columns, eq.translate, AnalyticField.mul_const
-    monkeypatch.setattr(eq, "amplitude_columns", lambda b: builds.append(b) or build(b))
+    translations, constants = [], []
+    translate, mul_const = eq.translate, AnalyticField.mul_const
     monkeypatch.setattr(eq, "translate",
                         lambda state, *args: translations.append(args) or translate(state, *args))
     monkeypatch.setattr(AnalyticField, "mul_const",
@@ -1170,14 +1198,17 @@ def test_plane_waves_translate_nothing_once_the_columns_are_built(monkeypatch):
     exact = _random_1()
     for basis, built_on in ((ideal.canonical_basis(FLOAT), ideal.canonical_basis()),
                             (exact.to_float(), exact)):
+        assert "amplitude_columns" not in vars(built_on)
         eq.plane_wave(EquationForm.TENSOR, (1.0, 0, 0, 0), 1.0, basis=basis)
         # a float copy rounds the columns of its exact basis, built once
-        assert builds == [built_on] and translations
-        builds.clear(), translations.clear(), constants.clear()
+        columns = built_on.amplitude_columns
+        assert "amplitude_columns" in vars(built_on) and "amplitude_columns" in vars(basis)
         for form in EquationForm:
             for sign in (1, -1):
                 eq.plane_wave(form, (1.25, 0.6, 0, 0.8), 0.75, sign=sign, basis=basis)
-        assert builds == translations == constants == []
+        assert built_on.amplitude_columns is columns
+        # not even the first plane wave of a basis translates a field
+        assert translations == constants == []
 
 
 @pytest.mark.parametrize("size", [1.0, 1e300])

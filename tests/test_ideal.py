@@ -292,6 +292,39 @@ def test_even_from_ideal_rejects_outsiders():
         ideal.even_from_ideal(Multivector.unit(), basis)
 
 
+def _exact_basis(name: str) -> ideal.IdealBasis:
+    if name == "canonical":
+        return ideal.canonical_basis()
+    return ideal.idempotent_of(random_generator_set(random.Random(int(name.split(":")[1]))))
+
+
+EXACT_BASES = ["canonical", *(f"random:{n}" for n in range(1, 6))]
+
+
+@pytest.mark.parametrize("name", EXACT_BASES)
+def test_the_even_columns_split_f_and_f_i(name):
+    # sum u_k P_k + conj(u_k) M_k = sum F_k (Re u_k + Im u_k I) needs P + M = F
+    # and (P - M) i = F I, and then P and M are the halves F (1 -+ iI)/2
+    basis = _exact_basis(name)
+    plus, minus = basis.amplitude_columns["even"]
+    i_unit = QQi(0, 1)
+    for p, m, f in zip(plus, minus, basis.fs):
+        assert p + m == f
+        assert (p - m).scale(i_unit) == f * basis.gens.i2
+
+
+@pytest.mark.parametrize("name", EXACT_BASES)
+def test_the_columns_land_on_the_ideal_basis(name):
+    # the even image of the spinor e_k is carried to t_k by Omega -> Omega t,
+    # and its conjugate part to zero; the ideal image is t_k itself
+    basis = _exact_basis(name)
+    zero = Multivector.zero(EXACT)
+    plus, minus = basis.amplitude_columns["even"]
+    assert [p * basis.t for p in plus] == list(basis.ts)
+    assert [m * basis.t for m in minus] == [zero] * 4
+    assert basis.amplitude_columns["ideal"] == (basis.ts, (zero,) * 4)
+
+
 def test_bispinor_roundtrip():
     rng = random.Random(10)
     basis = ideal.canonical_basis()

@@ -160,7 +160,6 @@ LATE_IMPORTS = {
     ("generators", "basis16_of", ".linalg"): _NUMPY,
     ("generators", "transported_generators", ".spin"): _CYCLE + ": spin imports generators",
     ("generators", "random_generators", ".spin"): _CYCLE + ": spin imports generators",
-    ("ideal", "amplitude_columns", ".equations"): _CYCLE + ": equations imports ideal",
     ("ideal", "representation_change", ".spin"): _NUMPY + ": spin imports linalg",
     ("ideal", "even_ideal_map_rank", ".linalg"): _NUMPY,
     ("kernel", "gather_tables", "numpy"): _NUMPY,
@@ -197,3 +196,30 @@ def test_every_function_level_import_is_listed_with_a_reason():
         found |= _function_imports(path)
     assert found == set(LATE_IMPORTS)
     assert all(LATE_IMPORTS.values())
+
+
+LOWER = ("scalars", "kernel", "multivector", "exterior", "generators", "spin", "linalg",
+         "ideal", "names", "errors")
+UPPER = {"fields", "grid", "equations", "suites", "expr", "cli"}
+
+
+def _stada_imports(path: Path) -> set:
+    """Every stada module a file imports, at module level or in a function."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("stada."))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and not module.startswith("stada"):
+                continue
+            module = module.removeprefix("stada").lstrip(".")
+            found.update([module.split(".")[0]] if module else [a.name for a in node.names])
+    return found
+
+
+def test_the_lower_layers_import_nothing_from_the_upper_ones():
+    package = Path(stada.__file__).parent
+    for name in LOWER:
+        assert not _stada_imports(package / f"{name}.py") & UPPER, name

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stada
-from stada.scalars import EXACT, FLOAT, QQi, coerce, from_real, is_zero, modulus
+from stada.scalars import EXACT, FLOAT, QQi, close, coerce, is_zero, modulus
 
 ints = st.integers(min_value=-30, max_value=30)
 denoms = st.integers(min_value=1, max_value=12)
@@ -73,7 +73,6 @@ def test_int_mixing():
 def test_coercion_and_tolerance():
     assert coerce(Fraction(1, 3), EXACT) == QQi(1, 0, 3)
     assert coerce(QQi(1, 2), FLOAT) == 1 + 2j
-    assert from_real(0.5, FLOAT) == 0.5 + 0j
     assert is_zero(QQi(0))
     assert not is_zero(QQi(0, 1))
     assert is_zero(1e-15 + 0j)
@@ -115,3 +114,17 @@ def test_a_nan_right_after_an_overflow_stays_nan():
     for nan in (complex(math.nan, 0.0), complex(2.0, math.nan), math.nan):
         moduli = [modulus(z) for z in (complex(1.7e308, 1.7e308), nan, complex(math.inf, math.nan))]
         assert moduli[0] == math.inf and math.isnan(moduli[1]) and moduli[2] == math.inf
+
+
+def test_is_zero_and_close_read_a_nan_after_an_overflow_as_false():
+    # the same errno state makes abs raise; a NaN is neither zero nor close to anything
+    huge = complex(1.7e308, 1.7e308)
+    for nan in (complex(math.nan, 0.0), complex(2.0, math.nan)):
+        modulus(huge)
+        assert not is_zero(nan)
+        modulus(huge)
+        assert not close(nan, 0j)
+        modulus(huge)
+        assert not close(QQi(1), nan)
+    assert not is_zero(huge) and not close(huge, 0j)
+    assert is_zero(1e-13 + 0j) and close(1 + 0j, 1 + 1e-13j)
