@@ -202,8 +202,7 @@ def _reduction_report(args, form: EquationForm, fbasis, pot):
     t_red = eq.reduction_idempotent(args.reduce, fbasis.gens)
     mass = _DEFAULT_MASS if args.mass is None else args.mass
     lhs, rhs = eq.reduction_sides(args.reduce, t_red, rho, pot, mass, fbasis.gens)
-    diff = lhs - rhs
-    gap = eq.sampled_max(diff, eq._max_abs, args.seed)
+    gap = eq.field_gap(lhs, rhs, args.seed)
     report = eq.ResidualReport(
         form=form.value, backend="float", max_norm=gap, tolerance=args.tolerance,
         verdict="pass" if gap <= args.tolerance else "fail", seed=args.seed,

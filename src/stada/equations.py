@@ -197,14 +197,15 @@ def _max_abs(u) -> list:
 
 
 def _column_norms(u) -> list:
-    """sqrt(sum |v|^2) of each column of a (4, P) bispinor array, summed down
-    the column, by `hypot` in a column where a square overflows."""
+    """sqrt(sum |v|^2) of each column of a (4, P) bispinor array, by `hypot`
+    where a square or a modulus overflows; NaN if a modulus is NaN."""
     out = []
     for col in u.T.tolist():
         try:
             out.append(math.sqrt(sum(abs(v) ** 2 for v in col)))
-        except OverflowError:  # a finite square beyond float range
-            out.append(math.hypot(*map(abs, col)))
+        except OverflowError:  # a finite square or modulus beyond float range
+            moduli = [scalars.modulus(v) for v in col]
+            out.append(math.nan if any(map(math.isnan, moduli)) else math.hypot(*moduli))
     return out
 
 
@@ -276,6 +277,15 @@ def sampled_max(field, size, seed: int = 0) -> float:
     if field.is_zero():
         return 0.0
     return nan_max(*size(field.eval_points(sample_points(seed))))
+
+
+def field_gap(a, b, seed: int = 0) -> float:
+    """0.0 for structurally equal fields, otherwise the sampled size of a - b:
+    column norms for a bispinor field, the largest modulus for any other."""
+    if a == b:
+        return 0.0
+    diff = a - b
+    return sampled_max(diff, _column_norms if isinstance(diff, BispinorField) else _max_abs, seed)
 
 
 def _state_norm(state, h_mv: Multivector, seed: int) -> float:
@@ -682,13 +692,14 @@ class CurrentResult:
     grade_leak: float
     match_error: float
 
-    def divergence_max(self, seed: int = 0) -> float:
-        return sampled_max(self.divergence, _max_abs, seed)
+    def divergence_max(self) -> float:
+        return sampled_max(self.divergence, _max_abs)
 
 
-def current(phi, h_mv: Multivector, *, seed: int = 0) -> CurrentResult:
+def current(phi, h_mv: Multivector) -> CurrentResult:
     """Current components Tr(Phi-bar e^mu Phi) with Phi-bar = H Phi^star, the
-    1-form J = Phi H Phi^star, and the divergence d_mu j^mu."""
+    1-form J = Phi H Phi^star, and the divergence d_mu j^mu; the grade leak
+    and the match error are sampled at the points of seed 0."""
     if isinstance(phi, GridField):
         raise DomainError("the current runs on the analytic backend; "
                           "current_grid_divergence samples it on a grid")
@@ -701,14 +712,14 @@ def current(phi, h_mv: Multivector, *, seed: int = 0) -> CurrentResult:
         j_fields.append(jmu)
     J = phi.clifford(phi_bar)
     leak = J - J.grade_part(1)
-    grade_leak = sampled_max(leak, _max_abs, seed)
+    grade_leak = sampled_max(leak, _max_abs)
     lowered = AnalyticField.zero(backend)
     for mu in range(4):
         sgn = ETA[mu]
         term = j_fields[mu].mul_const(basis_vector(mu, backend), side="right")
         lowered = lowered + (term if sgn > 0 else -term)
     match = J.grade_part(1) - lowered
-    match_error = sampled_max(match, _max_abs, seed)
+    match_error = sampled_max(match, _max_abs)
     div = AnalyticField.zero(backend)
     for mu in range(4):
         div = div + j_fields[mu].partial(mu)
@@ -741,8 +752,8 @@ class LagrangianResult:
     trace_identity_error: float
 
 
-def lagrangian(phi: AnalyticField, pot, m, h_mv: Multivector, i_mv: Multivector,
-               *, seed: int = 0) -> LagrangianResult:
+def lagrangian(phi: AnalyticField, pot, m, h_mv: Multivector,
+               i_mv: Multivector) -> LagrangianResult:
     """Density Tr(H C I) + Tr(F^2) with C the operator residual paired with
     Phi^star and F the field strength of the potential."""
     backend = phi.backend
@@ -766,7 +777,7 @@ def lagrangian(phi: AnalyticField, pot, m, h_mv: Multivector, i_mv: Multivector,
             alt = alt + term
     alt = alt.scale(Fraction(-1, 2))
     diff = field_part - alt
-    err = sampled_max(diff, _max_abs, seed)
+    err = sampled_max(diff, _max_abs)
     return LagrangianResult(density=matter + field_part, matter_part=matter,
                             field_part=field_part, trace_identity_error=err)
 
@@ -779,8 +790,7 @@ class MaxwellResult:
     source_residual_max: float
 
 
-def maxwell_residual(phi: AnalyticField, pot, h_mv: Multivector, *,
-                     seed: int = 0) -> MaxwellResult:
+def maxwell_residual(phi: AnalyticField, pot, h_mv: Multivector) -> MaxwellResult:
     """Residuals of the coupled field equations: dA - F (zero by construction)
     and delta F - J with J the conserved current of the matter field."""
     backend = phi.backend
@@ -788,8 +798,8 @@ def maxwell_residual(phi: AnalyticField, pot, h_mv: Multivector, *,
     strength_residual = (d(pot) - F) if pot is not None else AnalyticField.zero(backend)
     J = current(phi, h_mv).J
     source = delta(F) - J
-    smax = sampled_max(strength_residual, _max_abs, seed)
-    jmax = sampled_max(source, _max_abs, seed)
+    smax = sampled_max(strength_residual, _max_abs)
+    jmax = sampled_max(source, _max_abs)
     return MaxwellResult(field_strength=F, strength_residual_max=smax,
                          source_residual=source, source_residual_max=jmax)
 
@@ -948,10 +958,14 @@ class CovarianceReport:
     verdict: str
 
 
-def covariance_check(s, config: FieldConfig, *, tolerance: float = 1e-10,
-                     seed: int = 0) -> CovarianceReport:
+COVARIANCE_TOLERANCE = 1e-10
+
+
+def covariance_check(s, config: FieldConfig) -> CovarianceReport:
     """Transform a configuration by the Lorentz change of coordinates carried
-    by a spin element and check the transformed residual."""
+    by a spin element and check the transformed residual, both sampled at
+    the points of seed 0: it passes up to max(T, 10 r + T), r the residual
+    before and T = `COVARIANCE_TOLERANCE`."""
     form = config.form
     state = config.state
     pot = config.potential
@@ -975,9 +989,9 @@ def covariance_check(s, config: FieldConfig, *, tolerance: float = 1e-10,
         new_h, new_i = push_covectors(h, push), push_covectors(i2, push)
     else:
         raise DomainError(f"covariance check not defined for form {form.value}")
-    before = _RESIDUALS[form](state, pot, m, basis, h, i2, tolerance=tolerance, seed=seed)
-    after = _RESIDUALS[form](new_state, new_pot, m, basis, new_h, new_i,
-                             tolerance=tolerance, seed=seed)
+    tolerance = COVARIANCE_TOLERANCE
+    before = _RESIDUALS[form](state, pot, m, basis, h, i2, tolerance=tolerance)
+    after = _RESIDUALS[form](new_state, new_pot, m, basis, new_h, new_i, tolerance=tolerance)
     verdict = "pass" if (after.max_norm <= max(tolerance, 10 * before.max_norm + tolerance)) else "fail"
     return CovarianceReport(form=form.value, residual_before=before.max_norm,
                             residual_after=after.max_norm, tolerance=tolerance,

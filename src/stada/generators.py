@@ -22,7 +22,7 @@ from .multivector import (
     commutator,
     l5,
 )
-from .scalars import DEFAULT_TOLERANCE, EXACT
+from .scalars import EXACT
 
 
 @dataclass(frozen=True)
@@ -41,14 +41,13 @@ class SecondaryGenerators:
         return l5(self.backend)
 
 
-def secondary_violations(h: Multivector, i2: Multivector, k2: Multivector,
-                         tol: float = DEFAULT_TOLERANCE) -> list[str]:
+def secondary_violations(h: Multivector, i2: Multivector, k2: Multivector) -> list[str]:
     """All violated relations of the defining set, by name; empty when valid."""
     problems = []
     if not (h.backend == i2.backend == k2.backend):
         return ["mixed scalar backends"]
     unit = Multivector.unit(h.backend)
-    if not h.is_real(tol) or not i2.is_real(tol) or not k2.is_real(tol):
+    if not h.is_real() or not i2.is_real() or not k2.is_real():
         problems.append("generators must be real")
     residues = (
         ("H must be homogeneous grade 1", h - h.grade_part(1)),
@@ -61,12 +60,12 @@ def secondary_violations(h: Multivector, i2: Multivector, k2: Multivector,
         ("[H, K] != 0", commutator(h, k2)),
         ("{I, K} != 0", anticommutator(i2, k2)),
     )
-    return problems + [name for name, residue in residues if not residue.is_zero(tol)]
+    return problems + [name for name, residue in residues if not residue.is_zero()]
 
 
-def make_secondary(h: Multivector, i2: Multivector, k2: Multivector,
-                   tol: float = DEFAULT_TOLERANCE) -> SecondaryGenerators:
-    problems = secondary_violations(h, i2, k2, tol)
+def make_secondary(h: Multivector, i2: Multivector, k2: Multivector) -> SecondaryGenerators:
+    """The validated triple, compared exactly or, for floats, at `DEFAULT_TOLERANCE`."""
+    problems = secondary_violations(h, i2, k2)
     if problems:
         raise InvalidGeneratorError("; ".join(problems))
     return SecondaryGenerators(h, i2, k2)
@@ -81,7 +80,7 @@ def canonical_generators(backend: str = EXACT) -> SecondaryGenerators:
     )
 
 
-def basis16_of(g: SecondaryGenerators, tol: float = DEFAULT_TOLERANCE) -> list[Multivector]:
+def basis16_of(g: SecondaryGenerators) -> list[Multivector]:
     """The sixteen generator products that span the algebra, in the fixed order
     unit, H, I, K, HI, HK, IK, HIK, then the same eight multiplied by the
     pseudoscalar.  Verifies linear independence and the zero-trace property
@@ -103,7 +102,7 @@ def basis16_of(g: SecondaryGenerators, tol: float = DEFAULT_TOLERANCE) -> list[M
     for idx, u in enumerate(elements):
         tr = u.trace()
         want = scalars.one(g.backend) if idx == 0 else scalars.zero(g.backend)
-        if not scalars.close(tr, want, tol):
+        if not scalars.close(tr, want):
             raise InvalidGeneratorError(
                 f"trace of generator product #{idx} is {tr}, violating the trace law")
     return elements

@@ -28,13 +28,12 @@ from .multivector import (
     numerators,
     scalar_part_of_product,
 )
-from .scalars import DEFAULT_TOLERANCE, EXACT, FLOAT, Scalar
+from .scalars import EXACT, FLOAT, Scalar
 
 
-def scalar_product(u: Multivector, v: Multivector, h: Multivector,
-                   tol: float = DEFAULT_TOLERANCE) -> Scalar:
+def scalar_product(u: Multivector, v: Multivector, h: Multivector) -> Scalar:
     """Sesquilinear pairing 4 Tr(U V^dagger) with V^dagger = H V^star H."""
-    vd = hermitian_conjugate(v, h, tol)
+    vd = hermitian_conjugate(v, h)
     return scalar_part_of_product(u, vd) * 4
 
 
@@ -71,9 +70,9 @@ class IdealBasis:
         """Components (u, t^k) against the dual basis, k = 1..4."""
         return tuple(scalar_part_of_product(u, td) * 4 for td in self.ts_dagger)
 
-    def contains(self, u: Multivector, tol: float = DEFAULT_TOLERANCE) -> bool:
+    def contains(self, u: Multivector) -> bool:
         """Membership test for the left ideal: u t == u."""
-        return (u * self.t - u).is_zero(tol)
+        return (u * self.t - u).is_zero()
 
     def to_float(self) -> "IdealBasis":
         """The float copy, built once: the members of the verified exact basis
@@ -242,10 +241,6 @@ class Bispinor:
     components: tuple[Scalar, Scalar, Scalar, Scalar]
     backend: str
 
-    def isclose(self, other: "Bispinor", tol: float = DEFAULT_TOLERANCE) -> bool:
-        return all(scalars.close(a, b, tol)
-                   for a, b in zip(self.components, other.components))
-
 
 def ideal_from_bispinor(psi: Bispinor, basis: IdealBasis) -> Multivector:
     """theta = psi_k t^k."""
@@ -255,16 +250,14 @@ def ideal_from_bispinor(psi: Bispinor, basis: IdealBasis) -> Multivector:
     return out
 
 
-def bispinor_from_ideal(theta: Multivector, basis: IdealBasis,
-                        tol: float = DEFAULT_TOLERANCE) -> Bispinor:
+def bispinor_from_ideal(theta: Multivector, basis: IdealBasis) -> Bispinor:
     """Components (theta, t^k) of an ideal element."""
-    if not basis.contains(theta, tol):
+    if not basis.contains(theta):
         raise DomainError("element does not lie in the left ideal")
     return Bispinor(basis.project_components(theta), basis.backend)
 
 
-def even_from_ideal(phi: Multivector, basis: IdealBasis,
-                    tol: float = DEFAULT_TOLERANCE) -> Multivector:
+def even_from_ideal(phi: Multivector, basis: IdealBasis) -> Multivector:
     """The unique real even solution Omega of Omega t = phi, which is
     4 <Re phi>_even:
 
@@ -272,7 +265,7 @@ def even_from_ideal(phi: Multivector, basis: IdealBasis,
         so Re phi = (Omega + Omega H)/4;
         Omega H is odd, so <Re phi>_even = Omega/4.
     """
-    if not basis.contains(phi, tol):
+    if not basis.contains(phi):
         raise DomainError("element does not lie in the left ideal")
     return (phi + phi.conjugate()).even_part().scale(2)
 

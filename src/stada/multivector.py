@@ -243,8 +243,8 @@ class Multivector:
             return numerators(self)[2] == _ZEROS
         return all(abs(c.imag) <= tol for c in self.coeffs)
 
-    def is_homogeneous(self, k: int, tol: float = DEFAULT_TOLERANCE) -> bool:
-        return all(scalars.is_zero(c, tol) for m, c in enumerate(self.coeffs) if GRADE[m] != k)
+    def is_homogeneous(self, k: int) -> bool:
+        return all(scalars.is_zero(c) for m, c in enumerate(self.coeffs) if GRADE[m] != k)
 
     # ---- arithmetic ---------------------------------------------------
 
@@ -407,25 +407,24 @@ def anticommutator(a: Multivector, b: Multivector) -> Multivector:
     return clifford_product(a, b) + clifford_product(b, a)
 
 
-def require_unit_square(h: Multivector, tol: float = DEFAULT_TOLERANCE) -> None:
-    """Refuse an H whose square differs from the unit by more than `tol`, and
-    a float H by more than `tol` plus the rounding bound of H*H: each
-    coefficient sums 16 complex products, so (16 + 2) u (sum |h_i|)^2 with
-    u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms,
-    2002, section 3.1).  A float H whose bound is not finite is refused."""
-    slack = 0.0
+def require_unit_square(h: Multivector) -> None:
+    """Refuse an exact H whose square is not the unit, and a float H whose
+    square differs from it by more than `DEFAULT_TOLERANCE` plus the rounding
+    bound of H*H: each coefficient sums 16 complex products, so
+    (16 + 2) u (sum |h_i|)^2 with u = 2^-53 (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2002, section 3.1).  A float H whose bound is
+    not finite is refused."""
+    tol = DEFAULT_TOLERANCE
     if h.backend != EXACT:
         size = sum(map(scalars.modulus, h.coeffs))
-        slack = 18 * 2.0 ** -53 * size * size  # inf, where ** would raise, once it overflows
-    if not (slack < math.inf
-            and clifford_product(h, h).isclose(Multivector.unit(h.backend), tol + slack)):
+        tol += 18 * 2.0 ** -53 * size * size  # inf, where ** would raise, once it overflows
+    if not (tol < math.inf and clifford_product(h, h).isclose(Multivector.unit(h.backend), tol)):
         raise InvalidGeneratorError("hermitian conjugation needs H with H*H = unit")
 
 
-def hermitian_conjugate(u: Multivector, h: Multivector,
-                        tol: float = DEFAULT_TOLERANCE) -> Multivector:
+def hermitian_conjugate(u: Multivector, h: Multivector) -> Multivector:
     """H * U^star * H for an element H with H*H equal to the unit."""
-    require_unit_square(h, tol)
+    require_unit_square(h)
     return clifford_product(clifford_product(h, u.star()), h)
 
 

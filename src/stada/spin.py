@@ -167,20 +167,20 @@ class LorentzMatrix:
         return worst
 
 
-def lorentz_of(s: SpinElement, inverse: bool = False,
-               tol: float = DEFAULT_TOLERANCE) -> LorentzMatrix:
+def lorentz_of(s: SpinElement, inverse: bool = False) -> LorentzMatrix:
     """Extract the 4x4 matrix acting on coordinates from the sandwich action.
 
     Row nu holds the grade-1 coefficients of S^star l^nu S (or of the
-    inverse action S l^nu S^star when `inverse` is set).
+    inverse action S l^nu S^star when `inverse` is set).  A float row must
+    be real and of grade 1 to `DEFAULT_TOLERANCE`, an exact one exactly.
     """
     act = sandwich_inverse if inverse else sandwich
     rows = []
     for nu in range(4):
         w = act(s, basis_vector(nu, s.backend))
-        if not (w - w.grade_part(1)).is_zero(tol):
+        if not (w - w.grade_part(1)).is_zero():
             raise InvalidSpinError("sandwich of a vector left the grade-1 space")
-        if not w.is_real(tol):
+        if not w.is_real():
             raise InvalidSpinError("sandwich produced non-real vector components")
         rows.append(tuple(w.coeffs[1 << mu].real for mu in range(4)))
     return LorentzMatrix(tuple(rows))
@@ -222,7 +222,7 @@ def _rational_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
-def _normalize_to_spin(x: Multivector, tol: float = DEFAULT_TOLERANCE) -> SpinElement:
+def _normalize_to_spin(x: Multivector) -> SpinElement:
     """Scale an even real X with X^star X in the positive scalar ray to Spin."""
     prod = x.star() * x
     if x.backend == EXACT:
@@ -236,7 +236,7 @@ def _normalize_to_spin(x: Multivector, tol: float = DEFAULT_TOLERANCE) -> SpinEl
         if root is not None:
             return SpinElement.of(x.scale(QQi.from_rational(1 / root)))
         xf = x.to_float()
-        return SpinElement.of(xf.scale(1.0 / math.sqrt(float(c))), )
+        return SpinElement.of(xf.scale(1.0 / math.sqrt(float(c))))
     rest = prod - prod.grade_part(0)
     scalefree = max(prod.max_abs(), 1e-300)
     if rest.max_abs() > 1e-9 * scalefree:
@@ -244,7 +244,7 @@ def _normalize_to_spin(x: Multivector, tol: float = DEFAULT_TOLERANCE) -> SpinEl
     c = prod.coeffs[0].real
     if c <= 0:
         raise InvalidSpinError("X^star X is not positive")
-    return SpinElement.of(x.scale(1.0 / math.sqrt(c)), tol=max(tol, 1e-9))
+    return SpinElement.of(x.scale(1.0 / math.sqrt(c)), tol=1e-9)
 
 
 def _canonical_sign(s: SpinElement) -> SpinElement:

@@ -197,14 +197,10 @@ def _draws(rng: random.Random, span: int, count: int) -> list[int]:
     return out
 
 
-def _random_mv(rng: random.Random, backend: str = EXACT, span: int = 3,
-               masks=range(16), den: int = 1) -> Multivector:
-    if backend == EXACT:
-        parts = iter(_draws(rng, span, 2 * len(masks)))
-        return Multivector.from_terms(
-            [(m, QQi(re, im, den)) for m, re, im in zip(masks, parts, parts)], EXACT)
+def _random_mv(rng: random.Random, span: int = 3, masks=range(16), den: int = 1) -> Multivector:
+    parts = iter(_draws(rng, span, 2 * len(masks)))
     return Multivector.from_terms(
-        [(m, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for m in masks], FLOAT)
+        [(m, QQi(re, im, den)) for m, re, im in zip(masks, parts, parts)], EXACT)
 
 
 def _random_real_mv(rng: random.Random, masks=range(16), span: int = 3) -> Multivector:
@@ -793,16 +789,6 @@ def _random_bispinor_field(rng: random.Random, backend: str = EXACT) -> eq.Bispi
     return eq.BispinorField(tuple(comps))
 
 
-def _field_gap(a, b) -> float:
-    """Deviation between two analytic fields: zero for structural equality,
-    otherwise the worst pointwise gap."""
-    if a == b:
-        return 0.0
-    diff = a - b
-    size = eq._column_norms if isinstance(diff, eq.BispinorField) else eq._max_abs
-    return eq.sampled_max(diff, size)
-
-
 def _suite_equations(report: RunReport) -> None:
     backend, tolerance = report.backend, report.tolerance
     exact_mode = backend == EXACT
@@ -843,10 +829,10 @@ def _suite_equations(report: RunReport) -> None:
             theta = eq.translate(psi, eq.EquationForm.DIRAC_MATRIX, eq.EquationForm.IDEAL,
                                  state_basis)
             r_ideal = eq.form_operator(eq.EquationForm.IDEAL, theta, pot, m)
-            forward = _field_gap(
+            forward = eq.field_gap(
                 eq.translate(r_col, eq.EquationForm.DIRAC_MATRIX, eq.EquationForm.IDEAL,
                              state_basis), r_ideal)
-            yield nan_max(forward, _field_gap(
+            yield nan_max(forward, eq.field_gap(
                 eq.translate(r_ideal, eq.EquationForm.IDEAL, eq.EquationForm.DIRAC_MATRIX,
                              state_basis), r_col))
 
@@ -862,7 +848,7 @@ def _suite_equations(report: RunReport) -> None:
                                       state_basis.gens.h, state_basis.gens.i2)
             theta = psi_even.mul_const(state_basis.t, side="right")
             r_ideal = eq.form_operator(eq.EquationForm.IDEAL, theta, pot, m)
-            yield _field_gap(r_even.mul_const(state_basis.t, side="right"), r_ideal)
+            yield eq.field_gap(r_even.mul_const(state_basis.t, side="right"), r_ideal)
 
     @_run_check(report, "equations.ilk_reductions",
                 "the three idempotents map general-form residuals onto the reduced equations",
@@ -873,8 +859,8 @@ def _suite_equations(report: RunReport) -> None:
             for _ in range(n // 3 + 1):
                 rho = _random_exact_field(rng, nterms=2, backend=backend)
                 pot = _random_potential(rng, backend)
-                yield _field_gap(*eq.reduction_sides(kind, t_red, rho, pot, m,
-                                                     state_basis.gens))
+                yield eq.field_gap(*eq.reduction_sides(kind, t_red, rho, pot, m,
+                                                        state_basis.gens))
 
     sol = eq.plane_wave(eq.EquationForm.TENSOR, (1.0, 0, 0, 0), 1.0, basis=fbasis)
 
@@ -966,7 +952,7 @@ def _suite_equations(report: RunReport) -> None:
                         eq.EquationForm.TENSOR):
                 moved = eq.translate(psi, eq.EquationForm.DIRAC_MATRIX, dst, state_basis)
                 back = eq.translate(moved, dst, eq.EquationForm.DIRAC_MATRIX, state_basis)
-                yield _field_gap(back, psi)
+                yield eq.field_gap(back, psi)
 
 
 _SUITES = {

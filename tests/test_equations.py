@@ -3,6 +3,7 @@ invariance, the conserved current, and the Lagrangian consistency checks."""
 
 import cmath
 import functools
+import itertools
 import math
 import random
 import sys
@@ -27,7 +28,7 @@ from stada.multivector import (
     hermitian_conjugate,
     scalar_part_of_product,
 )
-from stada.scalars import DEFAULT_TOLERANCE, EXACT, FLOAT, QQi, nan_max
+from stada.scalars import DEFAULT_TOLERANCE, EXACT, FLOAT, QQi, modulus, nan_max
 
 BASIS = ideal.canonical_basis()
 FBASIS = BASIS.to_float()
@@ -254,6 +255,23 @@ def test_translate_from_the_ideal_inverts_omega_t(name):
         omega = random_even_real(rng)
         theta = omega.mul_const(basis.t, side="right")
         assert eq.translate(theta, EquationForm.IDEAL, EquationForm.HESTENES, basis) == omega
+
+
+@pytest.mark.parametrize("src, dst", [(EquationForm.HESTENES, EquationForm.TENSOR),
+                                      (EquationForm.TENSOR, EquationForm.HESTENES)])
+def test_the_shared_storage_pair_translates_as_the_identity(src, dst):
+    wave = eq.plane_wave(EquationForm.HESTENES, (1.0, 0, 0, 0), 1.0, basis=FBASIS).state
+    for state in (random_even_real(random.Random(8)), wave, sample(wave, 4, math.pi / 2)):
+        assert eq.translate(state, src, dst, BASIS) is state
+
+
+def test_no_other_pair_translates_on_a_grid():
+    wave = eq.plane_wave(EquationForm.HESTENES, (1.0, 0, 0, 0), 1.0, basis=FBASIS).state
+    grid = sample(wave, 4, math.pi / 2)
+    for src, dst in itertools.permutations(EquationForm, 2):
+        if {src, dst} != {EquationForm.HESTENES, EquationForm.TENSOR}:
+            with pytest.raises(DomainError):
+                eq.translate(grid, src, dst, BASIS)
 
 
 def test_translate_unit_bispinor():
@@ -1045,9 +1063,9 @@ def _counted_unit_squares(monkeypatch) -> list:
     checks = []
     original = eq.require_unit_square
 
-    def counted(h, tol=DEFAULT_TOLERANCE):
-        checks.append((tuple(h.coeffs), tol))
-        return original(h, tol)
+    def counted(h):
+        checks.append(tuple(h.coeffs))
+        return original(h)
 
     monkeypatch.setattr(eq, "require_unit_square", counted)
     eq._float_hermitian_size.cache_clear()
@@ -1269,7 +1287,8 @@ def _column_at(vals) -> float:
     try:
         return math.sqrt(sum(abs(v) ** 2 for v in vals))
     except OverflowError:
-        return math.hypot(*map(abs, vals))
+        moduli = [modulus(v) for v in vals]
+        return math.nan if any(math.isnan(r) for r in moduli) else math.hypot(*moduli)
 
 
 def _reference_max(field, size, seed: int) -> float:
@@ -1443,6 +1462,32 @@ def test_reports_off_the_finite_range_do_not_pass(monkeypatch):
                         lambda seed=0: [(0.1, 0.2, 0.3, 0.4), (math.nan,) * 4])
     report = eq.residual_ilk(sol.state, None, 1.5)
     assert math.isnan(report.max_norm) and report.verdict == "fail"
+
+
+def test_the_field_gap_is_zero_for_equal_sides_and_the_sampled_size_otherwise():
+    rng = random.Random(9)
+    psi, chi = random_bispinor(rng, FLOAT), random_bispinor(rng, FLOAT)
+    u, v = (random_full_state(rng).to_float() for _ in range(2))
+    assert eq.field_gap(psi, psi) == eq.field_gap(u, u) == 0.0
+    for seed in (0, 3):
+        assert eq.field_gap(psi, chi, seed) == eq.sampled_max(psi - chi, eq._column_norms, seed)
+        assert eq.field_gap(u, v, seed) == eq.sampled_max(u - v, eq._max_abs, seed)
+
+
+_HUGE = complex(1.7e308, 1.7e308)  # finite, with a modulus beyond float range
+
+
+@pytest.mark.parametrize("entries", [(_HUGE, math.nan), (math.nan, _HUGE)])
+def test_a_nan_next_to_an_overflowing_modulus_measures_nan(entries):
+    # the bare abs of a NaN raises right after an overflowing abs (CPython
+    # leaves errno at ERANGE), so each modulus goes through `scalars.modulus`
+    spinor = BispinorField.constant((*entries, 0, 0), FLOAT)
+    report = eq.residual_dirac(spinor, None, 1.0)
+    assert math.isnan(report.max_norm) and report.verdict == "fail"
+    # a neighbouring column keeps its bits; an overflow alone measures inf
+    columns = np.array([[entries[0], 3.0, _HUGE], [entries[1], 4.0, 0], [0, 0, 0], [0, 0, 0]])
+    norms = eq._column_norms(columns)
+    assert math.isnan(norms[0]) and norms[1:] == [5.0, math.inf]
 
 
 def test_float_residual_norm_makes_no_per_point_products(monkeypatch):

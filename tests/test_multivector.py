@@ -185,7 +185,7 @@ def test_unit_square_check_allows_the_rounding_of_h_times_h():
     # 7.3e-12, beyond the absolute 1e-12, and within its rounding bound
     h = random_generators(random.Random(1)).h.to_float()
     assert not (h * h).isclose(Multivector.unit(FLOAT), 1e-12)
-    require_unit_square(h, 1e-12)
+    require_unit_square(h)
 
 
 @pytest.mark.parametrize("h", [
@@ -195,7 +195,7 @@ def test_unit_square_check_allows_the_rounding_of_h_times_h():
 ])
 def test_unit_square_check_refuses(h):
     with pytest.raises(InvalidGeneratorError):
-        require_unit_square(h, 1e-12)
+        require_unit_square(h)
 
 
 def test_backend_mismatch():

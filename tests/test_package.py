@@ -3,6 +3,7 @@ what a command loads."""
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -223,3 +224,36 @@ def test_the_lower_layers_import_nothing_from_the_upper_ones():
     package = Path(stada.__file__).parent
     for name in LOWER:
         assert not _stada_imports(package / f"{name}.py") & UPPER, name
+
+
+# parameters that no caller set to anything but their default, by module and
+# name: each function now reads that constant itself, and none takes it back
+REMOVED_PARAMETERS = {
+    ("ideal", "tol"): ["scalar_product", "IdealBasis.contains", "bispinor_from_ideal",
+                       "even_from_ideal"],
+    ("multivector", "tol"): ["hermitian_conjugate", "Multivector.is_homogeneous",
+                             "require_unit_square"],
+    ("generators", "tol"): ["secondary_violations", "make_secondary", "basis16_of"],
+    ("spin", "tol"): ["lorentz_of", "_normalize_to_spin"],
+    ("equations", "seed"): ["current", "CurrentResult.divergence_max", "lagrangian",
+                            "maxwell_residual", "covariance_check"],
+    ("equations", "tolerance"): ["covariance_check"],
+    ("suites", "backend"): ["_random_mv"],
+}
+
+
+@pytest.mark.parametrize("module, qualname, parameter",
+                         [(module, qualname, parameter)
+                          for (module, parameter), qualnames in REMOVED_PARAMETERS.items()
+                          for qualname in qualnames])
+def test_no_function_takes_a_parameter_that_no_caller_sets(module, qualname, parameter):
+    target = importlib.import_module(f"stada.{module}")
+    for name in qualname.split("."):
+        target = getattr(target, name)
+    assert parameter not in inspect.signature(target).parameters
+
+
+def test_the_bispinor_has_no_uncalled_isclose():
+    from stada.ideal import Bispinor
+
+    assert not hasattr(Bispinor, "isclose")
