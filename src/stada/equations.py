@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg, scalars
-from .errors import ConsistencyError, DomainError
+from .errors import BackendMismatchError, ConsistencyError, DomainError
 from .fields import (AnalyticField, Poly, complex_from_parts, complex_times, d, delta,
                      phase_cos, phase_sin, upsilon_gradient)
 from .generators import SecondaryGenerators
@@ -309,11 +309,15 @@ class ResidualReport:
     backend: str
     max_norm: float
     tolerance: float
-    verdict: str
     seed: int
     grid: dict | None = None
     notes: list = dataclass_field(default_factory=list)
     residual: object | None = None
+
+    @property
+    def verdict(self) -> str:
+        """"pass" where the norm is within the tolerance; a NaN norm fails."""
+        return "pass" if self.max_norm <= self.tolerance else "fail"
 
     def passed(self) -> bool:
         return self.verdict == "pass"
@@ -372,6 +376,8 @@ def _pot_components(pot) -> list:
 def _check_bispinor(state, basis, tol: float) -> None:
     if not isinstance(state, BispinorField):
         raise DomainError("the matrix form needs a bispinor state")
+    if basis is not None and state.backend == EXACT != basis.backend:
+        raise BackendMismatchError(f"mixed scalar backends: {state.backend} vs {basis.backend}")
 
 
 def _domain_bound(state, tol: float) -> tuple:
@@ -488,13 +494,6 @@ def form_operator(form: EquationForm, state, pot, m, h: Multivector | None = Non
 # ---- validated residual reports ----------------------------------------------------
 
 
-def _gammas(backend: str, basis: IdealBasis | None) -> tuple:
-    basis = basis or canonical_basis(backend)
-    if backend == EXACT:
-        return tuple(gamma_of(basis_vector(mu, EXACT), basis) for mu in range(4))
-    return basis.to_float().vector_gammas()
-
-
 def _residual(form: EquationForm, state, pot, m, h=None, i2=None, basis=None, *,
               tolerance: float, seed: int) -> ResidualReport:
     """Check the state against the form's domain, apply the form's operator,
@@ -503,7 +502,9 @@ def _residual(form: EquationForm, state, pot, m, h=None, i2=None, basis=None, *,
     if row.domain is not None:
         row.domain(state, basis, tolerance)
     if form == EquationForm.DIRAC_MATRIX:  # the independent gamma-matrix route
-        res = dirac_operator(state, pot, m, _gammas(state.backend, basis))
+        basis = basis or canonical_basis(state.backend)
+        gammas = (basis.to_float() if state.backend == FLOAT else basis).vector_gammas()
+        res = dirac_operator(state, pot, m, gammas)
     else:
         res = form_operator(form, state, pot, m, h, i2)
     notes = []
@@ -514,8 +515,7 @@ def _residual(form: EquationForm, state, pot, m, h=None, i2=None, basis=None, *,
     max_norm = _state_norm(res, norm_h, seed)
     grid = {"n": res.n, "h": res.h} if isinstance(res, GridField) else None
     return ResidualReport(form=form.value, backend="grid" if grid else res.backend,
-                          max_norm=max_norm, tolerance=tolerance,
-                          verdict="pass" if max_norm <= tolerance else "fail", seed=seed,
+                          max_norm=max_norm, tolerance=tolerance, seed=seed,
                           grid=grid, notes=notes, residual=res)
 
 
@@ -576,39 +576,41 @@ _RESIDUALS = {
 # ---- reduction idempotents ---------------------------------------------------------
 
 
+# the right idempotents that cut the general-form equation down, keyed as
+# `names.REDUCTION_KINDS`: kind -> (the form of the equation it reduces to,
+# the idempotent from the unit, the imaginary unit and the generators)
+_REDUCTIONS = {
+    "t-HI": (EquationForm.TENSOR,
+             lambda unit, i, g: ((unit + g.h) * (unit - g.i2.scale(i))).scale(Fraction(1, 4))),
+    "t-H": (EquationForm.ILK_EVEN, lambda unit, i, g: (unit + g.h).scale(Fraction(1, 2))),
+    "t-e5": (EquationForm.ILK_E5,
+             lambda unit, i, g: (unit - l5(g.backend).scale(i)).scale(Fraction(1, 2))),
+}
+
+
+def _reduction(kind: str) -> tuple:
+    if kind not in _REDUCTIONS:
+        raise DomainError(f"unknown reduction idempotent {kind!r}")
+    return _REDUCTIONS[kind]
+
+
 def reduction_idempotent(kind: str, gens: SecondaryGenerators) -> Multivector:
-    """The three right idempotents that cut the general-form equation down:
-    't-HI' gives the exterior-calculus even equation, 't-H' the even-complex
-    one, 't-e5' the pseudoscalar one."""
-    backend = gens.backend
-    unit = Multivector.unit(backend)
-    i_unit = scalars.imaginary_unit(backend)
-    if kind == "t-HI":
-        return ((unit + gens.h) * (unit - gens.i2.scale(i_unit))).scale(Fraction(1, 4))
-    if kind == "t-H":
-        return (unit + gens.h).scale(Fraction(1, 2))
-    if kind == "t-e5":
-        return (unit - l5(backend).scale(i_unit)).scale(Fraction(1, 2))
-    raise DomainError(f"unknown reduction idempotent {kind!r}")
-
-
-# reduction idempotent -> the form of the equation it reduces to
-_REDUCED_FORMS = {"t-HI": EquationForm.TENSOR, "t-H": EquationForm.ILK_EVEN,
-                  "t-e5": EquationForm.ILK_E5}
+    """The right idempotent of the named reduction, on the generators' backend."""
+    _, build = _reduction(kind)
+    return build(Multivector.unit(gens.backend), scalars.imaginary_unit(gens.backend), gens)
 
 
 def reduced_operator(kind: str, state, pot, m, gens: SecondaryGenerators):
     """The operator of the equation that the named idempotent reduces to."""
-    if kind not in _REDUCED_FORMS:
-        raise DomainError(f"unknown reduction idempotent {kind!r}")
-    return form_operator(_REDUCED_FORMS[kind], state, pot, m, gens.h, gens.i2)
+    form, _ = _reduction(kind)
+    return form_operator(form, state, pot, m, gens.h, gens.i2)
 
 
-def reduction_sides(kind: str, t_red: Multivector, rho, pot, m,
-                    gens: SecondaryGenerators) -> tuple:
+def reduction_sides(kind: str, rho, pot, m, gens: SecondaryGenerators) -> tuple:
     """Both sides of the reduction identity for t_red = reduction_idempotent(kind,
     gens): the reduced operator on rho t_red, and the general-form operator on
     rho times t_red."""
+    t_red = reduction_idempotent(kind, gens)
     lhs = reduced_operator(kind, rho.mul_const(t_red, side="right"), pot, m, gens)
     rhs = form_operator(EquationForm.ILK, rho, pot, m).mul_const(t_red, side="right")
     return lhs, rhs
@@ -760,10 +762,7 @@ def lagrangian(phi: AnalyticField, pot, m, h_mv: Multivector,
     op = form_operator(EquationForm.TENSOR, phi, pot, m, h_mv, i_mv)
     C = phi.star_involution().clifford(op)
     matter = C.mul_const(h_mv, side="left").mul_const(i_mv, side="right").component(0)
-    if pot is None:
-        F = AnalyticField.zero(backend)
-    else:
-        F = d(pot)
+    F = d(pot) if pot is not None else AnalyticField.zero(backend)
     field_part = F.clifford(F).component(0)
     # cross-check Tr(F^2) against -1/2 f^{mu nu} f_{mu nu}
     a_fields = _pot_components(pot)
@@ -966,10 +965,7 @@ def covariance_check(s, config: FieldConfig) -> CovarianceReport:
     by a spin element and check the transformed residual, both sampled at
     the points of seed 0: it passes up to max(T, 10 r + T), r the residual
     before and T = `COVARIANCE_TOLERANCE`."""
-    form = config.form
-    state = config.state
-    pot = config.potential
-    m = config.mass
+    form, state, pot, m = config.form, config.state, config.potential, config.mass
     basis = config.state_basis
     q = lorentz_of(s, inverse=True).rows
     if isinstance(state, GridField):
@@ -978,7 +974,7 @@ def covariance_check(s, config: FieldConfig) -> CovarianceReport:
     push = _push_matrix(q, state.backend)
     # potential: new components a~_lam = q^mu_lam a_mu composed with x = Q x~
     new_pot = pot.compose_linear(q).apply_slot_matrix(push) if pot is not None else None
-    h, i2 = new_h, new_i = basis.gens.h, basis.gens.i2
+    new_h, new_i = basis.gens.h, basis.gens.i2
     if form == EquationForm.DIRAC_MATRIX:
         new_state = state.compose_linear(q).apply_matrix(gamma_of(s.element, basis))
     elif form in (EquationForm.IDEAL, EquationForm.HESTENES):
@@ -986,11 +982,11 @@ def covariance_check(s, config: FieldConfig) -> CovarianceReport:
     elif form == EquationForm.TENSOR:
         # the exterior form pushes the state's covectors, and H and I with them
         new_state = state.compose_linear(q).apply_slot_matrix(push)
-        new_h, new_i = push_covectors(h, push), push_covectors(i2, push)
+        new_h, new_i = push_covectors(new_h, push), push_covectors(new_i, push)
     else:
         raise DomainError(f"covariance check not defined for form {form.value}")
     tolerance = COVARIANCE_TOLERANCE
-    before = _RESIDUALS[form](state, pot, m, basis, h, i2, tolerance=tolerance)
+    before = config.residual(tolerance=tolerance)
     after = _RESIDUALS[form](new_state, new_pot, m, basis, new_h, new_i, tolerance=tolerance)
     verdict = "pass" if (after.max_norm <= max(tolerance, 10 * before.max_norm + tolerance)) else "fail"
     return CovarianceReport(form=form.value, residual_before=before.max_norm,

@@ -35,13 +35,16 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import scalars
 from .errors import ParseError
 from .exterior import hodge_star
-from .fields import AnalyticField
 from .multivector import Multivector
 from .scalars import EXACT, QQi, Scalar
+
+if TYPE_CHECKING:
+    from .fields import AnalyticField
 
 _NUM = r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?(?:/[0-9]+)?"
 _TOKEN = re.compile(
@@ -219,17 +222,22 @@ class _Parser:
     # ---- fields
 
     def field(self) -> AnalyticField:
+        from .fields import AnalyticField
+
         out = AnalyticField.zero(self.backend)
         while True:
             pos = self._peek()[2]
             sign = self._sign()
             if sign is None and self.i:  # only the first wave may go unsigned
                 raise ParseError("missing '+' or '-' between terms", pos)
-            out = out + self.wave(sign)
+            mv, phases = self.wave(sign)
+            out = out + (AnalyticField.constant(mv) if phases is None
+                         else AnalyticField.plane_wave(mv, phases))
             if self.i == len(self.tokens):
                 return out
 
-    def wave(self, sign) -> AnalyticField:
+    def wave(self, sign) -> tuple:
+        """(amplitude, phases) of one wave; phases is None for a constant."""
         # a bad phase is reported at the start of its wave
         start = self._peek()[2]
         coeff, mask = self.literal()
@@ -248,7 +256,7 @@ class _Parser:
         if coeff is None:
             coeff = scalars.one(self.backend)
         mv = Multivector.basis(mask or 0, self.backend).scale(-coeff if sign == "-" else coeff)
-        return AnalyticField.constant(mv) if phases is None else AnalyticField.plane_wave(mv, phases)
+        return mv, phases
 
     def _real(self, position: int):
         """sign? number, as a real on the backend; errors point at `position`."""

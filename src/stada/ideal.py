@@ -116,12 +116,12 @@ class IdealBasis:
                          tuple(f * (half + half_ii) for f in self.fs))}
 
     def vector_gammas(self) -> tuple:
-        """gamma_of(e_mu) of a float copy for mu = 0..3, kept from the first call."""
+        """gamma_of(e_mu) for mu = 0..3 on the basis's backend, kept from the first call."""
         return self._vector_gammas
 
     @cached_property
     def _vector_gammas(self) -> tuple:
-        return tuple(gamma_of(basis_vector(mu, FLOAT), self) for mu in range(4))
+        return tuple(gamma_of(basis_vector(mu, self.backend), self) for mu in range(4))
 
 
 def _rounded(value):

@@ -1,9 +1,10 @@
 """The names the command line offers before it loads the engine: the
-equation forms and the verification suites.
+equation forms, the reduction idempotents and the verification suites.
 
 This module imports nothing heavier than `errors`, so building the parser
 loads neither numpy nor the modules that compute.  `equations` re-exports
-`EquationForm` and `suites` re-exports `SUITE_NAMES` as these same objects.
+`EquationForm` and `suites` re-exports `SUITE_NAMES` as these same objects;
+`REDUCTION_KINDS` are the keys of the reduction table of `equations`.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ class EquationForm(Enum):
                 return member
         raise DomainError(f"unknown equation form {name!r}")
 
+
+# the right idempotents of `equations` that cut the general form down
+REDUCTION_KINDS = ("t-HI", "t-H", "t-e5")
 
 # the batteries of `suites`, in the order "all" runs them
 SUITE_NAMES = ("algebra", "hodge", "spin", "representation", "fields", "equations", "all")

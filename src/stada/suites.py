@@ -18,7 +18,7 @@ import math
 import platform
 import random
 import sys
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -43,7 +43,7 @@ from .multivector import (
     inverse,
     l5,
 )
-from .names import SUITE_NAMES
+from .names import REDUCTION_KINDS, SUITE_NAMES
 from .scalars import DEFAULT_TOLERANCE, EXACT, FLOAT, QQi, nan_max
 
 
@@ -797,8 +797,6 @@ def _suite_equations(report: RunReport) -> None:
     basis = ideal.canonical_basis()
     fbasis = basis.to_float()
     state_basis = basis if exact_mode else fbasis
-    gammas = tuple(ideal.gamma_of(basis_vector(mu, backend), state_basis)
-                   for mu in range(4))
 
     @_run_check(report, "equations.plane_wave_residuals",
                 "generated free solutions satisfy every equation form",
@@ -825,7 +823,7 @@ def _suite_equations(report: RunReport) -> None:
         for _ in range(n):
             psi = _random_bispinor_field(rng, backend)
             pot = _random_potential(rng, backend)
-            r_col = eq.dirac_operator(psi, pot, m, gammas)
+            r_col = eq.dirac_operator(psi, pot, m, state_basis.vector_gammas())
             theta = eq.translate(psi, eq.EquationForm.DIRAC_MATRIX, eq.EquationForm.IDEAL,
                                  state_basis)
             r_ideal = eq.form_operator(eq.EquationForm.IDEAL, theta, pot, m)
@@ -854,13 +852,11 @@ def _suite_equations(report: RunReport) -> None:
                 "the three idempotents map general-form residuals onto the reduced equations",
                 key="equations.reductions", n=50, bound=map_bound)
     def cases(rng, n):
-        for kind in ("t-HI", "t-H", "t-e5"):
-            t_red = eq.reduction_idempotent(kind, state_basis.gens)
-            for _ in range(n // 3 + 1):
+        for kind in REDUCTION_KINDS:
+            for _ in range(n // len(REDUCTION_KINDS) + 1):
                 rho = _random_exact_field(rng, nterms=2, backend=backend)
                 pot = _random_potential(rng, backend)
-                yield eq.field_gap(*eq.reduction_sides(kind, t_red, rho, pot, m,
-                                                        state_basis.gens))
+                yield eq.field_gap(*eq.reduction_sides(kind, rho, pot, m, state_basis.gens))
 
     sol = eq.plane_wave(eq.EquationForm.TENSOR, (1.0, 0, 0, 0), 1.0, basis=fbasis)
 
@@ -874,21 +870,17 @@ def _suite_equations(report: RunReport) -> None:
         nonsol = eq.plane_wave(eq.EquationForm.TENSOR,
                                eq.boosted_momentum(1.0, 0.4, (0, 1, 1)), 1.0,
                                basis=fbasis).state
+        psi = eq.plane_wave(eq.EquationForm.DIRAC_MATRIX, (1.0, 0, 0, 0), 1.0, basis=fbasis).state
+        configs = [eq.FieldConfig(eq.EquationForm.TENSOR, sol.state, None, 1.0, fbasis),
+                   eq.FieldConfig(eq.EquationForm.TENSOR, nonsol, None, 0.6, fbasis),
+                   eq.FieldConfig(eq.EquationForm.DIRAC_MATRIX, psi, None, 1.0, fbasis)]
         for lam in lam_cases:
-            for state, mass in ((sol.state, 1.0), (nonsol, 0.6)):
-                before = eq.residual_tensor(state, None, mass, fbasis.gens.h, fbasis.gens.i2,
-                                            tolerance=tolerance)
-                st2, pot2 = eq.gauge_transform(state, None, lam, eq.EquationForm.TENSOR,
-                                               fbasis)
-                after = eq.residual_tensor(st2, pot2, mass, fbasis.gens.h, fbasis.gens.i2,
-                                           tolerance=tolerance)
+            for config in configs:
+                before = config.residual(tolerance=tolerance)
+                st2, pot2 = eq.gauge_transform(config.state, config.potential, lam,
+                                               config.form, fbasis)
+                after = replace(config, state=st2, potential=pot2).residual(tolerance=tolerance)
                 yield abs(after.max_norm - before.max_norm)
-            psi = eq.plane_wave(eq.EquationForm.DIRAC_MATRIX, (1.0, 0, 0, 0), 1.0, basis=fbasis)
-            before = eq.residual_dirac(psi.state, None, 1.0, fbasis, tolerance=tolerance)
-            st2, pot2 = eq.gauge_transform(psi.state, None, lam,
-                                           eq.EquationForm.DIRAC_MATRIX, fbasis)
-            after = eq.residual_dirac(st2, pot2, 1.0, fbasis, tolerance=tolerance)
-            yield abs(after.max_norm - before.max_norm)
 
     @_run_check(report, "equations.global_spin_invariance",
                 "transported solutions solve the transported equation",

@@ -192,9 +192,9 @@ def test_reduction_keeps_the_unit_default_mass(capsys, monkeypatch):
     masses = []
     sides = eq.reduction_sides
 
-    def spy(kind, t_red, rho, pot, mass, gens):
+    def spy(kind, rho, pot, mass, gens):
         masses.append(mass)
-        return sides(kind, t_red, rho, pot, mass, gens)
+        return sides(kind, rho, pot, mass, gens)
 
     monkeypatch.setattr(eq, "reduction_sides", spy)
     outputs = [run_cli(["residual", "--form", "ilk", "--reduce", "t-H"] + extra, capsys)

@@ -198,11 +198,10 @@ def test_ilk_reductions_exact():
     rng = random.Random(3)
     m = Fraction(3, 2)
     for kind in ("t-HI", "t-H", "t-e5"):
-        t_red = eq.reduction_idempotent(kind, BASIS.gens)
         for _ in range(17):
             rho = random_full_state(rng)
             pot = random_potential(rng)
-            lhs, rhs = eq.reduction_sides(kind, t_red, rho, pot, m, BASIS.gens)
+            lhs, rhs = eq.reduction_sides(kind, rho, pot, m, BASIS.gens)
             assert lhs == rhs
 
 
@@ -519,6 +518,40 @@ def test_grid_domain_thresholds():
         eq.residual_ilk_even(_grid({0: 1.0, 1: 1.01 * bound}), None, 1.0, h, tolerance=tol)
     with pytest.raises(DomainError, match="state leaves the left ideal"):
         eq.residual_ideal(_grid({0: 1.0}), None, 1.0, FBASIS, tolerance=tol)
+
+
+def test_exact_domain_checks_are_equalities():
+    # on the exact backend the domain checks compare exactly, with no bound
+    h, i2 = BASIS.gens.h, BASIS.gens.i2
+    odd = AnalyticField.constant(basis_vector(1))
+    complex_even = AnalyticField.constant(Multivector.scalar(QQi(0, 1)))
+    with pytest.raises(DomainError, match="state must be even"):
+        eq.residual_hestenes(odd, None, 1, h, i2)
+    with pytest.raises(DomainError, match="state must be real"):
+        eq.residual_hestenes(complex_even, None, 1, h, i2)
+    with pytest.raises(DomainError, match="state leaves the left ideal"):
+        eq.residual_ideal(odd, None, 1, BASIS)
+    # the even-complex form takes no reality check: i times the unit gets a
+    # verdict, and as a constant it leaves the mass term i H, of norm 2
+    report = eq.residual_ilk_even(complex_even, None, 1, h)
+    assert (report.max_norm, report.verdict) == (2.0, "fail")
+
+
+def test_an_exact_bispinor_on_a_float_basis_mixes_backends():
+    psi = BispinorField.constant([1, 0, 0, 0], EXACT)
+    with pytest.raises(BackendMismatchError):
+        eq.residual_dirac(psi, None, 1, FBASIS)
+
+
+def test_the_verdict_is_derived_from_the_norm_and_the_tolerance():
+    import dataclasses
+
+    assert "verdict" not in {f.name for f in dataclasses.fields(eq.ResidualReport)}
+    for max_norm, want in ((1e-13, "pass"), (1e-12, "pass"), (2e-12, "fail"),
+                           (math.nan, "fail"), (math.inf, "fail")):
+        report = eq.ResidualReport(form="ilk", backend="float", max_norm=max_norm,
+                                   tolerance=1e-12, seed=0)
+        assert report.verdict == want and report.passed() == (want == "pass")
 
 
 def test_boost_moves_momentum():
@@ -846,9 +879,10 @@ def test_cached_gammas_equal_the_per_call_route():
             want = _matrix_bits(ideal.gamma_of(basis_vector(mu, EXACT), basis))
             assert _matrix_bits(gammas[mu]) == want
             assert _matrix_bits(ideal.gamma_of(basis_vector(mu, FLOAT), copy)) == want
-    # an exact basis has no float gammas: e_mu and the basis mix backends
-    with pytest.raises(BackendMismatchError):
-        BASIS.vector_gammas()
+    # an exact basis keeps its own gamma^mu: the per-call gamma_of, exactly
+    gammas = BASIS.vector_gammas()
+    assert gammas == tuple(ideal.gamma_of(basis_vector(mu, EXACT), BASIS) for mu in range(4))
+    assert BASIS.vector_gammas() is gammas
 
 
 def _image_sum(u, basis) -> tuple:

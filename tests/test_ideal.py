@@ -48,6 +48,16 @@ def test_invalid_generators_named():
     assert "{I, K} != 0" in str(err.value)
 
 
+def test_generators_of_mixed_backends_or_complex_ones_are_refused():
+    g = generators.canonical_generators()
+    assert generators.secondary_violations(g.h, g.i2.to_float(), g.k2) == [
+        "mixed scalar backends"]
+    with pytest.raises(InvalidGeneratorError, match="mixed scalar backends"):
+        generators.make_secondary(g.h, g.i2.to_float(), g.k2)
+    with pytest.raises(InvalidGeneratorError, match="generators must be real"):
+        generators.make_secondary(g.h.scale(QQi(0, 1)), g.i2, g.k2)
+
+
 def test_transported_generators_stay_valid():
     rng = random.Random(0)
     for _ in range(20):

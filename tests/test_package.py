@@ -1,6 +1,7 @@
 """The lazy `stada` package: every public name, what an import loads, and
 what a command loads."""
 
+import argparse
 import ast
 import importlib
 import inspect
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import stada
-from stada import equations, names, suites
+from stada import cli, equations, names, suites
 
 # every public name of the package, by the module it was imported from when
 # the package imported all of them eagerly
@@ -98,6 +99,14 @@ def test_the_parser_names_are_the_engine_objects():
     assert suites.SUITE_NAMES is names.SUITE_NAMES is stada.SUITE_NAMES
     # "all" runs every battery, in the order the parser lists them
     assert tuple(suites._SUITES) + ("all",) == names.SUITE_NAMES
+    # one list of reduction kinds: the keys of the reduction table, and the
+    # choices of `residual --reduce`
+    assert tuple(equations._REDUCTIONS) == names.REDUCTION_KINDS
+    commands = next(action for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    reduce_option = next(action for action in commands.choices["residual"]._actions
+                         if action.dest == "reduce")
+    assert reduce_option.choices is names.REDUCTION_KINDS
 
 
 def test_each_submodule_resolves_before_anything_imports_it():
@@ -134,7 +143,7 @@ def test_eval_loads_no_numpy_and_no_engine_beyond_the_algebra():
         from stada.cli import main
         with contextlib.redirect_stdout(io.StringIO()) as out:
             code = main(["eval", "e0 * e1"])
-        heavy = ["numpy", "stada.suites", "stada.equations", "stada.grid"]
+        heavy = ["numpy", "stada.suites", "stada.equations", "stada.grid", "stada.fields"]
         print(json.dumps([code, out.getvalue(), [m for m in heavy if m in sys.modules]]))
     """)
     assert got == [0, "e01\n", []]
@@ -143,6 +152,7 @@ def test_eval_loads_no_numpy_and_no_engine_beyond_the_algebra():
 _NUMPY = "keeps numpy off the algebra and eval paths"
 _CYCLE = "breaks an import cycle"
 _COMMAND = "a per-command import in cli"
+_FIELDS = "keeps the field engine off the eval path"
 
 # every import inside a function of src/stada, as (module, function, what it
 # imports), and why it is not at the top of its module
@@ -152,10 +162,14 @@ LATE_IMPORTS = {
     ("cli", "_residual_basis", "random"): _COMMAND,
     ("cli", "_residual_basis", ".generators"): _COMMAND,
     ("cli", "_cmd_residual", ".equations"): _COMMAND,
+    ("cli", "_cmd_residual", ".fields"): _FIELDS,
     ("cli", "_load_state", ".equations"): _COMMAND,
+    ("cli", "_load_state", ".fields"): _FIELDS,
     ("cli", "_load_state", ".grid"): _COMMAND,
     ("cli", "_reduction_report", "random"): _COMMAND,
     ("cli", "_reduction_report", ".equations"): _COMMAND,
+    ("cli", "_reduction_report", ".fields"): _FIELDS,
+    ("expr", "field", ".fields"): _FIELDS,
     ("fields", "complex_from_parts", "numpy"): _NUMPY,
     ("fields", "eval_points", "numpy"): _NUMPY,
     ("generators", "basis16_of", ".linalg"): _NUMPY,

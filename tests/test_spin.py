@@ -38,6 +38,11 @@ def test_exponential_rejects_non_bivector():
         spin.spin_from_bivector(basis_vector(0, FLOAT))
 
 
+def test_exponential_rejects_a_complex_bivector():
+    with pytest.raises(DomainError, match="must be real"):
+        spin.spin_from_bivector(Multivector.basis(0b0110, FLOAT).scale(1j))
+
+
 def test_spin_membership_checks():
     with pytest.raises(InvalidSpinError):
         spin.SpinElement.of(basis_vector(0))  # odd
@@ -222,3 +227,24 @@ def test_recover_pair_two_conditions():
         assert (spin.sandwich(r, gt.h) - basis_vector(0, FLOAT)).max_abs() < 1e-8
         assert (spin.sandwich(r, gt.i2)
                 + Multivector.basis(0b0110, FLOAT)).max_abs() < 1e-8
+
+
+def test_recover_pair_on_exact_generators_rounds_an_irrational_norm():
+    # the kernel element of an exact pair is normalized exactly where its norm
+    # is rational and rounded to a float spin element where it is not; both
+    # kinds occur among these draws, and each solves both sandwich equations
+    rng = random.Random(5)
+    backends = set()
+    for _ in range(20):
+        gt = generators.transported_generators(spin.random_rational_spin(rng),
+                                               generators.canonical_generators())
+        r = spin.recover_spin_pair(gt.h, gt.i2)
+        backends.add(r.element.backend)
+        if r.element.backend == EXACT:
+            assert spin.sandwich(r, gt.h) == basis_vector(0)
+            assert spin.sandwich(r, gt.i2) == -Multivector.basis(0b0110)
+        else:
+            h, i2 = gt.h.to_float(), gt.i2.to_float()
+            assert (spin.sandwich(r, h) - basis_vector(0, FLOAT)).max_abs() < 1e-8
+            assert (spin.sandwich(r, i2) + Multivector.basis(0b0110, FLOAT)).max_abs() < 1e-8
+    assert backends == {EXACT, FLOAT}
