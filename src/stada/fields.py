@@ -266,11 +266,11 @@ def scalar_parts(value, backend: str) -> tuple:
     if backend == FLOAT:
         z = complex(value)
         return z.real, z.imag, 1
-    if isinstance(value, QQi):
-        return value.a, value.b, value.d
     if isinstance(value, (int, Fraction)):
         return value.numerator, 0, value.denominator
-    raise TypeError(f"cannot coerce {type(value).__name__} into an exact scalar")
+    # a QQi comes back as itself; coerce refuses every other value
+    c = scalars.coerce(value, EXACT)
+    return c.a, c.b, c.d
 
 
 def _numerator_form(mv: Multivector) -> tuple:

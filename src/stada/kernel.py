@@ -38,9 +38,9 @@ defines:
   carries its blade in the low four bits, and the bits above add under the
   product (there, the packed exponents of a monomial);
 * `generic` sums any other coefficient ring (complex floats, float
-  polynomials) term by term in ascending (i, j) order from the given zero,
-  the order of the plain table loop, so float results keep their rounding
-  bit for bit.
+  polynomials) term by term from the given zero, over the live blades of
+  `b`, collected once, in ascending (i, j) order: the order of the plain
+  table loop, so float results keep their rounding bit for bit.
 
 The dual-route oracles (`suites.oracle_blade_product`,
 `exterior.clifford_product_via_table`, the brute-force Hodge star and the
@@ -192,18 +192,19 @@ class BladeProduct:
         self._gather = None
 
     def generic(self, a: Sequence, b: Sequence, zero_value) -> list:
-        """The product over any coefficient ring whose zero is falsy."""
+        """The product over any coefficient ring whose zero is falsy, summed
+        over the live blades of b in ascending (i, j) order."""
         out = [zero_value] * 16
-        rows = self.rows
+        table = self.table
+        live = [(j, y) for j, y in enumerate(b) if y]
         for i, x in enumerate(a):
             if not x:
                 continue
-            for j, sign, mask in rows[i]:
-                y = b[j]
-                if not y:
-                    continue
-                p = x * y
-                out[mask] = out[mask] + p if sign > 0 else out[mask] - p
+            row = table[i]
+            for j, y in live:
+                sign, mask = row[j]
+                if sign:
+                    out[mask] = out[mask] + x * y if sign > 0 else out[mask] - x * y
         return out
 
     def exact(self, a: tuple, b: tuple) -> tuple:

@@ -236,7 +236,7 @@ class Multivector:
         if self.backend == EXACT:
             _, re, im = numerators(self)
             return re == _ZEROS and im == _ZEROS
-        return all(scalars.is_zero(c, tol) for c in self.coeffs)
+        return self.max_abs() <= tol
 
     def is_real(self, tol: float = DEFAULT_TOLERANCE) -> bool:
         if self.backend == EXACT:
@@ -309,7 +309,7 @@ class Multivector:
     def isclose(self, other: "Multivector", tol: float = DEFAULT_TOLERANCE) -> bool:
         if self.backend == EXACT and other.backend == EXACT:
             return numerators(self) == numerators(other)
-        return all(scalars.close(x, y, tol) for x, y in zip(self.coeffs, other.coeffs))
+        return (self.to_float() - other.to_float()).max_abs() <= tol
 
     def max_abs(self) -> float:
         """The largest coefficient modulus, NaN if one is NaN, inf where a

@@ -13,6 +13,8 @@ import math
 from fractions import Fraction
 from typing import Union
 
+from .errors import BackendMismatchError
+
 EXACT = "exact"
 FLOAT = "float"
 
@@ -195,6 +197,8 @@ def coerce(value, backend: str) -> Scalar:
             return value
         if isinstance(value, (int, Fraction)):
             return QQi.from_rational(value)
+        if isinstance(value, (float, complex)):
+            raise BackendMismatchError(f"a {type(value).__name__} cannot enter the exact backend")
         raise TypeError(f"cannot coerce {type(value).__name__} into an exact scalar")
     return complex(value)
 

@@ -21,6 +21,7 @@ from . import linalg, scalars
 from .errors import ConvergenceError, DomainError, InvalidSpinError
 from .generators import make_secondary
 from .multivector import (
+    CLIFFORD,
     ETA,
     EVEN_MASKS,
     MASKS_OF_GRADE,
@@ -90,15 +91,17 @@ def spin_from_bivector(b: Multivector) -> SpinElement:
         raise DomainError("exponential generator must be homogeneous grade 2")
     if not b.is_real():
         raise DomainError("exponential generator must be real")
-    b = b.to_float()
-    total = Multivector.unit(FLOAT)
-    term = Multivector.unit(FLOAT)
+    b = b.to_float().coeffs
+    # the operations of term * b, scale(1.0 / n) and + (so every bit matches),
+    # on coefficient lists: no Multivector per term
+    total = term = Multivector.unit(FLOAT).coeffs
     for n in range(1, _SERIES_TERMS + 1):
-        term = (term * b).scale(1.0 / n)
-        total = total + term
-        size = term.max_abs()
+        s = complex(1.0 / n)
+        term = [c * s for c in CLIFFORD.generic(term, b, 0j)]
+        total = [x + y for x, y in zip(total, term)]
+        size = Multivector(term, FLOAT).max_abs()
         if size < _SERIES_CUTOFF:
-            return SpinElement.of(total)
+            return SpinElement.of(Multivector(total, FLOAT))
         if size > 1e150:
             raise ConvergenceError("exponential series grew without bound")
     raise ConvergenceError(f"exponential series did not settle in {_SERIES_TERMS} terms")

@@ -490,9 +490,10 @@ def _suite_spin(report: RunReport) -> None:
                 "transported generators recover the transporting element up to sign",
                 key="spin.recover_roundtrip", n=100, bound=1e-8)
     def cases(rng, n):
+        g0 = generators.canonical_generators(FLOAT)
         for _ in range(n):
             s = spin.random_spin(rng, scale=0.8)
-            gt = generators.transported_generators(s, generators.canonical_generators(FLOAT))
+            gt = generators.transported_generators(s, g0)
             r = spin.recover_spin(gt.h, gt.i2, gt.k2)
             d1 = (r.element - s.reverse).max_abs()
             d2 = (r.element + s.reverse).max_abs()
@@ -503,9 +504,10 @@ def _suite_spin(report: RunReport) -> None:
                 "a two-condition recovery still satisfies both sandwich equations",
                 key="spin.recover_pair", n=100, bound=1e-8)
     def cases(rng, n):
+        g0 = generators.canonical_generators(FLOAT)
         for _ in range(min(n, 25)):
             s = spin.random_spin(rng, scale=0.8)
-            gt = generators.transported_generators(s, generators.canonical_generators(FLOAT))
+            gt = generators.transported_generators(s, g0)
             r = spin.recover_spin_pair(gt.h, gt.i2)
             yield (spin.sandwich(r, gt.h) - basis_vector(0, FLOAT)).max_abs()
             yield (spin.sandwich(r, gt.i2) + Multivector.basis(0b0110, FLOAT)).max_abs()

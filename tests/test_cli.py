@@ -34,6 +34,8 @@ def run_cli(argv, capsys):
     ("2 e01 + 1/2", "1/2 + 2 e01"),
     ("(0+1i) e12 * (0+1i) e12", "1"),
     ("star(e) ^ e0", "0"),
+    # a decimal literal is read as a rational on the exact backend
+    ("0.5 * e0", "1/2 e0"),
 ])
 def test_eval_expressions(expr, want, capsys):
     code, out, _ = run_cli(["eval", expr], capsys)

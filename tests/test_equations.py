@@ -543,6 +543,24 @@ def test_an_exact_bispinor_on_a_float_basis_mixes_backends():
         eq.residual_dirac(psi, None, 1, FBASIS)
 
 
+def test_a_float_scalar_on_the_exact_backend_mixes_backends():
+    unit = Multivector.unit()
+    psi = BispinorField.constant([QQi(1), QQi(0), QQi(0), QQi(0)], EXACT)
+    calls = (lambda: unit.scale(0.5),
+             lambda: unit * 0.5,
+             lambda: unit.scale(0.5j),
+             lambda: AnalyticField.constant(unit).scale(0.5),
+             lambda: eq.dirac_operator(psi, None, 1, FBASIS.vector_gammas()))
+    for call in calls:
+        with pytest.raises(BackendMismatchError, match="cannot enter the exact backend"):
+            call()
+    # a value that is no number at all is no backend mismatch
+    with pytest.raises(TypeError):
+        unit.scale("1/2")
+    with pytest.raises(TypeError):
+        AnalyticField.constant(unit).scale("1/2")
+
+
 def test_the_verdict_is_derived_from_the_norm_and_the_tolerance():
     import dataclasses
 

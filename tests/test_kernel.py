@@ -97,6 +97,42 @@ def test_float_products_keep_the_naive_summation_order(u, v):
         naive_product(CLIFFORD_TABLE, fu.coeffs, fv.coeffs, 0j)[0])
 
 
+# signed zeros (falsy, so skipped), non-finite parts and products that overflow
+_FLOAT_EDGES = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                complex(math.inf, 0.0), complex(-math.inf, 1.0), complex(math.nan, 0.0),
+                complex(0.0, math.nan), complex(1e308, 0.0), complex(-1e308, 1e308),
+                complex(1e-300, -1e-300), 1j, -1 + 0j)
+
+
+def test_float_products_keep_the_bits_on_edge_operands():
+    rng = random.Random(29)
+
+    def operand(kind):
+        if kind == "zero":
+            return [0j] * 16
+        if kind == "one blade":
+            out = [0j] * 16
+            out[rng.randrange(16)] = rng.choice(_FLOAT_EDGES + (complex(rng.uniform(-2, 2)),))
+            return out
+        return [rng.choice(_FLOAT_EDGES) if rng.random() < 0.5
+                else complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(16)]
+
+    kinds = ("zero", "one blade", "dense")
+    for _ in range(300):
+        a, b = operand(rng.choice(kinds)), operand(rng.choice(kinds))
+        for product, table in _PRODUCTS:
+            assert repr(product.generic(a, b, 0j)) == repr(naive_product(table, a, b, 0j))
+    for product, table in _PRODUCTS:
+        for x in _FLOAT_EDGES:
+            for m in (0, 0b0110, 0b1111):
+                one = [0j] * 16
+                one[m] = x
+                dense = operand("dense")
+                for a, b in ((one, dense), (dense, one), (one, one), (one, [0j] * 16)):
+                    assert repr(product.generic(a, b, 0j)) == repr(
+                        naive_product(table, a, b, 0j))
+
+
 # ---- the two exact routes: int64 and the Python loop ---------------------------
 
 # numerators at the int64 bound and far beyond it, of either sign

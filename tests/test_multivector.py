@@ -303,3 +303,42 @@ def test_float_max_abs_is_the_per_coefficient_modulus_rule(values):
 def test_float_max_abs_keeps_a_nan_after_an_overflow():
     u = Multivector([complex(1.7e308, 1.7e308), complex(math.nan, 0.0)] + [0j] * 14, FLOAT)
     assert math.isnan(u.max_abs())
+
+
+# the edge values and the verdicts the per-coefficient rule gave them:
+# (is_zero(), is_zero(1e-9)), then for each other value in this order,
+# "T" where isclose() holds, and the same row for isclose(tol=1e-9)
+_PREDICATE_TABLE = {
+    "0j": (0j, True, True, "TTT.....", "TTTT...."),
+    "-0-0j": (complex(-0.0, -0.0), True, True, "TTT.....", "TTTT...."),
+    "1e-13": (1e-13 + 0j, True, True, "TTT.....", "TTTT...."),
+    "1e-11": (1e-11 + 0j, False, True, "...T....", "TTTT...."),
+    "1e308+1e308j": (complex(1e308, 1e308), False, False, "....T...", "....T..."),
+    "inf": (complex(math.inf, 0.0), False, False, "........", "........"),
+    "nan": (complex(math.nan, 0.0), False, False, "........", "........"),
+    "nan j": (complex(0.0, math.nan), False, False, "........", "........"),
+}
+
+
+@pytest.mark.parametrize("name", list(_PREDICATE_TABLE))
+def test_float_predicate_verdicts_on_edge_values(name):
+    def on_a_blade(value):
+        return Multivector.from_terms([(0b0101, value)], FLOAT)
+
+    value, zero, zero_loose, close, close_loose = _PREDICATE_TABLE[name]
+    u = on_a_blade(value)
+    assert (u.is_zero(), u.is_zero(1e-9)) == (zero, zero_loose)
+    others = [on_a_blade(row[0]) for row in _PREDICATE_TABLE.values()]
+    assert "".join("T" if u.isclose(v) else "." for v in others) == close
+    assert "".join("T" if u.isclose(v, tol=1e-9) else "." for v in others) == close_loose
+
+
+def test_isclose_across_backends_compares_the_float_values():
+    half = Multivector.basis(0b0101, EXACT).scale(Fraction(1, 2))
+    for value, close, close_loose in [(0.5 + 0j, True, True), (0.5 + 1e-13, True, True),
+                                      (0.5 + 1e-11, False, True), (0j, False, False),
+                                      (complex(math.nan, 0.0), False, False),
+                                      (complex(math.inf, 0.0), False, False)]:
+        f = Multivector.from_terms([(0b0101, value)], FLOAT)
+        assert (half.isclose(f), half.isclose(f, tol=1e-9)) == (close, close_loose)
+        assert (f.isclose(half), f.isclose(half, tol=1e-9)) == (close, close_loose)

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from stada import generators, spin
-from stada.errors import DomainError, InvalidSpinError
+from stada.errors import ConvergenceError, DomainError, InvalidSpinError
 from stada.multivector import MASKS_OF_GRADE, Multivector, basis_vector
 from stada.scalars import EXACT, FLOAT, QQi
 
@@ -41,6 +41,39 @@ def test_exponential_rejects_non_bivector():
 def test_exponential_rejects_a_complex_bivector():
     with pytest.raises(DomainError, match="must be real"):
         spin.spin_from_bivector(Multivector.basis(0b0110, FLOAT).scale(1j))
+
+
+def _series_on_multivectors(b):
+    """The exponential series with a whole multivector per term: the
+    reference for the bits of `spin_from_bivector`."""
+    total = term = Multivector.unit(FLOAT)
+    for n in range(1, 257):
+        term = (term * b).scale(1.0 / n)
+        total = total + term
+        if term.max_abs() < 1e-18:
+            return total
+    raise AssertionError("the reference series did not settle")
+
+
+def test_exponential_keeps_the_bits_of_the_multivector_series():
+    rng = random.Random(29)
+    for _ in range(50):
+        scale = rng.uniform(0.0, 1.5)
+        b = Multivector.from_terms(
+            [(m, complex(rng.uniform(-scale, scale))) for m in MASKS_OF_GRADE[2]], FLOAT)
+        got = spin.spin_from_bivector(b)
+        assert repr(got.element.coeffs) == repr(_series_on_multivectors(b).coeffs)
+
+
+def test_exponential_series_exits():
+    e01, e12 = Multivector.basis(0b0011, FLOAT), Multivector.basis(0b0110, FLOAT)
+    with pytest.raises(ConvergenceError, match="grew without bound"):
+        spin.spin_from_bivector(e01.scale(1000.0))
+    with pytest.raises(ConvergenceError, match="did not settle in 256 terms"):
+        spin.spin_from_bivector(e12.scale(150.0))
+    # nan * (1 + 0j) has a NaN imaginary part, which the reality check refuses
+    with pytest.raises(DomainError):
+        spin.spin_from_bivector(e12.scale(math.nan))
 
 
 def test_spin_membership_checks():
