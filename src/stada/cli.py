@@ -171,12 +171,7 @@ def _load_state(args, form: EquationForm, fbasis):
             return eq.BispinorField.zero(FLOAT), mass
         return AnalyticField.zero(FLOAT), mass
     if os.path.exists(args.state):
-        if form == EquationForm.DIRAC_MATRIX:
-            raise DomainError("grid states are not defined for the matrix form; "
-                              "use --plane-wave or --state zero")
         return GridField.load(args.state), mass
-    if form == EquationForm.DIRAC_MATRIX:
-        raise DomainError("the matrix form accepts --plane-wave or --state zero")
     return parse_field(args.state, FLOAT), mass
 
 

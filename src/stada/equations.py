@@ -292,12 +292,8 @@ def _state_norm(state, h_mv: Multivector, seed: int) -> float:
     if isinstance(state, GridField):
         require_unit_square(h_mv.to_float())
         return _rescaled(lambda g: _grid_norm(g, h_mv), state)
-    if isinstance(state, BispinorField):
-        return sampled_max(state, _column_norms, seed)
-    if isinstance(state, AnalyticField):
-        # H*H = unit is checked once per float H, not per field or point
-        return 0.0 if state.is_zero() else sampled_max(state, _hermitian_size(h_mv), seed)
-    raise DomainError(f"cannot measure a {type(state).__name__}")
+    # H*H = unit is checked once per float H, not per field or point
+    return 0.0 if state.is_zero() else sampled_max(state, _hermitian_size(h_mv), seed)
 
 
 # ---- reports -------------------------------------------------------------------
@@ -421,24 +417,29 @@ class _Row:
     """One form of  Upsilon psi + (A psi) J + m psi M = 0: the gauge generator
     J and the mass factor M act on the right, each a product of the named
     "i" (a scalar), "H", "I" and "e5"; the gauge map is psi -> psi exp(lam J).
-    `domain(state, basis, tol)` refuses a state outside the form; the norm
-    takes the column norm, H or e0."""
+    `domain(state, basis, tol)` refuses a state outside the form (the matrix
+    form: any state but a bispinor); the norm is the "column" norm of a
+    bispinor or the hermitian norm under H or e0.  The plane `wave` is a
+    bispinor (None) or combines a set of `IdealBasis.amplitude_columns`, times
+    the reduction idempotent of the kind it names on the right (or None)."""
 
     gauge: tuple
     mass: tuple
     domain: object
     norm: str
+    wave: tuple | None
 
 
 _FORMS = {
-    EquationForm.DIRAC_MATRIX: _Row(("i",), ("i",), _check_bispinor, "column"),
-    EquationForm.IDEAL: _Row(("i",), ("i",), _check_in_ideal, "H"),
-    EquationForm.ILK: _Row(("i",), ("i",), None, "e0"),
-    EquationForm.HESTENES: _Row(("I",), ("H", "I"), _check_even_real, "H"),
-    EquationForm.TENSOR: _Row(("I",), ("H", "I"), _check_even_real, "H"),
+    EquationForm.DIRAC_MATRIX: _Row(("i",), ("i",), _check_bispinor, "column", None),
+    EquationForm.IDEAL: _Row(("i",), ("i",), _check_in_ideal, "H", ("ideal", None)),
+    EquationForm.ILK: _Row(("i",), ("i",), None, "e0", ("ideal", None)),
+    EquationForm.HESTENES: _Row(("I",), ("H", "I"), _check_even_real, "H", ("even", None)),
+    EquationForm.TENSOR: _Row(("I",), ("H", "I"), _check_even_real, "H", ("even", None)),
     EquationForm.ILK_EVEN:
-        _Row(("i",), ("i", "H"), lambda s, b, tol: _check_even_real(s, b, tol, False), "H"),
-    EquationForm.ILK_E5: _Row(("e5",), ("e5",), None, "e0"),
+        _Row(("i",), ("i", "H"), lambda s, b, tol: _check_even_real(s, b, tol, False), "H",
+             ("complex-even", None)),
+    EquationForm.ILK_E5: _Row(("e5",), ("e5",), None, "e0", ("ideal", "t-e5")),
 }
 
 
@@ -511,8 +512,10 @@ def _residual(form: EquationForm, state, pot, m, h=None, i2=None, basis=None, *,
     if form == EquationForm.HESTENES and isinstance(res, AnalyticField):
         # the grade content of the residual is recorded, not asserted
         notes.append(f"residual grades: {sorted(res.grades())}")
-    norm_h = basis_vector(0, FLOAT) if row.norm == "e0" else h
-    max_norm = _state_norm(res, norm_h, seed)
+    if row.norm == "column":
+        max_norm = sampled_max(res, _column_norms, seed)
+    else:
+        max_norm = _state_norm(res, basis_vector(0, FLOAT) if row.norm == "e0" else h, seed)
     grid = {"n": res.n, "h": res.h} if isinstance(res, GridField) else None
     return ResidualReport(form=form.value, backend="grid" if grid else res.backend,
                           max_norm=max_norm, tolerance=tolerance, seed=seed,
@@ -806,10 +809,6 @@ def maxwell_residual(phi: AnalyticField, pot, h_mv: Multivector) -> MaxwellResul
 # ---- plane-wave solutions -----------------------------------------------------------------
 
 
-# the forms whose plane wave is built from the Hestenes columns
-_HESTENES_WAVES = (EquationForm.HESTENES, EquationForm.TENSOR, EquationForm.ILK_EVEN)
-
-
 @dataclass(frozen=True)
 class PlaneWaveSolution:
     form: EquationForm
@@ -832,11 +831,10 @@ def plane_wave(form: EquationForm, p, m, sign: int = 1,
     The state is u exp(i phi), phi = -sign p.x, carried to the form without
     a field translation: every translation is pointwise and R-linear, so it
     acts on the amplitude alone, and the closed-form amplitude columns P, M
-    of the basis (`IdealBasis.amplitude_columns`, "ideal" or "even") give it
-    as A+ exp(i phi) + A- exp(-i phi) with A+ = sum_k u_k P_k and
-    A- = sum_k conj(u_k) M_k; A- is zero for the ideal-valued forms.  The
-    right factor of ilk-even or ilk-e5 multiplies A+ and A- once each, after
-    the sums.
+    of the basis that the form's row names (`IdealBasis.amplitude_columns`)
+    give it as A+ exp(i phi) + A- exp(-i phi) with A+ = sum_k u_k P_k and
+    A- = sum_k conj(u_k) M_k; A- is zero for the complex-linear sets.  The
+    t-e5 idempotent of ilk-e5 multiplies A+ and A- once each, after the sums.
     """
     p = tuple(float(v) for v in p)
     m = float(m)
@@ -861,20 +859,15 @@ def plane_wave(form: EquationForm, p, m, sign: int = 1,
     u = u / np.linalg.norm(u)
     u = [complex(v) for v in u]
     wave = tuple(-sign * v for v in p)
-    if form == EquationForm.DIRAC_MATRIX:
+    if _FORMS[form].wave is None:
         state = BispinorField(tuple(
             AnalyticField.plane_wave(Multivector.scalar(v, FLOAT), wave) for v in u))
     else:
-        # ideal states solve ilk as they stand; the Hestenes state times (unit - iI)/2
-        # is even complex and solves ilk-even; the ideal state times t-e5 solves ilk-e5
-        plus, minus = basis.amplitude_columns["even" if form in _HESTENES_WAVES else "ideal"]
+        columns, kind = _FORMS[form].wave
+        plus, minus = basis.amplitude_columns[columns]
         amps = (_combination(u, plus), _combination([v.conjugate() for v in u], minus))
-        if form == EquationForm.ILK_EVEN:
-            unit = Multivector.unit(FLOAT)
-            right = (unit - basis.gens.i2.scale(1j)).scale(0.5)
-            amps = tuple(a * right for a in amps)
-        elif form == EquationForm.ILK_E5:
-            right = reduction_idempotent("t-e5", basis.gens)
+        if kind is not None:
+            right = reduction_idempotent(kind, basis.gens)
             amps = tuple(a * right for a in amps)
         state = (AnalyticField.plane_wave(amps[0], wave)
                  + AnalyticField.plane_wave(amps[1], tuple(-v for v in wave)))

@@ -36,6 +36,8 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from . import scalars
 from .errors import BackendMismatchError, DomainError
 from .exterior import STAR_TABLE
@@ -244,8 +246,6 @@ def complex_times(a, b):
 def complex_from_parts(re, im):
     """The complex array with these parts, set rather than computed, so an
     infinite part or a -0.0 stays as it is."""
-    import numpy as np
-
     out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
     out.real = re
     out.imag = im
@@ -783,8 +783,6 @@ class AnalyticField:
         Powers and exponentials are Python's, every product is written out
         on real parts, so each column has the bits of Python's complex
         arithmetic at that point, signed zeros, infinities and NaN included."""
-        import numpy as np
-
         points = list(points)
         powers = {}
 

@@ -101,19 +101,24 @@ class IdealBasis:
 
     @cached_property
     def amplitude_columns(self) -> dict:
-        """"ideal" and "even" -> (P, M), the columns a plane wave combines its
+        """Spinor space -> (P, M), the columns a plane wave combines its
         amplitude u with: sum_k u_k P_k + conj(u_k) M_k is the image of the
-        constant spinor u in the ideal, sum_k u_k t_k with P_k = t_k and
-        M_k = 0, or in the real even subalgebra, sum_k F_k (Re u_k + Im u_k I)
-        with P_k = F_k (1 - iI)/2 and M_k = F_k (1 + iI)/2.  Built exactly,
-        once per basis; a float copy rounds the columns of its exact basis."""
+        constant spinor u in the ideal ("ideal"), sum_k u_k t_k with P_k = t_k
+        and M_k = 0; in the real even subalgebra ("even"), sum_k F_k (Re u_k +
+        Im u_k I) with P_k = F_k (1 - iI)/2 = 2 <t_k>_even and M_k = F_k (1 + iI)/2;
+        or in the complex even elements fixed by r = (1 - iI)/2 on the right
+        ("complex-even"), that image times r: P_k r = P_k and M_k r = 0, so
+        M_k = 0 there.  Built exactly, once per basis; a float copy rounds
+        the columns of its exact basis."""
         if self.source is not None:
             return {name: _rounded(cols) for name, cols in self.source.amplitude_columns.items()}
         half = Multivector.unit(EXACT).scale(Fraction(1, 2))
         half_ii = self.gens.i2.scale(scalars.imaginary_unit(EXACT) * Fraction(1, 2))
-        return {"ideal": (self.ts, (Multivector.zero(EXACT),) * 4),
-                "even": (tuple(f * (half - half_ii) for f in self.fs),
-                         tuple(f * (half + half_ii) for f in self.fs))}
+        zeros = (Multivector.zero(EXACT),) * 4
+        plus = tuple(f * (half - half_ii) for f in self.fs)
+        return {"ideal": (self.ts, zeros),
+                "even": (plus, tuple(f * (half + half_ii) for f in self.fs)),
+                "complex-even": (plus, zeros)}
 
     def vector_gammas(self) -> tuple:
         """gamma_of(e_mu) for mu = 0..3 on the basis's backend, kept from the first call."""

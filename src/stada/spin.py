@@ -91,13 +91,15 @@ def spin_from_bivector(b: Multivector) -> SpinElement:
         raise DomainError("exponential generator must be homogeneous grade 2")
     if not b.is_real():
         raise DomainError("exponential generator must be real")
-    b = b.to_float().coeffs
+    b = b.to_float()
+    if not math.isfinite(b.max_abs()):  # a NaN or inf would run every term
+        raise DomainError("exponential generator must be finite")
     # the operations of term * b, scale(1.0 / n) and + (so every bit matches),
     # on coefficient lists: no Multivector per term
     total = term = Multivector.unit(FLOAT).coeffs
     for n in range(1, _SERIES_TERMS + 1):
         s = complex(1.0 / n)
-        term = [c * s for c in CLIFFORD.generic(term, b, 0j)]
+        term = [c * s for c in CLIFFORD.generic(term, b.coeffs, 0j)]
         total = [x + y for x, y in zip(total, term)]
         size = Multivector(term, FLOAT).max_abs()
         if size < _SERIES_CUTOFF:

@@ -86,6 +86,14 @@ def test_verify_deterministic_for_fixed_seed(tmp_path, capsys):
     assert blobs[0] == blobs[1]
 
 
+def test_verify_iterations(capsys):
+    code, out, _ = run_cli(["verify", "--suite", "hodge", "--iterations", "3"], capsys)
+    assert code == 0 and "suite hodge" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "hodge", "--iterations", "x"])
+    assert exc.value.code == 2
+
+
 def test_verify_unknown_suite_is_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "bogus"])
@@ -210,6 +218,12 @@ def test_residual_zero_state(capsys):
                            capsys)
     assert code == 0
     assert json.loads(out)["max_norm"] == 0.0
+
+
+def test_residual_zero_state_of_an_analytic_form(capsys):
+    code, out, _ = run_cli(["residual", "--form", "tde", "--state", "zero"], capsys)
+    data = json.loads(out)
+    assert code == 0 and data["max_norm"] == 0.0 and data["verdict"] == "pass"
 
 
 def test_residual_expression_state(capsys):
@@ -417,6 +431,12 @@ def test_report_without_files_is_usage(capsys, monkeypatch):
     assert code == 2
 
 
+def test_report_of_a_missing_file_is_usage(tmp_path, capsys):
+    code, out, err = run_cli(["report", str(tmp_path / "missing.json")], capsys)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "missing.json" in err, err
+
+
 # ---- non-finite values and bad numbers ------------------------------------------
 
 
@@ -510,6 +530,8 @@ PW = "m=1;p=1,0,0,0"
     ["--plane-wave", "p=1,0,0,0;which=-1"],
     ["--plane-wave", "p=1e200,1e200,0,0;m=0"],
     ["--plane-wave", PW, "--generators", "random:x"],
+    ["--plane-wave", "p=1,0,0,0;m=-1"],
+    ["--plane-wave", "p=1,0,0,0;sign=2"],
 ])
 def test_malformed_residual_options_are_usage_errors(extra, capsys):
     code, out, err = run_cli(["residual", "--form", "tde"] + extra, capsys)
@@ -551,6 +573,24 @@ def test_malformed_potential_file_is_usage_error(payload, tmp_path, capsys):
                               "-A", str(path)], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_potential_file_that_is_not_json_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "pot.json"
+    path.write_text("{not json")
+    code, out, err = run_cli(["residual", "--form", "tde", "--plane-wave", PW,
+                              "-A", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_potential_file_gives_the_report_of_its_expression(tmp_path, capsys):
+    path = tmp_path / "pot.json"
+    path.write_text(json.dumps({"0": [0.2, 0], "1": [0.1, 0]}))
+    runs = [run_cli(["residual", "--form", "tde", "--plane-wave", PW, "-A", pot], capsys)
+            for pot in (str(path), "0.2 e0 + 0.1 e1")]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 1 and json.loads(runs[0][1])["max_norm"] == 0.44721359549995787
 
 
 @pytest.mark.parametrize("payload", ['{"summary": 3}', '{"summary": [1]}', '"summary"'])
@@ -621,8 +661,11 @@ def _dump_npz(**arrays):
     ("state.json", _dump_json({"n": 1, "h": -0.5, "values": [[[0, 0]] * 16]})),
     ("state.npz", _dump_npz(n=2, h=0.5)),
     ("state.npz", _dump_npz(n=2, h=0.5, values=[[0.0]])),
+    ("state.json", _dump_json({"n": 2, "h": 0.5, "values": [[[0, 0]] * 16] * 15})),
+    ("state.npz", lambda path: path.write_bytes(b"not a zip archive")),
+    ("state.json", lambda path: path.write_text("{not json")),
 ], ids=["no-h", "list", "short-site", "overflow", "n-zero", "h-negative",
-        "npz-no-values", "npz-bad-shape"])
+        "npz-no-values", "npz-bad-shape", "one-site-short", "npz-not-zip", "json-not-json"])
 def test_malformed_grid_dump_is_usage_error(name, write, tmp_path, capsys):
     path = tmp_path / name
     write(path)

@@ -862,6 +862,31 @@ def test_form_operator_refuses_what_its_row_cannot_build():
                          i2=BASIS.gens.i2)
 
 
+_IDENTITY = spin.SpinElement.identity(FLOAT)
+_LAM = real_polynomial({(1, 0, 0, 0): 0.2}, FLOAT)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda ilk, grid: eq.translate(ilk, EquationForm.ILK, EquationForm.HESTENES, FBASIS),
+     "no translation from ilk to hde"),
+    (lambda ilk, grid: eq.gauge_transform(grid, None, _LAM, EquationForm.TENSOR, FBASIS),
+     "gauge transformation runs on the analytic backend"),
+    (lambda ilk, grid: eq.covariance_check(
+        _IDENTITY, eq.FieldConfig(EquationForm.TENSOR, grid, None, 1.0, FBASIS)),
+     "covariance checks run on the analytic backend"),
+    (lambda ilk, grid: eq.covariance_check(
+        _IDENTITY, eq.FieldConfig(EquationForm.ILK, ilk, None, 1.0, FBASIS)),
+     "covariance check not defined for form ilk"),
+    (lambda ilk, grid: eq.reduction_idempotent("bogus", BASIS.gens),
+     "unknown reduction idempotent 'bogus'"),
+], ids=["translate-ilk-hde", "gauge-grid", "covariance-grid", "covariance-ilk",
+        "reduction-bogus"])
+def test_maps_refuse_what_they_do_not_define(call, message):
+    ilk = eq.plane_wave(EquationForm.ILK, (1.0, 0, 0, 0), 1.0, basis=BASIS).state
+    with pytest.raises(DomainError, match=message):
+        call(ilk, _grid({0: 1.0}))
+
+
 def test_gauge_rotor_needs_generators_only_where_j_names_one():
     sol = eq.plane_wave(EquationForm.ILK_E5, (1.0, 0, 0, 0), 1.0, basis=BASIS)
     lam = real_polynomial({(0, 1, 0, 0): 0.3}, FLOAT)
@@ -1279,6 +1304,20 @@ def test_plane_waves_translate_nothing_once_the_columns_are_built(monkeypatch):
         assert built_on.amplitude_columns is columns
         # not even the first plane wave of a basis translates a field
         assert translations == constants == []
+
+
+@pytest.mark.parametrize("name", [f"random:{n}" for n in range(1, 6)])
+def test_ilk_even_plane_waves_have_one_phase_term(name):
+    # the complex-even columns are the even ones times (unit - iI)/2 already;
+    # a float product by that factor left a counter-rotating term of rounding
+    # residue on every wave of a non-canonical basis
+    basis = _wave_basis(name)
+    for p, m in (((1.0, 0, 0, 0), 1.0), ((1.25, 0.75, 0, 0), 1.0),
+                 ((1.25, 0.6, 0, 0.8), 0.75)):
+        for sign, which in itertools.product((1, -1), (0, 1)):
+            sol = eq.plane_wave(EquationForm.ILK_EVEN, p, m, sign=sign, basis=basis,
+                                which=which)
+            assert len(sol.state.terms) == 1, (p, sign, which)
 
 
 @pytest.mark.parametrize("size", [1.0, 1e300])

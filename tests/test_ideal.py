@@ -335,6 +335,20 @@ def test_the_columns_land_on_the_ideal_basis(name):
     assert basis.amplitude_columns["ideal"] == (basis.ts, (zero,) * 4)
 
 
+@pytest.mark.parametrize("name", EXACT_BASES)
+def test_the_complex_even_columns_absorb_the_ilk_even_factor(name):
+    # r = (1 - iI)/2 is idempotent and (1 + iI) r = 0, so P_k r = P_k and
+    # M_k r = 0: the ilk-even image of u is sum_k u_k P_k, with no right factor
+    basis = _exact_basis(name)
+    zero = Multivector.zero(EXACT)
+    r = (Multivector.unit() - basis.gens.i2.scale(QQi(0, 1))).scale(QQi(1, 0, 2))
+    plus, minus = basis.amplitude_columns["even"]
+    assert [p * r for p in plus] == list(plus)
+    assert [m * r for m in minus] == [zero] * 4
+    assert basis.amplitude_columns["complex-even"] == (plus, (zero,) * 4)
+    assert list(plus) == [tk.even_part().scale(2) for tk in basis.ts]
+
+
 def test_bispinor_roundtrip():
     rng = random.Random(10)
     basis = ideal.canonical_basis()

@@ -170,8 +170,6 @@ LATE_IMPORTS = {
     ("cli", "_reduction_report", ".equations"): _COMMAND,
     ("cli", "_reduction_report", ".fields"): _FIELDS,
     ("expr", "field", ".fields"): _FIELDS,
-    ("fields", "complex_from_parts", "numpy"): _NUMPY,
-    ("fields", "eval_points", "numpy"): _NUMPY,
     ("generators", "basis16_of", ".linalg"): _NUMPY,
     ("generators", "transported_generators", ".spin"): _CYCLE + ": spin imports generators",
     ("generators", "random_generators", ".spin"): _CYCLE + ": spin imports generators",

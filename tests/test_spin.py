@@ -74,6 +74,10 @@ def test_exponential_series_exits():
     # nan * (1 + 0j) has a NaN imaginary part, which the reality check refuses
     with pytest.raises(DomainError):
         spin.spin_from_bivector(e12.scale(math.nan))
+    # a real NaN or inf passes that check and is refused before the series
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            spin.spin_from_bivector(Multivector.from_terms([(0b0110, complex(x))], FLOAT))
 
 
 def test_spin_membership_checks():
