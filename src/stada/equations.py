@@ -28,8 +28,8 @@ import numpy as np
 
 from . import linalg, scalars
 from .errors import BackendMismatchError, ConsistencyError, DomainError
-from .fields import (AnalyticField, Poly, complex_from_parts, complex_times, d, delta,
-                     phase_cos, phase_sin, upsilon_gradient)
+from .fields import (AnalyticField, PointSet, Poly, complex_from_parts, complex_times, d,
+                     delta, phase_cos, phase_sin, upsilon_gradient)
 from .generators import SecondaryGenerators
 from .grid import GridField, Stencil, central_difference, sample
 from .ideal import IdealBasis, canonical_basis, gamma_of
@@ -98,13 +98,13 @@ class BispinorField:
         return BispinorField(tuple(a.partial(mu) for a in self.components))
 
     def apply_matrix(self, rows) -> "BispinorField":
+        """Row n is the sum over k of component k scaled by rows[n][k], left to
+        right, from its first nonzero term: zero plus a field is that field."""
         out = []
-        for n in range(4):
-            acc = AnalyticField.zero(self.backend)
-            for k in range(4):
-                if rows[n][k]:
-                    acc = acc + self.components[k].scale(rows[n][k])
-            out.append(acc)
+        for row in rows:
+            terms = [c.scale(v) for c, v in zip(self.components, row) if v]
+            out.append(functools.reduce(operator.add, terms) if terms
+                       else AnalyticField.zero(self.backend))
         return BispinorField(tuple(out))
 
     def mul_scalar_field(self, f: AnalyticField) -> "BispinorField":
@@ -125,7 +125,7 @@ class BispinorField:
 
     def eval_points(self, points):
         """The four values at each point: a complex array of shape (4, P)."""
-        points = list(points)
+        points = PointSet(points)
         return np.array([a.eval_points(points)[0] for a in self.components])
 
 
@@ -134,10 +134,11 @@ class BispinorField:
 
 # bounded: a caller may pass any seed; a tuple, so no caller changes the kept points
 @functools.lru_cache(maxsize=16)
-def sample_points(seed: int = 0) -> tuple:
-    """24 seeded points of the box [-1, 1]^4, drawn once per seed."""
+def sample_points(seed: int = 0) -> PointSet:
+    """24 seeded points of the box [-1, 1]^4, drawn once per seed, with the
+    powers of their coordinates kept from their first evaluation."""
     rng = random.Random(seed)
-    return tuple(tuple(rng.uniform(-1.0, 1.0) for _ in range(4)) for _ in range(24))
+    return PointSet(tuple(rng.uniform(-1.0, 1.0) for _ in range(4)) for _ in range(24))
 
 
 def _rescaled(norm, u) -> float:
@@ -847,7 +848,7 @@ def plane_wave(form: EquationForm, p, m, sign: int = 1,
     if not abs(shell - m * m) <= 1e-10 * scale:  # NaN from overflow is off shell too
         raise DomainError(f"momentum is off shell: p.p = {shell}, m^2 = {m * m}")
     basis = (basis or canonical_basis()).to_float()
-    pslash = sum(p[mu] * np.array(g) for mu, g in enumerate(basis.vector_gammas()))
+    pslash = sum(p[mu] * g for mu, g in enumerate(basis.gamma_arrays()))
     amplitudes = linalg.null_space(pslash - sign * m * np.eye(4))
     if not amplitudes:
         raise DomainError("no amplitude solves the momentum-space equation")

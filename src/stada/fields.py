@@ -273,25 +273,18 @@ def scalar_parts(value, backend: str) -> tuple:
     return c.a, c.b, c.d
 
 
-def _numerator_form(mv: Multivector) -> tuple:
-    """(den, re, im) of a multivector in the term format of its backend."""
-    if mv.backend == EXACT:
-        return numerators(mv)
-    coeffs = [complex(c) for c in mv.coeffs]
-    return 1, tuple(z.real for z in coeffs), tuple(z.imag for z in coeffs)
+def _phase_term(mono: int, c, backend: str) -> tuple:
+    """(mono, n, d) of one real phase coefficient in a key of the backend."""
+    if backend == EXACT:
+        c = Fraction(c)
+        return mono, c.numerator, c.denominator
+    return mono, float(c), 1
 
 
 def phase_key(phase: Poly, backend: str) -> tuple:
     """The key of a real phase polynomial in a field of the backend."""
-    out = []
-    for exps, c in phase.terms.items():
-        if backend == EXACT:
-            c = Fraction(c)
-            n, d = c.numerator, c.denominator
-        else:
-            n, d = float(c), 1
-        out.append((pack_monomial(exps), n, d))
-    return tuple(sorted(out))
+    return tuple(sorted(_phase_term(pack_monomial(exps), c, backend)
+                        for exps, c in phase.terms.items()))
 
 
 def phase_poly(key: tuple) -> Poly:
@@ -504,6 +497,32 @@ def _phase_compose(key: tuple, lines, scale: int) -> tuple:
     return tuple(out)
 
 
+class PointSet(tuple):
+    """An immutable sequence of points, each a tuple of coordinates, that
+    keeps the powers x[mu] ** e of its coordinates: one read-only array per
+    axis and exponent, of Python's power at each point, built on first use.
+    At most `KEPT` arrays are kept; a further one is built on each call."""
+
+    KEPT = 64
+
+    def __new__(cls, points=()):
+        if isinstance(points, cls):
+            return points  # as tuple(t) is t; its kept powers go with it
+        self = super().__new__(cls, map(tuple, points))
+        self._powers = {}
+        return self
+
+    def power(self, mu: int, e: int):
+        """x[mu] ** e at every point, a read-only float array."""
+        values = self._powers.get((mu, e))
+        if values is None:
+            values = np.array([x[mu] ** e for x in self], dtype=float)
+            values.flags.writeable = False
+            if len(self._powers) < self.KEPT:
+                self._powers[mu, e] = values
+        return values
+
+
 class AnalyticField:
     """Finite sum of blade-valued polynomial terms carrying polynomial phases.
 
@@ -556,29 +575,31 @@ class AnalyticField:
         return cls(backend)
 
     @classmethod
-    def _of_multivector(cls, mv: Multivector, phase: Poly,
+    def _of_multivector(cls, mv: Multivector, key: tuple = (),
                         exps: Exps = _ZERO_EXPS) -> "AnalyticField":
-        """mv times one monomial, on one phase."""
-        den, re, im = _numerator_form(mv)
+        """mv times one monomial, on the phase with this key."""
+        den, re, im = numerators(mv)
         mono = pack_monomial(exps)
         entries = {mono | m: (r, s) for m, (r, s) in enumerate(zip(re, im)) if r or s}
-        return cls.from_forms({phase_key(phase, mv.backend): (den, entries)} if entries else {},
-                              mv.backend)
+        return cls.from_forms({key: (den, entries)} if entries else {}, mv.backend)
 
     @classmethod
     def constant(cls, mv: Multivector) -> "AnalyticField":
-        return cls._of_multivector(mv, Poly())
+        return cls._of_multivector(mv)
 
     @classmethod
     def monomial(cls, mv: Multivector, exps: Exps) -> "AnalyticField":
-        return cls._of_multivector(mv, Poly(), exps)
+        return cls._of_multivector(mv, (), exps)
 
     @classmethod
     def plane_wave(cls, mv: Multivector, wave) -> "AnalyticField":
-        """mv * exp(i * sum_mu wave[mu] x^mu)."""
-        entries = {tuple(int(i == mu) for i in range(4)): wave[mu]
-                   for mu in range(4) if wave[mu]}
-        return cls._of_multivector(mv, real_polynomial(entries, mv.backend))
+        """mv * exp(i * sum_mu wave[mu] x^mu), its phase keyed as `phase_key`
+        keys that polynomial (`real_polynomial`) on the backend of mv, with
+        no `Poly` built."""
+        conv = Fraction if mv.backend == EXACT else float
+        return cls._of_multivector(mv, tuple(
+            _phase_term(1 << shift, c, mv.backend)
+            for shift, c in zip(_EXP_SHIFTS, map(conv, wave)) if c))
 
     @classmethod
     def scalar_poly(cls, poly: Poly, backend: str) -> "AnalyticField":
@@ -751,7 +772,7 @@ class AnalyticField:
         `BladeProduct.sparse` per term, so its coefficients equal that
         product's bit for bit."""
         self._check(mv)
-        den, re, im = _numerator_form(mv)
+        den, re, im = numerators(mv)
         const = {m: (r, s) for m, (r, s) in enumerate(zip(re, im)) if r or s}
         return self._termwise(lambda _, d, entries: (
             d * den, product.sparse(entries, const) if side == "right"
@@ -761,7 +782,7 @@ class AnalyticField:
         """The unit-blade part of the Clifford product self * mv, forming only
         the terms that land on the unit blade, in the order of mul_const."""
         self._check(mv)
-        den, re, im = _numerator_form(mv)
+        den, re, im = numerators(mv)
         cols = [[] for _ in range(16)]
         for i, j, sign in CLIFFORD.scalar_terms:
             if re[j] or im[j]:
@@ -782,15 +803,11 @@ class AnalyticField:
         times x[mu] ** e axis by axis, and adds that sum times the factor.
         Powers and exponentials are Python's, every product is written out
         on real parts, so each column has the bits of Python's complex
-        arithmetic at that point, signed zeros, infinities and NaN included."""
-        points = list(points)
-        powers = {}
-
-        def power(mu: int, e: int):
-            if (mu, e) not in powers:
-                powers[mu, e] = np.array([x[mu] ** e for x in points], dtype=float)
-            return powers[mu, e]
-
+        arithmetic at that point, signed zeros, infinities and NaN included.
+        The powers are those a `PointSet` keeps; a term whose keys are all
+        bare blades (monomial 0) has one entry per blade, and its sums are
+        0j plus its coefficient column, times the factor in one product."""
+        points = PointSet(points)
         out = np.zeros((16, len(points)), dtype=complex)
         with np.errstate(all="ignore"):
             for key, (den, entries) in self._forms.items():
@@ -799,16 +816,20 @@ class AnalyticField:
                     v = n / d
                     for mu, shift in enumerate(_EXP_SHIFTS):
                         if mono >> shift & 0xFFFF:
-                            v = v * power(mu, mono >> shift & 0xFFFF)
+                            v = v * points.power(mu, mono >> shift & 0xFFFF)
                     phase = phase + v
                 factor = np.array([cmath.exp(1j * p) for p in phase.tolist()])
                 keys = sorted(entries)
-                vals = np.repeat([[complex(r / den, s / den)] for r, s in map(entries.get, keys)],
-                                 len(points), axis=1)
+                column = np.array([complex(r / den, s / den)
+                                   for r, s in map(entries.get, keys)])[:, None]
+                if keys[-1] < 16:
+                    out[keys] += complex_times(factor, 0j + column)
+                    continue
+                vals = np.repeat(column, len(points), axis=1)
                 for mu, shift in enumerate(_EXP_SHIFTS):
                     for e in {k >> shift & 0xFFFF for k in keys} - {0}:
                         rows = [i for i, k in enumerate(keys) if k >> shift & 0xFFFF == e]
-                        vals[rows] = complex_times(vals[rows], power(mu, e))
+                        vals[rows] = complex_times(vals[rows], points.power(mu, e))
                 # each blade sums its entries in key order; a blade with fewer
                 # entries adds -0.0, which leaves its sum as it is
                 by_blade = {}

@@ -250,7 +250,10 @@ class GridField:
                 with np.load(path) as archive:
                     data = dict(archive)
             except (EOFError, TypeError, ValueError, zipfile.BadZipFile) as exc:
-                raise DomainError(f"{path}: not an .npz archive ({exc})") from None
+                # np.load reads a file that is no zip archive as a pickle, and its
+                # refusal advises allow_pickle, which does not apply to a grid dump
+                why = f" ({exc})" if zipfile.is_zipfile(path) else ""
+                raise DomainError(f"{path}: not an .npz archive{why}") from None
             n, h = _dump_geometry(data)
             return cls(n, h, _dump_values(data["values"], n))
         with open(path, encoding="utf-8") as fh:

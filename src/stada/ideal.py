@@ -128,6 +128,19 @@ class IdealBasis:
     def _vector_gammas(self) -> tuple:
         return tuple(gamma_of(basis_vector(mu, self.backend), self) for mu in range(4))
 
+    def gamma_arrays(self) -> tuple:
+        """`vector_gammas()` as read-only complex numpy arrays, kept from the first call."""
+        return self._gamma_arrays
+
+    @cached_property
+    def _gamma_arrays(self) -> tuple:
+        import numpy as np  # numpy stays off the algebra path, which never needs these arrays
+
+        arrays = tuple(np.array(g) for g in self.vector_gammas())
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
+
 
 def _rounded(value):
     """A multivector, a scalar, or nested tuples of them, rounded to float."""

@@ -171,15 +171,15 @@ def null_space(matrix: Sequence[Sequence]) -> list[list]:
 
     Exact input gives one vector per free column of the reduced row echelon
     form.  Float input gives the orthonormal right singular vectors whose
-    singular values are at most 1e-9 times the largest, as Python scalars."""
+    singular values are at most 1e-9 times the largest, as Python scalars;
+    a nonempty float or complex ndarray goes to the SVD as it is."""
+    if isinstance(matrix, np.ndarray) and matrix.dtype.kind in "fc" and len(matrix):
+        return _float_null_space(matrix)
     rows = [list(row) for row in matrix]
     if not rows:
         return []
     if not _all_exact(rows):
-        _, sing, vh = np.linalg.svd(np.array(rows))
-        cutoff = _SINGULAR_CUTOFF * (sing[0] if len(sing) else 1.0)
-        return [vh[i].conj().tolist() for i in range(len(vh))
-                if i >= len(sing) or sing[i] <= cutoff]
+        return _float_null_space(np.array(rows))
     reduced = _IntegerRows(rows)
     zero, one = (QQi(0), QQi(1)) if reduced.gaussian else (Fraction(0), Fraction(1))
     basis = []
@@ -190,6 +190,13 @@ def null_space(matrix: Sequence[Sequence]) -> list[list]:
             vec[c] = reduced.value(r, free, negate=True)
         basis.append(vec)
     return basis
+
+
+def _float_null_space(a) -> list[list]:
+    _, sing, vh = np.linalg.svd(a)
+    cutoff = _SINGULAR_CUTOFF * (sing[0] if len(sing) else 1.0)
+    return [vh[i].conj().tolist() for i in range(len(vh))
+            if i >= len(sing) or sing[i] <= cutoff]
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:

@@ -17,7 +17,9 @@ that form, with one gcd per result; `coeffs`, the `QQi` tuple, is built
 once, on first read, for a value made by such an operation.  A value made
 from `QQi` coefficients keeps them and gets its form only when an
 operation first needs it.  A float multivector holds plain complex
-`coeffs`, and its products add the terms in the table order.
+`coeffs`, and its products add the terms in the table order; it keeps
+their term form (1, re, im), the real and imaginary parts over 1, from
+the first `numerators` call on.
 
 The Clifford and exterior products, the scalar part of a product and the
 left-regular matrix all go through one `kernel.BladeProduct` per table.
@@ -123,11 +125,10 @@ WEDGE = BladeProduct(WEDGE_TABLE)
 class Multivector:
     """Immutable element of the (complexified) spacetime algebra.
 
-    `coeffs` is the tuple of 16 coefficients.  An exact value also has a
-    numerator form in `_numerators`: None for a value made from `QQi`
-    coefficients until `numerators` first builds it, and the only stored
-    form of a value made by `from_numerators`, whose `coeffs` is built on
-    first read.
+    `coeffs` is the tuple of 16 coefficients.  Every value also has a term
+    form in `_numerators`, None until `numerators` first builds it from
+    `coeffs`; for an exact value made by `from_numerators` it is the only
+    stored form, and `coeffs` is built on first read.
     """
 
     __slots__ = ("coeffs", "backend", "_numerators")
@@ -137,8 +138,7 @@ class Multivector:
             raise ValueError("a multivector needs exactly 16 coefficients")
         object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "backend", backend)
-        if backend == EXACT:
-            object.__setattr__(self, "_numerators", None)
+        object.__setattr__(self, "_numerators", None)
 
     @classmethod
     def from_numerators(cls, form: tuple, coeffs: tuple | None = None) -> "Multivector":
@@ -356,24 +356,39 @@ class Multivector:
 
 
 def numerators(u: Multivector) -> tuple:
-    """The numerator form (den, re, im) of an exact multivector, built once
-    from the QQi coefficients of a value made from them."""
+    """The term form (den, re, im) of a multivector, built once from its
+    coefficients and kept: Gaussian-integer numerators over one denominator
+    in lowest terms for an exact value, the real and imaginary parts of
+    each complex coefficient over 1 for a float one."""
     form = u._numerators
     if form is None:
-        form = numerator_form(u.coeffs)
+        if u.backend == EXACT:
+            form = numerator_form(u.coeffs)
+        else:
+            coeffs = [complex(c) for c in u.coeffs]
+            form = 1, tuple(z.real for z in coeffs), tuple(z.imag for z in coeffs)
         object.__setattr__(u, "_numerators", form)
     return form
 
 
+# e_0..e_3 and the pseudoscalar of each backend, built once and shared, as a
+# Multivector is immutable: each keeps its term form from its first use on
+_BASIS_VECTORS = {backend: tuple(Multivector.basis(1 << mu, backend) for mu in range(4))
+                  for backend in (EXACT, FLOAT)}
+_L5 = {backend: Multivector.basis(L5_MASK, backend) for backend in (EXACT, FLOAT)}
+
+
 def basis_vector(mu: int, backend: str = EXACT) -> Multivector:
+    """The basis vector e_mu of the backend, one shared value."""
     if not 0 <= mu <= 3:
         raise ValueError("axis index outside 0..3")
-    return Multivector.basis(1 << mu, backend)
+    return _BASIS_VECTORS[backend][mu]
 
 
 def l5(backend: str = EXACT) -> Multivector:
-    """The grade-4 pseudoscalar, the product of all four generators."""
-    return Multivector.basis(L5_MASK, backend)
+    """The grade-4 pseudoscalar, the product of all four generators, one
+    shared value per backend."""
+    return _L5[backend]
 
 
 def clifford_product(a: Multivector, b: Multivector) -> Multivector:

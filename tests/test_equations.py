@@ -1416,12 +1416,14 @@ _coefficient = st.builds(complex, _real, _real)
 @st.composite
 def _two_phase_fields(draw):
     """(seed, field): a float field of two phases whose blades hold nothing,
-    a polynomial with exponents up to 3, or c * (x^mu - p^mu), which is
-    exactly zero at one of the seed's sample points p."""
+    a polynomial with exponents up to 3, a constant, or c * (x^mu - p^mu),
+    which is exactly zero at one of the seed's sample points p.  Some fields
+    hold only constants, so that every key of a term is a bare blade."""
     seed = draw(st.integers(0, 3))
     p = eq.sample_points(seed)[draw(st.integers(0, 23))]
-    kinds = draw(st.lists(st.sampled_from(["none", "poly", "zero at p"]),
-                          min_size=16, max_size=16))
+    kinds = draw(st.sampled_from([["none", "poly", "zero at p", "constant"],
+                                  ["none", "constant"]]))
+    kinds = draw(st.lists(st.sampled_from(kinds), min_size=16, max_size=16))
     terms = []
     for _ in range(2):
         phase = Poly(draw(st.dictionaries(_monomial, _real, min_size=1, max_size=3)))
@@ -1429,6 +1431,8 @@ def _two_phase_fields(draw):
         for kind in kinds:
             if kind == "poly":
                 coeffs.append(Poly(draw(st.dictionaries(_monomial, _coefficient, max_size=3))))
+            elif kind == "constant":
+                coeffs.append(Poly.constant(draw(_coefficient)))
             elif kind == "zero at p":
                 mu, c = draw(st.integers(0, 3)), draw(_coefficient)
                 coeffs.append(Poly({(0, 0, 0, 0): -(c * p[mu]),
@@ -1445,6 +1449,58 @@ def test_sampled_sizes_equal_the_per_point_reference(drawn, h_name):
     seed, field = drawn
     for f, size, reference in _sizes(field, h_name):
         assert eq.sampled_max(f, size, seed).hex() == _reference_max(f, reference, seed).hex()
+
+
+# zeros of either sign, infinities, NaN and the smallest subnormal as coordinates
+_SPECIAL_POINTS = ((0.0, -0.0, 5e-324, -5e-324), (-0.0, 0.0, math.inf, 1.5),
+                   (math.nan, 0.25, -math.inf, -0.0), (1.0, -1.0, 0.5, 5e-324),
+                   (-math.inf, math.inf, math.nan, 0.0))
+
+
+def _special_point_fields() -> list:
+    """Two phases on one blade with constant coefficients only (every key a
+    bare blade), the same with a constant phase term, and polynomials of
+    exponents up to 2 on two blades."""
+    const = [Poly() for _ in range(16)]
+    const[5] = Poly.constant(complex(-0.0, 2.5))
+    other = [Poly() for _ in range(16)]
+    other[5], other[0] = Poly.constant(complex(1.5, -0.0)), Poly.constant(-0.75 + 0j)
+    poly = [Poly() for _ in range(16)]
+    poly[3] = Poly({(0, 0, 0, 0): 0.5 - 1j, (1, 0, 2, 0): complex(-0.0, 3.0)})
+    poly[9] = Poly({(0, 1, 0, 1): 2.0 + 0j})
+    wave = Poly({(1, 0, 0, 0): 0.75, (0, 0, 0, 1): -1.25})
+    return [AnalyticField(FLOAT, [(wave, const), (-wave, other)]),
+            AnalyticField(FLOAT, [(wave + Poly.constant(0.5), const), (Poly(), other)]),
+            AnalyticField(FLOAT, [(wave, poly), (-wave, const)])]
+
+
+@pytest.mark.parametrize("which", range(3))
+def test_eval_points_keeps_the_one_point_bits_at_special_coordinates(which):
+    field = _special_point_fields()[which]
+    got = field.eval_points(_SPECIAL_POINTS)
+    for column, x in zip(got.T, _SPECIAL_POINTS):
+        assert _bits(column) == _bits(_value_at(field, x).coeffs), x
+    # the kept powers of a sample point set give the bits of fresh ones
+    points = eq.sample_points(2)
+    kept = field.eval_points(points)
+    assert _bits(kept.ravel()) == _bits(field.eval_points(list(points)).ravel())
+
+
+def test_kept_powers_and_gamma_arrays_are_read_only():
+    points = eq.sample_points(0)
+    AnalyticField.plane_wave(basis_vector(1, FLOAT), (0.5, 0.25, 0.0, 1.0)).eval_points(points)
+    power = points.power(0, 1)
+    assert power is points.power(0, 1)
+    assert power.tolist() == [x[0] for x in points]
+    with pytest.raises(ValueError):
+        power[0] = 2.0
+    arrays = FBASIS.gamma_arrays()
+    assert arrays is FBASIS.gamma_arrays()
+    assert [a.tolist() for a in arrays] == [[list(row) for row in g]
+                                            for g in FBASIS.vector_gammas()]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
 
 
 def _outcome(size, *args) -> str:

@@ -15,6 +15,7 @@ from stada.fields import (
     delta,
     laplace,
     phase_cos,
+    phase_key,
     phase_sin,
     real_polynomial,
     upsilon,
@@ -74,6 +75,16 @@ def test_plane_wave_eval():
     x = (0.2, 0.3, 0.4, 0.5)
     phase = sum(wave[mu] * x[mu] for mu in range(4))
     assert abs(complex(f.eval(x).coeffs[0]) - cmath.exp(1j * phase)) < 1e-15
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_plane_wave_phase_is_keyed_as_its_polynomial(backend):
+    # the key is built without a Poly; it must be the key phase_key gives
+    for wave in [(0.5, -1.0, 0.0, 2.0), (0, -0.0, Fraction(3, 7), 0), (0, 0, 0, 0),
+                 (1e-300, -2.5, 0.1, -0.0)]:
+        entries = {tuple(int(i == mu) for i in range(4)): w for mu, w in enumerate(wave) if w}
+        f = AnalyticField.plane_wave(Multivector.unit(backend), wave)
+        assert list(f._forms) == [phase_key(real_polynomial(entries, backend), backend)]
 
 
 def test_grade_part_and_component():
@@ -349,3 +360,24 @@ def test_compose_linear_swaps_axes():
     swap = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     assert f.compose_linear(swap) == AnalyticField.monomial(Multivector.unit(),
                                                             (0, 1, 0, 0))
+
+
+def test_a_kept_float_term_form_gives_the_bits_of_a_fresh_value():
+    # a float multivector keeps its term form from its first use on; signed
+    # zeros, infinities and NaN must come out of the kept form as they do
+    # out of a value that never had one
+    nan, inf = float("nan"), float("inf")
+    coeffs = [0j] * 16
+    coeffs[0], coeffs[1], coeffs[6] = complex(-0.0, 0.0), complex(inf, -0.0), complex(nan, 1.5)
+    coeffs[9], coeffs[15] = complex(0.0, -0.0), complex(-2.5, -inf)
+    kept = Multivector(coeffs, FLOAT)
+    wave = AnalyticField.plane_wave(Multivector.unit(FLOAT).scale(0.5 - 1j), (0.75, 0.5, 0, 0))
+    field = wave + AnalyticField.monomial(basis_vector(2, FLOAT).scale(-0.0 + 2j), (0, 1, 0, 1))
+    for _ in range(2):  # the second pass reads the form the first one kept
+        fresh = Multivector(list(coeffs), FLOAT)
+        for side in ("left", "right"):
+            assert (repr(field.mul_const(kept, side=side)._forms)
+                    == repr(field.mul_const(fresh, side=side)._forms))
+        assert (repr(field.scalar_part_of_mul(kept)._forms)
+                == repr(field.scalar_part_of_mul(fresh)._forms))
+        assert repr(AnalyticField.constant(kept)._forms) == repr(AnalyticField.constant(fresh)._forms)

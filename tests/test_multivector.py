@@ -342,3 +342,13 @@ def test_isclose_across_backends_compares_the_float_values():
         f = Multivector.from_terms([(0b0101, value)], FLOAT)
         assert (half.isclose(f), half.isclose(f, tol=1e-9)) == (close, close_loose)
         assert (f.isclose(half), f.isclose(half, tol=1e-9)) == (close, close_loose)
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_basis_vectors_and_l5_are_shared_values(backend):
+    for mu in range(4):
+        assert basis_vector(mu, backend) == Multivector.basis(1 << mu, backend)
+        assert basis_vector(mu, backend) is basis_vector(mu, backend)
+    assert l5(backend) == Multivector.basis(0b1111, backend) and l5(backend) is l5(backend)
+    with pytest.raises(ValueError):
+        basis_vector(4, backend)
