@@ -21,9 +21,12 @@ brought to lowest terms with one gcd per output term; a float field holds
 float (re, im) pairs over the denominator 1.  Zero entries and empty terms
 are dropped on both.  Every operation is written once, for both backends;
 an exact operation works in plain integers and builds no `QQi`, and no
-operation builds a `Poly`.  `Poly` is the type of phases given to the
-constructors and of the read-back `terms` (and `phase_polys`), built on
-first read; `eval_points`, `max_abs` and `to_float` read the packed form.
+operation builds a `Poly`, nor does the seeded draw `random_field`, which
+writes its terms in the term format directly.  `Poly` is the type of
+phases given to the constructors and of the read-back `terms` (and
+`phase_polys`), built on first read; `eval_points`, `max_abs` and
+`to_float` read the packed form.  The operators d, delta and Upsilon are
+built on `gradient`, one pass over the terms for each mu.
 """
 
 from __future__ import annotations
@@ -412,6 +415,17 @@ def _term_partial(phase: tuple, den: int, entries: dict, mu: int) -> tuple:
     return den * cden, _checked(acc) if chain else acc
 
 
+def _constant_entries(mv: Multivector) -> tuple:
+    """(den, entries) of a constant multivector, a term on the monomial 1."""
+    den, re, im = numerators(mv)
+    return den, {m: (r, s) for m, (r, s) in enumerate(zip(re, im)) if r or s}
+
+
+# the (den, entries) of e_0..e_3 on each backend, as `gradient` multiplies by them
+_VECTOR_ENTRIES = {backend: tuple(_constant_entries(basis_vector(mu, backend)) for mu in range(4))
+                   for backend in (EXACT, FLOAT)}
+
+
 def _blade_mapped(entries: dict, table) -> dict:
     """The entries under a blade map in the (sign, target) format of
     `exterior.STAR_TABLE`: each numerator pair moves, negated for sign -1,
@@ -732,6 +746,26 @@ class AnalyticField:
         """d/dx^mu, including the phase chain rule."""
         return self._termwise(lambda key, den, entries: _term_partial(key, den, entries, mu))
 
+    def gradient(self, product: BladeProduct) -> "AnalyticField":
+        """sum_mu e^mu (product) partial_mu of the field, in one pass over its
+        terms per mu: each term's derivative is multiplied by e_mu on the
+        left and brought to lowest terms once, and the terms of each mu merge
+        into the running sum as `+` merges two fields.  So the result is the
+        sum of the four fields partial(mu).mul_const(e_mu, "left", product),
+        left to right, with their bits and their order."""
+        forms = {}
+        for mu, (cden, const) in enumerate(_VECTOR_ENTRIES[self.backend]):
+            pieces = [(key, *form) for key, form in forms.items()]
+            for key, (den, entries) in self._forms.items():
+                # e_mu moves each entry to one blade of its own, so reducing
+                # the derivative first would end in the same lowest form
+                pden, pentries = _term_partial(key, den, entries, mu)
+                form = term_lowest(pden * cden, product.sparse(const, pentries))
+                if form:
+                    pieces.append((key, *form))
+            forms = _collected(pieces)
+        return self._with(forms)
+
     def multiply_phase(self, lam: Poly) -> "AnalyticField":
         """Multiply by exp(i * lam) for a real polynomial lam."""
         lam_key = phase_key(lam, self.backend)
@@ -772,8 +806,7 @@ class AnalyticField:
         `BladeProduct.sparse` per term, so its coefficients equal that
         product's bit for bit."""
         self._check(mv)
-        den, re, im = numerators(mv)
-        const = {m: (r, s) for m, (r, s) in enumerate(zip(re, im)) if r or s}
+        den, const = _constant_entries(mv)
         return self._termwise(lambda _, d, entries: (
             d * den, product.sparse(entries, const) if side == "right"
             else product.sparse(const, entries)))
@@ -864,10 +897,51 @@ class AnalyticField:
                 f"terms={len(self._forms)}, grades={sorted(self.grades())})")
 
 
+# ---- seeded draws --------------------------------------------------------------
+
+
+def random_field(rng, nterms: int = 2, grades=None, backend: str = EXACT) -> AnalyticField:
+    """A seeded field of `nterms` terms, built in the term format of the
+    backend from the draws of the `random.Random` rng.  Each term draws its
+    phase k x^a, k = randint(-2, 2) and each exponent of a randint(0, 1),
+    and then three entries: a blade randrange(16), the rest of whose draws
+    are skipped when `grades` leaves out its grade, four exponents
+    randint(0, 2) and a coefficient, whose real and imaginary parts are
+    randint(-2, 2) on the exact backend and uniform(-1, 1) on the float one.
+    The entries of a term sit by ascending blade, then in draw order; a
+    zero draw is left out, an entry drawn again adds, and one whose sum is
+    zero is dropped, to be appended if it is drawn once more.  Terms on one
+    phase merge as `+` merges them."""
+    exact = backend == EXACT
+    pieces = []
+    for _ in range(nterms):
+        k = rng.randint(-2, 2)
+        mono = pack_monomial(tuple(rng.randint(0, 1) for _ in range(4)))
+        phase = (_phase_term(mono, k, backend),) if k else ()
+        blades = [{} for _ in range(16)]
+        for _ in range(3):
+            m = rng.randrange(16)
+            if grades is not None and GRADE[m] not in grades:
+                continue
+            key = pack_monomial(tuple(rng.randint(0, 2) for _ in range(4))) | m
+            r, s = ((rng.randint(-2, 2), rng.randint(-2, 2)) if exact
+                    else (rng.uniform(-1, 1), rng.uniform(-1, 1)))
+            entries = blades[m]
+            if key in entries:
+                o = entries[key]
+                r, s = o[0] + r, o[1] + s
+            if r or s:
+                entries[key] = (r, s)
+            else:
+                entries.pop(key, None)
+        pieces.append((phase, 1, {e: pair for entries in blades for e, pair in entries.items()}))
+    return AnalyticField.from_forms(_collected(pieces), backend)
+
+
 # ---- the differential operators ---------------------------------------------
 #
 # Each formula uses only calls that an AnalyticField and a grid.Stencil both
-# answer: partial, mul_const, hodge_star, +, -, negation and scale.  On a
+# answer: gradient, partial, hodge_star, +, -, negation and scale.  On a
 # field they differentiate; on Stencil.identity(h) they build the lattice
 # operator of spacing h.
 
@@ -877,16 +951,9 @@ def _sum(terms):
     return functools.reduce(operator.add, terms)
 
 
-def _gradient(field, product: BladeProduct):
-    """sum_mu e^mu (product) partial_mu field."""
-    return _sum([field.partial(mu).mul_const(basis_vector(mu, field.backend), side="left",
-                                             product=product)
-                 for mu in range(4)])
-
-
 def d(field):
     """Exterior derivative: wedge each basis covector onto the matching partial."""
-    return _gradient(field, WEDGE)
+    return field.gradient(WEDGE)
 
 
 def delta(field):
@@ -901,7 +968,7 @@ def upsilon(field):
 
 def upsilon_gradient(field):
     """The same operator computed as the Clifford action of the gradient."""
-    return _gradient(field, CLIFFORD)
+    return field.gradient(CLIFFORD)
 
 
 def laplace(field, route: str = "direct"):

@@ -23,9 +23,16 @@ import numpy as np
 
 from .errors import DomainError
 from .exterior import STAR_TABLE
-from .fields import AnalyticField, d, laplace
+from .fields import AnalyticField, _sum, d, laplace
 from .kernel import EVERY_BLADE, BladeProduct
-from .multivector import CLIFFORD, GRADE_MAPS, ODD_MAP, REVERSION_MAP, Multivector
+from .multivector import (
+    CLIFFORD,
+    GRADE_MAPS,
+    ODD_MAP,
+    REVERSION_MAP,
+    Multivector,
+    basis_vector,
+)
 from .scalars import DEFAULT_TOLERANCE, FLOAT
 
 Offset = tuple[int, int, int, int]
@@ -289,10 +296,10 @@ def _dump_values(values: np.ndarray, n: int) -> np.ndarray:
 class Stencil:
     """Linear operator on the lattice of spacing h: finite map offset -> 16x16 matrix.
 
-    It answers the field calls of the operator formulas -- `partial`,
-    `mul_const`, `hodge_star`, sums, negation and `scale` -- by composing
-    on the left.  Stencils of different spacings do not combine, and a
-    stencil applies only to grids of its own spacing.
+    It answers the field calls of the operator formulas -- `gradient`,
+    `partial`, `mul_const`, `hodge_star`, sums, negation and `scale` -- by
+    composing on the left.  Stencils of different spacings do not combine,
+    and a stencil applies only to grids of its own spacing.
     """
 
     __slots__ = ("h", "entries")
@@ -359,6 +366,13 @@ class Stencil:
     def mul_const(self, mv: Multivector, side: str = "right",
                   product: BladeProduct = CLIFFORD) -> "Stencil":
         return self._left(_blade_matrix(product, mv.to_float(), side))
+
+    def gradient(self, product: BladeProduct) -> "Stencil":
+        """sum_mu e^mu (product) partial_mu, after self: the four stencils
+        partial(mu).mul_const(e_mu, "left", product), summed left to right."""
+        return _sum([self.partial(mu).mul_const(basis_vector(mu, self.backend), side="left",
+                                                product=product)
+                     for mu in range(4)])
 
     def hodge_star(self) -> "Stencil":
         return self._left(_STAR_M)

@@ -45,6 +45,7 @@ from .kernel import (
     BladeProduct,
     add_forms,
     coefficients,
+    lowest_terms,
     map_form,
     numerator_form,
     scale_form,
@@ -389,6 +390,44 @@ def l5(backend: str = EXACT) -> Multivector:
     """The grade-4 pseudoscalar, the product of all four generators, one
     shared value per backend."""
     return _L5[backend]
+
+
+# ---- seeded exact draws ------------------------------------------------------
+
+
+def _draws(rng, span: int, count: int) -> list[int]:
+    """`count` integers of [-span, span]: the values `rng.randint(-span, span)`
+    gives, in the same order, leaving the `random.Random` rng in the same
+    state.  This is CPython's rejection loop behind `randint`, inline: draw
+    k = n.bit_length() bits until the value is below n = 2 span + 1.
+    `tests/test_suites.py::test_draws_reproduce_randint` pins the equality."""
+    n = 2 * span + 1
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        out.append(r - span)
+    return out
+
+
+def random_multivector(rng, span: int = 3, masks=range(16), den: int = 1,
+                       real: bool = False) -> Multivector:
+    """A seeded exact multivector: for each blade of `masks` in turn, a real
+    numerator and, unless `real`, an imaginary one, each
+    `rng.randint(-span, span)`, over `den`.  A blade listed twice gets the
+    sum of its draws, as `Multivector.from_terms` adds them.  The value is
+    built in its numerator form, with no `QQi`."""
+    parts = iter(_draws(rng, span, len(masks) if real else 2 * len(masks)))
+    re = [0] * 16
+    im = [0] * 16
+    for m in masks:
+        re[m] += next(parts)
+        if not real:
+            im[m] += next(parts)
+    return Multivector.from_numerators(lowest_terms(den, re, im))
 
 
 def clifford_product(a: Multivector, b: Multivector) -> Multivector:

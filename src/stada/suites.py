@@ -27,7 +27,16 @@ from . import equations as eq
 from . import __version__, exterior, generators, ideal, linalg, spin
 from .errors import InvalidGeneratorError
 from .expr import eval_expr
-from .fields import AnalyticField, Poly, d, delta, laplace, real_polynomial, upsilon, upsilon_gradient
+from .fields import (
+    AnalyticField,
+    d,
+    delta,
+    laplace,
+    random_field,
+    real_polynomial,
+    upsilon,
+    upsilon_gradient,
+)
 from .grid import GridField, Stencil, sample
 from .multivector import (
     ETA,
@@ -42,6 +51,7 @@ from .multivector import (
     hermitian_conjugate,
     inverse,
     l5,
+    random_multivector,
 )
 from .names import REDUCTION_KINDS, SUITE_NAMES
 from .scalars import DEFAULT_TOLERANCE, EXACT, FLOAT, QQi, nan_max
@@ -179,35 +189,6 @@ def _run_check(report: RunReport, check_id: str, law: str, *, key: str | None = 
     return run
 
 
-def _draws(rng: random.Random, span: int, count: int) -> list[int]:
-    """`count` integers of [-span, span]: the values `rng.randint(-span, span)`
-    gives, in the same order, leaving `rng` in the same state.  This is
-    CPython's rejection loop behind `randint` for a `random.Random`, inline:
-    draw k = n.bit_length() bits until the value is below n = 2 span + 1.
-    `tests/test_suites.py::test_draws_reproduce_randint` pins the equality."""
-    n = 2 * span + 1
-    k = n.bit_length()
-    getrandbits = rng.getrandbits
-    out = []
-    for _ in range(count):
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        out.append(r - span)
-    return out
-
-
-def _random_mv(rng: random.Random, span: int = 3, masks=range(16), den: int = 1) -> Multivector:
-    parts = iter(_draws(rng, span, 2 * len(masks)))
-    return Multivector.from_terms(
-        [(m, QQi(re, im, den)) for m, re, im in zip(masks, parts, parts)], EXACT)
-
-
-def _random_real_mv(rng: random.Random, masks=range(16), span: int = 3) -> Multivector:
-    return Multivector.from_terms(
-        [(m, QQi(a)) for m, a in zip(masks, _draws(rng, span, len(masks)))], EXACT)
-
-
 # ---- suite: algebra --------------------------------------------------------------
 
 
@@ -226,7 +207,7 @@ def _suite_algebra(report: RunReport) -> None:
                 key="algebra.associativity", n=1000, detail="{cases} triples")
     def cases(rng, n):
         for _ in range(n):
-            u, v, w = (_random_mv(rng, span=2) for _ in range(3))
+            u, v, w = (random_multivector(rng, span=2) for _ in range(3))
             yield (u * v) * w == u * (v * w)
 
     @_run_check(report, "algebra.anticommutator",
@@ -244,8 +225,8 @@ def _suite_algebra(report: RunReport) -> None:
         for _ in range(n):
             r = rng.randrange(5)
             s = rng.randrange(5)
-            u = _random_mv(rng, masks=MASKS_OF_GRADE[r], span=2)
-            v = _random_mv(rng, masks=MASKS_OF_GRADE[s], span=2)
+            u = random_multivector(rng, masks=MASKS_OF_GRADE[r], span=2)
+            v = random_multivector(rng, masks=MASKS_OF_GRADE[s], span=2)
             rhs = exterior_product(v, u)
             if (r * s) % 2:
                 rhs = -rhs
@@ -265,19 +246,18 @@ def _suite_algebra(report: RunReport) -> None:
                 key="algebra.involution", n=200)
     def cases(rng, n):
         for _ in range(n):
-            u = _random_mv(rng, span=2)
-            v = _random_mv(rng, span=2)
+            u = random_multivector(rng, span=2)
+            v = random_multivector(rng, span=2)
             yield u.star().star() == u and (u * v).star() == v.star() * u.star()
 
     @_run_check(report, "algebra.trace_laws",
                 "trace kills commutators and survives conjugation", key="algebra.trace", n=50)
     def cases(rng, n):
         for _ in range(n):
-            u = _random_mv(rng, span=2)
-            v = _random_mv(rng, span=2)
+            u = random_multivector(rng, span=2)
+            v = random_multivector(rng, span=2)
             yield (u * v - v * u).trace() == QQi(0)
-            small = Multivector.from_terms(
-                [(m, QQi(rng.randint(-1, 1), 0, 4)) for m in EVEN_MASKS], EXACT)
+            small = random_multivector(rng, span=1, masks=EVEN_MASKS, den=4, real=True)
             w = Multivector.unit() + small
             try:
                 w_inv = inverse(w)
@@ -290,8 +270,8 @@ def _suite_algebra(report: RunReport) -> None:
                 key="algebra.float_agreement", n=100, bound=1e-12)
     def cases(rng, n):
         for _ in range(n):
-            u = _random_mv(rng, span=64, den=64)
-            v = _random_mv(rng, span=64, den=64)
+            u = random_multivector(rng, span=64, den=64)
+            v = random_multivector(rng, span=64, den=64)
             exact = (u * v).to_float()
             approx = u.to_float() * v.to_float()
             yield (exact - approx).max_abs()
@@ -311,8 +291,8 @@ def _suite_algebra(report: RunReport) -> None:
     def cases(rng, n):
         h = basis_vector(0)
         for _ in range(n):
-            u = _random_mv(rng, span=2)
-            v = _random_mv(rng, span=2)
+            u = random_multivector(rng, span=2)
+            v = random_multivector(rng, span=2)
             lhs = hermitian_conjugate(u * v, h)
             rhs = hermitian_conjugate(v, h) * hermitian_conjugate(u, h)
             yield lhs == rhs and hermitian_conjugate(hermitian_conjugate(u, h), h) == u
@@ -349,8 +329,8 @@ def _suite_hodge(report: RunReport) -> None:
                 key="hodge.com", n=200)
     def cases(rng, n):
         for _ in range(n):
-            u = _random_mv(rng, masks=MASKS_OF_GRADE[2], span=2)
-            v = _random_mv(rng, masks=MASKS_OF_GRADE[2], span=2)
+            u = random_multivector(rng, masks=MASKS_OF_GRADE[2], span=2)
+            v = random_multivector(rng, masks=MASKS_OF_GRADE[2], span=2)
             c = exterior.com_bracket(u, v)
             yield c == -exterior.com_bracket(v, u)
             yield c == u * v - v * u
@@ -599,8 +579,8 @@ def _suite_representation(report: RunReport) -> None:
                 key="representation.homomorphism", n=1000, detail="{cases} pairs")
     def cases(rng, n):
         for _ in range(n):
-            u = _random_mv(rng, span=1)
-            v = _random_mv(rng, span=1)
+            u = random_multivector(rng, span=1)
+            v = random_multivector(rng, span=1)
             gu = ideal.gamma_of(u, basis)
             gv = ideal.gamma_of(v, basis)
             guv = ideal.gamma_of(u * v, basis)
@@ -616,7 +596,7 @@ def _suite_representation(report: RunReport) -> None:
             gs = ideal.gamma_of(s.element, basis)
             gs_rev = ideal.gamma_of(s.reverse, basis)
             for _ in range(4):
-                u = _random_mv(rng, span=1)
+                u = random_multivector(rng, span=1)
                 lhs = ideal.gamma_of(u, new_basis)
                 rhs = linalg.mat_mul(linalg.mat_mul(gs, ideal.gamma_of(u, basis)),
                                      gs_rev)
@@ -638,7 +618,7 @@ def _suite_representation(report: RunReport) -> None:
         for _ in range(n):
             g = generators.random_generators(rng)
             b = ideal.idempotent_of(g)
-            psi = _random_real_mv(rng, masks=EVEN_MASKS, span=3)
+            psi = random_multivector(rng, span=3, masks=EVEN_MASKS, real=True)
             yield ideal.even_from_ideal(ideal.ideal_from_even(psi, b), b) == psi
 
     @_run_check(report, "representation.scalar_product",
@@ -646,9 +626,9 @@ def _suite_representation(report: RunReport) -> None:
                 key="representation.scalar_product", n=50)
     def cases(rng, n):
         for _ in range(n):
-            u = _random_mv(rng, span=2) * basis.t
-            v = _random_mv(rng, span=2) * basis.t
-            k = _random_mv(rng, span=2)
+            u = random_multivector(rng, span=2) * basis.t
+            v = random_multivector(rng, span=2) * basis.t
+            k = random_multivector(rng, span=2)
             lhs = ideal.scalar_product(k * u, v, basis.gens.h)
             rhs = ideal.scalar_product(u, hermitian_conjugate(k, basis.gens.h) * v,
                                        basis.gens.h)
@@ -662,7 +642,7 @@ def _suite_representation(report: RunReport) -> None:
     def cases(rng, n):
         for _ in range(20):
             s = spin.random_rational_spin(rng, factors=2)
-            psi = _random_real_mv(rng, masks=EVEN_MASKS, span=2)
+            psi = random_multivector(rng, span=2, masks=EVEN_MASKS, real=True)
             comps = basis.project_components(psi * basis.t)
             new_basis = ideal.representation_change(s, basis)
             psi2 = psi * s.element
@@ -678,32 +658,12 @@ def _suite_representation(report: RunReport) -> None:
 # ---- suite: fields --------------------------------------------------------------------------
 
 
-def _random_exact_field(rng: random.Random, nterms: int = 2, grades=None,
-                        backend: str = EXACT) -> AnalyticField:
-    entries = []
-    for _ in range(nterms):
-        k = Fraction(rng.randint(-2, 2))
-        phase = Poly({tuple(rng.randint(0, 1) for _ in range(4)):
-                      k if backend == EXACT else float(k)})
-        coeffs = [Poly() for _ in range(16)]
-        for _ in range(3):
-            m = rng.randrange(16)
-            if grades is not None and GRADE[m] not in grades:
-                continue
-            exps = tuple(rng.randint(0, 2) for _ in range(4))
-            c = (QQi(rng.randint(-2, 2), rng.randint(-2, 2)) if backend == EXACT
-                 else complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
-            coeffs[m] = coeffs[m] + Poly({exps: c})
-        entries.append((phase, coeffs))
-    return AnalyticField(backend, entries)
-
-
 def _suite_fields(report: RunReport) -> None:
     @_run_check(report, "fields.nilpotency", "d and its conjugate square to zero, exactly",
                 key="fields.nilpotency", n=100, detail="{cases} random fields")
     def cases(rng, n):
         for _ in range(n):
-            f = _random_exact_field(rng)
+            f = random_field(rng)
             yield d(d(f)).is_zero() and delta(delta(f)).is_zero()
 
     @_run_check(report, "fields.upsilon_forms",
@@ -711,14 +671,14 @@ def _suite_fields(report: RunReport) -> None:
                 key="fields.upsilon_forms", n=100)
     def cases(rng, n):
         for _ in range(n):
-            f = _random_exact_field(rng)
+            f = random_field(rng)
             yield upsilon(f) == upsilon_gradient(f)
 
     @_run_check(report, "fields.laplace_routes", "all four second-order routes agree exactly",
                 key="fields.laplace_routes", n=100)
     def cases(rng, n):
         for _ in range(max(10, n // 4)):
-            f = _random_exact_field(rng)
+            f = random_field(rng)
             l1 = laplace(f, "direct")
             yield (l1 == laplace(f, "upsilon") and l1 == laplace(f, "d_minus_delta")
                    and l1 == laplace(f, "de_rham"))
@@ -728,7 +688,7 @@ def _suite_fields(report: RunReport) -> None:
                 key="fields.laplace_commutes", n=100)
     def cases(rng, n):
         for _ in range(max(10, n // 4)):
-            f = _random_exact_field(rng)
+            f = random_field(rng)
             yield laplace(d(f)) == d(laplace(f))
             yield laplace(delta(f)) == delta(laplace(f))
             yield laplace(f.hodge_star()) == laplace(f).hodge_star()
@@ -778,7 +738,7 @@ def _suite_fields(report: RunReport) -> None:
 def _random_potential(rng: random.Random, backend: str = EXACT) -> AnalyticField:
     out = AnalyticField.zero(backend)
     for mu in range(4):
-        f = _random_exact_field(rng, nterms=1, backend=backend).component(0).real_part()
+        f = random_field(rng, nterms=1, backend=backend).component(0).real_part()
         out = out + f.mul_const(basis_vector(mu, backend), side="right")
     return out
 
@@ -786,7 +746,7 @@ def _random_potential(rng: random.Random, backend: str = EXACT) -> AnalyticField
 def _random_bispinor_field(rng: random.Random, backend: str = EXACT) -> eq.BispinorField:
     comps = []
     for _ in range(4):
-        f = _random_exact_field(rng, nterms=1, backend=backend).component(0)
+        f = random_field(rng, nterms=1, backend=backend).component(0)
         comps.append(f)
     return eq.BispinorField(tuple(comps))
 
@@ -841,8 +801,8 @@ def _suite_equations(report: RunReport) -> None:
                 key="equations.theorem4", n=50, bound=map_bound)
     def cases(rng, n):
         for _ in range(n):
-            psi_even = _random_exact_field(rng, grades={0, 2, 4},
-                                           backend=backend).even_part().real_part()
+            psi_even = random_field(rng, grades={0, 2, 4},
+                                    backend=backend).even_part().real_part()
             pot = _random_potential(rng, backend)
             r_even = eq.form_operator(eq.EquationForm.HESTENES, psi_even, pot, m,
                                       state_basis.gens.h, state_basis.gens.i2)
@@ -856,7 +816,7 @@ def _suite_equations(report: RunReport) -> None:
     def cases(rng, n):
         for kind in REDUCTION_KINDS:
             for _ in range(n // len(REDUCTION_KINDS) + 1):
-                rho = _random_exact_field(rng, nterms=2, backend=backend)
+                rho = random_field(rng, nterms=2, backend=backend)
                 pot = _random_potential(rng, backend)
                 yield eq.field_gap(*eq.reduction_sides(kind, rho, pot, m, state_basis.gens))
 
@@ -965,9 +925,14 @@ def run_suite(name: str, seed: int = 0, backend: str = EXACT,
     """Run one named battery (or all of them) deterministically under a seed.
 
     Only the equations suite reads `backend` and `tolerance`; the report
-    records both for every suite."""
+    records both for every suite.  `iterations`, the case count of the
+    sampled checks, is None for each check's own default or a positive int;
+    any other value is refused with ValueError, as an unknown suite is."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    # type(True) is bool, not int
+    if not (iterations > 0 if type(iterations) is int else iterations is None):
+        raise ValueError(f"iterations must be None or a positive int, got {iterations!r}")
     report = RunReport(suite=name, seed=seed, backend=backend,
                        iterations=iterations, tolerance=tolerance)
     names = list(_SUITES) if name == "all" else [name]

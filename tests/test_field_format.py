@@ -6,6 +6,7 @@ float ones no `Poly`."""
 import cmath
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -20,12 +21,14 @@ from stada.fields import (
     d,
     delta,
     laplace,
+    random_field,
     upsilon,
     upsilon_gradient,
 )
 from stada.multivector import (
     CLIFFORD,
     EVEN_MAP,
+    GRADE,
     GRADE_MAPS,
     ODD_MAP,
     REVERSION_MAP,
@@ -524,3 +527,146 @@ def test_exact_eval_is_the_read_back_sum_bit_for_bit():
         got = f.eval(x).coeffs
         assert [(c.real.hex(), c.imag.hex()) for c in got] == \
             [(c.real.hex(), c.imag.hex()) for c in want]
+
+
+# ---- the one-pass gradient and the seeded draws against their old routes ---------------
+
+
+def bits(field):
+    """The phase keys of a field in order, each with its denominator and its
+    entries in order, every float as its IEEE bytes and every int as its repr."""
+    def word(x):
+        return struct.pack(">d", x).hex() if isinstance(x, float) else repr(x)
+
+    return [([(mono, word(n), d) for mono, n, d in key], den,
+             [(k, word(r), word(s)) for k, (r, s) in entries.items()])
+            for key, (den, entries) in field._forms.items()]
+
+
+def four_field_sum(f, product):
+    """sum_mu e^mu (product) partial_mu f as four fields added left to right."""
+    terms = [f.partial(mu).mul_const(basis_vector(mu, f.backend), side="left", product=product)
+             for mu in range(4)]
+    out = terms[0]
+    for term in terms[1:]:
+        out = out + term
+    return out
+
+
+def special_float_field():
+    """Float entries with -0.0, infinite and NaN parts on two phases, a
+    constant entry among them."""
+    x0, x1x2, x3 = 1 << 4, (1 << 20) | (1 << 36), 1 << 52
+    return AnalyticField.from_forms({
+        (): (1, {0: (1.5, -0.0), x0 | 3: (-0.0, 2.0), x1x2 | 5: (math.inf, 1.0),
+                 2 * x3 | 9: (math.nan, -0.0)}),
+        ((x0, 0.5, 1), (x3, -1.0, 1)): (1, {6: (-math.inf, 0.25), x0 | 15: (0.0, math.nan),
+                                             x1x2 | 1: (-0.0, -0.0 - 1.0)}),
+    }, FLOAT)
+
+
+def cancelling_field(backend):
+    """x0 e1 + x1 e0 + x2 on phase 0, and 1 on phase x0: the mu = 0 and 1
+    parts cancel on phase 0, so the running sum drops that phase and mu = 2
+    appends it again, after phase x0."""
+    one = 1 if backend == EXACT else 1.0
+    x0, x1, x2 = 1 << 4, 1 << 20, 1 << 36
+    return AnalyticField.from_forms({
+        (): (1, {x0 | 2: (one, 0 * one), x1 | 1: (one, 0 * one), x2: (one, 0 * one)}),
+        ((x0, one, 1),): (1, {0: (one, 0 * one)}),
+    }, backend)
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@pytest.mark.parametrize("product", [WEDGE, CLIFFORD], ids=["wedge", "clifford"])
+def test_the_one_pass_gradient_is_the_four_field_sum_bit_for_bit(backend, product):
+    rng = random.Random(12)
+    fields = [AnalyticField.constant(Multivector.basis(5, backend)),
+              cancelling_field(backend)]
+    for _ in range(12):
+        entries = random_entries(rng, nterms=rng.randint(1, 3), per_term=rng.randint(1, 8))
+        fields.append(AnalyticField(backend, entries if backend == EXACT else rounded(entries)))
+    if backend == FLOAT:
+        fields.append(special_float_field())
+    for f in fields:
+        for g in (f, f.hodge_star()):
+            assert bits(g.gradient(product)) == bits(four_field_sum(g, product))
+    assert fields[0].gradient(product).is_zero()
+    # the dropped phase comes back after the phase x0
+    assert [len(key) for key in fields[1].gradient(product)._forms] == [1, 0]
+
+
+def poly_route_field(rng, nterms=2, grades=None, backend=EXACT):
+    """The seeded field as it was first built: Poly coefficients of QQi or
+    complex, put into the term format by the AnalyticField constructor."""
+    entries = []
+    for _ in range(nterms):
+        k = Fraction(rng.randint(-2, 2))
+        phase = Poly({tuple(rng.randint(0, 1) for _ in range(4)):
+                      k if backend == EXACT else float(k)})
+        coeffs = [Poly() for _ in range(16)]
+        for _ in range(3):
+            m = rng.randrange(16)
+            if grades is not None and GRADE[m] not in grades:
+                continue
+            exps = tuple(rng.randint(0, 2) for _ in range(4))
+            c = (QQi(rng.randint(-2, 2), rng.randint(-2, 2)) if backend == EXACT
+                 else complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+            coeffs[m] = coeffs[m] + Poly({exps: c})
+        entries.append((phase, coeffs))
+    return AnalyticField(backend, entries)
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_random_fields_equal_the_poly_route(backend):
+    for nterms in (1, 2, 3):
+        for grades in (None, {0, 2, 4}, {1}):
+            for seed in range(60):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                got = random_field(ours, nterms, grades, backend)
+                assert bits(got) == bits(poly_route_field(theirs, nterms, grades, backend))
+                assert ours.getstate() == theirs.getstate()
+
+
+class Scripted:
+    """An rng that answers randint, randrange and uniform from one script of
+    integers, uniform with their floats."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def randint(self, a, b):
+        v = self.values.pop(0)
+        assert a <= v <= b
+        return v
+
+    def randrange(self, n):
+        return self.randint(0, n - 1)
+
+    def uniform(self, a, b):
+        return float(self.randint(a, b))
+
+
+A, B = (1, 0, 2, 0), (0, 0, 0, 1)
+
+
+@pytest.mark.parametrize("nterms, script", [
+    # an entry drawn again adds in place, ahead of a later entry of its blade
+    (1, [1, 0, 1, 0, 0, 5, *A, 1, 1, 5, *B, 1, 0, 5, *A, 1, 0]),
+    # a sum of zero drops the entry
+    (1, [1, 0, 1, 0, 0, 5, *A, 1, 1, 5, *B, 1, 0, 5, *A, -1, -1]),
+    # blades sort ascending whatever the draw order, and a zero draw is left out
+    (1, [-1, 1, 1, 1, 1, 9, *A, 1, -1, 2, *B, -1, 0, 0, *A, 0, 0]),
+    # two terms on the empty phase of k = 0 merge, and their sum drops an entry
+    (2, [0, 1, 0, 0, 1, 3, *A, 1, 0, 3, *B, 1, 0, 3, *A, -1, 0,
+         0, 0, 0, 1, 1, 3, *B, -1, 0, 4, *A, 1, 1, 3, *A, 0, 1]),
+    # two terms on one phase cancel to nothing
+    (2, [1, 0, 0, 0, 1, 7, *A, 1, 1, 7, *A, -1, 1, 8, *B, 0, 0,
+         1, 0, 0, 0, 1, 7, *A, 0, -1, 0, *B, 0, 0, 7, *A, 0, -1]),
+])
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_random_field_sums_entries_as_poly_sums_them(nterms, script, backend):
+    ours, theirs = Scripted(script), Scripted(script)
+    got = random_field(ours, nterms, None, backend)
+    assert bits(got) == bits(poly_route_field(theirs, nterms, None, backend))
+    assert ours.values == theirs.values == []

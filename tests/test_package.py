@@ -251,7 +251,7 @@ REMOVED_PARAMETERS = {
     ("equations", "seed"): ["current", "CurrentResult.divergence_max", "lagrangian",
                             "maxwell_residual", "covariance_check"],
     ("equations", "tolerance"): ["covariance_check"],
-    ("suites", "backend"): ["_random_mv"],
+    ("multivector", "backend"): ["random_multivector"],
 }
 
 

@@ -11,7 +11,14 @@ import pytest
 
 from stada import spin, suites
 from stada.errors import InvalidSpinError
-from stada.multivector import EVEN_MASKS, MASKS_OF_GRADE, Multivector
+from stada.multivector import (
+    EVEN_MASKS,
+    MASKS_OF_GRADE,
+    Multivector,
+    _draws,
+    numerators,
+    random_multivector,
+)
 from stada.scalars import EXACT, FLOAT, QQi
 
 
@@ -30,6 +37,13 @@ def test_equations_suite_float_backend():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         suites.run_suite("nonsense")
+
+
+@pytest.mark.parametrize("iterations", [0, -2, True])
+def test_a_case_count_that_is_not_a_positive_int_is_refused(iterations):
+    # -2 ran "0 triples" and passed; 0 recorded 0 and ran the default count
+    with pytest.raises(ValueError, match="iterations"):
+        suites.run_suite("algebra", 1, iterations=iterations)
 
 
 def test_report_serialization_is_deterministic():
@@ -80,8 +94,8 @@ def test_draws_reproduce_randint(span, count):
     # it, so every later draw of a check is unchanged too
     for seed in ("1:algebra.associativity", 7):
         ours, theirs = random.Random(seed), random.Random(seed)
-        assert suites._draws(ours, span, count) == [theirs.randint(-span, span)
-                                                    for _ in range(count)]
+        assert _draws(ours, span, count) == [theirs.randint(-span, span)
+                                             for _ in range(count)]
         assert ours.getstate() == theirs.getstate()
 
 
@@ -89,15 +103,34 @@ def test_draws_reproduce_randint(span, count):
                                               (64, range(16), 64)])
 def test_random_multivectors_draw_as_randint_did(span, masks, den):
     ours, theirs = random.Random(11), random.Random(11)
-    got = suites._random_mv(ours, span=span, masks=masks, den=den)
+    got = random_multivector(ours, span=span, masks=masks, den=den)
     want = Multivector.from_terms(
         [(m, QQi(theirs.randint(-span, span), theirs.randint(-span, span), den))
          for m in masks], EXACT)
     assert got == want
-    real = suites._random_real_mv(ours, masks=EVEN_MASKS, span=span)
+    real = random_multivector(ours, span=span, masks=EVEN_MASKS, real=True)
     assert real == Multivector.from_terms(
         [(m, QQi(theirs.randint(-span, span))) for m in EVEN_MASKS], EXACT)
     assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("masks, real, den", [
+    ((3, 3, 5, 0, 3), False, 1),    # a repeated blade adds, as from_terms adds
+    ((3, 3, 5, 0, 3), True, 1),
+    ((6, 9, 6), False, 12),         # sums over a denominator that then reduces
+    (EVEN_MASKS, True, 4),
+    ((), False, 1),
+])
+def test_random_multivector_equals_the_qqi_route(masks, real, den):
+    for seed in range(40):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        got = random_multivector(ours, span=2, masks=masks, den=den, real=real)
+        want = Multivector.from_terms(
+            [(m, QQi(theirs.randint(-2, 2), 0 if real else theirs.randint(-2, 2), den))
+             for m in masks], EXACT)
+        assert numerators(got) == numerators(want)
+        assert got.coeffs == want.coeffs
+        assert ours.getstate() == theirs.getstate()
 
 
 def _spin_verdicts(monkeypatch) -> dict:
